@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,10 +38,6 @@ from .tapi import TapiOptions, tapi_exact_improvement_variant, tapi_solve
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    jobs = getattr(args, "jobs", None) or os.environ.get("TAYLORDP_THREADS")
-    if jobs:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(jobs))
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -67,8 +62,6 @@ def _build_parser():
         p.add_argument("--M", type=int, default=None)
         p.add_argument("--cost", default=None, help="service_rate cost variant")
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="bound worker threads (also honors TAYLORDP_THREADS)")
 
     p = sub.add_parser("solve-exact", help="exact policy iteration on the fine lattice")
     common(p)
@@ -142,12 +135,10 @@ def _policy_for(cfg: ExperimentConfig, model):
         res = solver(model.problem, cfg.tapi_options())
         return res.fine_policy, res.fine_values, res.iterations
     if cfg.mode == "heuristic-max-overflow":
-        mdp = model.mdp
-        policy = np.empty(mdp.n_states, dtype=np.int64)
-        for i in range(mdp.n_states):
-            totals = [np.sum(u) for u in mdp.actions_at(i)]
-            policy[i] = int(np.argmax(totals))
-        return policy, None, 0
+        # overflow as many customers as possible; the first maximizer wins
+        U, offsets = model.mdp.action_table()
+        totals = U.reshape(len(U), -1).sum(axis=1)
+        return exact.segmented_argmax(totals, offsets, 0)[1], None, 0
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
 

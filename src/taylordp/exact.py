@@ -150,22 +150,21 @@ def get_assembly(mdp):
 
 
 def _tabulate(mdp: LatticeMdp) -> TabularAssembly:
-    offsets = [0]
     rewards = []
     row_ptr = [0]
     cols = []
     probs = []
+    lattice = mdp.lattice
     for i in range(mdp.n_states):
-        acts = mdp.actions_at(i)
-        for a in range(len(acts)):
-            row = mdp.row(i, a)
-            rewards.append(mdp.reward_value(i, a))
+        state = lattice.state(i)
+        for u in mdp.actions_at(i):
+            row = mdp.kernel(state, u)
+            rewards.append(mdp.checked_reward(state, u))
             cols.append(row.targets)
             probs.append(row.probs)
             row_ptr.append(row_ptr[-1] + len(row.targets))
-        offsets.append(offsets[-1] + len(acts))
     discounts = np.full(mdp.n_states, mdp.discount)
-    return TabularAssembly(offsets, rewards, row_ptr,
+    return TabularAssembly(mdp.action_table()[1], rewards, row_ptr,
                            np.concatenate(cols), np.concatenate(probs), discounts)
 
 

@@ -124,6 +124,20 @@ def truncate_renormalize(raw_kernel: RawKernel, lattice: StateLattice) -> Kernel
     return kernel
 
 
+def action_tuple(U) -> tuple:
+    """Python form of a slice of an action table: scalars, or tuples for vector actions."""
+    rows = np.asarray(U).tolist()
+    return tuple(map(tuple, rows)) if np.ndim(U) == 2 else tuple(rows)
+
+
+def _table_offsets(counts: np.ndarray, states: np.ndarray) -> np.ndarray:
+    if not counts.all():
+        raise EmptyActionSet(tuple(np.asarray(states[np.argmin(counts)]).tolist()))
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
 class ExplicitActionSet:
     """Per-state action lists given directly (or by a callable)."""
 
@@ -137,38 +151,70 @@ class ExplicitActionSet:
             raise EmptyActionSet(state)
         return acts
 
+    def table(self, states: np.ndarray):
+        """(U, offsets) for an (n, d) state array; see PolyhedralActionSet.table."""
+        states = np.atleast_2d(states)
+        if callable(self._actions):
+            per_state = [self.at(tuple(s)) for s in states.tolist()]
+        else:
+            per_state = [self.at(tuple(states[0].tolist()))] * len(states)
+        offsets = _table_offsets(np.array([len(a) for a in per_state]), states)
+        return np.asarray([u for acts in per_state for u in acts]), offsets
+
 
 class PolyhedralActionSet:
     """Actions = {u integer in box(state) : A u <= b(state)}, enumerated lexicographically.
 
-    `box` maps a state to per-coordinate inclusive integer (lo, hi) bounds;
-    the constraint check A u <= b(x) is exact integer arithmetic whenever the
+    `box` maps an (n, d) state array to (n, m, 2) per-coordinate inclusive
+    integer (lo, hi) bounds and `b` maps it to the (n, c) right-hand sides.
+    The constraint check A u <= b(x) is exact integer arithmetic whenever the
     inputs are integral.
     """
 
-    def __init__(self, A: np.ndarray, b: Callable[[State], np.ndarray], box: Callable[[State], Sequence[tuple[int, int]]]):
+    def __init__(self, A: np.ndarray, b: Callable[[np.ndarray], np.ndarray],
+                 box: Callable[[np.ndarray], np.ndarray]):
         self.A = np.asarray(A)
         self.b = b
         self.box = box
 
+    def table(self, states: np.ndarray):
+        """Feasible actions of every state as one ragged array.
+
+        Returns (U, offsets): U[offsets[i]:offsets[i+1]] are the actions of
+        states[i] as an (k_i, m) integer array in lexicographic order.  The
+        candidates of a state are its box points in mixed radix with the last
+        coordinate varying fastest; all of them are filtered in one pass.
+        """
+        states = np.atleast_2d(states)
+        n = len(states)
+        c, m = self.A.shape
+        box = np.asarray(self.box(states), dtype=np.int64).reshape(n, m, 2)
+        lo = box[:, :, 0]
+        width = np.maximum(box[:, :, 1] - lo + 1, 0)
+        n_cand = width.prod(axis=1)
+        owner = np.repeat(np.arange(n), n_cand)
+        rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
+        width = width[owner]
+        cand = lo[owner]
+        for j in range(m - 1, -1, -1):
+            rank, digit = np.divmod(rank, width[:, j])
+            cand[:, j] += digit
+        bvec = np.asarray(self.b(states)).reshape(n, c)
+        keep = (cand @ self.A.T <= bvec[owner]).all(axis=1)
+        offsets = _table_offsets(np.bincount(owner[keep], minlength=n), states)
+        return cand[keep], offsets
+
     def at(self, state: State):
-        bounds = self.box(state)
-        bvec = np.asarray(self.b(state))
-        axes = [np.arange(lo, hi + 1) for lo, hi in bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([m.ravel() for m in mesh], axis=1)
-        keep = np.all(cand @ self.A.T <= bvec, axis=1)
-        acts = tuple(tuple(int(v) for v in row) for row in cand[keep])
-        if not acts:
-            raise EmptyActionSet(state)
-        return acts
+        return action_tuple(self.table(np.asarray(state)[None, :])[0])
 
 
 class LatticeMdp:
     """Discounted MDP on a StateLattice.
 
     kernel and reward are pure callables of (state tuple, action); the action
-    set yields, per state, a duplicate-free lexicographically ordered tuple.
+    set yields, per state, a duplicate-free lexicographically ordered list,
+    tabulated for all states at once (action_table) and read back per state
+    as a tuple (actions_at).
     Policies are dense integer arrays indexing into that per-state ordering,
     values are dense float arrays over flat state indices.
     """
@@ -187,29 +233,48 @@ class LatticeMdp:
         self.cost_oriented = cost_oriented
         # optional product-form kernel hook used by the solvers (see exact.py)
         self.factored = factored
-        self._action_cache: dict[int, tuple] = {}
+        self._table = None
 
     @property
     def n_states(self) -> int:
         return self.lattice.n_states
 
+    def action_table(self):
+        """(U, offsets) over all states in index order, enumerated once on first use.
+
+        U[offsets[i]:offsets[i+1]] are the actions of state i; the flat
+        position offsets[i] + a is the (state, action) pair axis that every
+        assembly and batch hook shares.
+        """
+        if self._table is None:
+            self._table = self.actions.table(self.lattice.states())
+        return self._table
+
+    def pair_states(self) -> np.ndarray:
+        """The state of every (state, action) pair, an (n_pairs, d) integer array."""
+        return np.repeat(self.lattice.states(), np.diff(self.action_table()[1]), axis=0)
+
     def actions_at(self, state_index: int):
-        acts = self._action_cache.get(state_index)
-        if acts is None:
-            acts = self.actions.at(self.lattice.state(state_index))
-            self._action_cache[state_index] = acts
-        return acts
+        U, offsets = self.action_table()
+        return action_tuple(U[offsets[state_index]:offsets[state_index + 1]])
 
     def action(self, state_index: int, action_index: int):
-        return self.actions_at(state_index)[action_index]
+        U, offsets = self.action_table()
+        lo, hi = offsets[state_index], offsets[state_index + 1]
+        if not 0 <= action_index < hi - lo:
+            raise IndexError(f"action index {action_index} out of range at state {state_index}")
+        return action_tuple(U[lo + action_index:lo + action_index + 1])[0]
 
     def row(self, state_index: int, action_index: int) -> TransitionRow:
         state = self.lattice.state(state_index)
-        return self.kernel(state, self.actions_at(state_index)[action_index])
+        return self.kernel(state, self.action(state_index, action_index))
 
     def reward_value(self, state_index: int, action_index: int) -> float:
-        state = self.lattice.state(state_index)
-        r = float(self.reward(state, self.actions_at(state_index)[action_index]))
+        return self.checked_reward(self.lattice.state(state_index),
+                                   self.action(state_index, action_index))
+
+    def checked_reward(self, state: State, action) -> float:
+        r = float(self.reward(state, action))
         if not math.isfinite(r):
             raise ValueError(f"non-finite reward at state {state}")
         return r
@@ -218,9 +283,9 @@ class LatticeMdp:
         policy = np.asarray(policy)
         if policy.shape != (self.n_states,):
             raise ValueError("policy must assign one action index per state")
-        for i in range(self.n_states):
-            if not 0 <= policy[i] < len(self.actions_at(i)):
-                raise InfeasibleAction(self.lattice.state(i), int(policy[i]))
+        bad = np.flatnonzero((policy < 0) | (policy >= np.diff(self.action_table()[1])))
+        if bad.size:
+            raise InfeasibleAction(self.lattice.state(bad[0]), int(policy[bad[0]]))
 
 
 def enumerate_actions(mdp: LatticeMdp, state) -> tuple:
@@ -248,8 +313,9 @@ def uniform_max_jump(mdp: LatticeMdp) -> int:
 
     states = mdp.lattice.states()
     worst = 0.0
+    counts = np.diff(mdp.action_table()[1])
     for i in range(mdp.n_states):
-        for a in range(len(mdp.actions_at(i))):
+        for a in range(counts[i]):
             row = mdp.row(i, a)
             live = row.targets[row.probs > 0.0]
             if live.size == 0:

@@ -95,6 +95,7 @@ class InventoryModel:
             return DriftDiffusion([u - lam], [[(u - lam) ** 2 + lam]])
 
         def moments_batch(state, actions_):
+            # interior moments do not depend on the state (one or one per action)
             us = np.asarray(actions_, dtype=np.float64)
             mu = us - lam
             return mu[:, None], (mu ** 2 + lam)[:, None, None]

@@ -113,16 +113,19 @@ class RoutingModel:
             A[J + i, k] = 1.0    # out of buffer i
 
         N = np.asarray(params.N)
+        src = np.array([i for i, _ in self.pairs], dtype=np.int64)
+        dst = np.array([j for _, j in self.pairs], dtype=np.int64)
 
-        def b(state):
-            x = np.asarray(state)
-            return np.concatenate([np.maximum(N - x, 0), np.maximum(x - N, 0)])
+        def b(states):
+            x = np.asarray(states)
+            return np.concatenate([np.maximum(N - x, 0), np.maximum(x - N, 0)], axis=-1)
 
-        def box(state):
-            x = np.asarray(state)
-            idle = np.maximum(N - x, 0)
-            wait = np.maximum(x - N, 0)
-            return [(0, int(min(wait[i], idle[j]))) for (i, j) in self.pairs]
+        def box(states):
+            x = np.asarray(states)
+            bounds = np.zeros(x.shape[:-1] + (m, 2), dtype=np.int64)
+            bounds[..., 1] = np.minimum(np.maximum(x - N, 0)[..., src],
+                                        np.maximum(N - x, 0)[..., dst])
+            return bounds
 
         actions = PolyhedralActionSet(A, b, box)
 
@@ -135,16 +138,27 @@ class RoutingModel:
         for k, (i, j) in enumerate(self.pairs):
             out_of[i, k] = 1.0
 
+        # batch hooks: states are (J,) or per pair (k, J), actions (k, m)
+        def cost_batch(states, U) -> np.ndarray:
+            x = np.asarray(states, dtype=np.float64)
+            uv = np.asarray(U, dtype=np.float64).reshape(-1, m)
+            waiting = np.maximum(x - uv @ out_of.T - N, 0.0)
+            return uv @ Bcost + waiting @ Hcost
+
+        def post_states(states, U) -> np.ndarray:
+            return np.asarray(states) + (np.asarray(U, dtype=np.float64).reshape(-1, m)
+                                         @ net.T).astype(np.int64)
+
+        self.cost_batch = cost_batch
+        self.post_states = post_states
+
         def cost(state, u) -> float:
-            x = np.asarray(state, dtype=np.float64)
-            uv = np.asarray(u, dtype=np.float64)
-            waiting = np.maximum(x - out_of @ uv - N, 0.0)
-            return float(Bcost @ uv + Hcost @ waiting)
+            return float(cost_batch(state, [u])[0])
 
         self.cost = cost
 
         def post_state(state, u):
-            return tuple(int(v) for v in np.asarray(state) + (net @ np.asarray(u)).astype(np.int64))
+            return tuple(post_states(state, [u])[0].tolist())
 
         self.post_state = post_state
 
@@ -170,15 +184,14 @@ class RoutingModel:
             return DriftDiffusion(mu_b[0], s2_b[0])
 
         def moments_batch(state, action_list):
-            x = np.asarray(state, dtype=np.float64)
-            U = np.asarray(action_list, dtype=np.float64).reshape(len(action_list), m)
+            x = np.asarray(state, dtype=np.float64)           # (J,) or per pair (k, J)
+            U = np.asarray(action_list, dtype=np.float64).reshape(-1, m)
             nets = U @ net.T                                  # (k, J)
             n_busy = np.minimum(x + nets, N)                  # ceil(x) = x on the lattice
             mu = nets + lam - p * n_busy
             s2 = mu[:, :, None] * mu[:, None, :]
             diag = lam + n_busy * p * (1.0 - p) + mu ** 2
-            k = len(action_list)
-            s2[np.arange(k)[:, None], np.arange(self.params.J), np.arange(self.params.J)] = diag
+            s2[:, np.arange(J), np.arange(J)] = diag
             return mu, s2
 
         self._moments_batch = moments_batch
@@ -198,16 +211,10 @@ class RoutingModel:
         mdp = self.mdp
         lattice = mdp.lattice
         shape = lattice.shape
-        offsets = [0]
-        rewards = []
-        post_idx = []
-        for i in range(mdp.n_states):
-            state = lattice.state(i)
-            acts = mdp.actions_at(i)
-            for u in acts:
-                rewards.append(-self.cost(state, u))
-                post_idx.append(lattice.index(self.post_state(state, u)))
-            offsets.append(offsets[-1] + len(acts))
+        U, offsets = mdp.action_table()
+        states = mdp.pair_states()
+        rewards = -self.cost_batch(states, U)
+        post_idx = lattice.indices_of(self.post_states(states, U))
 
         Ks = self.K
 

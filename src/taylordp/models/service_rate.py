@@ -87,9 +87,9 @@ class ServiceRateModel:
             return DriftDiffusion([mu], [[1.0]])
 
         def moments_batch(state, actions):
-            (x,) = state
+            x = np.asarray(state)[..., 0]                     # one state, or one per action
             us = np.asarray(actions, dtype=np.float64)
-            mu = np.full_like(us, 1.0) if x == 0 else 1.0 - 2.0 * us
+            mu = np.where(x == 0, 1.0, 1.0 - 2.0 * us)
             return mu[:, None], np.ones((len(us), 1, 1))
 
         self.boundary_spec = BoundarySpec(

@@ -37,9 +37,9 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .exact import (SolveOptions, policy_evaluation, policy_improvement,
-                    policy_iteration)
-from .kdchain import CoarseGrid, KdChain, build_multidim_chain
+from .exact import (SolveOptions, get_assembly, policy_evaluation, policy_improvement,
+                    policy_iteration, segmented_argmax)
+from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
 from .lattice import LatticeMdp
 from .taylor import TaylorProblem
 
@@ -210,9 +210,9 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     extended coarse values at the stencil targets; near the boundary the
     extension extrapolates.  This is the discretized form of maximizing
     r(x,u) + alpha L_u V(x) - (1-alpha) V(x) over the feasible actions.
+    All (state, action) pairs are scored in one pass over the action table;
+    ties go to the first action within 1e-12.
     """
-    from .kdchain import _stencil_rates
-
     mdp = problem.mdp
     lattice = mdp.lattice
     alpha = mdp.discount
@@ -229,24 +229,22 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     neighbor_vals = neighbor_vals.reshape(len(states), len(offs))
     center_vals = probe(states)
 
-    policy = np.empty(lattice.n_states, dtype=np.int64)
-    cols = None
-    for si in range(lattice.n_states):
-        point = lattice.state(si)
-        acts = mdp.actions_at(si)
-        mu_b, s2_b = problem.moments_batch(point, acts)
-        off, rates, _, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec,
-                                             scheme, cross)
-        if cols is None:
-            cols = _offset_columns(off, offs)   # offset order is state-independent
-        tot = rates.sum(axis=1)
-        q_max = float(max(tot.max(), 1e-300))
-        a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
-        rew = np.array([mdp.reward(point, u) for u in acts], dtype=np.float64)
-        expect = (rates / q_max) @ neighbor_vals[si, cols] + (1.0 - tot / q_max) * center_vals[si]
-        q = a_h * rew / (alpha * q_max) + a_h * expect
-        policy[si] = int(np.flatnonzero(q >= q.max() - 1e-12)[0])
-    return policy
+    # one stencil over every (state, action) pair
+    U, offsets = mdp.action_table()
+    counts = np.diff(offsets)
+    mu_b, s2_b = problem.moments_batch(mdp.pair_states(), U)
+    off, rates, _, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme, cross)
+    cols = _offset_columns(off, offs)   # offset order is state-independent
+    tot = rates.sum(axis=1)
+    q_max = np.maximum(np.maximum.reduceat(tot, offsets[:-1]), 1e-300)
+    a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
+    q_max, a_h = np.repeat(q_max, counts), np.repeat(a_h, counts)
+    rew = get_assembly(mdp).rewards
+    rates /= q_max[:, None]
+    expect = (np.einsum("pc,pc->p", rates, np.repeat(neighbor_vals[:, cols], counts, axis=0))
+              + (1.0 - tot / q_max) * np.repeat(center_vals, counts))
+    q = a_h * rew / (alpha * q_max) + a_h * expect
+    return segmented_argmax(q, offsets, 1e-12)[1]
 
 
 def _stencil_offsets(d: int, h: float) -> np.ndarray:

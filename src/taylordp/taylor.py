@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MissingBoundaryData, NonInwardEta, NotAvailable
-from .lattice import LatticeMdp, StateLattice
+from .lattice import LatticeMdp, StateLattice, action_tuple
 
 SYM_TOL = 1e-12
 COV_EIG_TOL = -1e-9
@@ -132,12 +132,21 @@ class TaylorProblem:
         self.name = name or mdp.name
 
     def moments_batch(self, state, actions):
-        """(mu, sigma2) stacked over an action list: (k, d) and (k, d, d)."""
+        """(mu, sigma2) stacked over k actions: (k, d) and (k, d, d).
+
+        state is one state (d,) shared by all actions, or one state per
+        action (k, d); actions is a sequence or an action-table slice.
+        """
         if self._moments_batch is not None:
             return self._moments_batch(state, actions)
+        if isinstance(actions, np.ndarray):
+            actions = action_tuple(actions)
+        states = np.asarray(state)
+        if states.ndim == 1:
+            states = np.broadcast_to(states, (len(actions), states.size))
         mus, s2s = [], []
-        for u in actions:
-            dd = self.moments(state, u)
+        for x, u in zip(states.tolist(), actions):
+            dd = self.moments(tuple(x), u)
             mus.append(dd.mu)
             s2s.append(dd.sigma2)
         return np.stack(mus), np.stack(s2s)
@@ -208,40 +217,18 @@ class EllipticityReport:
     argmin_action: object
 
 
-def ellipticity_check(problem: TaylorProblem, chunk: int = 4096) -> EllipticityReport:
+def ellipticity_check(problem: TaylorProblem) -> EllipticityReport:
     """Extreme eigenvalues of sigma2_u(x) over all states and feasible actions.
 
-    Diagnostic only: reports (lambda_min, lambda_max) and pass = lambda_min > 0.
+    Diagnostic only: reports (lambda_min, lambda_max) and pass = lambda_min > 0;
+    the reported state and action are those of the first minimizing pair.
     """
     mdp = problem.mdp
-    lam_min = np.inf
-    lam_max = -np.inf
-    arg_state, arg_action = None, None
-    buf, meta = [], []
-
-    def flush():
-        nonlocal lam_min, lam_max, arg_state, arg_action
-        if not buf:
-            return
-        eig = np.linalg.eigvalsh(np.stack(buf))
-        lo = eig[:, 0]
-        hi = eig[:, -1]
-        k = int(np.argmin(lo))
-        if lo[k] < lam_min:
-            lam_min = float(lo[k])
-            arg_state, arg_action = meta[k]
-        lam_max = max(lam_max, float(hi.max()))
-        buf.clear()
-        meta.clear()
-
-    for i in range(mdp.n_states):
-        state = mdp.lattice.state(i)
-        acts = mdp.actions_at(i)
-        mu_b, s2_b = problem.moments_batch(state, acts)
-        for a, u in enumerate(acts):
-            buf.append(s2_b[a])
-            meta.append((state, u))
-        if len(buf) >= chunk:
-            flush()
-    flush()
-    return EllipticityReport(lam_min, lam_max, lam_min > 0.0, arg_state, arg_action)
+    U = mdp.action_table()[0]
+    states = mdp.pair_states()
+    _, s2 = problem.moments_batch(states, U)
+    eig = np.linalg.eigvalsh(s2)
+    k = int(np.argmin(eig[:, 0]))
+    lam_min = float(eig[k, 0])
+    return EllipticityReport(lam_min, float(eig[:, -1].max()), lam_min > 0.0,
+                             tuple(states[k].tolist()), action_tuple(U[k:k + 1])[0])
