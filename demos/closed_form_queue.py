@@ -20,7 +20,7 @@ ALPHA = 0.9
 
 for M in (50, 100, 200):
     model = build("service_rate", M=M, alpha=ALPHA, cost="quartic", fixed_u=0.5)
-    chain = tdp.build_chain(model.problem, 1)
+    chain = tdp.build_multidim_chain(model.problem, 1)
     res = tdp.policy_iteration(chain)
     xs = np.arange(M // 2 + 1.0)
     v_hat = model.oracle().value(xs)

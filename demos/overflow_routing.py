@@ -10,7 +10,7 @@ import numpy as np
 
 import taylordp as tdp
 from taylordp.models.routing import build_routing, table_params
-from taylordp.tapi import TapiOptions, tapi_exact_improvement_variant, tapi_solve
+from taylordp.tapi import TapiOptions, tapi_solve
 
 model = build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))
 star = tdp.policy_iteration(model.mdp, options=tdp.SolveOptions(max_iterations=100))
@@ -19,8 +19,8 @@ print("2-pool instance: 441 states, exact PI took", star.iterations, "iterations
 print("\n  h | coarse-PI | +exact improv | one step")
 for h in (1, 2, 4):
     a = tdp.gap_report(tapi_solve(model.problem, TapiOptions(h=h)).fine_values, v).max_rel
-    b = tdp.gap_report(tapi_exact_improvement_variant(model.problem,
-                                                      TapiOptions(h=h)).fine_values, v).max_rel
+    b = tdp.gap_report(tapi_solve(model.problem,
+                                  TapiOptions(h=h, improvement="exact")).fine_values, v).max_rel
     c = tdp.gap_report(tapi_solve(model.problem,
                                   TapiOptions(h=h, one_step=True)).fine_values, v).max_rel
     print(f"  {h} |   {a:.4f}  |    {b:.4f}     |  {c:.4f}")

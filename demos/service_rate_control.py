@@ -30,7 +30,7 @@ for h in (1, 2):
     print(f"       after one-step improvement:      {gap1[M]:8.2f}"
           f"   sup gap/|V*|: {gap1.max() / sup:.2e}")
 
-chain = tdp.build_chain(model.problem, 1)
+chain = tdp.build_multidim_chain(model.problem, 1)
 coarse = tdp.policy_iteration(chain)
 proxy = third_derivative_proxy(-coarse.values, 1)
 peak = float(np.nanmax(np.abs(proxy[2: M - 3])))

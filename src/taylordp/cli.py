@@ -26,13 +26,13 @@ import numpy as np
 from . import exact
 from .bounds import (corner_states, discounted_accumulation, gap_report,
                      taylor_remainder, third_derivative_proxy)
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _validate, load_config
 from .errors import LatticeMismatch, TaylorDpError
 from .lattice import uniform_max_jump
 from .models.routing import table_params, build_routing
 from .report import (summary_line, write_chain_csv, write_gap_csv,
                      write_moments_csv, write_value_policy_csv)
-from .tapi import TapiOptions, tapi_exact_improvement_variant, tapi_solve
+from .tapi import TapiOptions, tapi_solve
 
 
 def main(argv=None) -> int:
@@ -65,7 +65,7 @@ def _build_parser():
 
     p = sub.add_parser("solve-exact", help="exact policy iteration on the fine lattice")
     common(p)
-    p.set_defaults(func=cmd_solve_exact)
+    p.set_defaults(func=cmd_solve, mode="solve-exact")
 
     p = sub.add_parser("solve-tapi", help="Taylored approximate policy iteration")
     common(p)
@@ -74,7 +74,7 @@ def _build_parser():
     p.add_argument("--disaggregation", choices=("multilinear", "pc"), default=None)
     p.add_argument("--one-step", choices=("on", "off"), default=None)
     p.add_argument("--out", default=None, help="fine value/policy CSV path")
-    p.set_defaults(func=cmd_solve_tapi)
+    p.set_defaults(func=cmd_solve, mode="solve-tapi")
 
     p = sub.add_parser("compare", help="exactly evaluate two configs' policies and report gaps")
     p.add_argument("--config-a", required=True)
@@ -118,55 +118,48 @@ def _config_from_args(args, mode) -> ExperimentConfig:
     if getattr(args, "out_dir", None):
         cfg.out_dir = args.out_dir
     cfg.mode = mode
-    if cfg.model_name not in ("service_rate", "inventory", "routing", "heavy_traffic"):
-        raise ConfigError(f"unknown model {cfg.model_name!r}")
-    if cfg.h < 1:
-        raise ConfigError("h must be a positive integer")
+    _validate(cfg)
     return cfg
 
 
 def _policy_for(cfg: ExperimentConfig, model):
-    """Solve per the config's mode; returns (policy, values-or-None, iterations)."""
+    """Solve per the config's mode.
+
+    Returns (policy, values-or-None, iterations, chain-or-None); the chain is
+    the K-D chain of a solve-tapi run.
+    """
     if cfg.mode == "solve-exact":
         pi = exact.policy_iteration(model.mdp)
-        return pi.policy, pi.values, pi.iterations
+        return pi.policy, pi.values, pi.iterations, None
     if cfg.mode == "solve-tapi":
-        solver = tapi_exact_improvement_variant if cfg.improvement == "exact" else tapi_solve
-        res = solver(model.problem, cfg.tapi_options())
-        return res.fine_policy, res.fine_values, res.iterations
+        res = tapi_solve(model.problem, cfg.tapi_options())
+        return res.fine_policy, res.fine_values, res.iterations, res.chain
     if cfg.mode == "heuristic-max-overflow":
         # overflow as many customers as possible; the first maximizer wins
         U, offsets = model.mdp.action_table()
         totals = U.reshape(len(U), -1).sum(axis=1)
-        return exact.segmented_argmax(totals, offsets, 0)[1], None, 0
+        return exact.segmented_argmax(totals, offsets, 0)[1], None, 0, None
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
 
-def cmd_solve_exact(args) -> int:
-    cfg = _config_from_args(args, "solve-exact")
+def cmd_solve(args) -> int:
+    """solve-exact / solve-tapi: write the value/policy CSV (and a TAPI run's chain CSV)."""
+    cfg = _config_from_args(args, args.mode)
     model = cfg.build_model()
     t0 = time.perf_counter()
-    pi = exact.policy_iteration(model.mdp)
+    policy, values, iterations, chain = _policy_for(cfg, model)
     out = Path(cfg.out_dir)
-    write_value_policy_csv(out / f"{cfg.model_name}_exact_values.csv",
-                           model.mdp, pi.values, pi.policy)
-    print(summary_line(cfg.model_name, cfg.alpha, "", "exact", None, None,
-                       pi.iterations, time.perf_counter() - t0))
-    return 0
-
-
-def cmd_solve_tapi(args) -> int:
-    cfg = _config_from_args(args, "solve-tapi")
-    model = cfg.build_model()
-    t0 = time.perf_counter()
-    solver = tapi_exact_improvement_variant if cfg.improvement == "exact" else tapi_solve
-    res = solver(model.problem, cfg.tapi_options())
-    out = Path(cfg.out_dir)
-    path = Path(args.out) if getattr(args, "out", None) else out / f"{cfg.model_name}_tapi_h{cfg.h}.csv"
-    write_value_policy_csv(path, model.mdp, res.fine_values, res.fine_policy)
-    write_chain_csv(out / f"{cfg.model_name}_chain_h{cfg.h}.csv", res.chain)
-    print(summary_line(cfg.model_name, cfg.alpha, cfg.h, f"tapi-{cfg.improvement}",
-                       None, None, res.iterations, time.perf_counter() - t0))
+    if chain is None:
+        write_value_policy_csv(out / f"{cfg.model_name}_exact_values.csv",
+                               model.mdp, values, policy)
+        h, label = "", "exact"
+    else:
+        path = Path(args.out) if args.out else out / f"{cfg.model_name}_tapi_h{cfg.h}.csv"
+        write_value_policy_csv(path, model.mdp, values, policy)
+        write_chain_csv(out / f"{cfg.model_name}_chain_h{cfg.h}.csv", chain)
+        h, label = cfg.h, f"tapi-{cfg.improvement}"
+    print(summary_line(cfg.model_name, cfg.alpha, h, label, None, None,
+                       iterations, time.perf_counter() - t0))
     return 0
 
 
@@ -178,8 +171,8 @@ def cmd_compare(args) -> int:
     if model_a.mdp.lattice != model_b.mdp.lattice:
         raise LatticeMismatch(f"{model_a.mdp.lattice} vs {model_b.mdp.lattice}")
     t0 = time.perf_counter()
-    pol_a, _, iters = _policy_for(cfg_a, model_a)
-    pol_b, _, _ = _policy_for(cfg_b, model_b)
+    pol_a, _, iters, _ = _policy_for(cfg_a, model_a)
+    pol_b, _, _, _ = _policy_for(cfg_b, model_b)
     v_a = exact.policy_evaluation(model_b.mdp, pol_a)
     v_b = exact.policy_evaluation(model_b.mdp, pol_b)
     rep = gap_report(v_a, v_b)
@@ -256,7 +249,7 @@ def cmd_reproduce(args) -> int:
                 v_star, _ = _cached_exact(model, out / "cache", f"t5-{alpha}-{factor}")
                 for h in hs:
                     r_tapi = tapi_solve(model.problem, TapiOptions(h=h))
-                    r_exact = tapi_exact_improvement_variant(model.problem, TapiOptions(h=h))
+                    r_exact = tapi_solve(model.problem, TapiOptions(h=h, improvement="exact"))
                     r_one = tapi_solve(model.problem, TapiOptions(h=h, one_step=True))
                     cells = [gap_report(r.fine_values, v_star).max_rel
                              for r in (r_tapi, r_exact, r_one)]
@@ -274,7 +267,7 @@ def cmd_reproduce(args) -> int:
                 model = build_routing(params)
                 v_star, _ = _cached_exact(model, out / "cache", f"t1-{alpha}-{factor}")
                 for h in hs:
-                    res = tapi_exact_improvement_variant(model.problem, TapiOptions(h=h))
+                    res = tapi_solve(model.problem, TapiOptions(h=h, improvement="exact"))
                     rep = gap_report(res.fine_values, v_star)
                     row = (factor, alpha, h, round(rep.max_rel, 4), round(rep.mean_rel, 5))
                     rows.append(row)

@@ -35,8 +35,6 @@ class ExperimentConfig:
     scheme: str = "inflate"
     one_step: bool = False
     out_dir: str = "out"
-    seed: int = 0
-    tier: str = "full"                   # fast | full (fast skips exact baselines)
 
     def tapi_options(self) -> TapiOptions:
         return TapiOptions(h=self.h, improvement=self.improvement,
@@ -46,7 +44,11 @@ class ExperimentConfig:
 
     def build_model(self):
         params_cls, builder = REGISTRY[self.model_name]
-        return builder(params_cls(alpha=self.alpha, **self.model_params))
+        try:
+            params = params_cls(alpha=self.alpha, **self.model_params)
+        except (TypeError, ValueError) as exc:  # unknown, missing or bad parameters
+            raise ConfigError(f"model {self.model_name!r}: {exc}") from None
+        return builder(params)
 
 
 _BOOLS = {"on": True, "off": False, "true": True, "false": False, "1": True, "0": False}
@@ -90,19 +92,16 @@ def load_config(path) -> ExperimentConfig:
         elif key == "h":
             cfg.h = _coerce("h", exp[key], int)
         elif key in ("improvement", "disaggregation", "policy_extension", "scheme",
-                     "out_dir", "tier"):
+                     "out_dir"):
             setattr(cfg, key, exp[key].strip())
         elif key == "one_step":
             cfg.one_step = _coerce("one_step", exp[key], bool)
-        elif key == "seed":
-            cfg.seed = _coerce("seed", exp[key], int)
         else:
             raise ConfigError(f"unknown experiment key {key!r}")
 
     model = parser["model"]
     cfg.model_name = model["name"].strip()
-    if cfg.model_name not in REGISTRY:
-        raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
+    _validate(cfg)
     params_cls, _ = REGISTRY[cfg.model_name]
     fields = {f.name: f for f in dataclasses.fields(params_cls)}
     for key in dict(model):
@@ -119,11 +118,13 @@ def load_config(path) -> ExperimentConfig:
             typ = tuple if "tuple" in str(ftype) else (float if "float" in str(ftype) else
                                                        (int if "int" in str(ftype) else str))
         cfg.model_params[key] = _coerce(key, model[key], typ)
-    _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Check every field but model_params, which the model's dataclass checks."""
+    if cfg.model_name not in REGISTRY:
+        raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
     if cfg.mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not (0.0 < cfg.alpha < 1.0):
@@ -136,5 +137,5 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("disaggregation must be multilinear or pc")
     if cfg.policy_extension not in ("tcp_greedy", "pc"):
         raise ConfigError("policy_extension must be tcp_greedy or pc")
-    if cfg.tier not in ("fast", "full"):
-        raise ConfigError("tier must be fast or full")
+    if cfg.scheme not in ("inflate", "upwind"):
+        raise ConfigError("scheme must be inflate or upwind")

@@ -5,7 +5,9 @@ All solvers work against an "assembly" of the MDP: either a tabular view
 (concatenated sparse rows over (state, action) pairs, per-state discounts)
 or a factored view for kernels of product form, where the one-step
 expectation operator is applied to the whole value vector at once and rows
-are never materialized.  Maximization is the internal convention throughout;
+are never materialized.  Both give per-pair expectations E_x^u[V] and, for a
+policy U, an operator P^U with P^U @ V = E^U[V]: a sparse matrix (solved
+directly) or a matrix-free product (solved iteratively).  Maximization is the internal convention throughout;
 cost models negate rewards at the model boundary.
 
 Argmax ties are broken to the first action in lexicographic order, with a
@@ -26,12 +28,9 @@ from .lattice import LatticeMdp
 ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
 
-DIRECT_STATE_LIMIT = 200_000
-
 
 @dataclass(frozen=True)
 class SolveOptions:
-    linear_solver: str = "auto"          # auto | direct | iterative
     iterative_tol: float = 1e-10
     vi_tol: float = 1e-9
     max_iterations: int = 100            # policy-iteration cap
@@ -47,37 +46,49 @@ class SolveOptions:
 DEFAULT_OPTIONS = SolveOptions()
 
 
-class TabularAssembly:
-    """Concatenated sparse rows for all (state, action) pairs.
+class _PairAssembly:
+    """What the solvers need from an assembly, over the flat (state, action) axis.
 
-    offsets[s]:offsets[s+1] index the flat (state, action) axis; row_ptr
-    delimits each pair's (col_idx, probs) slice.  discounts is per state.
+    offsets[s]:offsets[s+1] index state s's pairs; rewards are per pair and
+    discounts per state.  Subclasses supply expectations(values), E_x^u[V]
+    for every pair, and policy_operator(policy), a P^U with P @ V = E^U[V].
     """
 
-    def __init__(self, offsets, rewards, row_ptr, col_idx, probs, discounts):
+    def __init__(self, offsets, rewards, discounts):
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.rewards = np.asarray(rewards, dtype=np.float64)
-        self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
-        self.col_idx = np.asarray(col_idx, dtype=np.int64)
-        self.probs = np.asarray(probs, dtype=np.float64)
         self.discounts = np.asarray(discounts, dtype=np.float64)
         self.n_states = len(self.offsets) - 1
         self.n_pairs = len(self.rewards)
-        counts = np.diff(self.offsets)
-        self._disc_per_pair = np.repeat(self.discounts, counts)
+        self._disc_per_pair = np.repeat(self.discounts, np.diff(self.offsets))
+
+    def q_values(self, values: np.ndarray) -> np.ndarray:
+        return self.rewards + self._disc_per_pair * self.expectations(values)
+
+    def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
+        return self.offsets[:-1] + np.asarray(policy, dtype=np.int64)
+
+    def policy_rewards(self, policy: np.ndarray) -> np.ndarray:
+        return self.rewards[self.policy_pairs(policy)]
+
+
+class TabularAssembly(_PairAssembly):
+    """Concatenated sparse rows for all (state, action) pairs.
+
+    row_ptr delimits each pair's (col_idx, probs) slice; P^U is a CSR matrix.
+    """
+
+    def __init__(self, offsets, rewards, row_ptr, col_idx, probs, discounts):
+        super().__init__(offsets, rewards, discounts)
+        self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
+        self.col_idx = np.asarray(col_idx, dtype=np.int64)
+        self.probs = np.asarray(probs, dtype=np.float64)
 
     def expectations(self, values: np.ndarray) -> np.ndarray:
         prod = self.probs * values[self.col_idx]
         return np.add.reduceat(prod, self.row_ptr[:-1])
 
-    def q_values(self, values: np.ndarray, rewards=None) -> np.ndarray:
-        r = self.rewards if rewards is None else rewards
-        return r + self._disc_per_pair * self.expectations(values)
-
-    def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
-        return self.offsets[:-1] + np.asarray(policy, dtype=np.int64)
-
-    def policy_matrix(self, policy: np.ndarray) -> sp.csr_matrix:
+    def policy_operator(self, policy: np.ndarray) -> sp.csr_matrix:
         pairs = self.policy_pairs(policy)
         starts = self.row_ptr[pairs]
         stops = self.row_ptr[pairs + 1]
@@ -87,39 +98,42 @@ class TabularAssembly:
         return sp.csr_matrix((self.probs[take], self.col_idx[take], indptr),
                              shape=(self.n_states, self.n_states))
 
-    def policy_rewards(self, policy: np.ndarray, rewards=None) -> np.ndarray:
-        r = self.rewards if rewards is None else rewards
-        return r[self.policy_pairs(policy)]
 
-
-class FactoredAssembly:
+class FactoredAssembly(_PairAssembly):
     """Product-form kernels: one-step expectations for all states at once.
 
     apply_expectation(V) returns E[V(X_1) | post-action state z] for every z;
     post_idx maps each (state, action) pair to its post-action state index.
+    P^U is matrix-free (_PostStateOperator).
     """
 
     def __init__(self, offsets, rewards, post_idx, apply_expectation, discount):
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.rewards = np.asarray(rewards, dtype=np.float64)
+        super().__init__(offsets, rewards, np.full(len(offsets) - 1, float(discount)))
         self.post_idx = np.asarray(post_idx, dtype=np.int64)
         self.apply_expectation = apply_expectation
-        self.discount = float(discount)
-        self.n_states = len(self.offsets) - 1
-        self.n_pairs = len(self.rewards)
-        self.discounts = np.full(self.n_states, self.discount)
 
-    def q_values(self, values: np.ndarray, rewards=None) -> np.ndarray:
-        r = self.rewards if rewards is None else rewards
-        tv = self.apply_expectation(values)
-        return r + self.discount * tv[self.post_idx]
+    def expectations(self, values: np.ndarray) -> np.ndarray:
+        return self.apply_expectation(values)[self.post_idx]
 
-    def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
-        return self.offsets[:-1] + np.asarray(policy, dtype=np.int64)
+    def policy_operator(self, policy: np.ndarray) -> "_PostStateOperator":
+        return _PostStateOperator(self, self.post_idx[self.policy_pairs(policy)])
 
-    def policy_rewards(self, policy: np.ndarray, rewards=None) -> np.ndarray:
-        r = self.rewards if rewards is None else rewards
-        return r[self.policy_pairs(policy)]
+
+class _PostStateOperator:
+    """P^U of a factored assembly: P @ V = apply_expectation(V)[post].
+
+    apply_expectation is looked up on every product, so a hook installed on
+    the assembly after it was built still sees each matvec.
+    """
+
+    __slots__ = ("_asm", "_post")
+
+    def __init__(self, asm: FactoredAssembly, post: np.ndarray):
+        self._asm = asm
+        self._post = post
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        return self._asm.apply_expectation(values)[self._post]
 
 
 def _ranges(starts, lens):
@@ -142,7 +156,7 @@ def get_assembly(mdp):
     if hasattr(mdp, "assembly"):
         asm = mdp.assembly()
     elif getattr(mdp, "factored", None) is not None:
-        asm = mdp.factored() if callable(mdp.factored) else mdp.factored
+        asm = mdp.factored()
     else:
         asm = _tabulate(mdp)
     mdp._assembly = asm
@@ -180,50 +194,27 @@ def segmented_argmax(values: np.ndarray, offsets: np.ndarray, tol: float = ARGMA
     return seg_max, first.astype(np.int64)
 
 
-def _policy_reward_and_expect(asm, policy, rewards=None):
-    """r_U and a closure computing E^U[V] for the assembly."""
-    r_u = asm.policy_rewards(policy, rewards)
-    if isinstance(asm, FactoredAssembly):
-        post = asm.post_idx[asm.policy_pairs(policy)]
-
-        def expect(values):
-            return asm.apply_expectation(values)[post]
-    else:
-        mat = asm.policy_matrix(policy)
-
-        def expect(values):
-            return mat @ values
-    return r_u, expect
-
-
 def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
                       reward_override=None, warm_start=None) -> np.ndarray:
     """Solve V = r_U + diag(alpha) P^U V for the given stationary policy.
 
-    reward_override replaces the per-(state, action) rewards with a per-state
-    vector (used for discounted functionals V_U[f]).
+    reward_override replaces r_U with a per-state vector (used for
+    discounted functionals V_U[f]).  A sparse P^U is solved directly, a
+    matrix-free one by Richardson iteration.
     """
     asm = get_assembly(mdp)
     policy = np.asarray(policy, dtype=np.int64)
-    rewards = None
-    if reward_override is not None:
-        f = np.asarray(reward_override, dtype=np.float64)
-        if f.shape != (asm.n_states,):
+    if reward_override is None:
+        r_u = asm.policy_rewards(policy)
+    else:
+        r_u = np.asarray(reward_override, dtype=np.float64)
+        if r_u.shape != (asm.n_states,):
             raise ValueError("reward override must be a per-state vector")
-        rewards = np.repeat(f, np.diff(asm.offsets))
-    r_u, expect = _policy_reward_and_expect(asm, policy, rewards)
+    op = asm.policy_operator(policy)
     disc = asm.discounts
 
-    method = options.linear_solver
-    if method == "auto":
-        if isinstance(asm, FactoredAssembly):
-            method = "iterative"
-        else:
-            method = "direct" if asm.n_states <= DIRECT_STATE_LIMIT else "iterative"
-
-    if method == "direct":
-        mat = asm.policy_matrix(policy)
-        system = (sp.eye(asm.n_states, format="csr") - sp.diags(disc) @ mat).tocsc()
+    if sp.issparse(op):
+        system = (sp.eye(asm.n_states, format="csr") - sp.diags(disc) @ op).tocsc()
         try:
             lu = spla.splu(system)
             values = lu.solve(r_u)
@@ -235,27 +226,26 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
         except RuntimeError as exc:  # singular factorization
             raise SingularSystem(str(exc)) from None
     else:
-        values = _richardson(r_u, expect, disc, options,
-                             warm_start=warm_start)
+        values = _richardson(r_u, op, disc, options, warm_start=warm_start)
 
-    residual = np.abs(values - (r_u + disc * expect(values))).max()
+    residual = np.abs(values - (r_u + disc * (op @ values))).max()
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
         raise SingularSystem(f"policy evaluation residual {residual} exceeds "
                              f"the {RESIDUAL_REL} contract")
     return values
 
 
-def _richardson(r_u, expect, disc, options, warm_start=None):
-    """Fixed-point iteration V <- r_U + diag(alpha) E^U[V]; contraction max(alpha)."""
+def _richardson(r_u, op, disc, options, warm_start=None):
+    """Fixed-point iteration V <- r_U + diag(alpha) P^U V; contraction max(alpha)."""
     alpha_bar = float(np.max(disc))
     if alpha_bar >= 1.0:
-        raise SingularSystem("iterative evaluation requires discounts < 1; use the direct solver")
+        raise SingularSystem("iterative evaluation requires discounts < 1")
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
     check_every = 25
     for it in range(options.vi_max_iterations):
-        v = r_u + disc * expect(v)
+        v = r_u + disc * (op @ v)
         if (it + 1) % check_every == 0:
-            residual = np.abs(v - (r_u + disc * expect(v))).max()
+            residual = np.abs(v - (r_u + disc * (op @ v))).max()
             if residual <= options.iterative_tol * (1.0 + np.abs(v).max()):
                 return v
     raise MaxIterationsExceeded(options.vi_max_iterations, "policy evaluation (iterative)")

@@ -350,6 +350,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate",
                          cost_oriented: Optional[bool] = None) -> KdChain:
     """Assemble the K-D chain for all grid states and feasible actions.
 
+    grid is a CoarseGrid or an integer spacing h for CoarseGrid.from_lattice.
     Interior rows discretize L_u with the central/fallback stencil; boundary
     rows realize the problem's boundary condition.  Cross-derivative mass in
     excess of the diagonal budget is scaled down to the representable amount
@@ -479,12 +480,6 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate",
     return KdChain(grid, alpha, actions_per_state, asm, Q_per_state, interior_mask,
                    np.concatenate(slack_rows, axis=0), np.concatenate(cross_rows),
                    cost_oriented, name=f"{mdp.name}-kd")
-
-
-def build_chain(problem: TaylorProblem, h: int, scheme: str = "inflate",
-                cross: str = "clip") -> KdChain:
-    return build_multidim_chain(problem, CoarseGrid.from_lattice(problem.mdp.lattice, h),
-                                scheme, cross)
 
 
 def _check_eta(boundary, point, binding_lower, binding_upper, d):

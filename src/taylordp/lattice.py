@@ -231,7 +231,8 @@ class LatticeMdp:
         self.name = name
         # cost_oriented: rewards are negated costs; reports flip the sign back
         self.cost_oriented = cost_oriented
-        # optional product-form kernel hook used by the solvers (see exact.py)
+        # optional product-form kernel: a zero-argument builder of the
+        # FactoredAssembly the solvers use in place of tabulated rows (exact.py)
         self.factored = factored
         self._table = None
 

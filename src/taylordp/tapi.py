@@ -22,10 +22,10 @@ The coarse solution is then carried back to the fine lattice:
     reflecting rows and are completed by a one-step greedy on the fine
     model against the extended value.
 
-An exact-improvement variant replaces the greedy-on-the-chain step with a
+With improvement="exact", the greedy-on-the-chain step is replaced by a
 fine-lattice greedy against the disaggregated value (the true kernel, not
-the Taylored operator); it has no convergence guarantee, so cycles are
-detected and capped.
+the Taylored operator); that loop has no convergence guarantee, so cycles
+are detected and capped.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class TapiOptions:
     scheme: str = "inflate"              # small-drift fallback: inflate | upwind
     cross: str = "clip"                  # cross-derivative mass: clip | strict
     evaluate_fine: bool = True
-    score_exact: bool = False            # exact-improvement variant: score iterates exactly
     solve: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
@@ -195,11 +194,6 @@ def _same_point(a, b):
     return bool(np.all(a == b))
 
 
-def one_step_exact_improvement(mdp: LatticeMdp, fine_value: np.ndarray) -> np.ndarray:
-    """Greedy policy on the fine lattice relative to an extended value."""
-    return policy_improvement(mdp, fine_value)
-
-
 def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
                            coarse_values: np.ndarray, scheme: str = "inflate",
                            cross: str = "clip") -> np.ndarray:
@@ -289,7 +283,11 @@ def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid,
 # ---------------------------------------------------------------------------
 
 def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> TapiResult:
-    """Policy iteration on the K-D chain, then disaggregation to the lattice."""
+    """Policy iteration on the K-D chain, then disaggregation to the lattice.
+
+    improvement="exact" runs the exact-improvement loop (_tapi_exact_loop)
+    on the same chain instead of policy iteration on it.
+    """
     t0 = time.perf_counter()
     mdp = problem.mdp
     chain = build_multidim_chain(problem, options.h, scheme=options.scheme, cross=options.cross)
@@ -297,10 +295,7 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     if options.improvement == "exact":
         return _tapi_exact_loop(problem, chain, options, t0)
 
-    pi = policy_iteration(chain, options=SolveOptions(
-        max_iterations=options.max_iterations,
-        linear_solver="direct",
-        iterative_tol=options.solve.iterative_tol))
+    pi = policy_iteration(chain, options=SolveOptions(max_iterations=options.max_iterations))
     fine_v = disaggregate_value(pi.values, chain.grid, mdp.lattice, options.disaggregation,
                                 boundary="drop")
     if options.policy_extension == "tcp_greedy":
@@ -309,20 +304,12 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
         disagg = disaggregate_policy(chain, pi.policy, mdp, fine_value=fine_v)
     fine_policy = disagg
     if options.one_step:
-        fine_policy = one_step_exact_improvement(mdp, fine_v)
+        fine_policy = policy_improvement(mdp, fine_v)
     fine_values = None
     if options.evaluate_fine:
         fine_values = policy_evaluation(mdp, fine_policy, options.solve)
     return TapiResult(chain, pi.values, pi.policy, fine_policy, disagg, fine_values,
                       pi.iterations, time.perf_counter() - t0)
-
-
-def tapi_exact_improvement_variant(problem: TaylorProblem,
-                                   options: TapiOptions = TapiOptions()) -> TapiResult:
-    """TAPI with the improvement step done exactly on the fine lattice."""
-    t0 = time.perf_counter()
-    chain = build_multidim_chain(problem, options.h, scheme=options.scheme, cross=options.cross)
-    return _tapi_exact_loop(problem, chain, options, t0)
 
 
 def _tapi_exact_loop(problem, chain, options, t0):
@@ -333,17 +320,13 @@ def _tapi_exact_loop(problem, chain, options, t0):
 
     coarse_policy = np.zeros(chain.n_states, dtype=np.int64)
     seen: dict[bytes, int] = {}
-    best_policy = None
-    best_score = -np.inf
     fine_policy = None
-    coarse_values = None
     oscillated = False
     iterations = 0
 
     for it in range(1, options.max_iterations + 1):
         iterations = it
-        coarse_values = policy_evaluation(chain, coarse_policy,
-                                          SolveOptions(linear_solver="direct"))
+        coarse_values = policy_evaluation(chain, coarse_policy)
         fine_v = disaggregate_value(coarse_values, grid, lattice, options.disaggregation,
                                     boundary="drop")
         new_fine = policy_improvement(mdp, fine_v)
@@ -356,10 +339,6 @@ def _tapi_exact_loop(problem, chain, options, t0):
             oscillated = True
             break
         seen[key] = it
-        if options.score_exact:
-            score = float(policy_evaluation(mdp, fine_policy, options.solve).mean())
-            if score > best_score:
-                best_score, best_policy = score, fine_policy.copy()
         # restrict the fine policy to the grid for the next evaluation
         for g in range(chain.n_states):
             acts = chain.actions_at(g)
@@ -371,16 +350,10 @@ def _tapi_exact_loop(problem, chain, options, t0):
     else:
         oscillated = True
 
-    if options.score_exact and best_policy is not None:
-        fine_policy = best_policy
-    disagg = disaggregate_policy(chain, coarse_policy, mdp,
-                                 fine_value=disaggregate_value(coarse_values, grid, lattice,
-                                                               options.disaggregation,
-                                                               boundary="drop"))
+    # fine_v is the extension of the last coarse_values
+    disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
     if options.one_step:
-        fine_v = disaggregate_value(coarse_values, grid, lattice, options.disaggregation,
-                                    boundary="drop")
-        fine_policy = one_step_exact_improvement(mdp, fine_v)
+        fine_policy = policy_improvement(mdp, fine_v)
     fine_values = None
     if options.evaluate_fine:
         fine_values = policy_evaluation(mdp, fine_policy, options.solve)

@@ -16,7 +16,7 @@ from taylordp.bounds import discounted_accumulation, taylor_remainder, third_der
 from taylordp.models import build
 from taylordp.models.heavy_traffic import heavy_traffic_oracle
 from taylordp.models.routing import build_routing, table_params
-from taylordp.tapi import TapiOptions, tapi_exact_improvement_variant, tapi_solve
+from taylordp.tapi import TapiOptions, tapi_solve
 from taylordp.taylor import TaylorProblem, kernel_moment_provider, moments_from_kernel
 
 
@@ -35,7 +35,7 @@ def test_criterion_1_closed_form_oracle():
         errs = {}
         for M in (200, 400):
             model = build("service_rate", M=M, alpha=alpha, cost="quartic", fixed_u=0.5)
-            chain = tdp.build_chain(model.problem, 1)
+            chain = tdp.build_multidim_chain(model.problem, 1)
             res = tdp.policy_iteration(chain)
             xs = np.arange(M // 2 + 1.0)
             v_hat = model.oracle().value(xs)
@@ -72,7 +72,7 @@ def test_criterion_2_gap_bound_inequality(alpha):
 def test_criterion_3_third_derivative_proxy(service_quadratic, service_quadratic_star):
     t0 = time.perf_counter()
     M, h, alpha = 100, 1, 0.99
-    chain = tdp.build_chain(service_quadratic.problem, h)
+    chain = tdp.build_multidim_chain(service_quadratic.problem, h)
     res = tdp.policy_iteration(chain)
     cost_values = -res.values
     proxy = third_derivative_proxy(cost_values, h)
@@ -111,7 +111,7 @@ def test_criterion_5_routing_two_pool_row(routing2, routing2_star):
     cells = {}
     res = tapi_solve(routing2.problem, TapiOptions(h=h))
     cells["tapi"] = tdp.gap_report(res.fine_values, v_star).max_rel
-    res = tapi_exact_improvement_variant(routing2.problem, TapiOptions(h=h))
+    res = tapi_solve(routing2.problem, TapiOptions(h=h, improvement="exact"))
     cells["exact_improv"] = tdp.gap_report(res.fine_values, v_star).max_rel
     res = tapi_solve(routing2.problem, TapiOptions(h=h, one_step=True))
     cells["one_step"] = tdp.gap_report(res.fine_values, v_star).max_rel
@@ -135,7 +135,7 @@ def test_criterion_6_routing_three_pool_cell(tmp_path_factory):
         v_star = tdp.policy_iteration(model.mdp,
                                       options=tdp.SolveOptions(max_iterations=100)).values
         np.savez(cache, values=v_star)
-    res = tapi_exact_improvement_variant(model.problem, TapiOptions(h=4))
+    res = tapi_solve(model.problem, TapiOptions(h=4, improvement="exact"))
     rep = tdp.gap_report(res.fine_values, v_star)
     # the approximate-improvement numbers are reported for transparency
     rep_approx = tdp.gap_report(tapi_solve(model.problem, TapiOptions(h=4)).fine_values, v_star)
@@ -191,7 +191,7 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
     # row stochasticity + TCP-equivalence on every shipped model, h in 1,2,4,8
     for name, model in sweep_models:
         for h in (1, 2, 4, 8):
-            chain = tdp.build_chain(model.problem, h)
+            chain = tdp.build_multidim_chain(model.problem, h)
             asm = chain.assembly()
             sums = np.add.reduceat(asm.probs, asm.row_ptr[:-1])
             if asm.probs.min() < 0.0 or np.abs(sums - 1.0).max() > 1e-12:

@@ -218,8 +218,8 @@ def test_moments_batch_per_pair_states(name, request):
 # ---------------------------------------------------------------------------
 
 def _greedy_pair(problem, h):
-    chain = tdp.build_chain(problem, h)
-    pi = tdp.policy_iteration(chain, options=tdp.SolveOptions(linear_solver="direct"))
+    chain = tdp.build_multidim_chain(problem, h)
+    pi = tdp.policy_iteration(chain)
     fast = tdp.tapi.taylored_greedy_policy(problem, chain, pi.values)
     return fast, per_state_taylored_greedy(problem, chain, pi.values)
 
@@ -280,7 +280,7 @@ def test_max_overflow_heuristic_matches_per_state_argmax(routing2, routing3_smok
         mdp = model.mdp
         ref = [int(np.argmax([np.sum(u) for u in mdp.actions_at(i)]))
                for i in range(mdp.n_states)]
-        policy, _, _ = _policy_for(ExperimentConfig(mode="heuristic-max-overflow"), model)
+        policy, _, _, _ = _policy_for(ExperimentConfig(mode="heuristic-max-overflow"), model)
         assert policy.tolist() == ref
 
 

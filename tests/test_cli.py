@@ -28,6 +28,34 @@ def test_unknown_model_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("inline", [
+    ["--model", "service_rate", "--alpha", "1.5", "--M", "10"],
+    ["--model", "inventory", "--cost", "quartic"],   # inventory has no cost variant
+], ids=["alpha", "parameter"])
+def test_inline_config_error_exits_2(inline, tmp_path, capsys):
+    rc = main(["solve-exact", *inline, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("scheme, M", [("inflate", -1), ("foo", 20)],
+                         ids=["model-parameter", "scheme"])
+def test_config_value_out_of_range_exits_2(scheme, M, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"""[experiment]
+mode = solve-tapi
+alpha = 0.9
+scheme = {scheme}
+
+[model]
+name = service_rate
+M = {M}
+""")
+    rc = main(["solve-tapi", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
 def test_csv_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -101,8 +129,9 @@ def test_reproduce_table5_fast(tmp_path):
     assert (tmp_path / "cache").exists()       # exact baseline cached
 
 
-@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.ini")),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("config", [
+    pytest.param(p, marks=pytest.mark.slow) if p.stem.startswith("routing3") else p
+    for p in sorted(CONFIG_DIR.glob("*.ini"))], ids=lambda p: p.stem)
 def test_shipped_configs_run(config, tmp_path, monkeypatch):
     # every shipped config parses and runs to completion (fast tier)
     from taylordp.config import load_config
@@ -115,10 +144,8 @@ def test_shipped_configs_run(config, tmp_path, monkeypatch):
         assert np.isfinite(res.values).all()
     elif cfg.mode == "heuristic-max-overflow":
         from taylordp.cli import _policy_for
-        policy, _, _ = _policy_for(cfg, model)
+        policy, _, _, _ = _policy_for(cfg, model)
         assert np.isfinite(exact.policy_evaluation(model.mdp, policy)).all()
     else:
-        solver = (tapi.tapi_exact_improvement_variant if cfg.improvement == "exact"
-                  else tapi.tapi_solve)
-        res = solver(model.problem, cfg.tapi_options())
+        res = tapi.tapi_solve(model.problem, cfg.tapi_options())
         assert np.isfinite(res.fine_values).all()

@@ -180,7 +180,7 @@ def test_evaluation_residual_contract():
     v = tdp.policy_evaluation(model.mdp, pol)
     asm = get_assembly(model.mdp)
     r_u = asm.policy_rewards(pol)
-    resid = np.abs(v - (r_u + asm.discounts * (asm.policy_matrix(pol) @ v))).max()
+    resid = np.abs(v - (r_u + asm.discounts * (asm.policy_operator(pol) @ v))).max()
     assert resid <= 1e-9 * (1.0 + np.abs(v).max())
 
 

@@ -76,7 +76,7 @@ def test_rescale_reward_identity_property(alpha, h, sigma, r):
 # ------------------------------------------------------------ boundary rows
 
 def test_boundary_rows_1d(quartic_fixed):
-    chain = tdp.build_chain(quartic_fixed.problem, 2)
+    chain = tdp.build_multidim_chain(quartic_fixed.problem, 2)
     g = chain.grid
     # x = 0 reflects to h with no reward and no discount
     targets, probs, r = chain.pair_row(0, 0)
@@ -173,7 +173,7 @@ def test_rows_stochastic_and_sparse_all_h(fixture_name, hs, request):
     d = model.mdp.lattice.dim
     nnz_cap = 1 + 2 * d + 2 * d * (d - 1)
     for h in hs:
-        chain = tdp.build_chain(model.problem, h)
+        chain = tdp.build_multidim_chain(model.problem, h)
         asm = chain.assembly()
         sums = np.add.reduceat(asm.probs, asm.row_ptr[:-1])
         assert asm.probs.min() >= 0.0
@@ -186,7 +186,7 @@ def test_rows_stochastic_and_sparse_all_h(fixture_name, hs, request):
 def test_tcp_equivalence_all_h(fixture_name, hs, request):
     model = request.getfixturevalue(fixture_name)
     for h in hs:
-        chain = tdp.build_chain(model.problem, h)
+        chain = tdp.build_multidim_chain(model.problem, h)
         rep = verify_tcp_equivalence(chain, model.problem)
         assert rep.checked_pairs > 0
         assert rep.passed, (fixture_name, h, rep.worst[:3])
@@ -198,14 +198,14 @@ def test_tcp_equivalence_routing3_subsampled():
                            H=(1.0, 2.0, 3.0), alpha=0.99)
     model = build_routing(params)
     for h in (1, 2, 4):
-        chain = tdp.build_chain(model.problem, h)
+        chain = tdp.build_multidim_chain(model.problem, h)
         rep = verify_tcp_equivalence(chain, model.problem)
         assert rep.passed, (h, rep.worst[:3])
 
 
 def test_upwind_scheme_also_equivalent(inventory_model):
     # lam = 2: orders far from lam violate small drift at h >= 4
-    chain = tdp.build_chain(inventory_model.problem, 4, scheme="upwind")
+    chain = tdp.build_multidim_chain(inventory_model.problem, 4, scheme="upwind")
     assert chain.second_moment_slack.max() > 0.0
     rep = verify_tcp_equivalence(chain, inventory_model.problem)
     assert rep.passed
@@ -213,7 +213,7 @@ def test_upwind_scheme_also_equivalent(inventory_model):
 
 def test_verifier_detects_corrupted_rows(quartic_fixed):
     # tampering with a single interior probability must surface in the report
-    chain = tdp.build_chain(quartic_fixed.problem, 2)
+    chain = tdp.build_multidim_chain(quartic_fixed.problem, 2)
     asm = chain.assembly()
     interior = int(np.flatnonzero(chain.interior_mask)[3])
     pair = asm.offsets[interior]
@@ -229,7 +229,7 @@ def test_general_builder_matches_1d_row_ops(service_quadratic):
     # on a uniform 1-d interior state the chain rows must equal the displayed
     # central formulas with Sigma(x) = Q(x) h^2
     h = 2
-    chain = tdp.build_chain(service_quadratic.problem, h)
+    chain = tdp.build_multidim_chain(service_quadratic.problem, h)
     idx = next(i for i in range(chain.n_states) if chain.grid.point(i) == (50,))
     Sigma = chain.Q[idx] * h * h
     acts = chain.actions_at(idx)
@@ -255,7 +255,7 @@ def test_fot_boundary_chain_at_h1_equals_fine_chain(quartic_fixed):
     # with first-order boundary rows and h = 1, the coarse chain IS the fine
     # chain: V(0) = r(0) + alpha V(1) is exactly the model's own row at 0
     problem = quartic_fixed.fot_boundary_problem()
-    chain = tdp.build_chain(problem, 1)
+    chain = tdp.build_multidim_chain(problem, 1)
     res = tdp.policy_iteration(chain)
     fine = tdp.policy_evaluation(quartic_fixed.mdp,
                                  np.zeros(quartic_fixed.mdp.n_states, dtype=np.int64))
@@ -273,7 +273,7 @@ def test_chain_policy_evaluation_reproduces_closed_form_trend():
     errs = []
     for M in (50, 100, 200):
         model = build("service_rate", M=M, alpha=0.9, cost="quartic", fixed_u=0.5)
-        chain = tdp.build_chain(model.problem, 1)
+        chain = tdp.build_multidim_chain(model.problem, 1)
         res = tdp.policy_iteration(chain)
         xs = np.arange(M // 2 + 1.0)
         vh = model.oracle().value(xs)

@@ -68,7 +68,7 @@ def test_tapi_equals_pi_on_chain(service_quadratic):
     # chain, state for state and action for action
     opts = TapiOptions(h=2, evaluate_fine=False)
     res = tdp.tapi_solve(service_quadratic.problem, opts)
-    chain = tdp.build_chain(service_quadratic.problem, 2)
+    chain = tdp.build_multidim_chain(service_quadratic.problem, 2)
     pi = tdp.policy_iteration(chain)
     assert np.array_equal(res.coarse_policy, pi.policy)
     assert np.allclose(res.coarse_values, pi.values, rtol=0, atol=0)
@@ -76,7 +76,7 @@ def test_tapi_equals_pi_on_chain(service_quadratic):
 
 def test_tapi_chain_iterates_monotone(service_quadratic, routing2, inventory_model):
     for model in (service_quadratic, routing2, inventory_model):
-        chain = tdp.build_chain(model.problem, 2)
+        chain = tdp.build_multidim_chain(model.problem, 2)
         res = tdp.policy_iteration(chain, record_history=True)
         assert res.iterations <= 100
         for k in range(1, len(res.value_history)):
@@ -94,7 +94,7 @@ def test_disaggregated_policy_feasible_everywhere(routing2):
 
 
 def test_one_step_from_exact_value_recovers_optimum(service_quadratic, service_quadratic_star):
-    pol = tdp.one_step_exact_improvement(service_quadratic.mdp, service_quadratic_star.values)
+    pol = tdp.policy_improvement(service_quadratic.mdp, service_quadratic_star.values)
     v = tdp.policy_evaluation(service_quadratic.mdp, pol)
     assert np.abs(v - service_quadratic_star.values).max() <= 1e-6 * (
         1 + np.abs(service_quadratic_star.values).max())
@@ -103,14 +103,14 @@ def test_one_step_from_exact_value_recovers_optimum(service_quadratic, service_q
 def test_exact_improvement_variant_single_action_matches_tapi():
     model = _single_action_model()
     a = tdp.tapi_solve(model.problem, TapiOptions(h=2))
-    b = tdp.tapi_exact_improvement_variant(model.problem, TapiOptions(h=2))
+    b = tdp.tapi_solve(model.problem, TapiOptions(h=2, improvement="exact"))
     assert np.array_equal(a.fine_policy, b.fine_policy)
     assert np.allclose(a.fine_values, b.fine_values, rtol=1e-12)
 
 
 def test_exact_improvement_cap_sets_flag(routing2):
-    res = tdp.tapi_exact_improvement_variant(
-        routing2.problem, TapiOptions(h=4, max_iterations=1, evaluate_fine=False))
+    res = tdp.tapi_solve(routing2.problem, TapiOptions(h=4, improvement="exact",
+                                                       max_iterations=1, evaluate_fine=False))
     assert res.oscillated
     assert res.fine_policy is not None
     routing2.mdp.validate_policy(res.fine_policy)
@@ -121,7 +121,7 @@ def test_taylored_greedy_same_as_chain_improvement_on_grid(service_quadratic):
     # fine Taylored greedy reproduces the chain's own greedy (same stencil,
     # same values); next to a boundary the fine greedy sees the extrapolated
     # value instead of the reflected duplicate, by design
-    chain = tdp.build_chain(service_quadratic.problem, 2)
+    chain = tdp.build_multidim_chain(service_quadratic.problem, 2)
     pi = tdp.policy_iteration(chain)
     fine = taylored_greedy_policy(service_quadratic.problem, chain, pi.values)
     final = tdp.policy_improvement(chain, pi.values)
