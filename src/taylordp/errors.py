@@ -53,15 +53,6 @@ class SmallDriftViolated(TaylorDpError):
         super().__init__(f"small-drift condition sigma2 >= |mu|h fails: sigma2={sigma2}, |mu|h={abs(mu) * h}{loc}")
 
 
-class NotDiagonallyDominant(TaylorDpError):
-    """Cross-derivative mass exceeds what the diagonal stencil can absorb."""
-
-    def __init__(self, offenders):
-        self.offenders = offenders  # list of (state, action, dim, deficit)
-        head = offenders[: 3]
-        super().__init__(f"diffusion matrix not diagonally dominant; first offenders: {head}")
-
-
 class NonInwardEta(TaylorDpError):
     """The reflecting direction does not point into the domain at a boundary state."""
 

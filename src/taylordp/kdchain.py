@@ -39,7 +39,15 @@ per (state, action, dimension):
                 smaller of the two and the rates stay continuous in u.
 
 "inflate" is the default: the hard switch of "upwind" creates spurious
-argmax plateaus at the central/one-sided crossover.
+argmax plateaus at the central/one-sided crossover.  Cross-derivative mass
+beyond the diagonal budget is clipped per pair (cross_scale < 1).  The
+verifier checks rows against these clipped and inflated targets and counts
+the pairs affected, so an exact equivalence can be told apart from one
+after clipping or inflation.
+
+The interior rows of all (grid point, action) pairs are built in one array
+pass: one moments_batch call, one _stencil_rates call with per-pair
+spacings and one shared direction template.
 
 Reflecting (oblique) boundary grid states get a deterministic step to the
 inward neighbor in every binding coordinate, with zero reward and no
@@ -52,11 +60,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import NonInwardEta, NotDiagonallyDominant, SmallDriftViolated
+from .errors import NonInwardEta, SmallDriftViolated
 from .exact import TabularAssembly
 from .lattice import StateLattice
 from .taylor import TaylorProblem
@@ -108,25 +115,9 @@ class CoarseGrid:
     def position(self, index: int) -> tuple:
         return tuple(int(p) for p in np.unravel_index(int(index), self.shape))
 
-    def index_at(self, positions) -> int:
-        return int(np.ravel_multi_index(tuple(positions), self.shape))
-
     def points(self) -> np.ndarray:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def is_boundary(self, index: int) -> bool:
-        pos = self.position(index)
-        return any(p == 0 or p == len(ax) - 1 for p, ax in zip(pos, self.axes))
-
-    def spacings(self, index: int):
-        """(left, right) gap per axis at an interior position."""
-        pos = self.position(index)
-        hl, hr = [], []
-        for p, ax in zip(pos, self.axes):
-            hl.append(float(ax[p] - ax[p - 1]))
-            hr.append(float(ax[p + 1] - ax[p]))
-        return np.asarray(hl), np.asarray(hr)
 
     def nearest_index(self, coords: np.ndarray) -> np.ndarray:
         """Nearest grid point per fine state, per-axis ties toward the smaller point."""
@@ -200,22 +191,25 @@ def rescale_reward(r: float, alpha_h: float, alpha: float, Sigma: float, h: floa
 
 
 # ---------------------------------------------------------------------------
-# general stencil (vectorized over the action list of one state)
+# general stencil (vectorized over (state, action) pairs)
 # ---------------------------------------------------------------------------
 
-def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl: np.ndarray, hr: np.ndarray,
-                   scheme: str, cross: str = "clip"):
-    """Rates over face/corner offsets for all actions at one interior state.
+def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl, hr, scheme: str):
+    """Rates over the face/corner directions of k (state, action) pairs.
 
-    Returns (offsets, rates, slack, cross_scale, dominance_deficit):
-    offsets is an (n_off, d) integer array of coordinate displacements,
-    rates is (k, n_off) nonnegative, slack the per-(action, dim)
-    second-moment inflation, cross_scale the per-action factor applied to
-    the cross-derivative mass (1 when diagonally dominant), and
-    dominance_deficit the per-(action, dim) dominance violation left after
-    clipping (positive = offending; only in strict mode).
+    hl and hr are the left and right grid gaps per (pair, dimension), or
+    anything that broadcasts to (k, d).  Returns (dirs, rates, slack,
+    cross_scale): dirs is the (n_off, d) template of unit steps (-1, 0, 1)
+    shared by every pair -- for each dimension pair (i, j) the corners
+    (+,+), (-,-), (+,-), (-,+), then for each dimension the faces + and -;
+    a step +1 in coordinate i moves by hr_i and -1 by hl_i.  rates is
+    (k, n_off) nonnegative, slack the per-(pair, dim) second-moment
+    inflation, and cross_scale the per-pair factor applied to the
+    cross-derivative mass (1 when diagonally dominant).
     """
     k, d = mu_b.shape
+    hl = np.broadcast_to(hl, (k, d))
+    hr = np.broadcast_to(hr, (k, d))
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     diag = np.stack([s2_b[:, i, i] for i in range(d)], axis=1)
 
@@ -224,14 +218,14 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl: np.ndarray, hr: np.nd
     load = np.zeros((k, d))
     for (i, j) in pairs:
         a = s2_b[:, i, j]
-        w_pos = np.maximum(a, 0.0) / (hr[i] * hr[j] + hl[i] * hl[j])
-        w_neg = np.maximum(-a, 0.0) / (hr[i] * hl[j] + hl[i] * hr[j])
+        w_pos = np.maximum(a, 0.0) / (hr[:, i] * hr[:, j] + hl[:, i] * hl[:, j])
+        w_neg = np.maximum(-a, 0.0) / (hr[:, i] * hl[:, j] + hl[:, i] * hr[:, j])
         w_cols.append((w_pos, w_neg))
         both = w_pos + w_neg
-        load[:, i] += both * (hr[i] ** 2 + hl[i] ** 2)
-        load[:, j] += both * (hr[j] ** 2 + hl[j] ** 2)
+        load[:, i] += both * (hr[:, i] ** 2 + hl[:, i] ** 2)
+        load[:, j] += both * (hr[:, j] ** 2 + hl[:, j] ** 2)
 
-    # common per-action scale keeping every diagonal budget nonnegative
+    # common per-pair scale keeping every diagonal budget nonnegative
     cross_scale = np.ones(k)
     if pairs:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,16 +233,7 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl: np.ndarray, hr: np.nd
         cross_scale = np.minimum(1.0, ratio.min(axis=1))
         cross_scale = np.maximum(cross_scale, 0.0)
 
-    scale = np.maximum(np.abs(diag), 1.0)
-    if cross == "strict":
-        deficit = load - diag - 1e-9 * scale   # > 0 where dominance truly fails
-        cross_scale = np.ones(k)
-    elif cross == "clip":
-        deficit = np.full((k, d), -1.0)
-    else:
-        raise ValueError(f"unknown cross-term mode {cross!r}")
-
-    offsets = []
+    dirs = []
     rate_cols = []
     corner_drift = np.zeros((k, d))
     corner_sq = np.zeros((k, d))
@@ -256,19 +241,14 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl: np.ndarray, hr: np.nd
         w_pos = w_pos * cross_scale
         w_neg = w_neg * cross_scale
         # same-sign corners carry w_pos, opposite-sign corners carry w_neg
-        off = np.zeros(d); off[i] = hr[i]; off[j] = hr[j]
-        offsets.append(off.copy()); rate_cols.append(w_pos)
-        off = np.zeros(d); off[i] = -hl[i]; off[j] = -hl[j]
-        offsets.append(off.copy()); rate_cols.append(w_pos)
-        off = np.zeros(d); off[i] = hr[i]; off[j] = -hl[j]
-        offsets.append(off.copy()); rate_cols.append(w_neg)
-        off = np.zeros(d); off[i] = -hl[i]; off[j] = hr[j]
-        offsets.append(off.copy()); rate_cols.append(w_neg)
+        for si, sj, w in ((1, 1, w_pos), (-1, -1, w_pos), (1, -1, w_neg), (-1, 1, w_neg)):
+            e = np.zeros(d, dtype=np.int64); e[i] = si; e[j] = sj
+            dirs.append(e); rate_cols.append(w)
         both = w_pos + w_neg
-        corner_drift[:, i] += both * (hr[i] - hl[i])
-        corner_drift[:, j] += both * (hr[j] - hl[j])
-        corner_sq[:, i] += both * (hr[i] ** 2 + hl[i] ** 2)
-        corner_sq[:, j] += both * (hr[j] ** 2 + hl[j] ** 2)
+        corner_drift[:, i] += both * (hr[:, i] - hl[:, i])
+        corner_drift[:, j] += both * (hr[:, j] - hl[:, j])
+        corner_sq[:, i] += both * (hr[:, i] ** 2 + hl[:, i] ** 2)
+        corner_sq[:, j] += both * (hr[:, j] ** 2 + hl[:, j] ** 2)
 
     m = mu_b - corner_drift
     b = diag - corner_sq
@@ -276,32 +256,30 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl: np.ndarray, hr: np.nd
 
     slack = np.zeros((k, d))
     for i in range(d):
-        need = np.maximum(np.maximum(m[:, i], 0.0) * hr[i], np.maximum(-m[:, i], 0.0) * hl[i])
+        hli, hri = hl[:, i], hr[:, i]
+        need = np.maximum(np.maximum(m[:, i], 0.0) * hri, np.maximum(-m[:, i], 0.0) * hli)
         central_ok = b[:, i] >= need - RATE_TOL
         if scheme == "inflate":
             b_eff = np.maximum(b[:, i], need)
-            rp = (b_eff + m[:, i] * hl[i]) / (hr[i] * (hr[i] + hl[i]))
-            rm = (b_eff - m[:, i] * hr[i]) / (hl[i] * (hr[i] + hl[i]))
+            rp = (b_eff + m[:, i] * hli) / (hri * (hri + hli))
+            rm = (b_eff - m[:, i] * hri) / (hli * (hri + hli))
             slack[:, i] = b_eff - b[:, i]
         elif scheme == "upwind":
-            rp_c = (b[:, i] + m[:, i] * hl[i]) / (hr[i] * (hr[i] + hl[i]))
-            rm_c = (b[:, i] - m[:, i] * hr[i]) / (hl[i] * (hr[i] + hl[i]))
-            rp_u = np.maximum(m[:, i], 0.0) / hr[i] + b[:, i] / (hr[i] * (hr[i] + hl[i]))
-            rm_u = np.maximum(-m[:, i], 0.0) / hl[i] + b[:, i] / (hl[i] * (hr[i] + hl[i]))
+            rp_c = (b[:, i] + m[:, i] * hli) / (hri * (hri + hli))
+            rm_c = (b[:, i] - m[:, i] * hri) / (hli * (hri + hli))
+            rp_u = np.maximum(m[:, i], 0.0) / hri + b[:, i] / (hri * (hri + hli))
+            rm_u = np.maximum(-m[:, i], 0.0) / hli + b[:, i] / (hli * (hri + hli))
             rp = np.where(central_ok, rp_c, rp_u)
             rm = np.where(central_ok, rm_c, rm_u)
-            up_sq = np.maximum(m[:, i], 0.0) * hr[i] + np.maximum(-m[:, i], 0.0) * hl[i]
+            up_sq = np.maximum(m[:, i], 0.0) * hri + np.maximum(-m[:, i], 0.0) * hli
             slack[:, i] = np.where(central_ok, 0.0, up_sq)
         else:
             raise ValueError(f"unknown drift scheme {scheme!r}")
-        off = np.zeros(d); off[i] = hr[i]
-        offsets.append(off.copy()); rate_cols.append(np.maximum(rp, 0.0))
-        off = np.zeros(d); off[i] = -hl[i]
-        offsets.append(off.copy()); rate_cols.append(np.maximum(rm, 0.0))
+        for s, r in ((1, rp), (-1, rm)):
+            e = np.zeros(d, dtype=np.int64); e[i] = s
+            dirs.append(e); rate_cols.append(np.maximum(r, 0.0))
 
-    offsets = np.stack(offsets).astype(np.int64)
-    rates = np.stack(rate_cols, axis=1)
-    return offsets, rates, slack, cross_scale, deficit
+    return np.stack(dirs), np.stack(rate_cols, axis=1), slack, cross_scale
 
 
 # ---------------------------------------------------------------------------
@@ -345,153 +323,147 @@ class KdChain:
         return asm.col_idx[lo:hi], asm.probs[lo:hi], asm.rewards[pair]
 
 
-def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate",
-                         cross: str = "clip",
-                         cost_oriented: Optional[bool] = None) -> KdChain:
+def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") -> KdChain:
     """Assemble the K-D chain for all grid states and feasible actions.
 
     grid is a CoarseGrid or an integer spacing h for CoarseGrid.from_lattice.
-    Interior rows discretize L_u with the central/fallback stencil; boundary
-    rows realize the problem's boundary condition.  Cross-derivative mass in
+    Interior rows discretize L_u with the central/fallback stencil, built in
+    one pass over every interior (grid point, action) pair; boundary rows
+    realize the problem's boundary condition.  Cross-derivative mass in
     excess of the diagonal budget is scaled down to the representable amount
-    (cross="clip", recorded per pair) or raises NotDiagonallyDominant
-    (cross="strict").
+    and recorded per pair (cross_scale); verify_tcp_equivalence reports how
+    many pairs were clipped or inflated.
     """
     mdp = problem.mdp
     alpha = mdp.discount
     if isinstance(grid, int):
         grid = CoarseGrid.from_lattice(mdp.lattice, grid)
     boundary = problem.boundary
-    n = grid.n_points
-    d = grid.dim
+    n, d = grid.n_points, grid.dim
+    shape = np.asarray(grid.shape)
+    strides = np.array([int(np.prod(grid.shape[i + 1:])) for i in range(d)], dtype=np.int64)
+    pos = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
+    coords = grid.points()
+    points = [tuple(x) for x in coords.tolist()]
+    at_lower, at_upper = pos == 0, pos == shape - 1
+    interior = ~(at_lower | at_upper).any(axis=1)
+    inward_pos = np.clip(pos, 1, shape - 2)           # one step inward on every binding axis
 
-    offsets = [0]
-    rewards: list[float] = []
-    row_ptr = [0]
-    cols: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    discounts = np.empty(n)
+    actions = [mdp.actions.at(point) for point in points]
+    if boundary.kind == "oblique":
+        # deterministic reflection keeps one action: no reward, no discounting
+        for idx in np.flatnonzero(~interior):
+            actions[idx] = actions[idx][:1]
+    counts = np.array([len(acts) for acts in actions], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    pair_state = np.repeat(np.arange(n), counts)
+    n_pairs = int(offsets[-1])
+
+    # interior rows: one stencil over every interior (grid point, action) pair
+    int_states = np.flatnonzero(interior)
+    ip = np.flatnonzero(interior[pair_state])
+    own = pair_state[ip]
+    hl = np.empty((len(ip), d))
+    hr = np.empty((len(ip), d))
+    for i, ax in enumerate(grid.axes):
+        gaps = np.diff(ax).astype(np.float64)
+        hl[:, i] = gaps[pos[own, i] - 1]
+        hr[:, i] = gaps[pos[own, i]]
+    int_actions = [u for idx in int_states for u in actions[idx]]
+    mu_b, s2_b = problem.moments_batch(coords[own], int_actions)
+    dirs, rates, slack_int, cscale = _stencil_rates(np.atleast_2d(mu_b), s2_b, hl, hr, scheme)
+
+    total = rates.sum(axis=1)
+    Q = np.maximum.reduceat(total, np.cumsum(counts[int_states]) - counts[int_states])
+    if (Q <= 0.0).any():
+        raise ValueError(f"degenerate (zero-diffusion) stencil at "
+                         f"{points[int_states[np.argmax(Q <= 0.0)]]}")
     Q_per_state = np.zeros(n)
-    interior_mask = np.zeros(n, dtype=bool)
-    actions_per_state: list[tuple] = []
-    slack_rows: list[np.ndarray] = []
-    cross_rows: list[np.ndarray] = []
-    offenders: list[tuple] = []
+    Q_per_state[int_states] = Q
+    discounts = np.empty(n)
+    discounts[int_states] = 1.0 / (1.0 + (1.0 / alpha - 1.0) / Q)
+    q_pair = Q_per_state[own]
+    p = rates / q_pair[:, None]
+    keep = p > 0.0
+    stay = _stay_mass(p, keep)
 
-    shape = grid.shape
-    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
+    rewards = np.zeros(n_pairs)
+    r = np.array([float(mdp.reward(points[idx], u)) for idx, u in zip(own.tolist(), int_actions)])
+    rewards[ip] = discounts[own] * r / (alpha * q_pair)
 
-    for idx in range(n):
-        pos = np.array(grid.position(idx), dtype=np.int64)
-        point = grid.point(idx)
-        acts = mdp.actions.at(point)
-        if grid.is_boundary(idx):
-            binding_lower = [i for i in range(d) if pos[i] == 0]
-            binding_upper = [i for i in range(d) if pos[i] == len(grid.axes[i]) - 1]
-            _check_eta(boundary, point, binding_lower, binding_upper, d)
-            inward_pos = pos.copy()
-            for i in binding_lower:
-                inward_pos[i] += 1
-            for i in binding_upper:
-                inward_pos[i] -= 1
-            if boundary.kind == "oblique":
-                # deterministic reflection; no reward, no discounting
-                target = int(inward_pos @ strides)
-                actions_per_state.append(acts[:1])
-                rewards.append(0.0)
-                cols.append(np.array([target], dtype=np.int64))
-                probs.append(np.array([1.0]))
-                row_ptr.append(row_ptr[-1] + 1)
-                offsets.append(offsets[-1] + 1)
-                discounts[idx] = 1.0
-                slack_rows.append(np.zeros((1, d)))
-                cross_rows.append(np.ones(1))
-            else:
-                drift = boundary.direction(point)
-                tgt, wgt = [], []
-                for i in binding_lower + binding_upper:
-                    step = pos.copy()
-                    step[i] = inward_pos[i]
-                    gap = abs(float(grid.axes[i][inward_pos[i]] - grid.axes[i][pos[i]]))
-                    w = abs(float(drift[i])) / gap
-                    if w > 0.0:
-                        tgt.append(int(step @ strides))
-                        wgt.append(w)
-                W = math.fsum(wgt)
-                if W <= 0.0:
-                    raise NonInwardEta(point, drift)
-                den = 1.0 - alpha + alpha * W
-                actions_per_state.append(acts)
-                for u in acts:
-                    rewards.append(float(mdp.reward(point, u)) / den)
-                    cols.append(np.asarray(tgt, dtype=np.int64))
-                    probs.append(np.asarray(wgt) / W)
-                    row_ptr.append(row_ptr[-1] + len(tgt))
-                offsets.append(offsets[-1] + len(acts))
-                discounts[idx] = alpha * W / den
-                slack_rows.append(np.zeros((len(acts), d)))
-                cross_rows.append(np.ones(len(acts)))
+    # rows as a padded (pair, n_off + 1) block, the stay entry last, masked into CSR
+    width = len(dirs) + 1
+    cols = np.zeros((n_pairs, width), dtype=np.int64)
+    probs = np.zeros((n_pairs, width))
+    mask = np.zeros((n_pairs, width), dtype=bool)
+    cols[ip, :-1] = own[:, None] + dirs @ strides
+    cols[ip, -1] = own
+    probs[ip, :-1] = p
+    probs[ip, -1] = stay
+    mask[ip, :-1] = keep
+    mask[ip, -1] = stay > RATE_TOL
+
+    for idx in np.flatnonzero(~interior):
+        point = points[idx]
+        direction = _check_eta(boundary, point, at_lower[idx], at_upper[idx])
+        lo, hi = offsets[idx], offsets[idx + 1]
+        if boundary.kind == "oblique":
+            cols[lo, 0], probs[lo, 0], mask[lo, 0] = inward_pos[idx] @ strides, 1.0, True
+            discounts[idx] = 1.0
             continue
+        # first-order row: one-sided drift toward the inward neighbor per binding axis
+        tgt, wgt = [], []
+        for i in np.concatenate([np.flatnonzero(at_lower[idx]), np.flatnonzero(at_upper[idx])]):
+            step = pos[idx].copy()
+            step[i] = inward_pos[idx, i]
+            ax = grid.axes[i]
+            w = abs(float(direction[i])) / abs(float(ax[step[i]] - ax[pos[idx, i]]))
+            if w > 0.0:
+                tgt.append(int(step @ strides))
+                wgt.append(w)
+        W = math.fsum(wgt)
+        if W <= 0.0:
+            raise NonInwardEta(point, direction)
+        den = 1.0 - alpha + alpha * W
+        rewards[lo:hi] = [float(mdp.reward(point, u)) / den for u in actions[idx]]
+        cols[lo:hi, :len(tgt)] = tgt
+        probs[lo:hi, :len(tgt)] = np.asarray(wgt) / W
+        mask[lo:hi, :len(tgt)] = True
+        discounts[idx] = alpha * W / den
 
-        interior_mask[idx] = True
-        hl, hr = grid.spacings(idx)
-        mu_b, s2_b = problem.moments_batch(point, acts)
-        off, rates, slack, cscale, deficit = _stencil_rates(np.atleast_2d(mu_b), s2_b, hl, hr,
-                                                            scheme, cross)
-        bad = np.argwhere(deficit > 0.0)
-        if bad.size:
-            for a_i, dim_i in bad:
-                offenders.append((point, acts[int(a_i)], int(dim_i), float(deficit[a_i, dim_i])))
-            continue
-
-        total = rates.sum(axis=1)
-        Q = float(total.max())
-        if Q <= 0.0:
-            raise ValueError(f"degenerate (zero-diffusion) stencil at {point}")
-        Q_per_state[idx] = Q
-        discounts[idx] = 1.0 / (1.0 + (1.0 / alpha - 1.0) / Q)
-        # offsets hold coordinate displacements; grid positions move by their sign
-        tgt_flat = (pos + np.sign(off)) @ strides
-        actions_per_state.append(acts)
-        for a in range(len(acts)):
-            p = rates[a] / Q
-            keep = p > 0.0
-            stay = 1.0 - float(p[keep].sum())
-            t = tgt_flat[keep]
-            pp = p[keep]
-            if stay > RATE_TOL:
-                t = np.concatenate([t, [idx]])
-                pp = np.concatenate([pp, [stay]])
-            rewards.append(discounts[idx] * float(mdp.reward(point, acts[a])) / (alpha * Q))
-            cols.append(t.astype(np.int64))
-            probs.append(pp)
-            row_ptr.append(row_ptr[-1] + len(t))
-        offsets.append(offsets[-1] + len(acts))
-        slack_rows.append(slack)
-        cross_rows.append(cscale)
-
-    if offenders:
-        raise NotDiagonallyDominant(offenders)
-
-    asm = TabularAssembly(offsets, rewards, row_ptr,
-                          np.concatenate(cols), np.concatenate(probs), discounts)
-    if cost_oriented is None:
-        cost_oriented = mdp.cost_oriented
-    return KdChain(grid, alpha, actions_per_state, asm, Q_per_state, interior_mask,
-                   np.concatenate(slack_rows, axis=0), np.concatenate(cross_rows),
-                   cost_oriented, name=f"{mdp.name}-kd")
+    row_ptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    slack = np.zeros((n_pairs, d))
+    slack[ip] = slack_int
+    cross_scale = np.ones(n_pairs)
+    cross_scale[ip] = cscale
+    asm = TabularAssembly(offsets, rewards, row_ptr, cols[mask], probs[mask], discounts)
+    return KdChain(grid, alpha, actions, asm, Q_per_state, interior, slack, cross_scale,
+                   mdp.cost_oriented, name=f"{mdp.name}-kd")
 
 
-def _check_eta(boundary, point, binding_lower, binding_upper, d):
+def _stay_mass(p: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """1 - sum of each row's kept probabilities, summed as the kept entries alone.
+
+    numpy sums 8 or more values in unrolled partial sums, so summing a row
+    with its dropped entries zeroed can round differently; rows are grouped
+    by kept-entry count and each group sums a packed (rows, count) block.
+    """
+    kept = keep.sum(axis=1)
+    packed = np.take_along_axis(p, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    stay = np.empty(len(p))
+    for c in np.unique(kept):
+        rows = kept == c
+        stay[rows] = 1.0 - packed[rows, :c].sum(axis=1)
+    return stay
+
+
+def _check_eta(boundary, point, lower, upper):
+    """The boundary direction at point; it must point inward in every binding axis."""
     direction = boundary.direction(point)
-    if direction.shape != (d,):
+    if direction.shape != lower.shape or (direction[lower] <= 0.0).any() \
+            or (direction[upper] >= 0.0).any():
         raise NonInwardEta(point, direction)
-    for i in binding_lower:
-        if direction[i] <= 0.0:
-            raise NonInwardEta(point, direction)
-    for i in binding_upper:
-        if direction[i] >= 0.0:
-            raise NonInwardEta(point, direction)
+    return direction
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +478,20 @@ class TcpEquivalenceReport:
     max_reward_err: float
     checked_pairs: int
     worst: list
+    clipped_pairs: int = 0       # interior pairs with cross_scale < 1
+    inflated_pairs: int = 0      # interior pairs with a positive second-moment slack
+    max_clip: float = 0.0        # 1 - min cross_scale
+    max_slack: float = 0.0
 
     @property
     def passed(self) -> bool:
         return (self.max_first_moment_err <= 1e-9 and self.max_cross_moment_err <= 1e-9
                 and self.max_diag_moment_err <= 1e-9 and self.max_reward_err <= 1e-10)
+
+    @property
+    def exact(self) -> bool:
+        """Passed against the raw moments: no pair clipped, none inflated."""
+        return self.passed and self.clipped_pairs == 0 and self.inflated_pairs == 0
 
 
 def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquivalenceReport:
@@ -519,66 +500,72 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     For every interior (grid state, action) the row must satisfy, with
     kappa(x) = alpha (1 - alpha_h(x)) / (alpha_h(x) (1 - alpha)) = 1/Q(x):
 
-        sum_y P(x,y) (y - x)_i           = kappa mu_i            (exact)
-        sum_y P(x,y) (y - x)_i (y - x)_j = kappa sigma2_ij       (i != j)
+        sum_y P(x,y) (y - x)_i           = kappa mu_i                   (exact)
+        sum_y P(x,y) (y - x)_i (y - x)_j = kappa cross_scale sigma2_ij  (i != j)
         sum_y P(x,y) (y - x)_i^2         = kappa (sigma2_ii + slack_i)
 
-    where slack_i is the recorded second-moment inflation of the fallback
-    stencil (zero on central rows), and the reward must satisfy
-    r~ = (1 - alpha_h)/(1 - alpha) r to 1e-10 relative.  Boundary rows are
-    excluded (they encode the reflecting condition, not the operator).
-    Errors are reported relative to max(1, |target|).
+    where cross_scale and slack_i are the recorded clipping of the
+    cross-derivative mass and the second-moment inflation of the fallback
+    stencil (1 and 0 on rows that represent the raw moments), and the reward
+    must satisfy r~ = (1 - alpha_h)/(1 - alpha) r to 1e-10 relative.
+    Boundary rows are excluded (they encode the boundary condition, not the
+    operator).  Errors are reported relative to max(1, |target|); the
+    report also counts the clipped and inflated pairs, and `exact` holds
+    only when the check passed with neither.
     """
     mdp = problem.mdp
     alpha = mdp.discount
     grid = chain.grid
-    pts = grid.points().astype(np.float64)
     asm = chain.assembly()
-    worst: list[tuple] = []
-    e1 = e_cross = e_diag = e_r = 0.0
-    checked = 0
     d = grid.dim
+    pts = grid.points()
+    pair_state = np.repeat(np.arange(chain.n_states), np.diff(asm.offsets))
+    ip = np.flatnonzero(chain.interior_mask[pair_state])
+    own = pair_state[ip]
+    actions = [u for idx in np.flatnonzero(chain.interior_mask) for u in chain.actions_at(idx)]
+    mu_b, s2_b = problem.moments_batch(pts[own], actions)
+    mu_b = np.atleast_2d(mu_b)
 
-    for idx in range(chain.n_states):
-        if not chain.interior_mask[idx]:
-            continue
-        acts = chain.actions_at(idx)
-        point = grid.point(idx)
-        mu_b, s2_b = problem.moments_batch(point, acts)
-        mu_b = np.atleast_2d(mu_b)
-        alpha_h = chain.discounts[idx]
-        kappa = alpha * (1.0 - alpha_h) / (alpha_h * (1.0 - alpha))
-        for a, u in enumerate(acts):
-            targets, p, r_tilde = chain.pair_row(idx, a)
-            pair = asm.offsets[idx] + a
-            diff = pts[targets] - pts[idx]
-            checked += 1
-            m1 = p @ diff
-            err1 = np.abs(m1 - kappa * mu_b[a]) / np.maximum(1.0, np.abs(kappa * mu_b[a]))
-            e1 = max(e1, float(err1.max()))
-            if err1.max() > 1e-9:
-                worst.append((point, u, "first-moment", float(err1.max())))
-            m2 = (p[:, None, None] * diff[:, :, None] * diff[:, None, :]).sum(axis=0)
-            slack = chain.second_moment_slack[pair]
-            target2 = kappa * chain.cross_scale[pair] * s2_b[a]
-            for i in range(d):
-                target2[i, i] = kappa * (s2_b[a][i, i] + slack[i])
-            err2 = np.abs(m2 - target2) / np.maximum(1.0, np.abs(target2))
-            for i in range(d):
-                e_diag = max(e_diag, float(err2[i, i]))
-                if err2[i, i] > 1e-9:
-                    worst.append((point, u, f"diag-moment[{i}]", float(err2[i, i])))
-            if d > 1:
-                off_mask = ~np.eye(d, dtype=bool)
-                e_cross = max(e_cross, float(err2[off_mask].max()))
-                if err2[off_mask].max() > 1e-9:
-                    worst.append((point, u, "cross-moment", float(err2[off_mask].max())))
-            r = float(mdp.reward(point, u))
-            ident = (1.0 - alpha_h) / (1.0 - alpha) * r
-            err_r = abs(r_tilde - ident) / max(1.0, abs(ident))
-            e_r = max(e_r, err_r)
-            if err_r > 1e-10:
-                worst.append((point, u, "reward", err_r))
+    # first and second moments of every row, one reduction per moment entry
+    starts = asm.row_ptr[:-1]
+    diff = (pts[asm.col_idx] - pts[np.repeat(pair_state, np.diff(asm.row_ptr))]).astype(np.float64)
+    pdiff = asm.probs[:, None] * diff
+    m1 = np.add.reduceat(pdiff, starts)[ip]
+    m2 = np.empty((len(ip), d, d))
+    for i in range(d):
+        for j in range(i, d):
+            m2[:, i, j] = m2[:, j, i] = np.add.reduceat(pdiff[:, i] * diff[:, j], starts)[ip]
 
-    worst.sort(key=lambda t: -t[-1])
-    return TcpEquivalenceReport(e1, e_cross, e_diag, e_r, checked, worst[:10])
+    alpha_h = chain.discounts[own]
+    kappa = alpha * (1.0 - alpha_h) / (alpha_h * (1.0 - alpha))
+    cross_scale = chain.cross_scale[ip]
+    slack = chain.second_moment_slack[ip]
+    target1 = kappa[:, None] * mu_b
+    err1 = (np.abs(m1 - target1) / np.maximum(1.0, np.abs(target1))).max(axis=1)
+    target2 = (kappa * cross_scale)[:, None, None] * s2_b
+    diag = np.arange(d)
+    target2[:, diag, diag] = kappa[:, None] * (s2_b[:, diag, diag] + slack)
+    err2 = np.abs(m2 - target2) / np.maximum(1.0, np.abs(target2))
+    err_cross = err2[:, ~np.eye(d, dtype=bool)].max(axis=1, initial=0.0)
+    points = [tuple(x) for x in pts.tolist()]
+    r = np.array([float(mdp.reward(points[idx], u)) for idx, u in zip(own.tolist(), actions)])
+    ident = (1.0 - alpha_h) / (1.0 - alpha) * r
+    err_r = np.abs(asm.rewards[ip] - ident) / np.maximum(1.0, np.abs(ident))
+
+    # worst offenders, pair by pair in check order, largest error first
+    labels = ["first-moment"] + [f"diag-moment[{i}]" for i in range(d)] + ["cross-moment", "reward"]
+    errs = np.column_stack([err1, err2[:, diag, diag], err_cross, err_r])
+    tol = np.array([1e-9] * (len(labels) - 1) + [1e-10])
+    bad_pair, bad_check = np.nonzero(errs > tol)
+    order = np.argsort(-errs[bad_pair, bad_check], kind="stable")[:10]
+    worst = [(points[own[bad_pair[k]]], actions[bad_pair[k]], labels[bad_check[k]],
+              float(errs[bad_pair[k], bad_check[k]])) for k in order]
+
+    return TcpEquivalenceReport(
+        float(err1.max(initial=0.0)), float(err_cross.max(initial=0.0)),
+        float(err2[:, diag, diag].max(initial=0.0)), float(err_r.max(initial=0.0)),
+        len(ip), worst,
+        clipped_pairs=int((cross_scale < 1.0).sum()),
+        inflated_pairs=int((slack > 0.0).any(axis=1).sum()),
+        max_clip=float(1.0 - cross_scale.min(initial=1.0)),
+        max_slack=float(slack.max(initial=0.0)))

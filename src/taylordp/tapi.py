@@ -53,7 +53,6 @@ class TapiOptions:
     policy_extension: str = "tcp_greedy"  # tcp_greedy | pc
     one_step: bool = False               # final exact improvement on the fine lattice
     scheme: str = "inflate"              # small-drift fallback: inflate | upwind
-    cross: str = "clip"                  # cross-derivative mass: clip | strict
     evaluate_fine: bool = True
     solve: SolveOptions = field(default_factory=SolveOptions)
 
@@ -66,6 +65,8 @@ class TapiOptions:
             raise ValueError("disaggregation must be 'multilinear' or 'pc'")
         if self.policy_extension not in ("tcp_greedy", "pc"):
             raise ValueError("policy_extension must be 'tcp_greedy' or 'pc'")
+        if self.scheme not in ("inflate", "upwind"):
+            raise ValueError("scheme must be 'inflate' or 'upwind'")
 
 
 @dataclass
@@ -121,51 +122,36 @@ def project_action(action, feasible):
 
 
 def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeMdp,
-                        fine_value: Optional[np.ndarray] = None) -> np.ndarray:
+                        fine_value: np.ndarray) -> np.ndarray:
     """Piecewise-constant policy extension with boundary completion.
 
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
     Boundary grid states are completed by a fine one-step greedy against
-    fine_value when supplied, otherwise they inherit inward.  Inherited
-    actions infeasible at the destination are projected to the nearest
-    feasible action.
+    fine_value.  Inherited actions infeasible at the destination are
+    projected to the nearest feasible action.
     """
     grid = chain.grid
     lattice = mdp.lattice
-    pts = grid.points()
-    interior = np.flatnonzero(chain.interior_mask)
-    if interior.size == 0:
+    if not chain.interior_mask.any():
         raise ValueError("chain has no interior states")
 
     # coarse actions as objects
     coarse_actions = [chain.actions_at(i)[int(coarse_policy[i])] for i in range(chain.n_states)]
 
     # completion at boundary grid states
-    grid_idx_of_state: dict[int, int] = {}
-    for gi in range(chain.n_states):
-        grid_idx_of_state[lattice.index(grid.point(gi))] = gi
-    boundary = np.flatnonzero(~chain.interior_mask)
-    if fine_value is not None:
-        for gi in boundary:
-            point = grid.point(gi)
-            si = lattice.index(point)
-            acts = mdp.actions_at(si)
-            q = np.empty(len(acts))
-            for a in range(len(acts)):
-                row = mdp.row(si, a)
-                q[a] = mdp.reward_value(si, a) + mdp.discount * row.expectation(fine_value)
-            coarse_actions[gi] = acts[int(np.flatnonzero(q >= q.max() - 1e-12)[0])]
-    else:
-        # inherit from the nearest interior grid point
-        int_pts = pts[interior]
-        for gi in boundary:
-            d = np.abs(int_pts - pts[gi]).sum(axis=1)
-            coarse_actions[gi] = coarse_actions[interior[int(np.flatnonzero(d == d.min())[0])]]
+    grid_state = lattice.indices_of(grid.points())
+    for gi in np.flatnonzero(~chain.interior_mask):
+        si = int(grid_state[gi])
+        acts = mdp.actions_at(si)
+        q = np.empty(len(acts))
+        for a in range(len(acts)):
+            row = mdp.row(si, a)
+            q[a] = mdp.reward_value(si, a) + mdp.discount * row.expectation(fine_value)
+        coarse_actions[gi] = acts[int(np.flatnonzero(q >= q.max() - 1e-12)[0])]
 
     # nearest source grid point for every fine state
     fine_states = lattice.states()
-    nearest_all = grid.nearest_index(fine_states)
     # restricted nearest over interior grid points (per-axis clamp into interior)
     clamped_axes = []
     for ax in grid.axes:
@@ -178,25 +164,17 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     full_pos = tuple(p + (1 if len(ax) >= 3 else 0) for p, ax in zip(pos, grid.axes))
     near_int_full = np.ravel_multi_index(full_pos, grid.shape)
 
+    # grid states keep their own action, every other state its nearest interior one
+    source = near_int_full.copy()
+    source[grid_state] = np.arange(chain.n_states)
     policy = np.empty(lattice.n_states, dtype=np.int64)
-    for si in range(lattice.n_states):
-        gi = grid_idx_of_state.get(si)
-        if gi is None:
-            gi = int(near_int_full[si])
-        elif not chain.interior_mask[gi] and fine_value is None:
-            gi = int(near_int_full[si]) if not _same_point(pts[gi], fine_states[si]) else gi
-        action = coarse_actions[gi]
-        policy[si] = project_action(action, mdp.actions_at(si))
+    for si, gi in enumerate(source.tolist()):
+        policy[si] = project_action(coarse_actions[gi], mdp.actions_at(si))
     return policy
 
 
-def _same_point(a, b):
-    return bool(np.all(a == b))
-
-
 def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
-                           coarse_values: np.ndarray, scheme: str = "inflate",
-                           cross: str = "clip") -> np.ndarray:
+                           coarse_values: np.ndarray, scheme: str = "inflate") -> np.ndarray:
     """Approximate (Taylored) policy improvement at every fine-lattice state.
 
     Each state gets the same stencil greedy the chain's improvement uses,
@@ -215,52 +193,30 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     h = float(max(int(ax[1] - ax[0]) for ax in grid.axes))
     hvec = np.full(d, h)
 
-    states = lattice.states().astype(np.float64)
-    # one batched interpolation for all stencil targets of all states
-    probe = _extension_interpolator(coarse_values, grid)
-    offs = _stencil_offsets(d, h)
-    neighbor_vals = probe((states[:, None, :] + offs[None, :, :]).reshape(-1, d))
-    neighbor_vals = neighbor_vals.reshape(len(states), len(offs))
-    center_vals = probe(states)
-
     # one stencil over every (state, action) pair
     U, offsets = mdp.action_table()
     counts = np.diff(offsets)
     mu_b, s2_b = problem.moments_batch(mdp.pair_states(), U)
-    off, rates, _, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme, cross)
-    cols = _offset_columns(off, offs)   # offset order is state-independent
+    dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
+
+    states = lattice.states().astype(np.float64)
+    # one batched interpolation for all stencil targets of all states
+    probe = _extension_interpolator(coarse_values, grid)
+    offs = dirs * h
+    neighbor_vals = probe((states[:, None, :] + offs[None, :, :]).reshape(-1, d))
+    neighbor_vals = neighbor_vals.reshape(len(states), len(offs))
+    center_vals = probe(states)
+
     tot = rates.sum(axis=1)
     q_max = np.maximum(np.maximum.reduceat(tot, offsets[:-1]), 1e-300)
     a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
     q_max, a_h = np.repeat(q_max, counts), np.repeat(a_h, counts)
     rew = get_assembly(mdp).rewards
     rates /= q_max[:, None]
-    expect = (np.einsum("pc,pc->p", rates, np.repeat(neighbor_vals[:, cols], counts, axis=0))
+    expect = (np.einsum("pc,pc->p", rates, np.repeat(neighbor_vals, counts, axis=0))
               + (1.0 - tot / q_max) * np.repeat(center_vals, counts))
     q = a_h * rew / (alpha * q_max) + a_h * expect
     return segmented_argmax(q, offsets, 1e-12)[1]
-
-
-def _stencil_offsets(d: int, h: float) -> np.ndarray:
-    """The fixed displacement template used by uniform-spacing stencils."""
-    offs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si, sj in ((h, h), (-h, -h), (h, -h), (-h, h)):
-                v = np.zeros(d); v[i] = si; v[j] = sj
-                offs.append(v)
-    for i in range(d):
-        for s in (h, -h):
-            v = np.zeros(d); v[i] = s
-            offs.append(v)
-    return np.stack(offs)
-
-
-def _offset_columns(off: np.ndarray, template: np.ndarray) -> np.ndarray:
-    cols = np.empty(len(off), dtype=np.int64)
-    for k, row in enumerate(off):
-        cols[k] = int(np.flatnonzero((template == row).all(axis=1))[0])
-    return cols
 
 
 def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid,
@@ -290,7 +246,7 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     """
     t0 = time.perf_counter()
     mdp = problem.mdp
-    chain = build_multidim_chain(problem, options.h, scheme=options.scheme, cross=options.cross)
+    chain = build_multidim_chain(problem, options.h, scheme=options.scheme)
 
     if options.improvement == "exact":
         return _tapi_exact_loop(problem, chain, options, t0)
@@ -299,7 +255,7 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     fine_v = disaggregate_value(pi.values, chain.grid, mdp.lattice, options.disaggregation,
                                 boundary="drop")
     if options.policy_extension == "tcp_greedy":
-        disagg = taylored_greedy_policy(problem, chain, pi.values, options.scheme, options.cross)
+        disagg = taylored_greedy_policy(problem, chain, pi.values, options.scheme)
     else:
         disagg = disaggregate_policy(chain, pi.policy, mdp, fine_value=fine_v)
     fine_policy = disagg
@@ -316,7 +272,7 @@ def _tapi_exact_loop(problem, chain, options, t0):
     mdp = problem.mdp
     grid = chain.grid
     lattice = mdp.lattice
-    grid_state_idx = np.array([lattice.index(grid.point(g)) for g in range(chain.n_states)])
+    grid_state_idx = lattice.indices_of(grid.points())
 
     coarse_policy = np.zeros(chain.n_states, dtype=np.int64)
     seen: dict[bytes, int] = {}

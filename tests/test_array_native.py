@@ -1,11 +1,14 @@
 """The whole-lattice array passes against per-state reference loops.
 
 Action tables, the routing factored arrays, the Taylored greedy, the
-ellipticity scan, policy validation and the max-overflow heuristic are each
-computed once over every (state, action) pair.  The reference functions
-below are the per-state loops they replaced, kept here only as oracles;
-every comparison is exact.
+ellipticity scan, policy validation, the max-overflow heuristic, the K-D
+chain build and the TCP-equivalence check are each computed once over every
+(state, action) pair.  The reference functions below are the per-state
+loops they replaced, kept here only as oracles; every comparison is exact
+(the verifier's error maxima, sums in a different order, agree to 1e-15).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,11 +18,13 @@ from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
 from taylordp.errors import EmptyActionSet, InfeasibleAction
 from taylordp.exact import get_assembly
-from taylordp.kdchain import _stencil_rates
+from taylordp.errors import NonInwardEta
+from taylordp.exact import TabularAssembly
+from taylordp.kdchain import RATE_TOL, KdChain, _stencil_rates, verify_tcp_equivalence
 from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
 from taylordp.models import build
-from taylordp.models.routing import RoutingParams, build_routing
-from taylordp.tapi import _extension_interpolator, _offset_columns, _stencil_offsets
+from taylordp.models.routing import RoutingParams, build_routing, table_params
+from taylordp.tapi import _extension_interpolator
 from taylordp.taylor import ellipticity_check
 
 
@@ -37,6 +42,16 @@ def routing3_smoke():
 @pytest.fixture(scope="module")
 def routing3_mid():
     return _routing3(4, 5)
+
+
+@pytest.fixture(scope="module")
+def routing3_bench():
+    return _routing3(6, 6)
+
+
+@pytest.fixture(scope="module")
+def routing3_paper():
+    return build_routing(table_params(J=3, alpha=0.99, lam_factor=0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +92,29 @@ def per_pair_factored(model):
     return np.array(offsets), np.array(rewards), np.array(post_idx)
 
 
-def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate", cross="clip"):
+def _stencil_offsets(d, h):
+    """The fixed displacement template used by uniform-spacing stencils."""
+    offs = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si, sj in ((h, h), (-h, -h), (h, -h), (-h, h)):
+                v = np.zeros(d); v[i] = si; v[j] = sj
+                offs.append(v)
+    for i in range(d):
+        for s in (h, -h):
+            v = np.zeros(d); v[i] = s
+            offs.append(v)
+    return np.stack(offs)
+
+
+def _offset_columns(off, template):
+    cols = np.empty(len(off), dtype=np.int64)
+    for k, row in enumerate(off):
+        cols[k] = int(np.flatnonzero((template == row).all(axis=1))[0])
+    return cols
+
+
+def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate"):
     """One moments/stencil/argmax evaluation per fine state."""
     mdp = problem.mdp
     lattice = mdp.lattice
@@ -97,8 +134,8 @@ def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate", c
         point = lattice.state(si)
         acts = mdp.actions_at(si)
         mu_b, s2_b = problem.moments_batch(point, acts)
-        off, rates, _, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme, cross)
-        cols = _offset_columns(off, offs)
+        dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
+        cols = _offset_columns(dirs * h, offs)
         tot = rates.sum(axis=1)
         q_max = float(max(tot.max(), 1e-300))
         a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
@@ -107,6 +144,173 @@ def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate", c
         q = a_h * rew / (alpha * q_max) + a_h * expect
         policy[si] = int(np.flatnonzero(q >= q.max() - 1e-12)[0])
     return policy
+
+
+def _spacings(grid, pos):
+    """(left, right) gap per axis at an interior position."""
+    hl = [float(ax[p] - ax[p - 1]) for p, ax in zip(pos, grid.axes)]
+    hr = [float(ax[p + 1] - ax[p]) for p, ax in zip(pos, grid.axes)]
+    return np.asarray(hl), np.asarray(hr)
+
+
+def _check_eta(boundary, point, binding_lower, binding_upper, d):
+    direction = boundary.direction(point)
+    if direction.shape != (d,):
+        raise NonInwardEta(point, direction)
+    for i in binding_lower:
+        if direction[i] <= 0.0:
+            raise NonInwardEta(point, direction)
+    for i in binding_upper:
+        if direction[i] >= 0.0:
+            raise NonInwardEta(point, direction)
+
+
+def per_point_chain(problem, h, scheme="inflate"):
+    """The K-D chain with one moments and one stencil evaluation per grid point."""
+    mdp = problem.mdp
+    alpha = mdp.discount
+    grid = tdp.CoarseGrid.from_lattice(mdp.lattice, h)
+    boundary = problem.boundary
+    n, d = grid.n_points, grid.dim
+    offsets, rewards, row_ptr, cols, probs = [0], [], [0], [], []
+    discounts = np.empty(n)
+    Q_per_state = np.zeros(n)
+    interior_mask = np.zeros(n, dtype=bool)
+    actions_per_state, slack_rows, cross_rows = [], [], []
+    shape = grid.shape
+    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
+
+    for idx in range(n):
+        pos = np.array(grid.position(idx), dtype=np.int64)
+        point = grid.point(idx)
+        acts = mdp.actions.at(point)
+        if any(p == 0 or p == len(ax) - 1 for p, ax in zip(pos, grid.axes)):
+            binding_lower = [i for i in range(d) if pos[i] == 0]
+            binding_upper = [i for i in range(d) if pos[i] == len(grid.axes[i]) - 1]
+            _check_eta(boundary, point, binding_lower, binding_upper, d)
+            inward_pos = pos.copy()
+            for i in binding_lower:
+                inward_pos[i] += 1
+            for i in binding_upper:
+                inward_pos[i] -= 1
+            if boundary.kind == "oblique":
+                actions_per_state.append(acts[:1])
+                rewards.append(0.0)
+                cols.append(np.array([int(inward_pos @ strides)], dtype=np.int64))
+                probs.append(np.array([1.0]))
+                row_ptr.append(row_ptr[-1] + 1)
+                offsets.append(offsets[-1] + 1)
+                discounts[idx] = 1.0
+                slack_rows.append(np.zeros((1, d)))
+                cross_rows.append(np.ones(1))
+            else:
+                drift = boundary.direction(point)
+                tgt, wgt = [], []
+                for i in binding_lower + binding_upper:
+                    step = pos.copy()
+                    step[i] = inward_pos[i]
+                    gap = abs(float(grid.axes[i][inward_pos[i]] - grid.axes[i][pos[i]]))
+                    w = abs(float(drift[i])) / gap
+                    if w > 0.0:
+                        tgt.append(int(step @ strides))
+                        wgt.append(w)
+                W = math.fsum(wgt)
+                den = 1.0 - alpha + alpha * W
+                actions_per_state.append(acts)
+                for u in acts:
+                    rewards.append(float(mdp.reward(point, u)) / den)
+                    cols.append(np.asarray(tgt, dtype=np.int64))
+                    probs.append(np.asarray(wgt) / W)
+                    row_ptr.append(row_ptr[-1] + len(tgt))
+                offsets.append(offsets[-1] + len(acts))
+                discounts[idx] = alpha * W / den
+                slack_rows.append(np.zeros((len(acts), d)))
+                cross_rows.append(np.ones(len(acts)))
+            continue
+
+        interior_mask[idx] = True
+        hl, hr = _spacings(grid, pos)
+        mu_b, s2_b = problem.moments_batch(point, acts)
+        dirs, rates, slack, cscale = _stencil_rates(np.atleast_2d(mu_b), s2_b, hl, hr, scheme)
+        Q = float(rates.sum(axis=1).max())
+        Q_per_state[idx] = Q
+        discounts[idx] = 1.0 / (1.0 + (1.0 / alpha - 1.0) / Q)
+        tgt_flat = (pos + dirs) @ strides
+        actions_per_state.append(acts)
+        for a in range(len(acts)):
+            p = rates[a] / Q
+            keep = p > 0.0
+            stay = 1.0 - float(p[keep].sum())
+            t, pp = tgt_flat[keep], p[keep]
+            if stay > RATE_TOL:
+                t = np.concatenate([t, [idx]])
+                pp = np.concatenate([pp, [stay]])
+            rewards.append(discounts[idx] * float(mdp.reward(point, acts[a])) / (alpha * Q))
+            cols.append(t.astype(np.int64))
+            probs.append(pp)
+            row_ptr.append(row_ptr[-1] + len(t))
+        offsets.append(offsets[-1] + len(acts))
+        slack_rows.append(slack)
+        cross_rows.append(cscale)
+
+    asm = TabularAssembly(offsets, rewards, row_ptr, np.concatenate(cols),
+                          np.concatenate(probs), discounts)
+    return KdChain(grid, alpha, actions_per_state, asm, Q_per_state, interior_mask,
+                   np.concatenate(slack_rows, axis=0), np.concatenate(cross_rows),
+                   mdp.cost_oriented, name=f"{mdp.name}-kd")
+
+
+def per_point_verify(chain, problem):
+    """(max errors: first, cross, diag, reward; checked pairs; worst 10), pair by pair."""
+    mdp = problem.mdp
+    alpha = mdp.discount
+    grid = chain.grid
+    pts = grid.points().astype(np.float64)
+    asm = chain.assembly()
+    worst = []
+    e1 = e_cross = e_diag = e_r = 0.0
+    checked = 0
+    d = grid.dim
+    for idx in np.flatnonzero(chain.interior_mask):
+        acts = chain.actions_at(idx)
+        point = grid.point(idx)
+        mu_b, s2_b = problem.moments_batch(point, acts)
+        mu_b = np.atleast_2d(mu_b)
+        alpha_h = chain.discounts[idx]
+        kappa = alpha * (1.0 - alpha_h) / (alpha_h * (1.0 - alpha))
+        for a, u in enumerate(acts):
+            targets, p, r_tilde = chain.pair_row(idx, a)
+            pair = asm.offsets[idx] + a
+            diff = pts[targets] - pts[idx]
+            checked += 1
+            m1 = p @ diff
+            err1 = np.abs(m1 - kappa * mu_b[a]) / np.maximum(1.0, np.abs(kappa * mu_b[a]))
+            e1 = max(e1, float(err1.max()))
+            if err1.max() > 1e-9:
+                worst.append((point, u, "first-moment", float(err1.max())))
+            m2 = (p[:, None, None] * diff[:, :, None] * diff[:, None, :]).sum(axis=0)
+            slack = chain.second_moment_slack[pair]
+            target2 = kappa * chain.cross_scale[pair] * s2_b[a]
+            for i in range(d):
+                target2[i, i] = kappa * (s2_b[a][i, i] + slack[i])
+            err2 = np.abs(m2 - target2) / np.maximum(1.0, np.abs(target2))
+            for i in range(d):
+                e_diag = max(e_diag, float(err2[i, i]))
+                if err2[i, i] > 1e-9:
+                    worst.append((point, u, f"diag-moment[{i}]", float(err2[i, i])))
+            if d > 1:
+                off_mask = ~np.eye(d, dtype=bool)
+                e_cross = max(e_cross, float(err2[off_mask].max()))
+                if err2[off_mask].max() > 1e-9:
+                    worst.append((point, u, "cross-moment", float(err2[off_mask].max())))
+            r = float(mdp.reward(point, u))
+            ident = (1.0 - alpha_h) / (1.0 - alpha) * r
+            err_r = abs(r_tilde - ident) / max(1.0, abs(ident))
+            e_r = max(e_r, err_r)
+            if err_r > 1e-10:
+                worst.append((point, u, "reward", err_r))
+    worst.sort(key=lambda t: -t[-1])
+    return (e1, e_cross, e_diag, e_r), checked, worst[:10]
 
 
 def per_state_ellipticity(problem):
@@ -237,6 +441,80 @@ def test_taylored_greedy_matches_per_state_loop_routing2(routing2, h):
 def test_taylored_greedy_matches_per_state_loop(name, h, request):
     fast, ref = _greedy_pair(request.getfixturevalue(name).problem, h)
     assert np.array_equal(fast, ref)
+
+
+# ---------------------------------------------------------------------------
+# K-D chain build and TCP-equivalence check
+# ---------------------------------------------------------------------------
+
+def _fot(model):
+    return model.fot_boundary_problem()
+
+
+CHAIN_CASES = [
+    ("service_quadratic", None, (1, 2, 3)),     # h = 3 leaves a last cell of width 1
+    ("service_quadratic", _fot, (1, 2, 3)),
+    ("inventory_model", None, (1, 3)),
+    ("heavy_queue", None, (4,)),                # per-pair moments fallback
+    ("routing2", None, (1, 2, 4)),
+    ("routing3_bench", None, (2, 4)),
+    pytest.param("routing3_paper", None, (4,), marks=pytest.mark.slow),
+]
+
+
+def _assert_same_chain(fast, ref):
+    a, b = fast.assembly(), ref.assembly()
+    for name in ("offsets", "row_ptr", "col_idx", "probs", "rewards", "discounts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("Q", "interior_mask", "second_moment_slack", "cross_scale"):
+        x, y = getattr(fast, name), getattr(ref, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert [fast.actions_at(i) for i in range(fast.n_states)] == \
+        [ref.actions_at(i) for i in range(ref.n_states)]
+    assert fast.cost_oriented == ref.cost_oriented
+
+
+def _assert_same_report(rep, ref):
+    errs, checked, worst = ref
+    got = (rep.max_first_moment_err, rep.max_cross_moment_err, rep.max_diag_moment_err,
+           rep.max_reward_err)
+    assert np.allclose(got, errs, rtol=0.0, atol=1e-15)
+    assert rep.checked_pairs == checked
+    assert [w[:3] for w in rep.worst] == [w[:3] for w in worst]
+    assert np.allclose([w[3] for w in rep.worst], [w[3] for w in worst], rtol=1e-12)
+
+
+@pytest.mark.parametrize("name,variant,hs", CHAIN_CASES)
+def test_chain_matches_per_point_build(name, variant, hs, request):
+    model = request.getfixturevalue(name)
+    problem = variant(model) if variant else model.problem
+    for h in hs:
+        for scheme in ("inflate", "upwind"):
+            chain = tdp.build_multidim_chain(problem, h, scheme=scheme)
+            _assert_same_chain(chain, per_point_chain(problem, h, scheme))
+            rep = verify_tcp_equivalence(chain, problem)
+            assert rep.passed
+            _assert_same_report(rep, per_point_verify(chain, problem))
+            interior = np.repeat(chain.interior_mask, np.diff(chain.assembly().offsets))
+            assert rep.clipped_pairs == int((chain.cross_scale[interior] < 1.0).sum())
+            assert rep.inflated_pairs == int(
+                (chain.second_moment_slack[interior] > 0.0).any(axis=1).sum())
+
+
+@pytest.mark.parametrize("name", ["service_quadratic", "routing2"])
+def test_verifier_matches_per_point_check_on_corrupted_rows(name, request):
+    problem = request.getfixturevalue(name).problem
+    chain = tdp.build_multidim_chain(problem, 2)
+    asm = chain.assembly()
+    for idx in np.flatnonzero(chain.interior_mask)[3::5][:12]:
+        lo = asm.row_ptr[asm.offsets[idx]]
+        asm.probs[lo] += 0.01
+        asm.probs[lo + 1] -= 0.01
+    asm.rewards[asm.offsets[np.flatnonzero(chain.interior_mask)[5]]] += 1.0
+    rep = verify_tcp_equivalence(chain, problem)
+    assert not rep.passed and len(rep.worst) == 10
+    _assert_same_report(rep, per_point_verify(chain, problem))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taylordp as tdp
-from taylordp.errors import NotDiagonallyDominant, SmallDriftViolated
+from taylordp.errors import SmallDriftViolated
 from taylordp.kdchain import (CoarseGrid, build_interior_row_1d,
                               build_interior_row_upwind_1d, build_multidim_chain,
                               rescale_reward, state_discount, verify_tcp_equivalence)
@@ -135,20 +135,27 @@ def test_diagonal_sigma_gives_product_of_1d_stencils():
 
 
 def test_not_diagonally_dominant_strict():
-    prob = _toy_2d_problem(1.5)   # sigma2_12 > sigma2_11
-    with pytest.raises(NotDiagonallyDominant):
-        build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1),
-                             cross="strict")
-    # clip mode builds and records the scale
+    # sigma2_12 > sigma2_11: the corner mass is clipped, and the verifier
+    # tells that equivalence apart from an exact one
+    prob = _toy_2d_problem(1.5)
     chain = build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1))
     assert chain.cross_scale.min() < 1.0
+    rep = verify_tcp_equivalence(chain, prob)
+    assert rep.passed
+    assert rep.exact is False and rep.clipped_pairs > 0
+    assert rep.max_clip == pytest.approx(1.0 - chain.cross_scale.min())
+    # a diagonal sigma2 with zero drift is represented exactly
+    prob = _toy_2d_problem(0.0)
+    rep = verify_tcp_equivalence(
+        build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1)), prob)
+    assert rep.exact is True
+    assert rep.clipped_pairs == rep.inflated_pairs == 0 and rep.max_slack == 0.0
 
 
 def test_grid_keeps_upper_bound_and_narrow_cell():
     grid = CoarseGrid.from_lattice(tdp.StateLattice((0,), (10,)), 4)
     assert grid.axes[0].tolist() == [0, 4, 8, 10]
-    hl, hr = grid.spacings(2)   # the point 8
-    assert hl[0] == 4.0 and hr[0] == 2.0
+    assert np.diff(grid.axes[0]).tolist() == [4, 4, 2]   # the point 8: hl = 4, hr = 2
 
 
 def test_nearest_map_ties_toward_smaller():
@@ -209,6 +216,8 @@ def test_upwind_scheme_also_equivalent(inventory_model):
     assert chain.second_moment_slack.max() > 0.0
     rep = verify_tcp_equivalence(chain, inventory_model.problem)
     assert rep.passed
+    assert not rep.exact and rep.inflated_pairs > 0
+    assert rep.max_slack == chain.second_moment_slack.max()
 
 
 def test_verifier_detects_corrupted_rows(quartic_fixed):

@@ -42,6 +42,12 @@ def test_multilinear_exact_on_linear_functions(a, b):
     assert np.allclose(fine, a * states[:, 0] + b * states[:, 1], atol=1e-9)
 
 
+def test_options_reject_unknown_scheme():
+    with pytest.raises(ValueError, match="scheme"):
+        TapiOptions(scheme="foo")
+    assert TapiOptions(scheme="upwind").scheme == "upwind"
+
+
 def test_project_action_feasibility():
     feas = [(0, 0), (0, 1), (2, 0)]
     assert project_action((0, 1), feas) == 1          # already feasible
