@@ -7,8 +7,10 @@ or a factored view for kernels of product form, where the one-step
 expectation operator is applied to the whole value vector at once and rows
 are never materialized.  Both give per-pair expectations E_x^u[V] and, for a
 policy U, an operator P^U with P^U @ V = E^U[V]: a sparse matrix (solved
-directly) or a matrix-free product (solved iteratively).  Maximization is the internal convention throughout;
-cost models negate rewards at the model boundary.
+directly) or a matrix-free product (solved by fixed-point iteration with
+MacQueen-Porteus bounds, which bracket the solution and stop on a value-error
+bound).  Maximization is the internal convention throughout; cost models
+negate rewards at the model boundary.
 
 Argmax ties are broken to the first action in lexicographic order, with a
 1e-12 absolute tolerance on value comparisons, so runs are reproducible.
@@ -31,10 +33,10 @@ RESIDUAL_REL = 1e-9
 
 @dataclass(frozen=True)
 class SolveOptions:
-    iterative_tol: float = 1e-10
+    iterative_tol: float = 1e-10         # matrix-free evaluation: value error / (1 + |V|)
     vi_tol: float = 1e-9
     max_iterations: int = 100            # policy-iteration cap
-    vi_max_iterations: int = 200_000
+    vi_max_iterations: int = 200_000     # value-iteration and matrix-free evaluation steps
 
     def __post_init__(self):
         if self.iterative_tol <= 0 or self.vi_tol <= 0:
@@ -199,8 +201,12 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
     """Solve V = r_U + diag(alpha) P^U V for the given stationary policy.
 
     reward_override replaces r_U with a per-state vector (used for
-    discounted functionals V_U[f]).  A sparse P^U is solved directly, a
-    matrix-free one by Richardson iteration.
+    discounted functionals V_U[f]).  A sparse P^U is solved directly.  A
+    matrix-free one comes only from a FactoredAssembly, whose discount is one
+    scalar, and is solved by bracketed fixed-point iteration
+    (_bracketed_iteration) from warm_start, to a sup-norm value error of at
+    most options.iterative_tol * (1 + |V|) within options.vi_max_iterations
+    steps.  Either way the result must meet the RESIDUAL_REL residual contract.
     """
     asm = get_assembly(mdp)
     policy = np.asarray(policy, dtype=np.int64)
@@ -226,7 +232,7 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
         except RuntimeError as exc:  # singular factorization
             raise SingularSystem(str(exc)) from None
     else:
-        values = _richardson(r_u, op, disc, options, warm_start=warm_start)
+        values = _bracketed_iteration(r_u, op, disc, options, warm_start=warm_start)
 
     residual = np.abs(values - (r_u + disc * (op @ values))).max()
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
@@ -235,19 +241,31 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
     return values
 
 
-def _richardson(r_u, op, disc, options, warm_start=None):
-    """Fixed-point iteration V <- r_U + diag(alpha) P^U V; contraction max(alpha)."""
-    alpha_bar = float(np.max(disc))
-    if alpha_bar >= 1.0:
+def _bracketed_iteration(r_u, op, disc, options, warm_start=None):
+    """Fixed-point iteration V <- r_U + alpha P^U V with MacQueen-Porteus bounds.
+
+    For a stochastic P^U and one scalar discount alpha, the increment
+    d = V_{n+1} - V_n of each step brackets the solution:
+    V_U in V_{n+1} + alpha/(1-alpha) [min d, max d] (MacQueen 1966; Porteus
+    1971; Puterman 1994, 6.6.3).  The loop stops once half that bracket is at
+    most iterative_tol * (1 + |V_{n+1}|) and returns its midpoint.  The
+    bracket removes the constant mode of P^U (eigenvalue 1) exactly, so the
+    step count follows the rest of the spectrum, not 1 / (1 - alpha).
+    """
+    alpha = float(disc[0])
+    if np.any(disc != alpha):
+        raise ValueError("matrix-free evaluation needs one scalar discount")
+    if alpha >= 1.0:
         raise SingularSystem("iterative evaluation requires discounts < 1")
+    scale = alpha / (1.0 - alpha)
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    check_every = 25
-    for it in range(options.vi_max_iterations):
-        v = r_u + disc * (op @ v)
-        if (it + 1) % check_every == 0:
-            residual = np.abs(v - (r_u + disc * (op @ v))).max()
-            if residual <= options.iterative_tol * (1.0 + np.abs(v).max()):
-                return v
+    for _ in range(options.vi_max_iterations):
+        v_next = r_u + alpha * (op @ v)
+        d = v_next - v
+        lo, hi = d.min(), d.max()
+        if 0.5 * scale * (hi - lo) <= options.iterative_tol * (1.0 + np.abs(v_next).max()):
+            return v_next + 0.5 * scale * (hi + lo)
+        v = v_next
     raise MaxIterationsExceeded(options.vi_max_iterations, "policy evaluation (iterative)")
 
 

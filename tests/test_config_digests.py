@@ -1,26 +1,40 @@
 """Shipped configs reproduce their CSVs byte for byte.
 
-Two files under tests/data list, in `sha256sum` format, the digest of every
-CSV that `taylordp <mode> --config configs/<stem>.ini` writes, where <mode>
-is the config's own `mode`:
+Three files under tests/data list, in `sha256sum` format, digests of the CSVs
+that `taylordp <mode> --config configs/<stem>.ini` writes, where <mode> is
+the config's own `mode`:
 
   * config_csv.sha256: the solve-tapi configs (the fine value/policy file
-    and the chain dump), recorded before the fine-lattice stages (action
-    enumeration, factored assembly, Taylored greedy) became whole-lattice
-    array passes, so this test pins those rewrites to the per-state code's
-    exact output;
+    and the chain dump), first recorded before the fine-lattice stages
+    (action enumeration, factored assembly, Taylored greedy) became
+    whole-lattice array passes, so this test pins those rewrites to the
+    per-state code's exact output;
   * exact_csv.sha256: the solve-exact configs (the fine value/policy file),
-    recorded before the tabular and factored assemblies shared one policy
-    operator and the two CLI solve paths became one, so it pins both the
-    direct (tabular) and the Richardson (factored) evaluation.
+    so it pins both the direct (tabular) and the bracketed iterative
+    (factored) evaluation;
+  * policy_csv.sha256: every fine value/policy file of both kinds with its
+    `value` column dropped, so the chosen actions are pinned on their own.
+    A change to the evaluation's rounding moves the value digests of the
+    routing configs but must leave these unchanged.
 
 The digests belong to numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64,
 OpenBLAS).  Another numpy/scipy version may round the linear solves
 differently in the last bit, which changes the CSV bytes without any change
-to this package; re-record the files from a known-good commit in that case.
+to this package.  Re-record from the current checkout with
+
+    python tests/test_config_digests.py --record            # value/chain CSVs
+    python tests/test_config_digests.py --record --policy   # policy digests
+
+and check the diff of tests/data: a change that should keep the policies
+must not touch policy_csv.sha256.
 """
 
+import argparse
+import csv
+import functools
 import hashlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,19 +43,23 @@ from taylordp.cli import main
 from taylordp.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+DIGEST_FILES = {"solve-tapi": "config_csv.sha256", "solve-exact": "exact_csv.sha256"}
+POLICY_FILE = "policy_csv.sha256"
 
 
 def _digests(file_name):
     digests = {}
-    for line in (ROOT / "tests" / "data" / file_name).read_text().splitlines():
+    for line in (DATA / file_name).read_text().splitlines():
         digest, name = line.split()
         stem, csv_name = name.split("/")
         digests.setdefault(stem, {})[csv_name] = digest
     return digests
 
 
-TAPI_DIGESTS = _digests("config_csv.sha256")
-EXACT_DIGESTS = _digests("exact_csv.sha256")
+TAPI_DIGESTS = _digests(DIGEST_FILES["solve-tapi"])
+EXACT_DIGESTS = _digests(DIGEST_FILES["solve-exact"])
+POLICY_DIGESTS = _digests(POLICY_FILE)
 
 
 def _stems(digests):
@@ -49,20 +67,83 @@ def _stems(digests):
             for s in sorted(digests)]
 
 
-def _written_digests(stem, out_dir):
-    """Run the config through the subcommand its mode names; digest its CSVs."""
+def _policy_digest(path):
+    """sha256 of a value/policy CSV with its `value` column dropped (None
+    for a CSV without one)."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    if "value" not in rows[0]:
+        return None
+    col = rows[0].index("value")
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(row[:col] + row[col + 1:] for row in rows)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _run(stem, out_dir):
+    """Run the config through the subcommand its mode names.
+
+    Returns ({csv name: sha256}, {value/policy csv name: policy digest}).
+    """
     config = ROOT / "configs" / f"{stem}.ini"
     rc = main([load_config(config).mode, "--config", str(config), "--out-dir", str(out_dir)])
     assert rc == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out_dir.glob("*.csv"))}
+    paths = sorted(Path(out_dir).glob("*.csv"))
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    policies = {p.name: _policy_digest(p) for p in paths}
+    return files, {name: d for name, d in policies.items() if d is not None}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Per-stem run results, each config solved once per module."""
+    return functools.lru_cache(maxsize=None)(
+        lambda stem: _run(stem, tmp_path_factory.mktemp(stem)))
 
 
 @pytest.mark.parametrize("stem", _stems(TAPI_DIGESTS))
-def test_shipped_tapi_config_csvs_are_byte_identical(stem, tmp_path):
-    assert _written_digests(stem, tmp_path) == TAPI_DIGESTS[stem]
+def test_shipped_tapi_config_csvs_are_byte_identical(stem, written):
+    assert written(stem)[0] == TAPI_DIGESTS[stem]
 
 
 @pytest.mark.parametrize("stem", _stems(EXACT_DIGESTS))
-def test_shipped_exact_config_csvs_are_byte_identical(stem, tmp_path):
-    assert _written_digests(stem, tmp_path) == EXACT_DIGESTS[stem]
+def test_shipped_exact_config_csvs_are_byte_identical(stem, written):
+    assert written(stem)[0] == EXACT_DIGESTS[stem]
+
+
+@pytest.mark.parametrize("stem", _stems(POLICY_DIGESTS))
+def test_shipped_config_policies_are_byte_identical(stem, written):
+    assert written(stem)[1] == POLICY_DIGESTS[stem]
+
+
+def _write(file_name, digests):
+    """Rewrite a digest file, keeping the order of the lines it already has."""
+    path = DATA / file_name
+    old = [line.split()[1] for line in path.read_text().splitlines()] if path.exists() else []
+    order = [n for n in old if n in digests] + sorted(set(digests) - set(old))
+    path.write_text("".join(f"{digests[n]}  {n}\n" for n in order))
+    print(f"wrote {len(order)} digests to tests/data/{file_name}")
+
+
+def _record(policy: bool) -> None:
+    """Rewrite the digest files from the current checkout's outputs."""
+    digests = {name: {} for name in [*DIGEST_FILES.values(), POLICY_FILE]}
+    for config in sorted((ROOT / "configs").glob("*.ini")):
+        mode = load_config(config).mode
+        if mode not in DIGEST_FILES:
+            continue
+        with tempfile.TemporaryDirectory() as out_dir:
+            files, policies = _run(config.stem, out_dir)
+        digests[DIGEST_FILES[mode]].update({f"{config.stem}/{n}": d for n, d in files.items()})
+        digests[POLICY_FILE].update({f"{config.stem}/{n}": d for n, d in policies.items()})
+    for name in [POLICY_FILE] if policy else DIGEST_FILES.values():
+        _write(name, digests[name])
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--record", action="store_true", required=True,
+                        help="rewrite the digest files from the current checkout")
+    parser.add_argument("--policy", action="store_true",
+                        help=f"rewrite {POLICY_FILE} instead of the value/chain digests")
+    _record(parser.parse_args().policy)

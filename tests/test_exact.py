@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,56 @@ def test_argmax_tie_break_first_lexicographic():
                      lambda s, u: 1.0, 0.5)
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [0]
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [0]
+
+
+@functools.lru_cache(maxsize=None)
+def _routing2_pi(alpha):
+    """The 441-state 2-pool instance (factored) and its optimal policy."""
+    from taylordp.models.routing import build_routing, table_params
+    model = build_routing(table_params(J=2, alpha=alpha, lam_factor=0.8))
+    return model.mdp, tdp.policy_iteration(model.mdp)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999])
+def test_factored_evaluation_value_error_bound(alpha):
+    # oracle: dense direct solve with P^U materialized column by column
+    from taylordp.exact import get_assembly
+    mdp, pi = _routing2_pi(alpha)
+    asm = get_assembly(mdp)
+    op = asm.policy_operator(pi.policy)
+    eye = np.eye(mdp.n_states)
+    P = np.column_stack([op @ eye[:, j] for j in range(mdp.n_states)])
+    v_direct = np.linalg.solve(np.eye(mdp.n_states) - alpha * P,
+                               asm.policy_rewards(pi.policy))
+    rng = np.random.default_rng(7)
+    warm = v_direct * (1.0 + 0.01 * rng.standard_normal(mdp.n_states))
+    tol = tdp.SolveOptions().iterative_tol
+    for start in (None, warm):
+        v = tdp.policy_evaluation(mdp, pi.policy, warm_start=start)
+        assert np.abs(v - v_direct).max() <= tol * (1.0 + np.abs(v).max())
+
+
+def test_factored_evaluation_matvec_count(monkeypatch):
+    # the bracket removes the constant mode of P^U, whose 1 / (1 - alpha)
+    # time scale would otherwise set the step count: about 90 products here
+    from taylordp.exact import get_assembly
+    mdp, pi = _routing2_pi(0.999)
+    asm = get_assembly(mdp)
+    calls = []
+    apply = asm.apply_expectation
+    monkeypatch.setattr(asm, "apply_expectation", lambda v: calls.append(1) or apply(v))
+    tdp.policy_evaluation(mdp, pi.policy)
+    assert 0 < len(calls) <= 200
+
+
+def test_factored_evaluation_max_iterations(routing2):
+    pol = np.zeros(routing2.mdp.n_states, dtype=np.int64)
+    with pytest.raises(MaxIterationsExceeded):
+        tdp.policy_evaluation(routing2.mdp, pol, tdp.SolveOptions(vi_max_iterations=3))
+
+
+def test_factored_evaluation_needs_scalar_discount():
+    # the bracket holds for one scalar discount only; chains take the direct solve
+    from taylordp.exact import _bracketed_iteration
+    with pytest.raises(ValueError):
+        _bracketed_iteration(np.ones(2), np.eye(2), np.array([0.5, 0.9]), tdp.SolveOptions())
