@@ -129,13 +129,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError("alpha must lie in (0, 1)")
-    if cfg.h < 1:
-        raise ConfigError("h must be a positive integer")
-    if cfg.improvement not in ("approx", "exact"):
-        raise ConfigError("improvement must be approx or exact")
-    if cfg.disaggregation not in ("multilinear", "pc"):
-        raise ConfigError("disaggregation must be multilinear or pc")
-    if cfg.policy_extension not in ("tcp_greedy", "pc"):
-        raise ConfigError("policy_extension must be tcp_greedy or pc")
-    if cfg.scheme not in ("inflate", "upwind"):
-        raise ConfigError("scheme must be inflate or upwind")
+    try:
+        cfg.tapi_options()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

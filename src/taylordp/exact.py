@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import MaxIterationsExceeded, SingularSystem
+from .errors import InfeasibleAction, MaxIterationsExceeded, SingularSystem
 from .lattice import LatticeMdp
 
 ARGMAX_TOL = 1e-12
@@ -62,13 +62,25 @@ class _PairAssembly:
         self.discounts = np.asarray(discounts, dtype=np.float64)
         self.n_states = len(self.offsets) - 1
         self.n_pairs = len(self.rewards)
-        self._disc_per_pair = np.repeat(self.discounts, np.diff(self.offsets))
+        self._counts = np.diff(self.offsets)
+        self._disc_per_pair = np.repeat(self.discounts, self._counts)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         return self.rewards + self._disc_per_pair * self.expectations(values)
 
     def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
-        return self.offsets[:-1] + np.asarray(policy, dtype=np.int64)
+        """The pair each state's action index selects.
+
+        An index outside its state's action range raises InfeasibleAction
+        with the flat state index.
+        """
+        policy = np.asarray(policy, dtype=np.int64)
+        if policy.shape != (self.n_states,):
+            raise ValueError("policy must assign one action index per state")
+        bad = np.flatnonzero((policy < 0) | (policy >= self._counts))
+        if bad.size:
+            raise InfeasibleAction(int(bad[0]), int(policy[bad[0]]))
+        return self.offsets[:-1] + policy
 
     def policy_rewards(self, policy: np.ndarray) -> np.ndarray:
         return self.rewards[self.policy_pairs(policy)]
@@ -269,14 +281,11 @@ def _bracketed_iteration(r_u, op, disc, options, warm_start=None):
     raise MaxIterationsExceeded(options.vi_max_iterations, "policy evaluation (iterative)")
 
 
-def policy_improvement(mdp, values, return_q: bool = False):
+def policy_improvement(mdp, values):
     """Greedy policy: argmax_u r(x,u) + alpha(x) E_x^u[V], first maximizer wins."""
     asm = get_assembly(mdp)
     q = asm.q_values(np.asarray(values, dtype=np.float64))
-    q_max, policy = segmented_argmax(q, asm.offsets)
-    if return_q:
-        return policy, q_max
-    return policy
+    return segmented_argmax(q, asm.offsets)[1]
 
 
 @dataclass

@@ -326,7 +326,7 @@ class KdChain:
 def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") -> KdChain:
     """Assemble the K-D chain for all grid states and feasible actions.
 
-    grid is a CoarseGrid or an integer spacing h for CoarseGrid.from_lattice.
+    grid is a CoarseGrid, or an integral spacing h for CoarseGrid.from_lattice.
     Interior rows discretize L_u with the central/fallback stencil, built in
     one pass over every interior (grid point, action) pair; boundary rows
     realize the problem's boundary condition.  Cross-derivative mass in
@@ -336,7 +336,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     """
     mdp = problem.mdp
     alpha = mdp.discount
-    if isinstance(grid, int):
+    if not isinstance(grid, CoarseGrid):
         grid = CoarseGrid.from_lattice(mdp.lattice, grid)
     boundary = problem.boundary
     n, d = grid.n_points, grid.dim

@@ -294,13 +294,12 @@ def enumerate_actions(mdp: LatticeMdp, state) -> tuple:
     return mdp.actions.at(tuple(state))
 
 
-def max_jump(mdp: LatticeMdp, policy: np.ndarray) -> int:
-    """Largest jump radius under the policy: max_x ceil(|y - x|_2) over P(x,y) > 0."""
-
+def _max_radius(mdp: LatticeMdp, pairs) -> int:
+    """ceil of the largest |y - x|_2 over P(x, y) > 0 of the (state index, action index) pairs."""
     states = mdp.lattice.states()
     worst = 0.0
-    for i in range(mdp.n_states):
-        row = mdp.row(i, int(policy[i]))
+    for i, a in pairs:
+        row = mdp.row(i, a)
         live = row.targets[row.probs > 0.0]
         if live.size == 0:
             continue
@@ -309,18 +308,12 @@ def max_jump(mdp: LatticeMdp, policy: np.ndarray) -> int:
     return int(math.ceil(worst - 1e-12))
 
 
+def max_jump(mdp: LatticeMdp, policy: np.ndarray) -> int:
+    """Largest jump radius under the policy: max_x ceil(|y - x|_2) over P(x,y) > 0."""
+    return _max_radius(mdp, ((i, int(policy[i])) for i in range(mdp.n_states)))
+
+
 def uniform_max_jump(mdp: LatticeMdp) -> int:
     """max_jump maximized over all feasible actions (the uniform jump bound)."""
-
-    states = mdp.lattice.states()
-    worst = 0.0
-    counts = np.diff(mdp.action_table()[1])
-    for i in range(mdp.n_states):
-        for a in range(counts[i]):
-            row = mdp.row(i, a)
-            live = row.targets[row.probs > 0.0]
-            if live.size == 0:
-                continue
-            diff = states[live] - states[i]
-            worst = max(worst, float(np.sqrt((diff.astype(float) ** 2).sum(axis=1)).max()))
-    return int(math.ceil(worst - 1e-12))
+    counts = np.diff(mdp.action_table()[1]).tolist()
+    return _max_radius(mdp, ((i, a) for i in range(mdp.n_states) for a in range(counts[i])))

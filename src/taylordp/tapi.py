@@ -17,10 +17,17 @@ The coarse solution is then carried back to the fine lattice:
     uses, fed with each state's own drift/diffusion and interpolated coarse
     values ("tcp_greedy", the default) -- or piecewise-constant from the
     nearest interior grid point with infeasible actions projected to the
-    nearest feasible one (L1 distance, lexicographic tie).  In the pc mode,
-    actions at boundary grid states are not identified by the chain's
+    nearest feasible one (L1 distance, first action on a tie).  In the pc
+    mode, actions at boundary grid states are not identified by the chain's
     reflecting rows and are completed by a one-step greedy on the fine
     model against the extended value.
+
+A grid point's chain actions are the fine actions of its lattice state (an
+oblique boundary point keeps only the first), so policies move between the
+chain and the lattice by action-table index: the pc projection is one pass
+over every fine (state, action) pair, and restricting a fine policy to the
+grid is a gather.  Only the boundary completion stays per state, because it
+needs one true kernel row per boundary grid point and action.
 
 With improvement="exact", the greedy-on-the-chain step is replaced by a
 fine-lattice greedy against the disaggregated value (the true kernel, not
@@ -31,8 +38,7 @@ are detected and capped.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -53,12 +59,11 @@ class TapiOptions:
     policy_extension: str = "tcp_greedy"  # tcp_greedy | pc
     one_step: bool = False               # final exact improvement on the fine lattice
     scheme: str = "inflate"              # small-drift fallback: inflate | upwind
-    evaluate_fine: bool = True
-    solve: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
         if self.h < 1 or int(self.h) != self.h:
             raise ValueError("h must be a positive integer")
+        object.__setattr__(self, "h", int(self.h))
         if self.improvement not in ("approx", "exact"):
             raise ValueError("improvement must be 'approx' or 'exact'")
         if self.disaggregation not in ("multilinear", "pc"):
@@ -76,7 +81,7 @@ class TapiResult:
     coarse_policy: np.ndarray
     fine_policy: np.ndarray              # policy actually returned (after one-step if enabled)
     disaggregated_policy: np.ndarray     # fine-lattice extension of the coarse policy
-    fine_values: Optional[np.ndarray]    # exact evaluation of fine_policy, if requested
+    fine_values: np.ndarray              # exact evaluation of fine_policy
     iterations: int
     wall_time: float
     oscillated: bool = False
@@ -87,13 +92,13 @@ class TapiResult:
 # ---------------------------------------------------------------------------
 
 def disaggregate_value(coarse_values: np.ndarray, grid: CoarseGrid, lattice,
-                       mode: str = "multilinear", boundary: str = "include") -> np.ndarray:
+                       mode: str = "multilinear") -> np.ndarray:
     """Extend a coarse value vector to every fine-lattice state.
 
-    boundary="drop" interpolates over interior grid planes only and
-    extrapolates linearly into the boundary cells; it is what TAPI uses
-    internally, because reflecting-boundary values are duplicates of their
-    inward neighbors by construction.
+    "multilinear" interpolates over interior grid planes only and
+    extrapolates linearly into the boundary cells, because
+    reflecting-boundary values are duplicates of their inward neighbors by
+    construction; "pc" copies the nearest grid point's value.
     """
     fine = lattice.states().astype(np.float64)
     v = np.asarray(coarse_values, dtype=np.float64)
@@ -101,24 +106,19 @@ def disaggregate_value(coarse_values: np.ndarray, grid: CoarseGrid, lattice,
         return v[grid.nearest_index(fine)]
     if mode != "multilinear":
         raise ValueError(f"unknown disaggregation mode {mode!r}")
-    return _extension_interpolator(v, grid, boundary)(fine)
+    return _extension_interpolator(v, grid)(fine)
 
 
-def _action_vec(u):
-    return np.atleast_1d(np.asarray(u, dtype=np.float64))
+def _nearest_actions(U: np.ndarray, offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per state, the index of its action nearest the state's target action.
 
-
-def project_action(action, feasible):
-    """Nearest feasible action in L1 distance; lexicographic tie-break."""
-    if action in feasible:
-        return feasible.index(action)
-    target = _action_vec(action)
-    best, best_idx = None, 0
-    for k, cand in enumerate(feasible):
-        dist = float(np.abs(_action_vec(cand) - target).sum())
-        if best is None or dist < best - 1e-12:
-            best, best_idx = dist, k
-    return best_idx
+    U and offsets are an action table, targets one action per state.  The
+    distance is L1 and the first action within 1e-12 of the nearest wins.
+    """
+    U = U.reshape(len(U), -1).astype(np.float64)
+    targets = np.asarray(targets, dtype=np.float64).reshape(len(offsets) - 1, -1)
+    dist = np.abs(U - np.repeat(targets, np.diff(offsets), axis=0)).sum(axis=1)
+    return segmented_argmax(-dist, offsets, 1e-12)[1]
 
 
 def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeMdp,
@@ -129,48 +129,42 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     reflecting rows carry no action information); grid states keep their own.
     Boundary grid states are completed by a fine one-step greedy against
     fine_value.  Inherited actions infeasible at the destination are
-    projected to the nearest feasible action.
+    projected to the nearest feasible action (_nearest_actions).
     """
     grid = chain.grid
     lattice = mdp.lattice
     if not chain.interior_mask.any():
         raise ValueError("chain has no interior states")
+    U, offsets = mdp.action_table()
 
-    # coarse actions as objects
-    coarse_actions = [chain.actions_at(i)[int(coarse_policy[i])] for i in range(chain.n_states)]
+    # the (state, action) pair each grid point chose: chain action indices
+    # are action-table indices at the grid point's lattice state
+    grid_state = lattice.indices_of(grid.points())
+    chosen = offsets[grid_state] + np.asarray(coarse_policy, dtype=np.int64)
 
     # completion at boundary grid states
-    grid_state = lattice.indices_of(grid.points())
     for gi in np.flatnonzero(~chain.interior_mask):
         si = int(grid_state[gi])
-        acts = mdp.actions_at(si)
-        q = np.empty(len(acts))
-        for a in range(len(acts)):
+        q = np.empty(offsets[si + 1] - offsets[si])
+        for a in range(len(q)):
             row = mdp.row(si, a)
             q[a] = mdp.reward_value(si, a) + mdp.discount * row.expectation(fine_value)
-        coarse_actions[gi] = acts[int(np.flatnonzero(q >= q.max() - 1e-12)[0])]
+        chosen[gi] = offsets[si] + int(np.flatnonzero(q >= q.max() - 1e-12)[0])
 
-    # nearest source grid point for every fine state
-    fine_states = lattice.states()
-    # restricted nearest over interior grid points (per-axis clamp into interior)
+    # nearest interior grid point for every fine state (per-axis clamp into the interior)
     clamped_axes = []
     for ax in grid.axes:
         clamped_axes.append(ax[1:-1] if len(ax) >= 3 else ax)
     interior_grid = CoarseGrid(tuple(clamped_axes))
-    near_int = interior_grid.nearest_index(fine_states)
+    near_int = interior_grid.nearest_index(lattice.states())
     # map interior-grid flat index -> chain grid flat index
-    int_shape = interior_grid.shape
-    pos = np.unravel_index(near_int, int_shape)
+    pos = np.unravel_index(near_int, interior_grid.shape)
     full_pos = tuple(p + (1 if len(ax) >= 3 else 0) for p, ax in zip(pos, grid.axes))
-    near_int_full = np.ravel_multi_index(full_pos, grid.shape)
+    source = np.ravel_multi_index(full_pos, grid.shape)
 
     # grid states keep their own action, every other state its nearest interior one
-    source = near_int_full.copy()
     source[grid_state] = np.arange(chain.n_states)
-    policy = np.empty(lattice.n_states, dtype=np.int64)
-    for si, gi in enumerate(source.tolist()):
-        policy[si] = project_action(coarse_actions[gi], mdp.actions_at(si))
-    return policy
+    return _nearest_actions(U, offsets, U[chosen[source]])
 
 
 def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
@@ -219,11 +213,14 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     return segmented_argmax(q, offsets, 1e-12)[1]
 
 
-def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid,
-                            boundary: str = "drop"):
+def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):
+    """Multilinear interpolant over the interior grid planes, extrapolating past them.
+
+    Axes with fewer than 4 grid points keep all of them.
+    """
     axes, slices = [], []
     for ax in grid.axes:
-        if boundary == "drop" and len(ax) >= 4:
+        if len(ax) >= 4:
             axes.append(ax[1:-1].astype(np.float64))
             slices.append(slice(1, -1))
         else:
@@ -242,37 +239,45 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     """Policy iteration on the K-D chain, then disaggregation to the lattice.
 
     improvement="exact" runs the exact-improvement loop (_tapi_exact_loop)
-    on the same chain instead of policy iteration on it.
+    on the same chain instead of policy iteration on it.  Either way the
+    optional one-step improvement and the exact evaluation of the returned
+    policy follow.
     """
     t0 = time.perf_counter()
     mdp = problem.mdp
     chain = build_multidim_chain(problem, options.h, scheme=options.scheme)
 
     if options.improvement == "exact":
-        return _tapi_exact_loop(problem, chain, options, t0)
-
-    pi = policy_iteration(chain, options=SolveOptions(max_iterations=options.max_iterations))
-    fine_v = disaggregate_value(pi.values, chain.grid, mdp.lattice, options.disaggregation,
-                                boundary="drop")
-    if options.policy_extension == "tcp_greedy":
-        disagg = taylored_greedy_policy(problem, chain, pi.values, options.scheme)
+        (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
+         oscillated) = _tapi_exact_loop(problem, chain, options)
+        disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
     else:
-        disagg = disaggregate_policy(chain, pi.policy, mdp, fine_value=fine_v)
-    fine_policy = disagg
+        pi = policy_iteration(chain, options=SolveOptions(max_iterations=options.max_iterations))
+        coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
+        oscillated = False
+        fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice, options.disaggregation)
+        if options.policy_extension == "tcp_greedy":
+            disagg = taylored_greedy_policy(problem, chain, coarse_values, options.scheme)
+        else:
+            disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
+        fine_policy = disagg
+
     if options.one_step:
         fine_policy = policy_improvement(mdp, fine_v)
-    fine_values = None
-    if options.evaluate_fine:
-        fine_values = policy_evaluation(mdp, fine_policy, options.solve)
-    return TapiResult(chain, pi.values, pi.policy, fine_policy, disagg, fine_values,
-                      pi.iterations, time.perf_counter() - t0)
+    fine_values = policy_evaluation(mdp, fine_policy)
+    return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
+                      iterations, time.perf_counter() - t0, oscillated)
 
 
-def _tapi_exact_loop(problem, chain, options, t0):
+def _tapi_exact_loop(problem, chain, options):
+    """Evaluate on the chain, improve on the fine lattice, restrict back to the grid.
+
+    Returns (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
+    oscillated), fine_v being the extension of the last coarse_values.
+    """
     mdp = problem.mdp
     grid = chain.grid
     lattice = mdp.lattice
-    grid_state_idx = lattice.indices_of(grid.points())
 
     coarse_policy = np.zeros(chain.n_states, dtype=np.int64)
     seen: dict[bytes, int] = {}
@@ -283,8 +288,7 @@ def _tapi_exact_loop(problem, chain, options, t0):
     for it in range(1, options.max_iterations + 1):
         iterations = it
         coarse_values = policy_evaluation(chain, coarse_policy)
-        fine_v = disaggregate_value(coarse_values, grid, lattice, options.disaggregation,
-                                    boundary="drop")
+        fine_v = disaggregate_value(coarse_values, grid, lattice, options.disaggregation)
         new_fine = policy_improvement(mdp, fine_v)
         if fine_policy is not None and np.array_equal(new_fine, fine_policy):
             fine_policy = new_fine
@@ -295,23 +299,18 @@ def _tapi_exact_loop(problem, chain, options, t0):
             oscillated = True
             break
         seen[key] = it
-        # restrict the fine policy to the grid for the next evaluation
-        for g in range(chain.n_states):
-            acts = chain.actions_at(g)
-            if len(acts) == 1:
-                coarse_policy[g] = 0
-                continue
-            fine_action = mdp.actions_at(int(grid_state_idx[g]))[int(fine_policy[grid_state_idx[g]])]
-            coarse_policy[g] = project_action(fine_action, list(acts))
+        coarse_policy = _restrict_policy(chain, lattice, fine_policy)
     else:
         oscillated = True
+    return coarse_values, coarse_policy, fine_v, fine_policy, iterations, oscillated
 
-    # fine_v is the extension of the last coarse_values
-    disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
-    if options.one_step:
-        fine_policy = policy_improvement(mdp, fine_v)
-    fine_values = None
-    if options.evaluate_fine:
-        fine_values = policy_evaluation(mdp, fine_policy, options.solve)
-    return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
-                      iterations, time.perf_counter() - t0, oscillated)
+
+def _restrict_policy(chain: KdChain, lattice, fine_policy: np.ndarray) -> np.ndarray:
+    """The fine policy at the grid points, as chain action indices.
+
+    A grid point's chain actions are the fine actions of its lattice state,
+    so the index carries over; a point left with one action (an oblique
+    boundary point keeps only the first) takes it.
+    """
+    single = np.diff(chain.assembly().offsets) == 1
+    return np.where(single, 0, fine_policy[lattice.indices_of(chain.grid.points())])

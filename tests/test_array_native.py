@@ -2,8 +2,9 @@
 
 Action tables, the routing factored arrays, the Taylored greedy, the
 ellipticity scan, policy validation, the max-overflow heuristic, the K-D
-chain build and the TCP-equivalence check are each computed once over every
-(state, action) pair.  The reference functions below are the per-state
+chain build, the TCP-equivalence check and the moves of a policy between
+the chain and the lattice are each computed once over every (state, action)
+pair.  The reference functions below are the per-state
 loops they replaced, kept here only as oracles; every comparison is exact
 (the verifier's error maxima, sums in a different order, agree to 1e-15).
 """
@@ -20,11 +21,12 @@ from taylordp.errors import EmptyActionSet, InfeasibleAction
 from taylordp.exact import get_assembly
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
-from taylordp.kdchain import RATE_TOL, KdChain, _stencil_rates, verify_tcp_equivalence
+from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stencil_rates,
+                              verify_tcp_equivalence)
 from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
-from taylordp.tapi import _extension_interpolator
+from taylordp.tapi import _extension_interpolator, _restrict_policy
 from taylordp.taylor import ellipticity_check
 
 
@@ -568,3 +570,104 @@ def test_action_table_built_lazily_once():
     table = model.mdp.action_table()
     model.mdp.actions_at(4)
     assert model.mdp.action_table() is table
+
+
+# ---------------------------------------------------------------------------
+# policies between the K-D chain and the fine lattice
+# ---------------------------------------------------------------------------
+
+def _action_vec(u):
+    return np.atleast_1d(np.asarray(u, dtype=np.float64))
+
+
+def project_action(action, feasible):
+    """Nearest feasible action in L1 distance; lexicographic tie-break."""
+    if action in feasible:
+        return feasible.index(action)
+    target = _action_vec(action)
+    best, best_idx = None, 0
+    for k, cand in enumerate(feasible):
+        dist = float(np.abs(_action_vec(cand) - target).sum())
+        if best is None or dist < best - 1e-12:
+            best, best_idx = dist, k
+    return best_idx
+
+
+def per_state_disaggregate_policy(chain, coarse_policy, mdp, fine_value):
+    """Chain actions as tuples, then one project_action call per fine state."""
+    grid = chain.grid
+    lattice = mdp.lattice
+    coarse_actions = [chain.actions_at(i)[int(coarse_policy[i])] for i in range(chain.n_states)]
+    grid_state = lattice.indices_of(grid.points())
+    for gi in np.flatnonzero(~chain.interior_mask):
+        si = int(grid_state[gi])
+        acts = mdp.actions_at(si)
+        q = np.empty(len(acts))
+        for a in range(len(acts)):
+            row = mdp.row(si, a)
+            q[a] = mdp.reward_value(si, a) + mdp.discount * row.expectation(fine_value)
+        coarse_actions[gi] = acts[int(np.flatnonzero(q >= q.max() - 1e-12)[0])]
+    interior_grid = CoarseGrid(tuple(ax[1:-1] if len(ax) >= 3 else ax for ax in grid.axes))
+    pos = np.unravel_index(interior_grid.nearest_index(lattice.states()), interior_grid.shape)
+    full_pos = tuple(p + (1 if len(ax) >= 3 else 0) for p, ax in zip(pos, grid.axes))
+    source = np.ravel_multi_index(full_pos, grid.shape)
+    source[grid_state] = np.arange(chain.n_states)
+    policy = np.empty(lattice.n_states, dtype=np.int64)
+    for si, gi in enumerate(source.tolist()):
+        policy[si] = project_action(coarse_actions[gi], mdp.actions_at(si))
+    return policy
+
+
+def per_point_restriction(chain, mdp, fine_policy):
+    """The fine action at each grid point, projected onto the chain's actions."""
+    grid_state = mdp.lattice.indices_of(chain.grid.points())
+    coarse = np.zeros(chain.n_states, dtype=np.int64)
+    for g in range(chain.n_states):
+        acts = chain.actions_at(g)
+        if len(acts) == 1:
+            continue
+        si = int(grid_state[g])
+        coarse[g] = project_action(mdp.actions_at(si)[int(fine_policy[si])], list(acts))
+    return coarse
+
+
+# (fixture, boundary variant, h); each chain is checked under three coarse policies
+POLICY_MOVE_CASES = [
+    ("routing3_bench", None, 2), ("routing3_bench", None, 4),
+    ("routing2", None, 1), ("routing2", None, 2), ("routing2", None, 4),
+    ("service_quadratic", None, 1), ("service_quadratic", None, 2),
+    ("inventory_model", None, 1), ("inventory_model", None, 3),
+]
+
+
+def _coarse_policies(chain):
+    """The chain-PI optimum, all zeros and a seeded random feasible policy."""
+    counts = np.diff(chain.assembly().offsets)
+    rng = np.random.default_rng(7)
+    return {"optimal": tdp.policy_iteration(chain).policy,
+            "zeros": np.zeros(chain.n_states, dtype=np.int64),
+            "random": rng.integers(0, counts)}
+
+
+@pytest.mark.parametrize("name,variant,h", POLICY_MOVE_CASES
+                         + [("service_quadratic", _fot, 2)])
+def test_policy_moves_match_per_state_projection(name, variant, h, request):
+    model = request.getfixturevalue(name)
+    problem = variant(model) if variant else model.problem
+    mdp = problem.mdp
+    chain = tdp.build_multidim_chain(problem, h)
+    policies = _coarse_policies(chain)
+    if variant:                   # the boundary case: the optimum only
+        policies = {"optimal": policies["optimal"]}
+    for label, coarse in policies.items():
+        values = tdp.policy_evaluation(chain, coarse)
+        fine_v = tdp.disaggregate_value(values, chain.grid, mdp.lattice)
+        fast = tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
+        assert fast.dtype == np.int64
+        ref = per_state_disaggregate_policy(chain, coarse, mdp, fine_v)
+        assert np.array_equal(fast, ref), label
+        # restriction of the fine greedy (what the exact-improvement loop feeds
+        # back) and of the extension itself
+        for fine in (tdp.policy_improvement(mdp, fine_v), fast):
+            assert np.array_equal(_restrict_policy(chain, mdp.lattice, fine),
+                                  per_point_restriction(chain, mdp, fine)), label

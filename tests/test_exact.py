@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import taylordp as tdp
-from taylordp.errors import MaxIterationsExceeded
+from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
+from taylordp.models import build
 from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
 
 
@@ -247,3 +248,25 @@ def test_factored_evaluation_needs_scalar_discount():
     from taylordp.exact import _bracketed_iteration
     with pytest.raises(ValueError):
         _bracketed_iteration(np.ones(2), np.eye(2), np.array([0.5, 0.9]), tdp.SolveOptions())
+
+
+def test_policy_evaluation_rejects_out_of_range_action_index(routing2):
+    # tabular: 4 controls, so index 4 is one past the end at every state
+    service = build("service_rate", M=20, alpha=0.9, n_controls=4)
+    policy = np.zeros(service.mdp.n_states, dtype=np.int64)
+    policy[3] = 4
+    with pytest.raises(InfeasibleAction):
+        tdp.policy_evaluation(service.mdp, policy)
+    # factored: state 0 (empty system) has a single action
+    policy = np.zeros(routing2.mdp.n_states, dtype=np.int64)
+    policy[0] = 1
+    with pytest.raises(InfeasibleAction):
+        tdp.policy_evaluation(routing2.mdp, policy)
+    # chain: reflecting boundary points keep one action
+    chain = tdp.build_multidim_chain(service.problem, 2)
+    policy = np.zeros(chain.n_states, dtype=np.int64)
+    policy[0] = -1
+    with pytest.raises(InfeasibleAction):
+        tdp.policy_evaluation(chain, policy)
+    with pytest.raises(ValueError, match="one action index per state"):
+        tdp.policy_evaluation(chain, policy[:-1])

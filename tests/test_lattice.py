@@ -8,7 +8,8 @@ from scipy import stats
 
 from taylordp.errors import EmptyActionSet, ZeroInteriorMass
 from taylordp.lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet,
-                              StateLattice, TransitionRow, max_jump, truncate_renormalize)
+                              StateLattice, TransitionRow, max_jump, truncate_renormalize,
+                              uniform_max_jump)
 
 
 def test_index_state_roundtrip_all_states():
@@ -212,3 +213,25 @@ def test_rows_stochastic_across_models(routing2, inventory_model, heavy_queue):
                 row = mdp.row(int(i), a)
                 assert row.probs.min() >= 0.0
                 assert math.isclose(math.fsum(row.probs.tolist()), 1.0, abs_tol=1e-12)
+
+
+def _uniform_jump_reference(mdp):
+    """Largest jump radius over every (state, action) row, one kernel call per pair."""
+    states = mdp.lattice.states()
+    worst = 0.0
+    for i in range(mdp.n_states):
+        for u in mdp.actions_at(i):
+            row = mdp.kernel(mdp.lattice.state(i), u)
+            y = states[row.targets[row.probs > 0.0]]
+            if len(y):
+                worst = max(worst, float(np.linalg.norm(y - states[i], axis=1).max()))
+    return math.ceil(worst - 1e-12)
+
+
+@pytest.mark.parametrize("name", ["inventory_model", "routing2"])
+def test_uniform_max_jump_matches_per_row_scan(name, request):
+    mdp = request.getfixturevalue(name).mdp
+    expected = _uniform_jump_reference(mdp)
+    assert uniform_max_jump(mdp) == expected
+    # no single policy jumps farther than the uniform bound
+    assert max_jump(mdp, np.zeros(mdp.n_states, dtype=np.int64)) <= expected

@@ -7,7 +7,7 @@ import taylordp as tdp
 from taylordp.kdchain import CoarseGrid
 from taylordp.lattice import StateLattice
 from taylordp.models import build
-from taylordp.tapi import (TapiOptions, disaggregate_value, project_action,
+from taylordp.tapi import (TapiOptions, _nearest_actions, disaggregate_value,
                            taylored_greedy_policy)
 
 
@@ -15,9 +15,13 @@ def test_disaggregate_value_on_grid_points():
     lat = StateLattice((0,), (8,))
     grid = CoarseGrid.from_lattice(lat, 2)
     v = np.array([0.0, 4.0, 6.0, 7.0, 7.5])
-    for mode in ("pc", "multilinear"):
-        fine = disaggregate_value(v, grid, lat, mode)
-        assert fine[::2] == pytest.approx(v)
+    assert disaggregate_value(v, grid, lat, "pc")[::2] == pytest.approx(v)
+    # multilinear: exact on the interior grid points, linear extrapolation of
+    # the interior planes at the (duplicate) reflecting boundary points
+    fine = disaggregate_value(v, grid, lat, "multilinear")
+    assert fine[2:7:2] == pytest.approx(v[1:4])
+    assert fine[0] == pytest.approx(2 * v[1] - v[2])
+    assert fine[8] == pytest.approx(2 * v[3] - v[2])
 
 
 def test_disaggregate_value_hand_example():
@@ -48,11 +52,32 @@ def test_options_reject_unknown_scheme():
     assert TapiOptions(scheme="upwind").scheme == "upwind"
 
 
+@pytest.mark.parametrize("h", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_integral_h_solves_as_int(h):
+    model = build("service_rate", M=30, alpha=0.9, cost="quadratic")
+    opts = TapiOptions(h=h)
+    assert type(opts.h) is int and opts.h == 2
+    res, ref = (tdp.tapi_solve(model.problem, o) for o in (opts, TapiOptions(h=2)))
+    assert np.array_equal(res.coarse_values, ref.coarse_values)
+    assert np.array_equal(res.fine_policy, ref.fine_policy)
+    assert np.array_equal(res.fine_values, ref.fine_values)
+
+
+def test_chain_rejects_non_integral_h(service_quadratic):
+    with pytest.raises(ValueError, match="positive integer"):
+        tdp.build_multidim_chain(service_quadratic.problem, 2.5)
+    with pytest.raises(ValueError, match="positive integer"):
+        TapiOptions(h=2.5)
+
+
 def test_project_action_feasibility():
-    feas = [(0, 0), (0, 1), (2, 0)]
-    assert project_action((0, 1), feas) == 1          # already feasible
-    assert project_action((3, 0), feas) == 2          # L1-nearest
-    assert project_action((1, 1), feas) == 1          # tie (0,1) vs (2,0): first wins
+    # three states with the same feasible set, one target action each
+    U = np.array([(0, 0), (0, 1), (2, 0)] * 3)
+    offsets = np.array([0, 3, 6, 9])
+    targets = np.array([(0, 1),     # already feasible
+                        (3, 0),     # L1-nearest
+                        (1, 1)])    # tie (0,1) vs (2,0): first wins
+    assert _nearest_actions(U, offsets, targets).tolist() == [1, 2, 1]
 
 
 def _single_action_model():
@@ -61,7 +86,7 @@ def _single_action_model():
 
 def test_tapi_single_action_one_iteration():
     model = _single_action_model()
-    res = tdp.tapi_solve(model.problem, TapiOptions(h=2, evaluate_fine=False))
+    res = tdp.tapi_solve(model.problem, TapiOptions(h=2))
     assert res.iterations == 1
     # the coarse value solves the chain's linear system
     chain = res.chain
@@ -72,7 +97,7 @@ def test_tapi_single_action_one_iteration():
 def test_tapi_equals_pi_on_chain(service_quadratic):
     # structural equivalence: the TAPI fixed point is policy iteration on the
     # chain, state for state and action for action
-    opts = TapiOptions(h=2, evaluate_fine=False)
+    opts = TapiOptions(h=2)
     res = tdp.tapi_solve(service_quadratic.problem, opts)
     chain = tdp.build_multidim_chain(service_quadratic.problem, 2)
     pi = tdp.policy_iteration(chain)
@@ -91,10 +116,9 @@ def test_tapi_chain_iterates_monotone(service_quadratic, routing2, inventory_mod
 
 
 def test_disaggregated_policy_feasible_everywhere(routing2):
-    res = tdp.tapi_solve(routing2.problem, TapiOptions(h=2, evaluate_fine=False))
+    res = tdp.tapi_solve(routing2.problem, TapiOptions(h=2))
     routing2.mdp.validate_policy(res.fine_policy)
-    res_pc = tdp.tapi_solve(routing2.problem,
-                            TapiOptions(h=2, policy_extension="pc", evaluate_fine=False))
+    res_pc = tdp.tapi_solve(routing2.problem, TapiOptions(h=2, policy_extension="pc"))
     routing2.mdp.validate_policy(res_pc.fine_policy)
     routing2.mdp.validate_policy(res_pc.disaggregated_policy)
 
@@ -116,7 +140,7 @@ def test_exact_improvement_variant_single_action_matches_tapi():
 
 def test_exact_improvement_cap_sets_flag(routing2):
     res = tdp.tapi_solve(routing2.problem, TapiOptions(h=4, improvement="exact",
-                                                       max_iterations=1, evaluate_fine=False))
+                                                       max_iterations=1))
     assert res.oscillated
     assert res.fine_policy is not None
     routing2.mdp.validate_policy(res.fine_policy)
