@@ -48,10 +48,11 @@ class SmoothFunction:
 
 
 class GridFunction1d(SmoothFunction):
-    """Values on a one-dimensional lattice with finite-difference derivatives.
+    """Values on a one-dimensional grid lower, lower + h, ... with finite-difference derivatives.
 
     Centered differences inside, one-sided at the two edge states; the
-    one_sided mask flags where the fallback was used.
+    one_sided mask flags where the fallback was used.  Coordinates off the
+    grid points raise OutOfStencilRange.
     """
 
     def __init__(self, values: np.ndarray, lower: int = 0, h: float = 1.0):
@@ -62,12 +63,20 @@ class GridFunction1d(SmoothFunction):
         self.one_sided = np.zeros(len(v), dtype=bool)
         self.one_sided[[0, -1]] = True
 
+        def index(coords):
+            c = np.asarray(coords, dtype=np.float64).reshape(-1)
+            pos = (c - lower) / self.h
+            idx = np.rint(pos).astype(int)
+            off = (idx < 0) | (idx >= len(v)) | (np.abs(pos - idx) > 1e-9)
+            if off.any():
+                raise OutOfStencilRange(f"coordinate {c[off][0]} is not a grid point")
+            return idx
+
         def value(coords):
-            idx = np.rint(np.atleast_1d(coords).reshape(-1) - lower).astype(int)
-            return v[idx]
+            return v[index(coords)]
 
         def grad(x):
-            i = int(round(float(np.atleast_1d(x)[0]) - lower))
+            i = int(index(x)[0])
             if 0 < i < len(v) - 1:
                 return (v[i + 1] - v[i - 1]) / (2 * self.h)
             if i == 0:
@@ -75,8 +84,7 @@ class GridFunction1d(SmoothFunction):
             return (v[-1] - v[-2]) / self.h
 
         def hess(x):
-            i = int(round(float(np.atleast_1d(x)[0]) - lower))
-            i = min(max(i, 1), len(v) - 2)
+            i = min(max(int(index(x)[0]), 1), len(v) - 2)
             return (v[i + 1] - 2 * v[i] + v[i - 1]) / self.h ** 2
 
         super().__init__(value, grad, hess)

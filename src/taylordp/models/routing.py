@@ -196,6 +196,19 @@ class RoutingModel:
 
         self._moments_batch = moments_batch
 
+        # the moments see a pair only through (nets, n_busy); both are
+        # integers bounded by the lattice, so one mixed-radix code names them
+        span = np.asarray(upper) - np.asarray(lattice.lower)
+        class_dims = tuple(2 * span + 1) + tuple(N + 1)
+
+        def moment_classes(states, U) -> np.ndarray:
+            # pool-major (J, k) columns: long inner loops for the elementwise steps
+            x = np.asarray(states, dtype=np.int64).reshape(-1, J).T
+            nets = (net @ np.asarray(U, dtype=np.float64).reshape(-1, m).T).astype(np.int64)
+            n_busy = np.minimum(x + nets, N[:, None])
+            digits = tuple(nets + span[:, None]) + tuple(n_busy)
+            return np.ravel_multi_index(digits, class_dims).astype(np.int64, copy=False)
+
         def eta(state):
             x = np.asarray(state)
             e = np.zeros(J)
@@ -205,7 +218,8 @@ class RoutingModel:
 
         self.boundary_spec = BoundarySpec(kind="oblique", eta=eta)
         self.problem = TaylorProblem(self.mdp, moments, self.boundary_spec,
-                                     moments_batch=moments_batch)
+                                     moments_batch=moments_batch,
+                                     moment_classes=moment_classes)
 
     def _build_factored(self) -> FactoredAssembly:
         mdp = self.mdp

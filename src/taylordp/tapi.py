@@ -46,7 +46,7 @@ from scipy.interpolate import RegularGridInterpolator
 from .exact import (SolveOptions, get_assembly, policy_evaluation, policy_improvement,
                     policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
-from .lattice import LatticeMdp
+from .lattice import LatticeMdp, StateLattice
 from .taylor import TaylorProblem
 
 
@@ -178,30 +178,46 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     r(x,u) + alpha L_u V(x) - (1-alpha) V(x) over the feasible actions.
     All (state, action) pairs are scored in one pass over the action table;
     ties go to the first action within 1e-12.
+
+    With a problem.moment_classes hook, moments and stencil rates are
+    computed once per moment class and gathered back to the pairs; without
+    it, once per pair.  Every stencil target x + h e is a point of the
+    lattice grown by h on each side, so the extension is interpolated once
+    on that padded box and both the targets and the centers are gathered
+    from it by flat index.
     """
     mdp = problem.mdp
     lattice = mdp.lattice
     alpha = mdp.discount
-    grid = chain.grid
     d = lattice.dim
-    h = float(max(int(ax[1] - ax[0]) for ax in grid.axes))
-    hvec = np.full(d, h)
+    h = int(max(ax[1] - ax[0] for ax in chain.grid.axes))
+    hvec = np.full(d, float(h))
 
-    # one stencil over every (state, action) pair
+    # one stencil per moment class (per pair without the hook)
     U, offsets = mdp.action_table()
     counts = np.diff(offsets)
-    mu_b, s2_b = problem.moments_batch(mdp.pair_states(), U)
+    pair_states, pair_U = mdp.pair_states(), U
+    classes = None
+    if problem.moment_classes is not None:
+        _, first, classes = np.unique(problem.moment_classes(pair_states, U),
+                                      return_index=True, return_inverse=True)
+        pair_states, pair_U = pair_states[first], U[first]
+    mu_b, s2_b = problem.moments_batch(pair_states, pair_U)
     dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
-
-    states = lattice.states().astype(np.float64)
-    # one batched interpolation for all stencil targets of all states
-    probe = _extension_interpolator(coarse_values, grid)
-    offs = dirs * h
-    neighbor_vals = probe((states[:, None, :] + offs[None, :, :]).reshape(-1, d))
-    neighbor_vals = neighbor_vals.reshape(len(states), len(offs))
-    center_vals = probe(states)
-
     tot = rates.sum(axis=1)
+    if classes is not None:
+        rates, tot = rates[classes], tot[classes]
+
+    # the extension on the padded box, gathered at every center and stencil target
+    padded = StateLattice(tuple(lo - h for lo in lattice.lower),
+                          tuple(up + h for up in lattice.upper))
+    padded_vals = _extension_interpolator(coarse_values, chain.grid)(
+        padded.states().astype(np.float64))
+    center = padded.indices_of(lattice.states())
+    step = h * (dirs @ np.cumprod((padded.shape[1:] + (1,))[::-1])[::-1])  # flat offset per direction
+    neighbor_vals = padded_vals[center[:, None] + step]
+    center_vals = padded_vals[center]
+
     q_max = np.maximum(np.maximum.reduceat(tot, offsets[:-1]), 1e-300)
     a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
     q_max, a_h = np.repeat(q_max, counts), np.repeat(a_h, counts)

@@ -121,14 +121,21 @@ class TaylorProblem:
     feasible action there.  Models with closed forms install an analytic
     provider (plus a vectorized variant for chain construction); the fallback
     computes moments from the truncated kernel rows.
+
+    moment_classes(states, U), when given, returns one int64 code per
+    (state, action) pair, broadcasting like moments_batch; pairs with equal
+    codes must have bit-equal moments_batch rows.  The fine-lattice Taylored
+    greedy then computes moments and stencil rates once per code.  Without
+    it every pair is its own class.
     """
 
     def __init__(self, mdp: LatticeMdp, moments, boundary: BoundarySpec,
-                 moments_batch=None, name: str = ""):
+                 moments_batch=None, name: str = "", moment_classes=None):
         self.mdp = mdp
         self.moments = moments
         self.boundary = boundary
         self._moments_batch = moments_batch
+        self.moment_classes = moment_classes
         self.name = name or mdp.name
 
     def moments_batch(self, state, actions):

@@ -420,14 +420,62 @@ def test_moments_batch_per_pair_states(name, request):
 
 
 # ---------------------------------------------------------------------------
+# moment classes
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_moment_classes_contract(problem, moment_classes):
+    """Codes are int64, one per pair, and pairs sharing one have bit-equal moments."""
+    mdp = problem.mdp
+    U = mdp.action_table()[0]
+    states = mdp.pair_states()
+    codes = moment_classes(states, U)
+    assert codes.dtype == np.int64 and codes.shape == (len(U),)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    mu, s2 = problem.moments_batch(states, U)
+    assert np.array_equal(_bits(mu), _bits(mu[first][inverse]))
+    assert np.array_equal(_bits(s2), _bits(s2[first][inverse]))
+    return len(first)
+
+
+def _nets_only_classes(model):
+    """A broken hook: it leaves out n_busy = min(x + nets, N)."""
+    upper = np.asarray(model.mdp.lattice.upper)
+
+    def moment_classes(states, U):
+        nets = (np.asarray(U, dtype=np.float64).reshape(-1, len(model.pairs))
+                @ model.net.T).astype(np.int64)
+        return np.ravel_multi_index(tuple((nets + upper).T), tuple(2 * upper + 1))
+
+    return moment_classes
+
+
+@pytest.mark.parametrize("name", ["routing2", "routing3_mid"])
+def test_routing_moment_classes_contract(name, request):
+    model = request.getfixturevalue(name)
+    problem = model.problem
+    mdp = problem.mdp
+    U = mdp.action_table()[0]
+    post = mdp.pair_states() + (U @ model.net.T).astype(np.int64)
+    assert (post > np.asarray(model.params.N)).any()       # n_busy clamps on some pairs
+    n_classes = assert_moment_classes_contract(problem, problem.moment_classes)
+    assert n_classes < len(U)
+    with pytest.raises(AssertionError):
+        assert_moment_classes_contract(problem, _nets_only_classes(model))
+
+
+# ---------------------------------------------------------------------------
 # Taylored greedy
 # ---------------------------------------------------------------------------
 
-def _greedy_pair(problem, h):
-    chain = tdp.build_multidim_chain(problem, h)
+def _greedy_pair(problem, h, scheme="inflate"):
+    chain = tdp.build_multidim_chain(problem, h, scheme=scheme)
     pi = tdp.policy_iteration(chain)
-    fast = tdp.tapi.taylored_greedy_policy(problem, chain, pi.values)
-    return fast, per_state_taylored_greedy(problem, chain, pi.values)
+    fast = tdp.tapi.taylored_greedy_policy(problem, chain, pi.values, scheme)
+    return fast, per_state_taylored_greedy(problem, chain, pi.values, scheme)
 
 
 @pytest.mark.parametrize("h", [1, 2, 4])
@@ -437,12 +485,36 @@ def test_taylored_greedy_matches_per_state_loop_routing2(routing2, h):
     assert np.array_equal(fast, ref)
 
 
-@pytest.mark.parametrize("name,h", [("routing3_smoke", 2), ("service_quadratic", 1),
-                                    ("service_quadratic", 2), ("inventory_model", 1),
-                                    ("inventory_model", 3)])
-def test_taylored_greedy_matches_per_state_loop(name, h, request):
-    fast, ref = _greedy_pair(request.getfixturevalue(name).problem, h)
+GREEDY_CASES = [("routing3_smoke", 2, "inflate"), ("routing3_bench", 4, "inflate"),
+                ("service_quadratic", 1, "inflate"), ("service_quadratic", 2, "inflate"),
+                ("inventory_model", 1, "inflate"), ("inventory_model", 3, "inflate"),
+                ("routing2", 2, "upwind"), ("routing3_smoke", 2, "upwind")]
+
+
+@pytest.mark.parametrize("name,h,scheme", GREEDY_CASES,
+                         ids=[f"{n}-{h}" + ("" if s == "inflate" else f"-{s}")
+                              for n, h, s in GREEDY_CASES])
+def test_taylored_greedy_matches_per_state_loop(name, h, scheme, request):
+    fast, ref = _greedy_pair(request.getfixturevalue(name).problem, h, scheme)
     assert np.array_equal(fast, ref)
+
+
+def test_taylored_greedy_one_moments_call_per_class(routing3_smoke, monkeypatch):
+    problem = routing3_smoke.problem
+    chain = tdp.build_multidim_chain(problem, 2)
+    values = tdp.policy_iteration(chain).values
+    rows = []
+    inner = problem.moments_batch
+
+    def counted(states, actions):
+        rows.append(len(actions))
+        return inner(states, actions)
+
+    monkeypatch.setattr(problem, "moments_batch", counted)
+    tdp.tapi.taylored_greedy_policy(problem, chain, values)
+    mdp = problem.mdp
+    codes = problem.moment_classes(mdp.pair_states(), mdp.action_table()[0])
+    assert rows == [len(np.unique(codes))]
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,24 @@ def test_grid_function_remainder(quartic_fixed):
     assert phi.one_sided[[0, -1]].all() and not phi.one_sided[1:-1].any()
 
 
+def test_grid_function_spacing_two():
+    from taylordp.bounds import GridFunction1d
+    xs = np.arange(0.0, 10.0, 2.0)
+    phi = GridFunction1d(xs ** 2, lower=0, h=2)
+    assert phi.value(2)[0] == 4.0 and np.array_equal(phi.value(xs), xs ** 2)
+    assert phi.grad(4)[0] == 8.0 and phi.hess(4)[0, 0] == 2.0
+    assert phi.grad(0)[0] == 2.0 and phi.grad(8)[0] == 14.0     # one-sided at the edges
+
+
+@pytest.mark.parametrize("coord", [-1.0, 3.0, 10.0])
+def test_grid_function_off_grid_raises(coord):
+    from taylordp.bounds import GridFunction1d
+    phi = GridFunction1d(np.arange(0.0, 10.0, 2.0) ** 2, lower=0, h=2)
+    for method in (phi.value, phi.grad, phi.hess):
+        with pytest.raises(OutOfStencilRange):
+            method(coord)
+
+
 def test_holder_estimate_zero_on_quadratics():
     xs = np.arange(0.0, 30.0)
     hess, _ = fd_hessian_1d(3 * xs ** 2 - xs + 1)
