@@ -18,6 +18,7 @@ Argmax ties are broken to the first action in lexicographic order, with a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InfeasibleAction, MaxIterationsExceeded, SingularSystem
-from .lattice import LatticeMdp
+from .lattice import PROB_TOL, LatticeMdp, action_tuple
 
 ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
@@ -178,22 +179,57 @@ def get_assembly(mdp):
 
 
 def _tabulate(mdp: LatticeMdp) -> TabularAssembly:
-    rewards = []
-    row_ptr = [0]
-    cols = []
-    probs = []
-    lattice = mdp.lattice
-    for i in range(mdp.n_states):
-        state = lattice.state(i)
-        for u in mdp.actions_at(i):
-            row = mdp.kernel(state, u)
-            rewards.append(mdp.checked_reward(state, u))
-            cols.append(row.targets)
-            probs.append(row.probs)
-            row_ptr.append(row_ptr[-1] + len(row.targets))
+    """Rows and rewards of every (state, action) pair in one array pass.
+
+    One mdp.rows() and one mdp.rewards() call over mdp.pair_states() and
+    the action table, then every row is checked at once (_check_rows).
+    """
+    U, offsets = mdp.action_table()
+    states = mdp.pair_states()
+    row_ptr, col_idx, probs = mdp.rows(states, U)
+    rewards = mdp.rewards(states, U)
+    _check_rows(mdp, states, U, row_ptr, col_idx, probs, rewards)
     discounts = np.full(mdp.n_states, mdp.discount)
-    return TabularAssembly(mdp.action_table()[1], rewards, row_ptr,
-                           np.concatenate(cols), np.concatenate(probs), discounts)
+    return TabularAssembly(offsets, rewards, row_ptr, col_idx, probs, discounts)
+
+
+def _check_rows(mdp, states, U, row_ptr, col_idx, probs, rewards):
+    """Raise ValueError naming the first (state, action) pair whose row or reward is bad.
+
+    A row is bad when it has no entries, an entry below -PROB_TOL, a target
+    outside the lattice, or a sum more than PROB_TOL from one (as
+    math.fsum adds it); a reward is bad when it is not finite.
+    """
+    k = len(states)
+    if (row_ptr.shape != (k + 1,) or row_ptr[0] != 0 or (np.diff(row_ptr) < 0).any()
+            or row_ptr[-1] != len(col_idx) or probs.shape != col_idx.shape
+            or rewards.shape != (k,)):
+        raise ValueError(f"kernel rows and rewards do not describe {k} pairs")
+    lens = np.diff(row_ptr)
+    owner = np.repeat(np.arange(k), lens)
+    negative = np.zeros(k, dtype=bool)
+    negative[owner[probs < -PROB_TOL]] = True
+    outside = np.zeros(k, dtype=bool)
+    outside[owner[(col_idx < 0) | (col_idx >= mdp.n_states)]] = True
+    # bincount adds each row in order, off by less than len * eps * sum|p|;
+    # only rows that this bound cannot clear are summed again with fsum
+    sums = np.bincount(owner, weights=probs, minlength=k)
+    margin = lens * np.finfo(np.float64).eps * np.bincount(owner, weights=np.abs(probs),
+                                                          minlength=k)
+    off_sum = ~(np.abs(sums - 1.0) <= PROB_TOL - margin)      # NaN sums too
+    for i in np.flatnonzero(off_sum):
+        sums[i] = math.fsum(probs[row_ptr[i]:row_ptr[i + 1]].tolist())
+        off_sum[i] = not abs(sums[i] - 1.0) <= PROB_TOL
+    checks = [(lens == 0, "has no entries"), (negative, "has a negative probability"),
+              (off_sum, "does not sum to 1"), (outside, "leaves the lattice"),
+              (~np.isfinite(rewards), "has a non-finite reward")]
+    bad = np.column_stack([flag for flag, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        what = checks[int(np.argmax(bad[i]))][1]
+        detail = f" (sum {sums[i]!r})" if what == "does not sum to 1" else ""
+        raise ValueError(f"pair (state {tuple(states[i].tolist())}, action "
+                         f"{action_tuple(U[i:i + 1])[0]!r}) {what}{detail}")
 
 
 def segmented_argmax(values: np.ndarray, offsets: np.ndarray, tol: float = ARGMAX_TOL):

@@ -387,9 +387,10 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     keep = p > 0.0
     stay = _stay_mass(p, keep)
 
+    # fine rewards of every pair in one call (reflecting boundary rows drop theirs)
+    r = mdp.rewards(coords[pair_state], [u for acts in actions for u in acts])
     rewards = np.zeros(n_pairs)
-    r = np.array([float(mdp.reward(points[idx], u)) for idx, u in zip(own.tolist(), int_actions)])
-    rewards[ip] = discounts[own] * r / (alpha * q_pair)
+    rewards[ip] = discounts[own] * r[ip] / (alpha * q_pair)
 
     # rows as a padded (pair, n_off + 1) block, the stay entry last, masked into CSR
     width = len(dirs) + 1
@@ -425,7 +426,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
         if W <= 0.0:
             raise NonInwardEta(point, direction)
         den = 1.0 - alpha + alpha * W
-        rewards[lo:hi] = [float(mdp.reward(point, u)) / den for u in actions[idx]]
+        rewards[lo:hi] = r[lo:hi] / den
         cols[lo:hi, :len(tgt)] = tgt
         probs[lo:hi, :len(tgt)] = np.asarray(wgt) / W
         mask[lo:hi, :len(tgt)] = True
@@ -548,7 +549,7 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     err2 = np.abs(m2 - target2) / np.maximum(1.0, np.abs(target2))
     err_cross = err2[:, ~np.eye(d, dtype=bool)].max(axis=1, initial=0.0)
     points = [tuple(x) for x in pts.tolist()]
-    r = np.array([float(mdp.reward(points[idx], u)) for idx, u in zip(own.tolist(), actions)])
+    r = mdp.rewards(pts[own], actions)
     ident = (1.0 - alpha_h) / (1.0 - alpha) * r
     err_r = np.abs(asm.rewards[ip] - ident) / np.maximum(1.0, np.abs(ident))
 

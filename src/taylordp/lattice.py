@@ -20,6 +20,7 @@ from .errors import EmptyActionSet, InfeasibleAction, ZeroInteriorMass
 State = tuple[int, ...]
 
 PROB_TOL = 1e-12
+ROW_BLOCK = 1 << 20    # entries per rows() call in the jump-radius scan
 
 
 @dataclass(frozen=True)
@@ -217,16 +218,32 @@ class LatticeMdp:
     as a tuple (actions_at).
     Policies are dense integer arrays indexing into that per-state ordering,
     values are dense float arrays over flat state indices.
+
+    kernel_batch(states, U) -> (row_ptr, targets, probs) and
+    reward_batch(states, U) -> (k,) are optional batch hooks over k pairs:
+    states is (k, d) and U the matching (k,) or (k, m) actions, and the rows
+    come back ragged, pair i's entries at row_ptr[i]:row_ptr[i+1].  Every
+    caller reads rows and rewards of many pairs through rows() and
+    rewards(), which use the hooks when given and otherwise loop over
+    kernel and reward.  A model with a hook may leave the per-pair callable
+    out (None): it becomes a one-pair call of the hook.
     """
 
-    def __init__(self, lattice: StateLattice, actions, kernel: Kernel, reward, discount: float,
-                 name: str = "mdp", cost_oriented: bool = False, factored=None):
+    def __init__(self, lattice: StateLattice, actions, kernel: Kernel | None, reward,
+                 discount: float, name: str = "mdp", cost_oriented: bool = False,
+                 factored=None, kernel_batch=None, reward_batch=None):
         if not (0.0 < discount < 1.0):
             raise ValueError("discount must lie in (0, 1)")
+        if kernel is None and kernel_batch is None:
+            raise ValueError("need a kernel or a kernel_batch")
+        if reward is None and reward_batch is None:
+            raise ValueError("need a reward or a reward_batch")
         self.lattice = lattice
         self.actions = actions
-        self.kernel = kernel
-        self.reward = reward
+        self.kernel_batch = kernel_batch
+        self.reward_batch = reward_batch
+        self.kernel = self._one_pair_row if kernel is None else kernel
+        self.reward = self._one_pair_reward if reward is None else reward
         self.discount = float(discount)
         self.name = name
         # cost_oriented: rewards are negated costs; reports flip the sign back
@@ -254,6 +271,43 @@ class LatticeMdp:
     def pair_states(self) -> np.ndarray:
         """The state of every (state, action) pair, an (n_pairs, d) integer array."""
         return np.repeat(self.lattice.states(), np.diff(self.action_table()[1]), axis=0)
+
+    def rows(self, states: np.ndarray, U):
+        """Kernel rows of k pairs as ragged (row_ptr, targets, probs).
+
+        states is (k, d) and U holds the k matching actions (a slice of the
+        action table, or a sequence of the action set's actions).  Pair i's
+        flat targets and probabilities are targets[row_ptr[i]:row_ptr[i+1]]
+        and probs[...], in the layout of TabularAssembly.  Without a
+        kernel_batch hook this makes one kernel call per pair.
+        """
+        if self.kernel_batch is not None:
+            row_ptr, targets, probs = self.kernel_batch(states, np.asarray(U))
+            return (np.asarray(row_ptr, dtype=np.int64), np.asarray(targets, dtype=np.int64),
+                    np.asarray(probs, dtype=np.float64))
+        rows = [self.kernel(s, u) for s, u in _pairs(states, U)]
+        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r.targets) for r in rows], out=row_ptr[1:])
+        targets = np.concatenate([np.empty(0, dtype=np.int64)] + [r.targets for r in rows])
+        probs = np.concatenate([np.empty(0)] + [r.probs for r in rows])
+        return row_ptr, targets, probs
+
+    def rewards(self, states: np.ndarray, U) -> np.ndarray:
+        """Rewards of k pairs as a (k,) float array; see rows() for the arguments.
+
+        Without a reward_batch hook this makes one reward call per pair.
+        """
+        if self.reward_batch is not None:
+            return np.asarray(self.reward_batch(states, np.asarray(U)), dtype=np.float64)
+        return np.array([float(self.reward(s, u)) for s, u in _pairs(states, U)],
+                        dtype=np.float64)
+
+    def _one_pair_row(self, state: State, action) -> TransitionRow:
+        _, targets, probs = self.kernel_batch(np.asarray(state)[None, :], np.asarray([action]))
+        return TransitionRow(targets, probs)
+
+    def _one_pair_reward(self, state: State, action) -> float:
+        return float(self.reward_batch(np.asarray(state)[None, :], np.asarray([action]))[0])
 
     def actions_at(self, state_index: int):
         U, offsets = self.action_table()
@@ -289,31 +343,58 @@ class LatticeMdp:
             raise InfeasibleAction(self.lattice.state(bad[0]), int(policy[bad[0]]))
 
 
+def _pairs(states, U):
+    """(state tuple, action) per pair, in the Python form kernel and reward take."""
+    return zip(map(tuple, np.asarray(states).tolist()), action_tuple(U))
+
+
+def pack_rows(targets: np.ndarray, probs: np.ndarray, lengths: np.ndarray):
+    """Ragged (row_ptr, targets, probs) from padded (k, w) blocks.
+
+    Row i keeps its first lengths[i] entries, zeros included.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    keep = np.arange(targets.shape[1]) < lengths[:, None]
+    row_ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    return row_ptr, targets[keep], probs[keep]
+
+
 def enumerate_actions(mdp: LatticeMdp, state) -> tuple:
     """Complete, duplicate-free, lexicographically ordered feasible actions."""
     return mdp.actions.at(tuple(state))
 
 
-def _max_radius(mdp: LatticeMdp, pairs) -> int:
-    """ceil of the largest |y - x|_2 over P(x, y) > 0 of the (state index, action index) pairs."""
+def _max_radius(mdp: LatticeMdp, pairs: np.ndarray) -> int:
+    """ceil of the largest |y - x|_2 over P(x, y) > 0 of the given flat (state, action) pairs.
+
+    Rows are read through mdp.rows() in blocks of about ROW_BLOCK entries,
+    sized by the widest row seen so far: short 1-D rows take one call after
+    a first block of 64 pairs, and product-form rows (up to 12,167 entries a
+    row on the paper 3-pool lattice) never sit in memory all at once.
+    """
+    U, offsets = mdp.action_table()
     states = mdp.lattice.states()
-    worst = 0.0
-    for i, a in pairs:
-        row = mdp.row(i, a)
-        live = row.targets[row.probs > 0.0]
-        if live.size == 0:
-            continue
-        diff = states[live] - states[i]
-        worst = max(worst, float(np.sqrt((diff.astype(float) ** 2).sum(axis=1)).max()))
+    owners = np.repeat(np.arange(mdp.n_states), np.diff(offsets))
+    worst, start, block = 0.0, 0, 64
+    while start < len(pairs):
+        sel = pairs[start:start + block]
+        owner = owners[sel]
+        row_ptr, targets, probs = mdp.rows(states[owner], U[sel])
+        live = probs > 0.0
+        diff = states[targets[live]] - states[np.repeat(owner, np.diff(row_ptr))[live]]
+        worst = max(worst, float(np.sqrt((diff.astype(float) ** 2).sum(axis=1)).max(initial=0.0)))
+        start += len(sel)
+        block = max(1, ROW_BLOCK // max(1, int(np.diff(row_ptr).max())))
     return int(math.ceil(worst - 1e-12))
 
 
 def max_jump(mdp: LatticeMdp, policy: np.ndarray) -> int:
     """Largest jump radius under the policy: max_x ceil(|y - x|_2) over P(x,y) > 0."""
-    return _max_radius(mdp, ((i, int(policy[i])) for i in range(mdp.n_states)))
+    mdp.validate_policy(policy)
+    return _max_radius(mdp, mdp.action_table()[1][:-1] + np.asarray(policy, dtype=np.int64))
 
 
 def uniform_max_jump(mdp: LatticeMdp) -> int:
     """max_jump maximized over all feasible actions (the uniform jump bound)."""
-    counts = np.diff(mdp.action_table()[1]).tolist()
-    return _max_radius(mdp, ((i, a) for i in range(mdp.n_states) for a in range(counts[i])))
+    return _max_radius(mdp, np.arange(mdp.action_table()[1][-1]))

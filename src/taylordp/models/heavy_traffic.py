@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import SmoothFunction
-from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, pack_rows
 from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
 
 
@@ -56,17 +56,21 @@ class HeavyTrafficQueue:
         lam, mu, M = params.lam, params.mu, params.M
         lattice = StateLattice((0,), (M,))
 
-        def kernel(state, u) -> TransitionRow:
-            (x,) = state
-            if x == 0:
-                return TransitionRow([0, 1], [mu, lam])
-            if x == M:
-                return TransitionRow([M - 1], [1.0])
-            return TransitionRow([x - 1, x + 1], [mu, lam])
+        # batch hooks over k pairs: states (k, 1), the one action 0 (k,)
+        def kernel_batch(states, U):
+            x = np.asarray(states, dtype=np.int64)[:, 0]
+            targets = np.stack([x - 1, x + 1], axis=1)
+            probs = np.tile([mu, lam], (len(x), 1))
+            targets[x == 0, 0] = 0                                 # lazy reflection at 0
+            targets[x == M, 0], probs[x == M, 0] = M - 1, 1.0      # down surely from M
+            return pack_rows(targets, probs, np.where(x == M, 1, 2))
 
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), kernel,
-                              lambda s, u: float(s[0]), params.alpha,
-                              name="heavy_traffic_queue")
+        def reward_batch(states, U):
+            return np.asarray(states, dtype=np.float64)[:, 0]
+
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), None, None, params.alpha,
+                              name="heavy_traffic_queue",
+                              kernel_batch=kernel_batch, reward_batch=reward_batch)
 
         def moments(state, u) -> DriftDiffusion:
             (x,) = state

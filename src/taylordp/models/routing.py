@@ -172,9 +172,10 @@ class RoutingModel:
             live = flat > 0.0
             return TransitionRow(np.flatnonzero(live), flat[live])
 
-        self.mdp = LatticeMdp(lattice, actions, kernel, lambda s, u: -cost(s, u),
-                              params.alpha, name=f"routing_{J}pool", cost_oriented=True,
-                              factored=self._build_factored)
+        self.mdp = LatticeMdp(lattice, actions, kernel, None, params.alpha,
+                              name=f"routing_{J}pool", cost_oriented=True,
+                              factored=self._build_factored,
+                              reward_batch=lambda states, U: -cost_batch(states, U))
 
         lam = np.asarray(params.lam, dtype=np.float64)
         p = np.asarray(params.p, dtype=np.float64)
@@ -227,7 +228,7 @@ class RoutingModel:
         shape = lattice.shape
         U, offsets = mdp.action_table()
         states = mdp.pair_states()
-        rewards = -self.cost_batch(states, U)
+        rewards = mdp.rewards(states, U)
         post_idx = lattice.indices_of(self.post_states(states, U))
 
         Ks = self.K

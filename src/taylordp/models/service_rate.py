@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ..bounds import SmoothFunction
-from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, pack_rows
 from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
 
 
@@ -66,20 +66,24 @@ class ServiceRateModel:
         self.controls = controls
         power = 2 if params.cost == "quadratic" else 4
 
-        def kernel(state, u) -> TransitionRow:
-            (x,) = state
-            if x == 0:
-                return TransitionRow([1], [1.0])
-            if x == M:
-                return TransitionRow([M - 1], [1.0])
-            return TransitionRow([x - 1, x + 1], [u, 1.0 - u])
+        # batch hooks over k pairs: states (k, 1), controls (k,)
+        def kernel_batch(states, us):
+            x = np.asarray(states, dtype=np.int64)[:, 0]
+            us = np.asarray(us, dtype=np.float64)
+            targets = np.stack([x - 1, x + 1], axis=1)
+            probs = np.stack([us, 1.0 - us], axis=1)
+            targets[x == 0, 0], probs[x == 0, 0] = 1, 1.0          # up surely from 0
+            targets[x == M, 0], probs[x == M, 0] = M - 1, 1.0      # down surely from M
+            return pack_rows(targets, probs, np.where((x == 0) | (x == M), 1, 2))
 
-        def reward(state, u) -> float:
-            (x,) = state
-            return -(float(x) ** power + params.c_s / (1.0 - u))
+        def reward_batch(states, us):
+            x = np.asarray(states, dtype=np.float64)[:, 0]
+            x_power = x * x if power == 2 else (x * x) * (x * x)
+            return -(x_power + params.c_s / (1.0 - np.asarray(us, dtype=np.float64)))
 
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), kernel, reward,
-                              alpha, name=f"service_rate_{params.cost}", cost_oriented=True)
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), None, None,
+                              alpha, name=f"service_rate_{params.cost}", cost_oriented=True,
+                              kernel_batch=kernel_batch, reward_batch=reward_batch)
 
         def moments(state, u) -> DriftDiffusion:
             (x,) = state

@@ -1,6 +1,7 @@
 """The whole-lattice array passes against per-state reference loops.
 
-Action tables, the routing factored arrays, the Taylored greedy, the
+Action tables, the kernel and reward batch hooks, the tabular assembly and
+its row checks, the routing factored arrays, the Taylored greedy, the
 ellipticity scan, policy validation, the max-overflow heuristic, the K-D
 chain build, the TCP-equivalence check and the moves of a policy between
 the chain and the lattice are each computed once over every (state, action)
@@ -18,12 +19,13 @@ import taylordp as tdp
 from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
 from taylordp.errors import EmptyActionSet, InfeasibleAction
-from taylordp.exact import get_assembly
+from taylordp.exact import _tabulate, get_assembly
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stencil_rates,
                               verify_tcp_equivalence)
-from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+from taylordp.lattice import (ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow,
+                              action_tuple)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import _extension_interpolator, _restrict_policy
@@ -417,6 +419,205 @@ def test_moments_batch_per_pair_states(name, request):
         mu_i, s2_i = problem.moments_batch(mdp.lattice.state(i), mdp.actions_at(i))
         assert np.array_equal(mu[lo:hi], np.atleast_2d(mu_i))
         assert np.array_equal(s2[lo:hi], s2_i)
+
+
+# ---------------------------------------------------------------------------
+# kernel and reward batch hooks, tabular assembly
+# ---------------------------------------------------------------------------
+
+def per_pair_service_rate(model, x, u):
+    """(targets, probs, reward) of one service-rate pair, as the model defines them."""
+    M, params = model.params.M, model.params
+    power = 2 if params.cost == "quadratic" else 4
+    if x == 0:
+        targets, probs = [1], [1.0]
+    elif x == M:
+        targets, probs = [M - 1], [1.0]
+    else:
+        targets, probs = [x - 1, x + 1], [u, 1.0 - u]
+    return targets, probs, -(float(x) ** power + params.c_s / (1.0 - u))
+
+
+def per_pair_heavy_traffic(model, x, u):
+    lam, mu, M = model.params.lam, model.params.mu, model.params.M
+    if x == 0:
+        return [0, 1], [mu, lam], float(x)
+    if x == M:
+        return [M - 1], [1.0], float(x)
+    return [x - 1, x + 1], [mu, lam], float(x)
+
+
+def per_pair_tabulate(mdp):
+    """The tabular assembly with one kernel and one reward call per pair."""
+    rewards, row_ptr, cols, probs = [], [0], [], []
+    for i in range(mdp.n_states):
+        state = mdp.lattice.state(i)
+        for u in mdp.actions_at(i):
+            row = mdp.kernel(state, u)
+            rewards.append(mdp.checked_reward(state, u))
+            cols.append(row.targets)
+            probs.append(row.probs)
+            row_ptr.append(row_ptr[-1] + len(row.targets))
+    return TabularAssembly(mdp.action_table()[1], rewards, row_ptr, np.concatenate(cols),
+                           np.concatenate(probs), np.full(mdp.n_states, mdp.discount))
+
+
+@pytest.fixture(scope="module")
+def service_quartic():
+    return build("service_rate", M=100, alpha=0.99, cost="quartic")
+
+
+HOOKED = [("service_quadratic", per_pair_service_rate), ("service_quartic", per_pair_service_rate),
+          ("quartic_fixed", per_pair_service_rate), ("heavy_queue", per_pair_heavy_traffic)]
+
+
+@pytest.mark.parametrize("name,per_pair", HOOKED)
+def test_batch_hooks_match_per_pair_definition(name, per_pair, request):
+    model = request.getfixturevalue(name)
+    mdp = model.mdp
+    U, _ = mdp.action_table()
+    states = mdp.pair_states()
+    xs = states[:, 0].tolist()
+    assert {0, model.params.M} <= set(xs)
+    row_ptr, targets, probs = mdp.rows(states, U)
+    rewards = mdp.rewards(states, U)
+    assert row_ptr.dtype == targets.dtype == np.int64 and probs.dtype == np.float64
+    assert row_ptr.shape == (len(U) + 1,) and rewards.shape == (len(U),)
+    for k, (x, u) in enumerate(zip(xs, action_tuple(U))):
+        ref_t, ref_p, ref_r = per_pair(model, x, u)
+        lo, hi = row_ptr[k], row_ptr[k + 1]
+        assert targets[lo:hi].tolist() == ref_t
+        assert _bits(probs[lo:hi]).tolist() == _bits(np.asarray(ref_p, dtype=np.float64)).tolist()
+        assert _bits(rewards[k:k + 1]).tolist() == _bits(np.array([ref_r])).tolist()
+        # the per-pair callables are one-pair calls of the same hooks
+        row = mdp.kernel((x,), u)
+        assert np.array_equal(row.targets, targets[lo:hi])
+        assert _bits(row.probs).tolist() == _bits(probs[lo:hi]).tolist()
+        assert _bits(np.array([mdp.reward((x,), u)])).tolist() == _bits(rewards[k:k + 1]).tolist()
+
+
+def test_service_rate_rows_keep_zero_entries(service_quadratic):
+    row_ptr, targets, probs = service_quadratic.mdp.rows(np.array([[5], [0]]), [0.0, 0.0])
+    assert row_ptr.tolist() == [0, 2, 3]
+    assert targets.tolist() == [4, 6, 1] and probs.tolist() == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("name", ["routing2", "routing3_smoke"])
+def test_routing_reward_batch_matches_per_pair_costs(name, request):
+    model = request.getfixturevalue(name)
+    mdp = model.mdp
+    U, _ = mdp.action_table()
+    states = mdp.pair_states()
+    rewards = mdp.rewards(states, U)
+    _, ref, _ = per_pair_factored(model)
+    assert _bits(rewards).tolist() == _bits(ref).tolist()
+    assert (U == 0).all(axis=1).any() and (U > 0).any()
+    for k in range(0, len(U), 5):
+        r = mdp.reward(tuple(states[k].tolist()), tuple(U[k].tolist()))
+        assert _bits(np.array([r])).tolist() == _bits(rewards[k:k + 1]).tolist()
+
+
+@pytest.mark.parametrize("name", ["service_quadratic", "service_quartic", "quartic_fixed",
+                                  "heavy_queue", "inventory_model"])
+def test_tabulate_matches_per_pair_loop(name, request):
+    mdp = request.getfixturevalue(name).mdp
+    asm, ref = _tabulate(mdp), per_pair_tabulate(mdp)
+    for field in ("offsets", "rewards", "row_ptr", "col_idx", "probs", "discounts"):
+        x, y = getattr(asm, field), getattr(ref, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
+
+def test_service_rate_assembly_makes_no_kernel_calls():
+    model = build("service_rate", M=30, alpha=0.99)
+    mdp = model.mdp
+    calls = []
+    kernel, reward = mdp.kernel, mdp.reward
+    mdp.kernel = lambda *a: calls.append("kernel") or kernel(*a)
+    mdp.reward = lambda *a: calls.append("reward") or reward(*a)
+    asm = get_assembly(mdp)
+    assert asm.n_pairs == 31 * 100 and calls == []
+    tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.problem, 2), model.problem)
+    tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.fot_boundary_problem(), 2),
+                               model.fot_boundary_problem())
+    assert tdp.uniform_max_jump(mdp) == 1 and calls == []
+
+
+def _walk_mdp(fault=None, hooked=True):
+    """Reflecting walk on 0..5 with actions (0, 1); `fault` spoils the pair (state 3, action 1)."""
+    def pair(x, u):
+        targets, probs, reward = [max(x - 1, 0), min(x + 1, 5)], [0.5, 0.5], float(x)
+        if (x, u) == (3, 1):
+            if fault == "negative":
+                probs = [1.5, -0.5]
+            elif fault == "sum_high":
+                probs = [0.5, 0.5 + 1e-9]
+            elif fault == "sum_low":
+                probs = [0.5, 0.5 - 1e-9]
+            elif fault == "outside":
+                targets = [2, 6]
+            elif fault == "empty":
+                targets, probs = [], []
+            elif fault == "reward":
+                reward = math.inf
+        return targets, probs, reward
+
+    lattice = StateLattice((0,), (5,))
+    actions = ExplicitActionSet((0, 1))
+    if not hooked:
+        return LatticeMdp(lattice, actions, lambda s, u: TransitionRow(*pair(s[0], u)[:2]),
+                          lambda s, u: pair(s[0], u)[2], 0.9)
+
+    def kernel_batch(states, U):
+        rows = [pair(x, u) for x, u in zip(states[:, 0].tolist(), U.tolist())]
+        row_ptr = np.cumsum([0] + [len(t) for t, _, _ in rows])
+        return (row_ptr, np.array([t for r in rows for t in r[0]], dtype=np.int64),
+                np.array([p for r in rows for p in r[1]], dtype=np.float64))
+
+    def reward_batch(states, U):
+        return np.array([pair(x, u)[2] for x, u in zip(states[:, 0].tolist(), U.tolist())])
+
+    return LatticeMdp(lattice, actions, None, None, 0.9,
+                      kernel_batch=kernel_batch, reward_batch=reward_batch)
+
+
+FAULTS = ["negative", "sum_high", "sum_low", "outside", "empty", "reward"]
+
+
+@pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "hookless"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_tabulate_rejects_bad_rows(fault, hooked):
+    assert _tabulate(_walk_mdp(None, hooked)).n_pairs == 12
+    with pytest.raises(ValueError) as err:
+        _tabulate(_walk_mdp(fault, hooked))
+    if hooked or fault in ("outside", "reward"):
+        assert "state (3,), action 1)" in str(err.value)
+
+
+@pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "hookless"])
+def test_tabulate_row_sum_tolerance_matches_fsum(hooked):
+    # PROB_TOL = 1e-12 on the fsum of a row: 0.9e-12 off passes, 1.1e-12 off fails
+    for excess, ok in ((0.9e-12, True), (-0.9e-12, True), (1.1e-12, False), (-1.1e-12, False)):
+        mdp = _walk_mdp(None, hooked)
+        base = mdp.kernel_batch if hooked else mdp.kernel
+        if hooked:
+            def kernel_batch(states, U, base=base, excess=excess):
+                row_ptr, targets, probs = base(states, U)
+                probs[-1] += excess
+                return row_ptr, targets, probs
+            mdp.kernel_batch = kernel_batch
+        else:
+            def kernel(state, u, base=base, excess=excess):
+                row = base(state, u)
+                probs = row.probs.copy()
+                if state == (5,) and u == 1:
+                    probs[-1] += excess
+                return TransitionRow(row.targets, probs)
+            mdp.kernel = kernel
+        if ok:
+            _tabulate(mdp)
+        else:
+            with pytest.raises(ValueError):
+                _tabulate(mdp)
 
 
 # ---------------------------------------------------------------------------

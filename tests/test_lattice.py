@@ -228,7 +228,7 @@ def _uniform_jump_reference(mdp):
     return math.ceil(worst - 1e-12)
 
 
-@pytest.mark.parametrize("name", ["inventory_model", "routing2"])
+@pytest.mark.parametrize("name", ["inventory_model", "routing2", "service_quadratic"])
 def test_uniform_max_jump_matches_per_row_scan(name, request):
     mdp = request.getfixturevalue(name).mdp
     expected = _uniform_jump_reference(mdp)
