@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, truncate_renormalize
 from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from .distributions import poisson_cutoff, poisson_pmf
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,8 @@ class InventoryParams:
 
 def truncated_poisson_pmf(lam: float, tail: float):
     """(pmf, d_max): Poisson pmf on 0..d_max with sf(d_max) < tail, renormalized."""
-    d_max = int(stats.poisson.isf(tail, lam)) + 1
-    while stats.poisson.sf(d_max, lam) >= tail:
-        d_max += 1
-    pmf = stats.poisson.pmf(np.arange(d_max + 1), lam)
+    d_max = poisson_cutoff(lam, tail)
+    pmf = poisson_pmf(np.arange(d_max + 1), lam)
     return pmf / math.fsum(pmf.tolist()), d_max
 
 

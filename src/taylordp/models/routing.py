@@ -35,11 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..exact import FactoredAssembly
 from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice, TransitionRow
 from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from .distributions import binom_pmf, poisson_cutoff, poisson_pmf
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,12 @@ def pool_step_matrix(upper: int, n_servers: int, p: float, lam: float, tail: flo
     (lost), i.e. the excess mass is censored onto the cap state; the demand
     tail beyond `tail` is dropped and the row renormalized.
     """
-    a_max = int(stats.poisson.isf(tail, lam)) + 1
-    while stats.poisson.sf(a_max, lam) >= tail:
-        a_max += 1
-    arr = stats.poisson.pmf(np.arange(a_max + 1), lam)
+    a_max = poisson_cutoff(lam, tail)
+    arr = poisson_pmf(np.arange(a_max + 1), lam)
     K = np.zeros((upper + 1, upper + 1))
     for z in range(upper + 1):
         n = min(z, n_servers)
-        dep = stats.binom.pmf(np.arange(n + 1), n, p)
+        dep = binom_pmf(np.arange(n + 1), n, p)
         # pmf of (z - D) + A on offsets z - n .. z + a_max
         conv = np.convolve(dep[::-1], arr)
         idx = np.minimum(z - n + np.arange(len(conv)), upper)
@@ -244,12 +242,7 @@ class RoutingModel:
     def mass_conserving_states(self) -> np.ndarray:
         """States where no action can push arrival mass past the buffer cap."""
         params = self.params
-        a_max = []
-        for lam in params.lam:
-            k = int(stats.poisson.isf(params.tail, lam)) + 1
-            while stats.poisson.sf(k, lam) >= params.tail:
-                k += 1
-            a_max.append(k)
+        a_max = [poisson_cutoff(lam, params.tail) for lam in params.lam]
         states = self.mdp.lattice.states()
         ok = np.ones(len(states), dtype=bool)
         for i in range(params.J):

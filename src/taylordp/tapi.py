@@ -11,7 +11,9 @@ The coarse solution is then carried back to the fine lattice:
   * values are extended piecewise-constant through the nearest-grid-point
     map, or multilinearly; multilinear interpolation uses the interior grid
     planes only (reflecting-boundary values are duplicates by construction)
-    and extrapolates linearly into the boundary cells,
+    and extrapolates linearly into the boundary cells.  It is an in-package
+    numpy pass (_extension_interpolator) that rounds exactly as scipy's
+    RegularGridInterpolator does, without importing scipy.interpolate,
   * policies are extended either by re-running the approximate (Taylored)
     improvement at every fine state -- the same stencil greedy the chain
     uses, fed with each state's own drift/diffusion and interpolated coarse
@@ -37,11 +39,12 @@ are detected and capped.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .exact import (SolveOptions, get_assembly, policy_evaluation, policy_improvement,
                     policy_iteration, segmented_argmax)
@@ -232,10 +235,15 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
 def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):
     """Multilinear interpolant over the interior grid planes, extrapolating past them.
 
-    Axes with fewer than 4 grid points keep all of them.
+    Axes with fewer than 4 grid points keep all of them.  The returned
+    function maps (n, d) points to (n,) values; each point is placed in the
+    cell [ax[j], ax[j+1]] of every axis (the first or last cell past the
+    ends, which extrapolates linearly) and the 2^d corner terms are summed.
     """
     axes, slices = [], []
     for ax in grid.axes:
+        if len(ax) < 2 or (np.diff(ax) <= 0).any():
+            raise ValueError("multilinear extension needs 2 or more ascending grid points an axis")
         if len(ax) >= 4:
             axes.append(ax[1:-1].astype(np.float64))
             slices.append(slice(1, -1))
@@ -243,8 +251,25 @@ def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):
             axes.append(ax.astype(np.float64))
             slices.append(slice(None))
     tensor = np.asarray(coarse_values, dtype=np.float64).reshape(grid.shape)[tuple(slices)]
-    return RegularGridInterpolator(axes, tensor, method="linear",
-                                   bounds_error=False, fill_value=None)
+
+    def interpolate(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=np.float64).reshape(-1, len(axes))
+        cells, weights = [], []
+        for ax, x in zip(axes, points.T):
+            j = np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
+            y = (x - ax[j]) / (ax[j + 1] - ax[j])
+            cells.append(j)
+            weights.append((1.0 - y, y))
+        value = 0.0
+        # corners and rounding as scipy's RegularGridInterpolator(method="linear"):
+        # v * ((w0 * w1) * ...), but (v * w0) * w1 in 2-D, where it takes a compiled path
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            v = tensor[tuple(j + c for j, c in zip(cells, corner))]
+            w = [wt[c] for wt, c in zip(weights, corner)]
+            value = value + ((v * w[0]) * w[1] if len(w) == 2 else v * math.prod(w))
+        return value
+
+    return interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +296,10 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
         pi = policy_iteration(chain, options=SolveOptions(max_iterations=options.max_iterations))
         coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
         oscillated = False
-        fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice, options.disaggregation)
+        fine_v = None
+        if options.one_step or options.policy_extension == "pc":
+            fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
+                                        options.disaggregation)
         if options.policy_extension == "tcp_greedy":
             disagg = taylored_greedy_policy(problem, chain, coarse_values, options.scheme)
         else:

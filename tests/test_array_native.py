@@ -8,12 +8,16 @@ the chain and the lattice are each computed once over every (state, action)
 pair.  The reference functions below are the per-state
 loops they replaced, kept here only as oracles; every comparison is exact
 (the verifier's error maxima, sums in a different order, agree to 1e-15).
+The multilinear value extension is checked bit for bit against the scipy
+RegularGridInterpolator it replaced.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 import taylordp as tdp
 from taylordp.cli import _policy_for
@@ -666,6 +670,69 @@ def test_routing_moment_classes_contract(name, request):
     assert n_classes < len(U)
     with pytest.raises(AssertionError):
         assert_moment_classes_contract(problem, _nets_only_classes(model))
+
+
+# ---------------------------------------------------------------------------
+# Value extension
+# ---------------------------------------------------------------------------
+
+def _extension_planes(grid):
+    """Per axis, the planes the extension interpolates over and their slice."""
+    keep = [slice(1, -1) if len(ax) >= 4 else slice(None) for ax in grid.axes]
+    return [ax[k].astype(np.float64) for ax, k in zip(grid.axes, keep)], tuple(keep)
+
+
+def _single_order_extension(coarse_values, grid, points):
+    """The multilinear pass with v * ((w0 * w1) * ...) in every dimension."""
+    axes, keep = _extension_planes(grid)
+    tensor = np.asarray(coarse_values, dtype=np.float64).reshape(grid.shape)[keep]
+    cells, weights = [], []
+    for ax, x in zip(axes, points.T):
+        j = np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
+        y = (x - ax[j]) / (ax[j + 1] - ax[j])
+        cells.append(j)
+        weights.append((1.0 - y, y))
+    value = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        v = tensor[tuple(j + c for j, c in zip(cells, corner))]
+        value = value + v * math.prod(wt[c] for wt, c in zip(weights, corner))
+    return value
+
+
+def _extension_cases(d):
+    """(grid, points) per h = 1..5: 3-point axes that keep their ends, uneven last
+    cells, longer axes cut to their interior planes, points h past both ends."""
+    for h in range(1, 6):
+        for upper in [(h + 1,) * d, (2 * h,) * d, tuple(h + 1 + i * (2 * h + 1) for i in range(d))]:
+            lattice = tdp.StateLattice((0,) * d, upper)
+            grid = CoarseGrid.from_lattice(lattice, h)
+            padded = tdp.StateLattice((-h,) * d, tuple(u + h for u in upper))
+            yield h, grid, padded.states().astype(np.float64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_value_extension_matches_regular_grid_interpolator(d):
+    rng = np.random.default_rng(d)
+    single_order_agrees = True
+    for h, grid, points in _extension_cases(d):
+        values = rng.standard_normal(grid.n_points) * 1e3
+        axes, keep = _extension_planes(grid)
+        rgi = RegularGridInterpolator(axes, values.reshape(grid.shape)[keep], method="linear",
+                                      bounds_error=False, fill_value=None)
+        expected = rgi(points)
+        assert np.array_equal(_extension_interpolator(values, grid)(points), expected), h
+        single_order_agrees &= np.array_equal(
+            _single_order_extension(values, grid, points), expected)
+    # scipy rounds 2-D corner terms as (v * w0) * w1, every other dimension alike
+    assert single_order_agrees == (d != 2)
+
+
+@pytest.mark.parametrize("axes", [(np.array([0]), np.array([0, 2, 4])), (np.array([0, 2, 1]),)],
+                         ids=["one_point", "unsorted"])
+def test_value_extension_rejects_degenerate_axes(axes):
+    grid = CoarseGrid(axes)
+    with pytest.raises(ValueError, match="ascending grid points"):
+        _extension_interpolator(np.zeros(grid.n_points), grid)
 
 
 # ---------------------------------------------------------------------------

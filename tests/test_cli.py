@@ -1,11 +1,36 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taylordp
 from taylordp.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_import_loads_no_slow_scipy_subpackages():
+    """Importing the package and building a model stays off scipy.stats/interpolate/optimize.
+
+    Those subpackages take most of a second to load, more than any model
+    build; the check names modules rather than timing them, so a stray
+    top-level import fails here instead of slowly growing the set-up time.
+    """
+    code = ("import sys, taylordp, taylordp.models, taylordp.cli\n"
+            "from taylordp.models.routing import build_routing, table_params\n"
+            "build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))\n"
+            "print(*sys.modules)")
+    src = str(Path(taylordp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120).stdout.split()
+    slow = ("scipy.stats", "scipy.interpolate", "scipy.optimize")
+    assert "taylordp.models.routing" in loaded
+    assert [m for m in loaded if m in slow or m.startswith(tuple(s + "." for s in slow))] == []
 
 
 def test_solve_exact_row_count(tmp_path):

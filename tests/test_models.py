@@ -1,12 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import taylordp as tdp
-from taylordp.models import build
+from taylordp.config import load_config
+from taylordp.models import build, distributions
+from taylordp.models.distributions import binom_pmf, poisson_cutoff, poisson_pmf
 from taylordp.models.heavy_traffic import (heavy_traffic_oracle, heavy_traffic_oracle_fn,
                                            ode_coefficients)
-from taylordp.models.routing import RoutingParams, build_routing
+from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.models.service_rate import continuous_one_step_control, quartic_oracle
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -------------------------------------------------------------- service rate
@@ -143,6 +150,52 @@ def test_routing_censoring_keeps_cap_mass(routing2):
     K = routing2.K[0]
     assert np.allclose(K.sum(axis=1), 1.0, atol=1e-12)
     assert K[20, 20] > 0.0   # blocked arrivals pile on the cap
+
+
+# ------------------------------------------------------------- distributions
+# The models draw Poisson and binomial probabilities from scipy.special; the
+# helpers must give the very bits scipy.stats gave, or every routing and
+# inventory digest moves.
+
+def _poisson_rates():
+    """Every arrival or demand rate of the shipped configs, Tables 1 and 5 and the test models."""
+    lams = {0.8, 1.0, 1.2, 1.344, 1.4, 2.0, 5.0}
+    for path in CONFIG_DIR.glob("*.ini"):
+        cfg = load_config(path)
+        if cfg.model_name in ("routing", "inventory"):
+            lams.update(np.atleast_1d(cfg.model_params["lam"]).tolist())
+    for J, factors in ((2, (0.8, 1.0)), (3, (0.7, 0.8))):
+        for factor in factors:
+            lams.update(table_params(J=J, alpha=0.99, lam_factor=factor).lam)
+    lams.update(0.7 * n * 0.8 for n in (3, 4, 6))    # the scaled 3-pool instances
+    return sorted(lams)
+
+
+def _stats_cutoff(lam, tail):
+    """The isf + sf search the models ran on scipy.stats."""
+    k = int(stats.poisson.isf(tail, lam)) + 1
+    while stats.poisson.sf(k, lam) >= tail:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("tail", [1e-12, 1e-9, 1e-6])
+def test_poisson_helpers_match_scipy_stats(tail):
+    for lam in _poisson_rates():
+        k = poisson_cutoff(lam, tail)
+        assert k == _stats_cutoff(lam, tail), lam
+        ks = np.arange(k + 1)
+        assert np.array_equal(poisson_pmf(ks, lam), stats.poisson.pmf(ks, lam)), lam
+
+
+@pytest.mark.parametrize("ufunc", [True, False], ids=["boost_ufunc", "stats_fallback"])
+def test_binom_pmf_matches_scipy_stats(ufunc, monkeypatch):
+    if not ufunc:
+        monkeypatch.setattr(distributions, "_binom_pmf", None)
+    for n in range(21):
+        k = np.arange(n + 1)
+        for p in [i / 100 for i in range(1, 100)]:
+            assert np.array_equal(binom_pmf(k, n, p), stats.binom.pmf(k, n, p)), (n, p)
 
 
 # ------------------------------------------------------------- heavy traffic
