@@ -18,7 +18,6 @@ Argmax ties are broken to the first action in lexicographic order, with a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InfeasibleAction, MaxIterationsExceeded, SingularSystem
-from .lattice import PROB_TOL, LatticeMdp, action_tuple
+from .lattice import PROB_TOL, LatticeMdp, action_tuple, row_sums
 
 ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
@@ -205,31 +204,25 @@ def _check_rows(mdp, states, U, row_ptr, col_idx, probs, rewards):
             or row_ptr[-1] != len(col_idx) or probs.shape != col_idx.shape
             or rewards.shape != (k,)):
         raise ValueError(f"kernel rows and rewards do not describe {k} pairs")
+    sums, near_one = row_sums(probs, row_ptr)                # False for an empty row too
+    negative = probs < -PROB_TOL
+    outside = (col_idx < 0) | (col_idx >= mdp.n_states)
+    finite = np.isfinite(rewards)
+    if near_one.all() and finite.all() and not (negative.any() or outside.any()):
+        return
     lens = np.diff(row_ptr)
     owner = np.repeat(np.arange(k), lens)
-    negative = np.zeros(k, dtype=bool)
-    negative[owner[probs < -PROB_TOL]] = True
-    outside = np.zeros(k, dtype=bool)
-    outside[owner[(col_idx < 0) | (col_idx >= mdp.n_states)]] = True
-    # bincount adds each row in order, off by less than len * eps * sum|p|;
-    # only rows that this bound cannot clear are summed again with fsum
-    sums = np.bincount(owner, weights=probs, minlength=k)
-    margin = lens * np.finfo(np.float64).eps * np.bincount(owner, weights=np.abs(probs),
-                                                          minlength=k)
-    off_sum = ~(np.abs(sums - 1.0) <= PROB_TOL - margin)      # NaN sums too
-    for i in np.flatnonzero(off_sum):
-        sums[i] = math.fsum(probs[row_ptr[i]:row_ptr[i + 1]].tolist())
-        off_sum[i] = not abs(sums[i] - 1.0) <= PROB_TOL
-    checks = [(lens == 0, "has no entries"), (negative, "has a negative probability"),
-              (off_sum, "does not sum to 1"), (outside, "leaves the lattice"),
-              (~np.isfinite(rewards), "has a non-finite reward")]
+    checks = [(lens == 0, "has no entries"),
+              (np.isin(np.arange(k), owner[negative]), "has a negative probability"),
+              (~near_one, "does not sum to 1"),
+              (np.isin(np.arange(k), owner[outside]), "leaves the lattice"),
+              (~finite, "has a non-finite reward")]
     bad = np.column_stack([flag for flag, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        what = checks[int(np.argmax(bad[i]))][1]
-        detail = f" (sum {sums[i]!r})" if what == "does not sum to 1" else ""
-        raise ValueError(f"pair (state {tuple(states[i].tolist())}, action "
-                         f"{action_tuple(U[i:i + 1])[0]!r}) {what}{detail}")
+    i = int(np.argmax(bad.any(axis=1)))
+    what = checks[int(np.argmax(bad[i]))][1]
+    detail = f" (sum {sums[i]!r})" if what == "does not sum to 1" else ""
+    raise ValueError(f"pair (state {tuple(states[i].tolist())}, action "
+                     f"{action_tuple(U[i:i + 1])[0]!r}) {what}{detail}")
 
 
 def segmented_argmax(values: np.ndarray, offsets: np.ndarray, tol: float = ARGMAX_TOL):
@@ -268,7 +261,7 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
     disc = asm.discounts
 
     if sp.issparse(op):
-        system = (sp.eye(asm.n_states, format="csr") - sp.diags(disc) @ op).tocsc()
+        system = _evaluation_system(op, disc)
         try:
             lu = spla.splu(system)
             values = lu.solve(r_u)
@@ -287,6 +280,35 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
         raise SingularSystem(f"policy evaluation residual {residual} exceeds "
                              f"the {RESIDUAL_REL} contract")
     return values
+
+
+def _evaluation_system(op: sp.csr_matrix, disc: np.ndarray) -> sp.csc_matrix:
+    """I - diag(disc) P as one CSC matrix, built from P's stored rows in one numpy pass.
+
+    It stores what (sp.eye - sp.diags(disc) @ P).tocsc() stores, entry for
+    entry: the product scales each entry of row i by disc[i] and adds a
+    row's entries of one column in stored order from 0.0, dropping zero sums;
+    the difference keeps 1 - s on the diagonal and -s off it, dropping zeros
+    again; each column lists its rows ascending.  One 0.0 entry per diagonal
+    position stands for the identity and leaves every sum unchanged.
+    """
+    n = op.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
+    key = np.concatenate([op.indices.astype(np.int64) * n + rows,
+                          np.arange(n, dtype=np.int64) * (n + 1)])    # column-major position
+    weights = np.concatenate([disc[rows] * op.data, np.zeros(n)])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[0], first[1:] = True, key[1:] != key[:-1]
+    # bincount adds each position's weights one by one, in stored order
+    sums = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    col, row = np.divmod(key[first], n)
+    data = np.where(row == col, 1.0 - sums, -sums)
+    keep = data != 0.0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col[keep], minlength=n), out=indptr[1:])
+    return sp.csc_matrix((data[keep], row[keep], indptr), shape=(n, n))
 
 
 def _bracketed_iteration(r_u, op, disc, options, warm_start=None):

@@ -21,6 +21,8 @@ State = tuple[int, ...]
 
 PROB_TOL = 1e-12
 ROW_BLOCK = 1 << 20    # entries per rows() call in the jump-radius scan
+ROW_SUM_BLOCK = 64     # entries per partial sum in row_sums
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,54 @@ class TransitionRow:
             raise ValueError("targets and probs must align")
         if self.probs.size and self.probs.min() < -PROB_TOL:
             raise ValueError(f"negative probability {self.probs.min()}")
-        total = math.fsum(self.probs.tolist())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"row sums to {total}, not 1")
+        sums, near_one = row_sums(self.probs, np.array([0, self.probs.size]))
+        if not near_one[0]:
+            raise ValueError(f"row sums to {sums[0]}, not 1")
 
     def expectation(self, values: np.ndarray) -> float:
         return float(self.probs @ values[self.targets])
+
+
+def row_sums(probs: np.ndarray, row_ptr: np.ndarray):
+    """(sums, near_one) of the ragged rows probs[row_ptr[i]:row_ptr[i+1]].
+
+    near_one[i] holds when the row's math.fsum lies within PROB_TOL of one
+    (never for a NaN sum), and sums[i] is that fsum for every row failing
+    the test.  Each row is summed in blocks of ROW_SUM_BLOCK entries and
+    the block sums are added; in whatever order numpy adds, the result is
+    off from the exact sum by less than (ROW_SUM_BLOCK + blocks) * eps *
+    sum|p|.  A row that clears PROB_TOL by that bound passes without fsum
+    (near one the bound is over 64 eps, which also covers fsum's rounding
+    to float64).  The bound is 7e-14 on a 15,625-entry row, so only rows
+    near or past PROB_TOL are summed again with fsum.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if len(row_ptr) == 2:
+        # one row, as TransitionRow checks it: Python scalars cost less than
+        # the ragged pass below on short rows
+        row = probs[row_ptr[0]:row_ptr[1]]
+        total = float(np.add.reduceat(row, np.arange(0, len(row), ROW_SUM_BLOCK)).sum())
+        if not _clears_tol(total, len(row), float(np.abs(row).sum())):
+            total = math.fsum(row.tolist())
+        return np.array([total]), np.array([abs(total - 1.0) <= PROB_TOL])
+    lens = row_ptr[1:] - row_ptr[:-1]
+    blocks = (lens + (ROW_SUM_BLOCK - 1)) // ROW_SUM_BLOCK       # none for an empty row
+    owner = np.repeat(np.arange(len(lens)), blocks)
+    first = row_ptr[:-1] - ROW_SUM_BLOCK * (np.cumsum(blocks) - blocks)
+    starts = first[owner] + ROW_SUM_BLOCK * np.arange(len(owner))
+    sums = np.bincount(owner, np.add.reduceat(probs, starts), len(lens))
+    abs_sums = np.bincount(owner, np.add.reduceat(np.abs(probs), starts), len(lens))
+    near_one = _clears_tol(sums, lens, abs_sums)
+    for i in np.flatnonzero(~near_one):
+        sums[i] = math.fsum(probs[row_ptr[i]:row_ptr[i + 1]].tolist())
+        near_one[i] = abs(sums[i] - 1.0) <= PROB_TOL
+    return sums, near_one
+
+
+def _clears_tol(sums, lens, abs_sums):
+    """Whether blocked row sums lie within PROB_TOL of one by more than their rounding bound."""
+    margin = (ROW_SUM_BLOCK + 1 + lens // ROW_SUM_BLOCK) * _EPS * abs_sums
+    return abs(sums - 1.0) + margin <= PROB_TOL
 
 
 RawKernel = Callable[[State, object], tuple[np.ndarray, np.ndarray]]
@@ -117,7 +161,7 @@ def truncate_renormalize(raw_kernel: RawKernel, lattice: StateLattice) -> Kernel
         inside = np.all((coords >= lower) & (coords <= upper), axis=1)
         kept = probs[inside]
         mass = math.fsum(kept.tolist())
-        if mass <= 0.0:
+        if not mass > 0.0:                 # NaN mass too
             raise ZeroInteriorMass(state, action)
         targets = lattice.indices_of(coords[inside])
         return TransitionRow(targets, kept / mass)
@@ -323,16 +367,6 @@ class LatticeMdp:
     def row(self, state_index: int, action_index: int) -> TransitionRow:
         state = self.lattice.state(state_index)
         return self.kernel(state, self.action(state_index, action_index))
-
-    def reward_value(self, state_index: int, action_index: int) -> float:
-        return self.checked_reward(self.lattice.state(state_index),
-                                   self.action(state_index, action_index))
-
-    def checked_reward(self, state: State, action) -> float:
-        r = float(self.reward(state, action))
-        if not math.isfinite(r):
-            raise ValueError(f"non-finite reward at state {state}")
-        return r
 
     def validate_policy(self, policy: np.ndarray) -> None:
         policy = np.asarray(policy)

@@ -229,12 +229,20 @@ class RoutingModel:
         rewards = mdp.rewards(states, U)
         post_idx = lattice.indices_of(self.post_states(states, U))
 
-        Ks = self.K
+        # per axis: K, the transpose bringing that axis first, its inverse and
+        # the shape in between.  np.dot(K, t.transpose(perm).reshape(n, -1)) is
+        # the product np.tensordot(K, t, axes=(1, axis)) forms, same operands
+        # and layout, so the result is bit for bit that of tensordot + moveaxis
+        plan = []
+        for axis, K in enumerate(self.K):
+            perm = (axis,) + tuple(a for a in range(len(shape)) if a != axis)
+            plan.append((K, perm, tuple(np.argsort(perm)), tuple(shape[a] for a in perm)))
 
         def apply_expectation(values: np.ndarray) -> np.ndarray:
             t = values.reshape(shape)
-            for axis, K in enumerate(Ks):
-                t = np.moveaxis(np.tensordot(K, t, axes=(1, axis)), 0, axis)
+            for K, perm, inverse, moved in plan:
+                t = np.dot(K, t.transpose(perm).reshape(moved[0], -1))
+                t = t.reshape(moved).transpose(inverse)
             return t.ravel()
 
         return FactoredAssembly(offsets, rewards, post_idx, apply_expectation, mdp.discount)

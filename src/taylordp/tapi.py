@@ -28,8 +28,9 @@ A grid point's chain actions are the fine actions of its lattice state (an
 oblique boundary point keeps only the first), so policies move between the
 chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
-grid is a gather.  Only the boundary completion stays per state, because it
-needs one true kernel row per boundary grid point and action.
+grid is a gather.  The boundary completion goes point by point: one
+mdp.rows() call reads the true kernel rows of all of a boundary grid point's
+actions.
 
 With improvement="exact", the greedy-on-the-chain step is replaced by a
 fine-lattice greedy against the disaggregated value (the true kernel, not
@@ -46,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (SolveOptions, get_assembly, policy_evaluation, policy_improvement,
-                    policy_iteration, segmented_argmax)
+from .exact import (SolveOptions, _check_rows, get_assembly, policy_evaluation,
+                    policy_improvement, policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
 from .lattice import LatticeMdp, StateLattice
 from .taylor import TaylorProblem
@@ -116,12 +117,12 @@ def _nearest_actions(U: np.ndarray, offsets: np.ndarray, targets: np.ndarray) ->
     """Per state, the index of its action nearest the state's target action.
 
     U and offsets are an action table, targets one action per state.  The
-    distance is L1 and the first action within 1e-12 of the nearest wins.
+    distance is L1 and the first action within ARGMAX_TOL of the nearest wins.
     """
     U = U.reshape(len(U), -1).astype(np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(len(offsets) - 1, -1)
     dist = np.abs(U - np.repeat(targets, np.diff(offsets), axis=0)).sum(axis=1)
-    return segmented_argmax(-dist, offsets, 1e-12)[1]
+    return segmented_argmax(-dist, offsets)[1]
 
 
 def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeMdp,
@@ -131,8 +132,10 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
     Boundary grid states are completed by a fine one-step greedy against
-    fine_value.  Inherited actions infeasible at the destination are
-    projected to the nearest feasible action (_nearest_actions).
+    fine_value, from one mdp.rows() and one mdp.rewards() call per point,
+    checked as _tabulate checks its rows.  Inherited actions infeasible at
+    the destination are projected to the nearest feasible action
+    (_nearest_actions).
     """
     grid = chain.grid
     lattice = mdp.lattice
@@ -145,14 +148,18 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     grid_state = lattice.indices_of(grid.points())
     chosen = offsets[grid_state] + np.asarray(coarse_policy, dtype=np.int64)
 
-    # completion at boundary grid states
+    # completion at boundary grid states: the rows and rewards of one point's
+    # actions at a time, so at most one point's rows are held at once
+    states = lattice.states()
     for gi in np.flatnonzero(~chain.interior_mask):
         si = int(grid_state[gi])
-        q = np.empty(offsets[si + 1] - offsets[si])
-        for a in range(len(q)):
-            row = mdp.row(si, a)
-            q[a] = mdp.reward_value(si, a) + mdp.discount * row.expectation(fine_value)
-        chosen[gi] = offsets[si] + int(np.flatnonzero(q >= q.max() - 1e-12)[0])
+        lo, hi = offsets[si], offsets[si + 1]
+        point = np.repeat(states[si:si + 1], hi - lo, axis=0)
+        row_ptr, targets, probs = mdp.rows(point, U[lo:hi])
+        rewards = mdp.rewards(point, U[lo:hi])
+        _check_rows(mdp, point, U[lo:hi], row_ptr, targets, probs, rewards)
+        q = rewards + mdp.discount * np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
+        chosen[gi] = lo + segmented_argmax(q, np.array([0, hi - lo]))[1][0]
 
     # nearest interior grid point for every fine state (per-axis clamp into the interior)
     clamped_axes = []
@@ -180,7 +187,7 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     extension extrapolates.  This is the discretized form of maximizing
     r(x,u) + alpha L_u V(x) - (1-alpha) V(x) over the feasible actions.
     All (state, action) pairs are scored in one pass over the action table;
-    ties go to the first action within 1e-12.
+    ties go to the first action within ARGMAX_TOL.
 
     With a problem.moment_classes hook, moments and stencil rates are
     computed once per moment class and gathered back to the pairs; without
@@ -229,7 +236,7 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     expect = (np.einsum("pc,pc->p", rates, np.repeat(neighbor_vals, counts, axis=0))
               + (1.0 - tot / q_max) * np.repeat(center_vals, counts))
     q = a_h * rew / (alpha * q_max) + a_h * expect
-    return segmented_argmax(q, offsets, 1e-12)[1]
+    return segmented_argmax(q, offsets)[1]
 
 
 def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):

@@ -9,7 +9,9 @@ pair.  The reference functions below are the per-state
 loops they replaced, kept here only as oracles; every comparison is exact
 (the verifier's error maxima, sums in a different order, agree to 1e-15).
 The multilinear value extension is checked bit for bit against the scipy
-RegularGridInterpolator it replaced.
+RegularGridInterpolator it replaced, the routing matvec against the
+np.tensordot loop, the direct evaluation system against scipy's sparse
+algebra, and the row-sum test against math.fsum.
 """
 
 import itertools
@@ -17,19 +19,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 
 import taylordp as tdp
 from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
 from taylordp.errors import EmptyActionSet, InfeasibleAction
-from taylordp.exact import _tabulate, get_assembly
+from taylordp.exact import _evaluation_system, _tabulate, get_assembly
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stencil_rates,
                               verify_tcp_equivalence)
-from taylordp.lattice import (ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow,
-                              action_tuple)
+from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLattice,
+                              TransitionRow, action_tuple, row_sums)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import _extension_interpolator, _restrict_policy
@@ -458,7 +461,7 @@ def per_pair_tabulate(mdp):
         state = mdp.lattice.state(i)
         for u in mdp.actions_at(i):
             row = mdp.kernel(state, u)
-            rewards.append(mdp.checked_reward(state, u))
+            rewards.append(float(mdp.reward(state, u)))
             cols.append(row.targets)
             probs.append(row.probs)
             row_ptr.append(row_ptr[-1] + len(row.targets))
@@ -945,7 +948,8 @@ def per_state_disaggregate_policy(chain, coarse_policy, mdp, fine_value):
         q = np.empty(len(acts))
         for a in range(len(acts)):
             row = mdp.row(si, a)
-            q[a] = mdp.reward_value(si, a) + mdp.discount * row.expectation(fine_value)
+            reward = float(mdp.reward(lattice.state(si), acts[a]))
+            q[a] = reward + mdp.discount * row.expectation(fine_value)
         coarse_actions[gi] = acts[int(np.flatnonzero(q >= q.max() - 1e-12)[0])]
     interior_grid = CoarseGrid(tuple(ax[1:-1] if len(ax) >= 3 else ax for ax in grid.axes))
     pos = np.unravel_index(interior_grid.nearest_index(lattice.states()), interior_grid.shape)
@@ -1011,3 +1015,106 @@ def test_policy_moves_match_per_state_projection(name, variant, h, request):
         for fine in (tdp.policy_improvement(mdp, fine_v), fast):
             assert np.array_equal(_restrict_policy(chain, mdp.lattice, fine),
                                   per_point_restriction(chain, mdp, fine)), label
+
+
+# ---------------------------------------------------------------------------
+# solver paths: factored matvec, evaluation system, row sums
+# ---------------------------------------------------------------------------
+
+def tensordot_matvec(model, values):
+    """The routing expectation as one np.tensordot and np.moveaxis per pool."""
+    t = values.reshape(model.mdp.lattice.shape)
+    for axis, K in enumerate(model.K):
+        t = np.moveaxis(np.tensordot(K, t, axes=(1, axis)), 0, axis)
+    return t.ravel()
+
+
+@pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_bench",
+                                  pytest.param("routing3_paper", marks=pytest.mark.slow)])
+def test_planned_matvec_matches_tensordot(name, request):
+    model = request.getfixturevalue(name)
+    apply = get_assembly(model.mdp).apply_expectation
+    rng = np.random.default_rng(11)
+    n = model.mdp.n_states
+    for _ in range(4):
+        values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 4.0, n)
+        assert _bits(apply(values)).tolist() == _bits(tensordot_matvec(model, values)).tolist()
+
+
+def eye_minus_system(op, disc):
+    """I - diag(disc) P as scipy's sparse algebra builds it."""
+    return (sp.eye(op.shape[0], format="csr") - sp.diags(disc) @ op).tocsc()
+
+
+def assert_same_system(op, disc):
+    fast, ref = _evaluation_system(op, disc), eye_minus_system(op, disc)
+    for field in ("data", "indices", "indptr"):
+        x, y = getattr(fast, field), getattr(ref, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
+
+@pytest.mark.parametrize("name,variant,h", POLICY_MOVE_CASES)
+def test_evaluation_system_matches_scipy_on_chains(name, variant, h, request):
+    chain = tdp.build_multidim_chain(request.getfixturevalue(name).problem, h)
+    asm = chain.assembly()
+    for policy in _coarse_policies(chain).values():
+        assert_same_system(asm.policy_operator(policy), asm.discounts)
+
+
+@pytest.mark.parametrize("name", ["service_quadratic", "inventory_model", "heavy_queue"])
+def test_evaluation_system_matches_scipy_on_tabular_models(name, request):
+    mdp = request.getfixturevalue(name).mdp
+    asm = get_assembly(mdp)
+    counts = np.diff(asm.offsets)
+    policies = [np.zeros(mdp.n_states, dtype=np.int64),
+                np.random.default_rng(3).integers(0, counts),
+                tdp.policy_iteration(mdp).policy]
+    for policy in policies:
+        assert_same_system(asm.policy_operator(policy), asm.discounts)
+
+
+def test_evaluation_system_sums_duplicates_and_drops_zeros():
+    # no model stores a column twice in a row: duplicates summed in stored
+    # order, sums and differences that cancel to zero, zero entries
+    indptr = [0, 4, 7, 8, 11]
+    indices = [1, 0, 1, 1, 1, 0, 0, 2, 0, 3, 0]
+    data = [0.1, 0.3, 0.2, 0.4, 1.0, 0.25, -0.25, 0.0, 1e-17, 0.5, 0.3]
+    op = sp.csr_matrix((data, indices, indptr), shape=(4, 4))
+    assert_same_system(op, np.array([0.9, 1.0, 0.5, 0.7]))
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 40):
+        lens = rng.integers(0, 9, n)
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        indices = rng.integers(0, min(n, 4), indptr[-1])          # many duplicates
+        data = rng.choice([0.0, 0.1, 0.3, -0.3, 1.0, 1 / 3], indptr[-1])
+        op = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        assert_same_system(op, rng.choice([0.0, 0.5, 0.99, 1.0], n))
+
+
+def _edge_rows(base):
+    """base plus one last entry that puts the row's fsum 0..4 ulps either side of 1 +- PROB_TOL."""
+    rest = 1.0 - math.fsum(base.tolist())
+    for sign in (1.0, -1.0):
+        for k in range(-4, 5):
+            last = rest + sign * PROB_TOL
+            for _ in range(abs(k)):
+                last = np.nextafter(last, math.copysign(math.inf, k))
+            yield np.append(base, last)
+
+
+def test_row_sums_match_fsum():
+    long = np.random.default_rng(6).random(15_624)
+    rows = [*_edge_rows(np.array([0.25, 0.25])), *_edge_rows(0.5 * long / long.sum()),
+            np.array([math.nan, 1.0]), np.array([math.nan, math.nan]), np.array([]),
+            np.full(15_625, 1 / 15_625)]
+    fsums = np.array([math.fsum(r.tolist()) for r in rows])
+    expected = np.abs(fsums - 1.0) <= PROB_TOL
+    for edge in expected[:36].reshape(4, 9):     # each sweep crosses the edge
+        assert edge.any() and not edge.all()
+    row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    sums, near_one = row_sums(np.concatenate(rows), row_ptr)
+    assert near_one.tolist() == expected.tolist()
+    assert _bits(sums[~near_one]).tolist() == _bits(fsums[~near_one]).tolist()
+    for row, fsum, ok in zip(rows, fsums, expected):     # one row, as TransitionRow sums it
+        one_sum, one_ok = row_sums(row, np.array([0, len(row)]))
+        assert one_ok.tolist() == [ok] and (ok or _bits(one_sum).tolist() == _bits(fsum).tolist())

@@ -126,7 +126,8 @@ def test_discounted_functional_constant():
 def test_discounted_functional_reward_is_policy_evaluation(quartic_fixed):
     mdp = quartic_fixed.mdp
     pol = np.zeros(mdp.n_states, dtype=np.int64)
-    r = np.array([mdp.reward_value(i, 0) for i in range(mdp.n_states)])
+    r = np.array([mdp.reward(mdp.lattice.state(i), mdp.action(i, 0))
+                  for i in range(mdp.n_states)])
     assert np.array_equal(tdp.discounted_functional(mdp, pol, r),
                           tdp.policy_evaluation(mdp, pol))
 
@@ -235,6 +236,68 @@ def test_factored_evaluation_matvec_count(monkeypatch):
     monkeypatch.setattr(asm, "apply_expectation", lambda v: calls.append(1) or apply(v))
     tdp.policy_evaluation(mdp, pi.policy)
     assert 0 < len(calls) <= 200
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_factored_evaluation_makes_no_tensordot_call(monkeypatch):
+    # the planned matvec runs np.dot on operands fixed at assembly
+    mdp, pi = _routing2_pi(0.99)
+    monkeypatch.setattr(np, "tensordot", _raise)
+    monkeypatch.setattr(np, "moveaxis", _raise)
+    tdp.policy_evaluation(mdp, pi.policy)
+
+
+def test_direct_evaluation_one_splu_no_eye_or_diags(monkeypatch):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    mdp = build("service_rate", M=30, alpha=0.99).mdp
+    policy = np.zeros(mdp.n_states, dtype=np.int64)
+    tdp.policy_evaluation(mdp, policy)                 # assemble first
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
+    monkeypatch.setattr(sp, "eye", _raise)
+    monkeypatch.setattr(sp, "diags", _raise)
+    tdp.policy_evaluation(mdp, policy)
+    assert len(calls) == 1
+
+
+def _completion_calls(model, h, monkeypatch):
+    """(rows() calls, kernel calls, boundary grid states) of one disaggregate_policy."""
+    mdp = model.mdp
+    chain = tdp.build_multidim_chain(model.problem, h)
+    coarse = np.zeros(chain.n_states, dtype=np.int64)
+    fine_v = tdp.disaggregate_value(tdp.policy_evaluation(chain, coarse), chain.grid, mdp.lattice)
+    calls = {"rows": 0, "kernel": 0}
+
+    def counted(name, fn):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    monkeypatch.setattr(mdp, "rows", counted("rows", mdp.rows))
+    monkeypatch.setattr(mdp, "kernel", counted("kernel", mdp.kernel))
+    monkeypatch.setattr(mdp, "row", _raise)
+    monkeypatch.setattr(mdp, "reward", _raise)
+    tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
+    boundary = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
+    return calls["rows"], calls["kernel"], boundary
+
+
+def test_boundary_completion_one_rows_call_per_point(monkeypatch):
+    from taylordp.models.routing import build_routing, table_params
+    model = build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))
+    rows, kernel, boundary = _completion_calls(model, 4, monkeypatch)
+    # routing has no kernel_batch hook: rows() makes one kernel call per pair
+    assert len(boundary) > 0 and rows == len(boundary)
+    assert kernel == np.diff(model.mdp.action_table()[1])[boundary].sum()
+
+
+def test_boundary_completion_no_kernel_calls_with_batch_hooks(monkeypatch):
+    rows, kernel, boundary = _completion_calls(build("service_rate", M=30, alpha=0.99), 2,
+                                               monkeypatch)
+    assert len(boundary) > 0 and rows == len(boundary) and kernel == 0
 
 
 def test_factored_evaluation_max_iterations(routing2):

@@ -39,6 +39,13 @@ def test_transition_row_validation():
     assert row.expectation(np.arange(10.0)) == pytest.approx(3.75)
 
 
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.nan]])
+def test_transition_row_rejects_nan(probs):
+    # nan < -PROB_TOL and abs(nan - 1) > PROB_TOL are both False
+    with pytest.raises(ValueError):
+        TransitionRow([0, 1], probs)
+
+
 def test_truncate_renormalize_walk_at_upper_bound():
     # random walk at x = M with up-mass leaking out: the kept row is the sure
     # step down
@@ -90,6 +97,16 @@ def test_truncate_renormalize_zero_interior_mass():
 
     def raw(state, u):
         return np.array([[10]]), np.array([1.0])
+
+    with pytest.raises(ZeroInteriorMass):
+        truncate_renormalize(raw, lat)((0,), None)
+
+
+def test_truncate_renormalize_nan_mass():
+    lat = StateLattice((0,), (3,))
+
+    def raw(state, u):
+        return np.array([[0], [1]]), np.array([math.nan, 0.5])
 
     with pytest.raises(ZeroInteriorMass):
         truncate_renormalize(raw, lat)((0,), None)
