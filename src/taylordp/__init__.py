@@ -11,16 +11,14 @@ from .bounds import (GapReport, GridFunction1d, SmoothFunction, corner_states,
                      third_derivative_proxy)
 from .exact import (PiResult, SolveOptions, discounted_functional, policy_evaluation,
                     policy_improvement, policy_iteration, value_iteration)
-from .kdchain import (CoarseGrid, KdChain, TcpEquivalenceReport, build_interior_row_1d,
-                      build_interior_row_upwind_1d, build_multidim_chain, rescale_reward,
-                      state_discount, verify_tcp_equivalence)
+from .kdchain import (CoarseGrid, KdChain, TcpEquivalenceReport, build_multidim_chain,
+                      verify_tcp_equivalence)
 from .lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet, StateLattice,
-                      TransitionRow, enumerate_actions, max_jump, truncate_renormalize,
-                      uniform_max_jump)
+                      TransitionRow, max_jump, truncate_renormalize, uniform_max_jump)
 from .tapi import (TapiOptions, TapiResult, disaggregate_policy, disaggregate_value,
                    tapi_solve)
 from .taylor import (BoundarySpec, DriftDiffusion, EllipticityReport, TaylorProblem,
-                     analytic_moments, ellipticity_check, kernel_moment_provider,
-                     moments_from_kernel, oblique_eta)
+                     ellipticity_check, kernel_moment_provider, moments_from_kernel,
+                     oblique_eta)
 
 __version__ = "0.1.0"

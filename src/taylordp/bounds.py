@@ -91,20 +91,25 @@ class GridFunction1d(SmoothFunction):
 
 
 def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.ndarray:
-    """A_U[Phi](x) for every lattice state, from the kernel row and (mu, sigma2)."""
+    """A_U[Phi](x) for every lattice state, from the kernel row and (mu, sigma2).
+
+    The policy's moments come from one moments_batch call over all states.
+    """
     mdp = problem.mdp
     lattice = mdp.lattice
     alpha = mdp.discount
-    states = lattice.states().astype(np.float64)
-    phi_states = phi.value(states)
+    mdp.validate_policy(policy)
+    policy = np.asarray(policy, dtype=np.int64)
+    states = lattice.states()
+    phi_states = phi.value(states.astype(np.float64))
+    U, offsets = mdp.action_table()
+    mu_b, s2_b = problem.moments_batch(states, U[offsets[:-1] + policy])
     out = np.empty(mdp.n_states)
     for i in range(mdp.n_states):
         x = lattice.state(i)
-        a = int(policy[i])
-        row = mdp.row(i, a)
+        row = mdp.row(i, int(policy[i]))
         p_phi = float(row.probs @ phi_states[row.targets])
-        dd = problem.moments(x, mdp.actions_at(i)[a])
-        lu = float(dd.mu @ phi.grad(x)) + 0.5 * float(np.trace(dd.sigma2 @ phi.hess(x)))
+        lu = float(mu_b[i] @ phi.grad(x)) + 0.5 * float(np.trace(s2_b[i] @ phi.hess(x)))
         out[i] = alpha * (p_phi - phi_states[i]) - alpha * lu
     return out
 

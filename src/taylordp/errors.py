@@ -66,10 +66,6 @@ class MissingBoundaryData(TaylorDpError):
     """The model does not declare boundary drift limits needed for eta."""
 
 
-class NotAvailable(TaylorDpError):
-    """Closed-form moments requested from a kernel-only model."""
-
-
 class InsufficientNeighborhood(TaylorDpError):
     """Seminorm estimation radius is smaller than the grid spacing."""
 

@@ -63,13 +63,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonInwardEta, SmallDriftViolated
+from .errors import NonInwardEta
 from .exact import TabularAssembly
 from .lattice import StateLattice
 from .taylor import TaylorProblem
 
 RATE_TOL = 1e-12
-IDENTITY_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -131,63 +130,6 @@ class CoarseGrid:
             use_left = (c - left) <= (right - c)  # tie -> smaller grid point
             pos.append(np.where(use_left, j - 1, j))
         return np.ravel_multi_index(tuple(pos), self.shape)
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional row builders (the displayed construction)
-# ---------------------------------------------------------------------------
-
-def build_interior_row_1d(mu: float, sigma2: float, Sigma: float, h: float):
-    """Central-difference row (p_plus, p_minus, p_stay) on an interior point.
-
-    Requires the small-drift condition sigma2 >= |mu| h and Sigma >= sigma2.
-    """
-    if Sigma < sigma2 or Sigma <= 0.0:
-        raise ValueError("need Sigma >= sigma2 > 0")
-    if sigma2 < abs(mu) * h - RATE_TOL:
-        raise SmallDriftViolated(mu, sigma2, h)
-    p_plus = (mu * h + sigma2) / (2.0 * Sigma)
-    p_minus = (-mu * h + sigma2) / (2.0 * Sigma)
-    p_stay = 1.0 - sigma2 / Sigma
-    return p_plus, p_minus, p_stay
-
-
-def build_interior_row_upwind_1d(mu: float, sigma2: float, Sigma_up: float, h: float):
-    """One-sided (upwind) row valid for any drift.
-
-    With Q(x) = sup_u (|mu_u| h + sigma2_u):
-
-        p_plus  = (mu+ h + sigma2/2) / Q
-        p_minus = (mu- h + sigma2/2) / Q
-        p_stay  = 1 - (|mu| h + sigma2) / Q
-
-    First moment is exact; the second carries |mu| h slack.
-    """
-    if sigma2 <= 0.0:
-        raise ValueError("need sigma2 > 0")
-    if Sigma_up < abs(mu) * h + sigma2 - RATE_TOL:
-        raise ValueError("normalizer smaller than |mu| h + sigma2")
-    p_plus = (max(mu, 0.0) * h + sigma2 / 2.0) / Sigma_up
-    p_minus = (max(-mu, 0.0) * h + sigma2 / 2.0) / Sigma_up
-    p_stay = 1.0 - (abs(mu) * h + sigma2) / Sigma_up
-    return p_plus, p_minus, p_stay
-
-
-def state_discount(Sigma_or_Q: float, h: float, alpha: float) -> float:
-    """alpha_h(x) = (1 + h^2/Sigma(x) (1/alpha - 1))^(-1)."""
-    if Sigma_or_Q <= 0.0 or not (0.0 < alpha < 1.0) or h < 1:
-        raise ValueError("need Sigma > 0, alpha in (0,1), h >= 1")
-    return 1.0 / (1.0 + (h * h / Sigma_or_Q) * (1.0 / alpha - 1.0))
-
-
-def rescale_reward(r: float, alpha_h: float, alpha: float, Sigma: float, h: float) -> float:
-    """r~_h = alpha_h h^2 r / (alpha Sigma); checked against (1-alpha_h)/(1-alpha) r."""
-    primary = alpha_h * h * h * r / (alpha * Sigma)
-    identity = (1.0 - alpha_h) / (1.0 - alpha) * r
-    scale = max(abs(primary), abs(identity), 1e-300)
-    if abs(primary - identity) > IDENTITY_RTOL * scale:
-        raise AssertionError(f"reward rescaling forms disagree: {primary} vs {identity}")
-    return primary
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +229,7 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl, hr, scheme: str):
 # ---------------------------------------------------------------------------
 
 class KdChain:
-    """TCP-equivalent coarse chain, ready for the exact_dp solvers."""
+    """TCP-equivalent coarse chain; the exact.py solvers take it through assembly()."""
 
     def __init__(self, grid, alpha, actions_per_state, assembly, Q, interior_mask,
                  second_moment_slack, cross_scale, cost_oriented=False, name="kd-chain"):

@@ -394,11 +394,6 @@ def pack_rows(targets: np.ndarray, probs: np.ndarray, lengths: np.ndarray):
     return row_ptr, targets[keep], probs[keep]
 
 
-def enumerate_actions(mdp: LatticeMdp, state) -> tuple:
-    """Complete, duplicate-free, lexicographically ordered feasible actions."""
-    return mdp.actions.at(tuple(state))
-
-
 def _max_radius(mdp: LatticeMdp, pairs: np.ndarray) -> int:
     """ceil of the largest |y - x|_2 over P(x, y) > 0 of the given flat (state, action) pairs.
 

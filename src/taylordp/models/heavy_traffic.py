@@ -26,7 +26,7 @@ import numpy as np
 
 from ..bounds import SmoothFunction
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, pack_rows
-from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from ..taylor import BoundarySpec, TaylorProblem
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,17 @@ class HeavyTrafficQueue:
                               name="heavy_traffic_queue",
                               kernel_batch=kernel_batch, reward_batch=reward_batch)
 
-        def moments(state, u) -> DriftDiffusion:
-            (x,) = state
-            if x == 0:
-                return DriftDiffusion([lam], [[lam]])
-            return DriftDiffusion([lam - mu], [[1.0]])
+        def moments_batch(state, actions):
+            # drift lam and second moment lam at 0 (lazy reflection), lam - mu and 1 above
+            x = np.broadcast_to(np.asarray(state)[..., 0], (len(actions),))
+            mu_b = np.where(x == 0, lam, lam - mu)
+            return mu_b[:, None], np.where(x == 0, lam, 1.0)[:, None, None]
 
         self.boundary_spec = BoundarySpec(
             kind="oblique",
             eta=lambda state: np.array([1.0 if state[0] == 0 else -1.0]),
         )
-        self.problem = TaylorProblem(self.mdp, moments, self.boundary_spec)
+        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
 
     def mass_conserving_states(self) -> np.ndarray:
         mask = np.ones(self.mdp.n_states, dtype=bool)

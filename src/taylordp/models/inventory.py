@@ -89,9 +89,6 @@ class InventoryModel:
                               lambda s, u: -cost(s, u), params.alpha,
                               name="inventory", cost_oriented=True)
 
-        def moments(state, u) -> DriftDiffusion:
-            return DriftDiffusion([u - lam], [[(u - lam) ** 2 + lam]])
-
         def moments_batch(state, actions_):
             # interior moments do not depend on the state (one or one per action)
             us = np.asarray(actions_, dtype=np.float64)
@@ -103,8 +100,7 @@ class InventoryModel:
             eta=lambda state: np.array([1.0 if state[0] == -M else -1.0]),
             fot_drift=lambda state: np.array([lam if state[0] == -M else -lam]),
         )
-        self.problem = TaylorProblem(self.mdp, moments, self.boundary_spec,
-                                     moments_batch=moments_batch)
+        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
 
     def truncated_boundary_moments(self, state, u) -> DriftDiffusion:
         """Moments of the edge rows: (u, u^2) at -M and (-lam, lam + lam^2) at M."""

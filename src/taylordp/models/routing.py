@@ -38,7 +38,7 @@ import numpy as np
 
 from ..exact import FactoredAssembly
 from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice, TransitionRow
-from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from ..taylor import BoundarySpec, TaylorProblem
 from .distributions import binom_pmf, poisson_cutoff, poisson_pmf
 
 
@@ -178,10 +178,6 @@ class RoutingModel:
         lam = np.asarray(params.lam, dtype=np.float64)
         p = np.asarray(params.p, dtype=np.float64)
 
-        def moments(state, u) -> DriftDiffusion:
-            mu_b, s2_b = moments_batch(state, [u])
-            return DriftDiffusion(mu_b[0], s2_b[0])
-
         def moments_batch(state, action_list):
             x = np.asarray(state, dtype=np.float64)           # (J,) or per pair (k, J)
             U = np.asarray(action_list, dtype=np.float64).reshape(-1, m)
@@ -192,8 +188,6 @@ class RoutingModel:
             diag = lam + n_busy * p * (1.0 - p) + mu ** 2
             s2[:, np.arange(J), np.arange(J)] = diag
             return mu, s2
-
-        self._moments_batch = moments_batch
 
         # the moments see a pair only through (nets, n_busy); both are
         # integers bounded by the lattice, so one mixed-radix code names them
@@ -216,8 +210,7 @@ class RoutingModel:
             return e
 
         self.boundary_spec = BoundarySpec(kind="oblique", eta=eta)
-        self.problem = TaylorProblem(self.mdp, moments, self.boundary_spec,
-                                     moments_batch=moments_batch,
+        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec,
                                      moment_classes=moment_classes)
 
     def _build_factored(self) -> FactoredAssembly:

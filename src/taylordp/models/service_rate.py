@@ -33,7 +33,7 @@ import numpy as np
 
 from ..bounds import SmoothFunction
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, pack_rows
-from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from ..taylor import BoundarySpec, TaylorProblem
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,6 @@ class ServiceRateModel:
                               alpha, name=f"service_rate_{params.cost}", cost_oriented=True,
                               kernel_batch=kernel_batch, reward_batch=reward_batch)
 
-        def moments(state, u) -> DriftDiffusion:
-            (x,) = state
-            mu = 1.0 if x == 0 else 1.0 - 2.0 * u
-            return DriftDiffusion([mu], [[1.0]])
-
         def moments_batch(state, actions):
             x = np.asarray(state)[..., 0]                     # one state, or one per action
             us = np.asarray(actions, dtype=np.float64)
@@ -101,14 +96,12 @@ class ServiceRateModel:
             eta=lambda state: np.array([1.0 if state[0] == 0 else -1.0]),
             fot_drift=lambda state: np.array([1.0 if state[0] == 0 else -1.0]),
         )
-        self.problem = TaylorProblem(self.mdp, moments, self.boundary_spec,
-                                     moments_batch=moments_batch)
+        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
 
     def fot_boundary_problem(self) -> TaylorProblem:
         """Same model with first-order Tayloring at 0 and M."""
         spec = BoundarySpec(kind="fot", fot_drift=self.boundary_spec.fot_drift)
-        return TaylorProblem(self.mdp, self.problem.moments, spec,
-                             moments_batch=self.problem._moments_batch)
+        return TaylorProblem(self.mdp, self.problem.moments_batch, spec)
 
     def mass_conserving_states(self) -> np.ndarray:
         """States whose raw random-walk row keeps all mass inside [0, M]."""

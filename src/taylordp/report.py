@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .lattice import action_tuple
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -64,26 +66,43 @@ def write_gap_csv(path, lattice, v_star, v_candidate, report, remainder=None,
             ])
 
 
+def _fmt_column(values) -> np.ndarray:
+    """_fmt of every entry, as an object array ready to be gathered."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = [_fmt(v) for v in values]
+    return out
+
+
 def write_chain_csv(path, chain) -> None:
     """Columns: state, action, target, prob, alpha_h, r_tilde (one row per entry)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     asm = chain.assembly()
+    entry_pair = np.repeat(np.arange(len(asm.rewards)), np.diff(asm.row_ptr))
+    entry_state = np.repeat(np.arange(chain.n_states), np.diff(asm.offsets))[entry_pair]
+    actions = _fmt_column([u for s in range(chain.n_states) for u in chain.actions_at(s)])
+    columns = (entry_state.tolist(), actions[entry_pair], asm.col_idx.tolist(),
+               _fmt_column(asm.probs.tolist()), _fmt_column(asm.discounts.tolist())[entry_state],
+               _fmt_column(asm.rewards.tolist())[entry_pair])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state", "action", "target", "prob", "alpha_h", "r_tilde"])
-        for s in range(chain.n_states):
-            for a, act in enumerate(chain.actions_at(s)):
-                targets, probs, r_tilde = chain.pair_row(s, a)
-                for t, p in zip(targets, probs):
-                    writer.writerow([s, _fmt(act), int(t), _fmt(float(p)),
-                                     _fmt(float(chain.discounts[s])), _fmt(float(r_tilde))])
+        writer.writerows(zip(*columns))
 
 
 def write_moments_csv(path, problem) -> None:
-    """Columns: state, action, mu_1.., sigma2 entries (row-major), eig_min, eig_max."""
+    """Columns: state, action, mu_1.., sigma2 entries (row-major), eig_min, eig_max.
+
+    One moments_batch call over every (state, action) pair and one stacked
+    eigvalsh.
+    """
     mdp = problem.mdp
     d = mdp.lattice.dim
+    U, offsets = mdp.action_table()
+    mu, s2 = problem.moments_batch(mdp.pair_states(), U)
+    eig = np.linalg.eigvalsh(s2)
+    values = np.column_stack([mu, s2.reshape(len(U), d * d), eig[:, 0], eig[:, -1]])
+    pair_state = np.repeat(np.arange(mdp.n_states), np.diff(offsets))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -92,14 +111,8 @@ def write_moments_csv(path, problem) -> None:
                   + [f"sigma2_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
                   + ["eig_min", "eig_max"])
         writer.writerow(header)
-        for s in range(mdp.n_states):
-            state = mdp.lattice.state(s)
-            for u in mdp.actions_at(s):
-                dd = problem.moments(state, u)
-                eig = np.linalg.eigvalsh(dd.sigma2)
-                writer.writerow([s, _fmt(u)] + [_fmt(float(v)) for v in dd.mu]
-                                + [_fmt(float(v)) for v in dd.sigma2.ravel()]
-                                + [_fmt(float(eig[0])), _fmt(float(eig[-1]))])
+        for s, u, row in zip(pair_state.tolist(), action_tuple(U), values.tolist()):
+            writer.writerow([s, _fmt(u)] + [_fmt(v) for v in row])
 
 
 def summary_line(model, alpha, h, mode, max_rel, mean_rel, iters, wall_time) -> str:

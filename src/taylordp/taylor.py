@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingBoundaryData, NonInwardEta, NotAvailable
+from .errors import MissingBoundaryData, NonInwardEta
 from .lattice import LatticeMdp, StateLattice, action_tuple
 
 SYM_TOL = 1e-12
@@ -115,12 +115,15 @@ class BoundarySpec:
 
 
 class TaylorProblem:
-    """An MDP together with its drift/diffusion provider and boundary spec.
+    """An MDP together with its drift/diffusion hook and boundary spec.
 
-    moments(state, action) must be defined for every lattice state and every
-    feasible action there.  Models with closed forms install an analytic
-    provider (plus a vectorized variant for chain construction); the fallback
-    computes moments from the truncated kernel rows.
+    moments_batch(state, actions) -> (mu, sigma2) stacks the moments of k
+    actions as (k, d) and (k, d, d).  state is one state (d,) shared by all
+    actions, or one state per action (k, d); actions is a sequence of the
+    action set's actions or an action-table slice.  It must be defined for
+    every lattice state and every feasible action there.  Models with closed
+    forms pass their own hook; kernel_moment_provider(mdp) sums the moments
+    from the truncated kernel rows instead.
 
     moment_classes(states, U), when given, returns one int64 code per
     (state, action) pair, broadcasting like moments_batch; pairs with equal
@@ -129,34 +132,18 @@ class TaylorProblem:
     it every pair is its own class.
     """
 
-    def __init__(self, mdp: LatticeMdp, moments, boundary: BoundarySpec,
-                 moments_batch=None, name: str = "", moment_classes=None):
+    def __init__(self, mdp: LatticeMdp, moments_batch, boundary: BoundarySpec,
+                 name: str = "", moment_classes=None):
         self.mdp = mdp
-        self.moments = moments
+        self.moments_batch = moments_batch
         self.boundary = boundary
-        self._moments_batch = moments_batch
         self.moment_classes = moment_classes
         self.name = name or mdp.name
 
-    def moments_batch(self, state, actions):
-        """(mu, sigma2) stacked over k actions: (k, d) and (k, d, d).
-
-        state is one state (d,) shared by all actions, or one state per
-        action (k, d); actions is a sequence or an action-table slice.
-        """
-        if self._moments_batch is not None:
-            return self._moments_batch(state, actions)
-        if isinstance(actions, np.ndarray):
-            actions = action_tuple(actions)
-        states = np.asarray(state)
-        if states.ndim == 1:
-            states = np.broadcast_to(states, (len(actions), states.size))
-        mus, s2s = [], []
-        for x, u in zip(states.tolist(), actions):
-            dd = self.moments(tuple(x), u)
-            mus.append(dd.mu)
-            s2s.append(dd.sigma2)
-        return np.stack(mus), np.stack(s2s)
+    def moments(self, state, action) -> DriftDiffusion:
+        """The moments of one pair: a one-pair call of moments_batch."""
+        mu, sigma2 = self.moments_batch(np.asarray(state)[None, :], np.asarray([action]))
+        return DriftDiffusion(mu[0], sigma2[0])
 
 
 def moments_from_kernel(mdp: LatticeMdp, state, action) -> DriftDiffusion:
@@ -179,24 +166,16 @@ def moments_from_kernel(mdp: LatticeMdp, state, action) -> DriftDiffusion:
 
 
 def kernel_moment_provider(mdp: LatticeMdp):
-    """A TaylorProblem moments callable backed by moments_from_kernel."""
+    """A moments_batch hook backed by moments_from_kernel, one row per pair."""
 
-    def moments(state, action):
-        return moments_from_kernel(mdp, state, action)
+    def moments_batch(state, actions):
+        if isinstance(actions, np.ndarray):
+            actions = action_tuple(actions)
+        states = np.broadcast_to(np.asarray(state), (len(actions), mdp.lattice.dim))
+        dds = [moments_from_kernel(mdp, tuple(x), u) for x, u in zip(states.tolist(), actions)]
+        return np.stack([dd.mu for dd in dds]), np.stack([dd.sigma2 for dd in dds])
 
-    return moments
-
-
-def analytic_moments(model, state, action) -> DriftDiffusion:
-    """Closed-form drift/diffusion of a model, when it declares one.
-
-    Raises NotAvailable for kernel-only models (use moments_from_kernel
-    there instead).
-    """
-    problem = getattr(model, "problem", None)
-    if problem is None or problem.moments is None:
-        raise NotAvailable(f"model {model!r} provides no closed-form moments")
-    return problem.moments(tuple(state), action)
+    return moments_batch
 
 
 def oblique_eta(model) -> BoundarySpec:

@@ -8,6 +8,8 @@ the chain and the lattice are each computed once over every (state, action)
 pair.  The reference functions below are the per-state
 loops they replaced, kept here only as oracles; every comparison is exact
 (the verifier's error maxima, sums in a different order, agree to 1e-15).
+Every model's moments_batch hook is checked bit for bit against the
+per-pair closed forms it replaced.
 The multilinear value extension is checked bit for bit against the scipy
 RegularGridInterpolator it replaced, the routing matvec against the
 np.tensordot loop, the direct evaluation system against scipy's sparse
@@ -428,6 +430,96 @@ def test_moments_batch_per_pair_states(name, request):
         assert np.array_equal(s2[lo:hi], s2_i)
 
 
+def per_pair_moments_service_rate(model, x, u):
+    """(mu, sigma2) of one service-rate pair: drift +1 at 0, 1 - 2u above."""
+    (x,) = x
+    mu = 1.0 if x == 0 else 1.0 - 2.0 * u
+    return [mu], [[1.0]]
+
+
+def per_pair_moments_inventory(model, x, u):
+    """The interior closed form, which the model uses on every state, edges too."""
+    lam = model.params.lam
+    return [u - lam], [[(u - lam) ** 2 + lam]]
+
+
+def per_pair_moments_heavy_traffic(model, x, u):
+    lam, mu = model.params.lam, model.params.mu
+    (x,) = x
+    if x == 0:
+        return [lam], [[lam]]
+    return [lam - mu], [[1.0]]
+
+
+def per_pair_moments_routing(model, x, u):
+    """The module docstring's display, with n_i = (x_i + net_i) ^ N_i."""
+    params = model.params
+    J = params.J
+    net = [0.0] * J
+    for (i, j), k in zip(model.pairs, u):
+        net[i] -= k
+        net[j] += k
+    mu, s2 = [], [[0.0] * J for _ in range(J)]
+    for i in range(J):
+        n_busy = min(x[i] + net[i], params.N[i])
+        mu.append(net[i] + params.lam[i] - params.p[i] * n_busy)
+        s2[i][i] = params.lam[i] + n_busy * params.p[i] * (1.0 - params.p[i]) + mu[i] ** 2
+    for i in range(J):
+        for j in range(J):
+            if i != j:
+                s2[i][j] = mu[i] * mu[j]
+    return mu, s2
+
+
+MOMENT_REFERENCES = [
+    ("service_quadratic", per_pair_moments_service_rate),
+    ("service_quartic", per_pair_moments_service_rate),
+    ("quartic_fixed", per_pair_moments_service_rate),
+    ("inventory_model", per_pair_moments_inventory),
+    ("heavy_queue", per_pair_moments_heavy_traffic),
+    ("routing2", per_pair_moments_routing),
+    ("routing3_smoke", per_pair_moments_routing),
+]
+
+
+@pytest.mark.parametrize("name,per_pair", MOMENT_REFERENCES)
+def test_moments_batch_matches_per_pair_formulas(name, per_pair, request):
+    model = request.getfixturevalue(name)
+    problem, mdp = model.problem, model.mdp
+    d = mdp.lattice.dim
+    U, _ = mdp.action_table()
+    states = mdp.pair_states()
+    # every face of the lattice is among the pairs: x = 0, x = M, the inventory edges
+    assert (states == mdp.lattice.lower).any(axis=0).all()
+    assert (states == mdp.lattice.upper).any(axis=0).all()
+    mu, s2 = problem.moments_batch(states, U)
+    assert mu.dtype == s2.dtype == np.float64
+    assert mu.shape == (len(U), d) and s2.shape == (len(U), d, d)
+    actions = action_tuple(U)
+    ref = [per_pair(model, x, u) for x, u in zip(states.tolist(), actions)]
+    assert np.array_equal(_bits(mu), _bits(np.array([m for m, _ in ref], dtype=np.float64)))
+    assert np.array_equal(_bits(s2), _bits(np.array([v for _, v in ref], dtype=np.float64)))
+    # problem.moments is a one-pair call of the same hook
+    for k in range(len(U)):
+        dd = problem.moments(tuple(states[k].tolist()), actions[k])
+        assert np.array_equal(_bits(dd.mu), _bits(mu[k]))
+        assert np.array_equal(_bits(dd.sigma2), _bits(s2[k]))
+
+
+def test_heavy_traffic_chain_makes_one_moments_call(heavy_queue, monkeypatch):
+    problem = heavy_queue.problem
+    rows = []
+    inner = problem.moments_batch
+
+    def counted(states, actions):
+        rows.append(len(actions))
+        return inner(states, actions)
+
+    monkeypatch.setattr(problem, "moments_batch", counted)
+    chain = tdp.build_multidim_chain(problem, 1)
+    assert rows == [int(chain.interior_mask.sum())]
+
+
 # ---------------------------------------------------------------------------
 # kernel and reward batch hooks, tabular assembly
 # ---------------------------------------------------------------------------
@@ -800,7 +892,7 @@ CHAIN_CASES = [
     ("service_quadratic", None, (1, 2, 3)),     # h = 3 leaves a last cell of width 1
     ("service_quadratic", _fot, (1, 2, 3)),
     ("inventory_model", None, (1, 3)),
-    ("heavy_queue", None, (4,)),                # per-pair moments fallback
+    ("heavy_queue", None, (4,)),
     ("routing2", None, (1, 2, 4)),
     ("routing3_bench", None, (2, 4)),
     pytest.param("routing3_paper", None, (4,), marks=pytest.mark.slow),

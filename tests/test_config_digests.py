@@ -1,8 +1,8 @@
 """Shipped configs reproduce their CSVs byte for byte.
 
-Three files under tests/data list, in `sha256sum` format, digests of the CSVs
-that `taylordp <mode> --config configs/<stem>.ini` writes, where <mode> is
-the config's own `mode`:
+Four files under tests/data list, in `sha256sum` format, digests of the CSVs
+that `taylordp <mode> --config configs/<stem>.ini` writes.  <mode> is the
+config's own `mode` for the first three files and `bounds` for the fourth:
 
   * config_csv.sha256: the solve-tapi configs (the fine value/policy file
     and the chain dump), first recorded before the fine-lattice stages
@@ -15,7 +15,12 @@ the config's own `mode`:
   * policy_csv.sha256: every fine value/policy file of both kinds with its
     `value` column dropped, so the chosen actions are pinned on their own.
     A change to the evaluation's rounding moves the value digests of the
-    routing configs but must leave these unchanged.
+    routing configs but must leave these unchanged;
+  * bounds_csv.sha256: the gap/remainder and moments CSVs that
+    `taylordp bounds --config configs/<stem>.ini` writes for the configs
+    whose model has a closed-form oracle (BOUNDS_CONFIGS), first recorded
+    before the moments CSV and the Taylor remainder read the moments in one
+    batch call.
 
 The digests belong to numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64,
 OpenBLAS).  Another numpy/scipy version may round the linear solves
@@ -27,6 +32,7 @@ last bit for most (n, p), and every pool step matrix is built from it.  Re-recor
 
     python tests/test_config_digests.py --record            # value/chain CSVs
     python tests/test_config_digests.py --record --policy   # policy digests
+    python tests/test_config_digests.py --record --bounds   # bounds CSVs
 
 and check the diff of tests/data: a change that should keep the policies
 must not touch policy_csv.sha256.
@@ -49,6 +55,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 DIGEST_FILES = {"solve-tapi": "config_csv.sha256", "solve-exact": "exact_csv.sha256"}
 POLICY_FILE = "policy_csv.sha256"
+BOUNDS_FILE = "bounds_csv.sha256"
+BOUNDS_CONFIGS = ("heavy_traffic_eval", "service_rate_quartic_oracle")
 
 
 def _digests(file_name):
@@ -63,6 +71,7 @@ def _digests(file_name):
 TAPI_DIGESTS = _digests(DIGEST_FILES["solve-tapi"])
 EXACT_DIGESTS = _digests(DIGEST_FILES["solve-exact"])
 POLICY_DIGESTS = _digests(POLICY_FILE)
+BOUNDS_DIGESTS = _digests(BOUNDS_FILE)
 
 
 def _stems(digests):
@@ -97,6 +106,14 @@ def _run(stem, out_dir):
     return files, {name: d for name, d in policies.items() if d is not None}
 
 
+def _run_bounds(stem, out_dir):
+    """{csv name: sha256} of what `taylordp bounds` writes for the config."""
+    config = ROOT / "configs" / f"{stem}.ini"
+    assert main(["bounds", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(out_dir).glob("*.csv"))}
+
+
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     """Per-stem run results, each config solved once per module."""
@@ -119,6 +136,11 @@ def test_shipped_config_policies_are_byte_identical(stem, written):
     assert written(stem)[1] == POLICY_DIGESTS[stem]
 
 
+@pytest.mark.parametrize("stem", BOUNDS_CONFIGS)
+def test_bounds_csvs_are_byte_identical(stem, tmp_path):
+    assert _run_bounds(stem, tmp_path) == BOUNDS_DIGESTS[stem]
+
+
 def _write(file_name, digests):
     """Rewrite a digest file, keeping the order of the lines it already has."""
     path = DATA / file_name
@@ -126,6 +148,15 @@ def _write(file_name, digests):
     order = [n for n in old if n in digests] + sorted(set(digests) - set(old))
     path.write_text("".join(f"{digests[n]}  {n}\n" for n in order))
     print(f"wrote {len(order)} digests to tests/data/{file_name}")
+
+
+def _record_bounds() -> None:
+    """Rewrite the bounds digests from the current checkout's outputs."""
+    digests = {}
+    for stem in BOUNDS_CONFIGS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            digests.update({f"{stem}/{n}": d for n, d in _run_bounds(stem, out_dir).items()})
+    _write(BOUNDS_FILE, digests)
 
 
 def _record(policy: bool) -> None:
@@ -147,6 +178,13 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--record", action="store_true", required=True,
                         help="rewrite the digest files from the current checkout")
-    parser.add_argument("--policy", action="store_true",
-                        help=f"rewrite {POLICY_FILE} instead of the value/chain digests")
-    _record(parser.parse_args().policy)
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--policy", action="store_true",
+                       help=f"rewrite {POLICY_FILE} instead of the value/chain digests")
+    which.add_argument("--bounds", action="store_true",
+                       help=f"rewrite {BOUNDS_FILE} instead of the value/chain digests")
+    args = parser.parse_args()
+    if args.bounds:
+        _record_bounds()
+    else:
+        _record(args.policy)

