@@ -36,23 +36,6 @@ class MaxIterationsExceeded(TaylorDpError):
         super().__init__(f"{what} did not converge within {iterations} iterations")
 
 
-class SmallDriftViolated(TaylorDpError):
-    """Central differencing would produce a negative probability.
-
-    The condition sigma2 >= |mu| * h failed; carries the offending
-    coefficients and, when known, the (state, action) pair.
-    """
-
-    def __init__(self, mu, sigma2, h, state=None, action=None):
-        self.mu = mu
-        self.sigma2 = sigma2
-        self.h = h
-        self.state = state
-        self.action = action
-        loc = "" if state is None else f" at state {state}, action {action!r}"
-        super().__init__(f"small-drift condition sigma2 >= |mu|h fails: sigma2={sigma2}, |mu|h={abs(mu) * h}{loc}")
-
-
 class NonInwardEta(TaylorDpError):
     """The reflecting direction does not point into the domain at a boundary state."""
 

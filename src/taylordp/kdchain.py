@@ -45,9 +45,13 @@ verifier checks rows against these clipped and inflated targets and counts
 the pairs affected, so an exact equivalence can be told apart from one
 after clipping or inflation.
 
-The interior rows of all (grid point, action) pairs are built in one array
-pass: one moments_batch call, one _stencil_rates call with per-pair
-spacings and one shared direction template.
+A grid point's actions are the fine actions of its lattice state: the
+chain reads every point's slice of mdp.action_table() in one gather and
+keeps them as one array aligned with its pair axis (KdChain.actions), so
+the fine action set is enumerated once per model.  The interior rows of all
+(grid point, action) pairs are built in one array pass: one moments_batch
+call, one _stencil_rates call with per-pair spacings and one shared
+direction template.
 
 Reflecting (oblique) boundary grid states get a deterministic step to the
 inward neighbor in every binding coordinate, with zero reward and no
@@ -64,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonInwardEta
-from .exact import TabularAssembly
-from .lattice import StateLattice
+from .exact import TabularAssembly, _ranges
+from .lattice import StateLattice, action_tuple
 from .taylor import TaylorProblem
 
 RATE_TOL = 1e-12
@@ -229,13 +233,19 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl, hr, scheme: str):
 # ---------------------------------------------------------------------------
 
 class KdChain:
-    """TCP-equivalent coarse chain; the exact.py solvers take it through assembly()."""
+    """TCP-equivalent coarse chain; the exact.py solvers take it through assembly().
 
-    def __init__(self, grid, alpha, actions_per_state, assembly, Q, interior_mask,
+    actions is the chain's action table, one action per (grid point, action)
+    pair and aligned with assembly().offsets: grid point i's actions are
+    actions[offsets[i]:offsets[i+1]], the fine actions of its lattice state
+    in action-table order (an oblique boundary point keeps only the first).
+    """
+
+    def __init__(self, grid, alpha, actions, assembly, Q, interior_mask,
                  second_moment_slack, cross_scale, cost_oriented=False, name="kd-chain"):
         self.grid = grid
         self.alpha = float(alpha)
-        self._actions = actions_per_state
+        self.actions = actions
         self._asm = assembly
         self.Q = Q                                # per-state normalizer (0 on boundary rows)
         self.interior_mask = interior_mask
@@ -253,24 +263,21 @@ class KdChain:
         return self._asm.discounts
 
     def actions_at(self, index: int):
-        return self._actions[index]
+        offsets = self._asm.offsets
+        return action_tuple(self.actions[offsets[index]:offsets[index + 1]])
 
     def assembly(self) -> TabularAssembly:
         return self._asm
-
-    def pair_row(self, state_index: int, action_index: int):
-        asm = self._asm
-        pair = asm.offsets[state_index] + action_index
-        lo, hi = asm.row_ptr[pair], asm.row_ptr[pair + 1]
-        return asm.col_idx[lo:hi], asm.probs[lo:hi], asm.rewards[pair]
 
 
 def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") -> KdChain:
     """Assemble the K-D chain for all grid states and feasible actions.
 
     grid is a CoarseGrid, or an integral spacing h for CoarseGrid.from_lattice.
-    Interior rows discretize L_u with the central/fallback stencil, built in
-    one pass over every interior (grid point, action) pair; boundary rows
+    A grid point's actions are its lattice state's slice of
+    mdp.action_table(), gathered for every point in one pass.  Interior rows
+    discretize L_u with the central/fallback stencil, built in one pass over
+    every interior (grid point, action) pair; boundary rows
     realize the problem's boundary condition.  Cross-derivative mass in
     excess of the diagonal budget is scaled down to the representable amount
     and recorded per pair (cross_scale); verify_tcp_equivalence reports how
@@ -291,12 +298,14 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     interior = ~(at_lower | at_upper).any(axis=1)
     inward_pos = np.clip(pos, 1, shape - 2)           # one step inward on every binding axis
 
-    actions = [mdp.actions.at(point) for point in points]
+    # every point's slice of the fine action table, gathered in one pass
+    U, fine_offsets = mdp.action_table()
+    fine_state = mdp.lattice.indices_of(coords)
+    counts = np.diff(fine_offsets)[fine_state]
     if boundary.kind == "oblique":
         # deterministic reflection keeps one action: no reward, no discounting
-        for idx in np.flatnonzero(~interior):
-            actions[idx] = actions[idx][:1]
-    counts = np.array([len(acts) for acts in actions], dtype=np.int64)
+        counts[~interior] = 1
+    actions = U[_ranges(fine_offsets[fine_state], counts)]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     pair_state = np.repeat(np.arange(n), counts)
     n_pairs = int(offsets[-1])
@@ -311,8 +320,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
         gaps = np.diff(ax).astype(np.float64)
         hl[:, i] = gaps[pos[own, i] - 1]
         hr[:, i] = gaps[pos[own, i]]
-    int_actions = [u for idx in int_states for u in actions[idx]]
-    mu_b, s2_b = problem.moments_batch(coords[own], int_actions)
+    mu_b, s2_b = problem.moments_batch(coords[own], actions[ip])
     dirs, rates, slack_int, cscale = _stencil_rates(np.atleast_2d(mu_b), s2_b, hl, hr, scheme)
 
     total = rates.sum(axis=1)
@@ -330,7 +338,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     stay = _stay_mass(p, keep)
 
     # fine rewards of every pair in one call (reflecting boundary rows drop theirs)
-    r = mdp.rewards(coords[pair_state], [u for acts in actions for u in acts])
+    r = mdp.rewards(coords[pair_state], actions)
     rewards = np.zeros(n_pairs)
     rewards[ip] = discounts[own] * r[ip] / (alpha * q_pair)
 
@@ -465,7 +473,7 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     pair_state = np.repeat(np.arange(chain.n_states), np.diff(asm.offsets))
     ip = np.flatnonzero(chain.interior_mask[pair_state])
     own = pair_state[ip]
-    actions = [u for idx in np.flatnonzero(chain.interior_mask) for u in chain.actions_at(idx)]
+    actions = chain.actions[ip]
     mu_b, s2_b = problem.moments_batch(pts[own], actions)
     mu_b = np.atleast_2d(mu_b)
 
@@ -501,8 +509,9 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     tol = np.array([1e-9] * (len(labels) - 1) + [1e-10])
     bad_pair, bad_check = np.nonzero(errs > tol)
     order = np.argsort(-errs[bad_pair, bad_check], kind="stable")[:10]
-    worst = [(points[own[bad_pair[k]]], actions[bad_pair[k]], labels[bad_check[k]],
-              float(errs[bad_pair[k], bad_check[k]])) for k in order]
+    worst = [(points[own[bad_pair[k]]], u, labels[bad_check[k]],
+              float(errs[bad_pair[k], bad_check[k]]))
+             for k, u in zip(order, action_tuple(actions[bad_pair[order]]))]
 
     return TcpEquivalenceReport(
         float(err1.max(initial=0.0)), float(err_cross.max(initial=0.0)),

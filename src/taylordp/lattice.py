@@ -4,7 +4,10 @@ States live on a box ``lower <= x <= upper`` in Z^d and are addressed by a
 row-major flat index.  Transition rows are sparse (target index, probability)
 pairs; kernels that place mass outside the box are repaired by
 :func:`truncate_renormalize`, which rescales each row by the mass it keeps
-inside.
+inside.  Action sets enumerate the actions of many states in one
+``at(states) -> (U, offsets)`` call, a ragged table in lexicographic order
+per state; each LatticeMdp makes that call once, over all of its states
+(``action_table``).
 """
 
 from __future__ import annotations
@@ -184,25 +187,22 @@ def _table_offsets(counts: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 class ExplicitActionSet:
-    """Per-state action lists given directly (or by a callable)."""
+    """Per-state action lists given directly (or by a callable of the state tuple)."""
 
     def __init__(self, actions):
         self._actions = actions
 
-    def at(self, state: State):
+    def _state_actions(self, state: State) -> tuple:
         acts = self._actions(state) if callable(self._actions) else self._actions
-        acts = tuple(sorted(set(acts)))
-        if not acts:
-            raise EmptyActionSet(state)
-        return acts
+        return tuple(sorted(set(acts)))
 
-    def table(self, states: np.ndarray):
-        """(U, offsets) for an (n, d) state array; see PolyhedralActionSet.table."""
+    def at(self, states: np.ndarray):
+        """(U, offsets) for an (n, d) state array; see PolyhedralActionSet.at."""
         states = np.atleast_2d(states)
         if callable(self._actions):
-            per_state = [self.at(tuple(s)) for s in states.tolist()]
+            per_state = [self._state_actions(tuple(s)) for s in states.tolist()]
         else:
-            per_state = [self.at(tuple(states[0].tolist()))] * len(states)
+            per_state = [self._state_actions(None)] * len(states)
         offsets = _table_offsets(np.array([len(a) for a in per_state]), states)
         return np.asarray([u for acts in per_state for u in acts]), offsets
 
@@ -222,7 +222,7 @@ class PolyhedralActionSet:
         self.b = b
         self.box = box
 
-    def table(self, states: np.ndarray):
+    def at(self, states: np.ndarray):
         """Feasible actions of every state as one ragged array.
 
         Returns (U, offsets): U[offsets[i]:offsets[i+1]] are the actions of
@@ -249,17 +249,14 @@ class PolyhedralActionSet:
         offsets = _table_offsets(np.bincount(owner[keep], minlength=n), states)
         return cand[keep], offsets
 
-    def at(self, state: State):
-        return action_tuple(self.table(np.asarray(state)[None, :])[0])
-
 
 class LatticeMdp:
     """Discounted MDP on a StateLattice.
 
     kernel and reward are pure callables of (state tuple, action); the action
-    set yields, per state, a duplicate-free lexicographically ordered list,
-    tabulated for all states at once (action_table) and read back per state
-    as a tuple (actions_at).
+    set's at(states) enumerates every state's duplicate-free lexicographically
+    ordered actions in one call, made once per model (action_table), and
+    actions_at reads one state's slice back as a tuple.
     Policies are dense integer arrays indexing into that per-state ordering,
     values are dense float arrays over flat state indices.
 
@@ -302,14 +299,14 @@ class LatticeMdp:
         return self.lattice.n_states
 
     def action_table(self):
-        """(U, offsets) over all states in index order, enumerated once on first use.
+        """(U, offsets) over all states in index order, from one actions.at call on first use.
 
         U[offsets[i]:offsets[i+1]] are the actions of state i; the flat
         position offsets[i] + a is the (state, action) pair axis that every
         assembly and batch hook shares.
         """
         if self._table is None:
-            self._table = self.actions.table(self.lattice.states())
+            self._table = self.actions.at(self.lattice.states())
         return self._table
 
     def pair_states(self) -> np.ndarray:

@@ -80,7 +80,7 @@ def write_chain_csv(path, chain) -> None:
     asm = chain.assembly()
     entry_pair = np.repeat(np.arange(len(asm.rewards)), np.diff(asm.row_ptr))
     entry_state = np.repeat(np.arange(chain.n_states), np.diff(asm.offsets))[entry_pair]
-    actions = _fmt_column([u for s in range(chain.n_states) for u in chain.actions_at(s)])
+    actions = _fmt_column(action_tuple(chain.actions))
     columns = (entry_state.tolist(), actions[entry_pair], asm.col_idx.tolist(),
                _fmt_column(asm.probs.tolist()), _fmt_column(asm.discounts.tolist())[entry_state],
                _fmt_column(asm.rewards.tolist())[entry_pair])

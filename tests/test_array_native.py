@@ -189,14 +189,15 @@ def per_point_chain(problem, h, scheme="inflate"):
     discounts = np.empty(n)
     Q_per_state = np.zeros(n)
     interior_mask = np.zeros(n, dtype=bool)
-    actions_per_state, slack_rows, cross_rows = [], [], []
+    chain_actions, slack_rows, cross_rows = [], [], []
     shape = grid.shape
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
 
     for idx in range(n):
         pos = np.array(grid.position(idx), dtype=np.int64)
         point = grid.point(idx)
-        acts = mdp.actions.at(point)
+        U_point = mdp.actions.at([point])[0]         # this point's own enumeration
+        acts = action_tuple(U_point)
         if any(p == 0 or p == len(ax) - 1 for p, ax in zip(pos, grid.axes)):
             binding_lower = [i for i in range(d) if pos[i] == 0]
             binding_upper = [i for i in range(d) if pos[i] == len(grid.axes[i]) - 1]
@@ -207,7 +208,7 @@ def per_point_chain(problem, h, scheme="inflate"):
             for i in binding_upper:
                 inward_pos[i] -= 1
             if boundary.kind == "oblique":
-                actions_per_state.append(acts[:1])
+                chain_actions.append(U_point[:1])
                 rewards.append(0.0)
                 cols.append(np.array([int(inward_pos @ strides)], dtype=np.int64))
                 probs.append(np.array([1.0]))
@@ -229,7 +230,7 @@ def per_point_chain(problem, h, scheme="inflate"):
                         wgt.append(w)
                 W = math.fsum(wgt)
                 den = 1.0 - alpha + alpha * W
-                actions_per_state.append(acts)
+                chain_actions.append(U_point)
                 for u in acts:
                     rewards.append(float(mdp.reward(point, u)) / den)
                     cols.append(np.asarray(tgt, dtype=np.int64))
@@ -249,7 +250,7 @@ def per_point_chain(problem, h, scheme="inflate"):
         Q_per_state[idx] = Q
         discounts[idx] = 1.0 / (1.0 + (1.0 / alpha - 1.0) / Q)
         tgt_flat = (pos + dirs) @ strides
-        actions_per_state.append(acts)
+        chain_actions.append(U_point)
         for a in range(len(acts)):
             p = rates[a] / Q
             keep = p > 0.0
@@ -268,7 +269,7 @@ def per_point_chain(problem, h, scheme="inflate"):
 
     asm = TabularAssembly(offsets, rewards, row_ptr, np.concatenate(cols),
                           np.concatenate(probs), discounts)
-    return KdChain(grid, alpha, actions_per_state, asm, Q_per_state, interior_mask,
+    return KdChain(grid, alpha, np.concatenate(chain_actions), asm, Q_per_state, interior_mask,
                    np.concatenate(slack_rows, axis=0), np.concatenate(cross_rows),
                    mdp.cost_oriented, name=f"{mdp.name}-kd")
 
@@ -292,8 +293,9 @@ def per_point_verify(chain, problem):
         alpha_h = chain.discounts[idx]
         kappa = alpha * (1.0 - alpha_h) / (alpha_h * (1.0 - alpha))
         for a, u in enumerate(acts):
-            targets, p, r_tilde = chain.pair_row(idx, a)
             pair = asm.offsets[idx] + a
+            lo, hi = asm.row_ptr[pair], asm.row_ptr[pair + 1]
+            targets, p, r_tilde = asm.col_idx[lo:hi], asm.probs[lo:hi], asm.rewards[pair]
             diff = pts[targets] - pts[idx]
             checked += 1
             m1 = p @ diff
@@ -353,7 +355,7 @@ def test_table_matches_meshgrid_on_random_states(J, routing2, routing3_mid):
     rng = np.random.default_rng(J)
     states = lattice.states()[rng.choice(lattice.n_states, size=60, replace=False)]
     states = np.concatenate([states, [lattice.lower], [lattice.upper]])
-    U, offsets = model.mdp.actions.table(states)
+    U, offsets = model.mdp.actions.at(states)
     counts = np.diff(offsets)
     assert counts.min() == 1                        # single-action states are covered
     assert counts.max() > 1
@@ -370,13 +372,13 @@ def test_actions_at_matches_meshgrid_on_every_state(routing3_smoke):
 
 def test_explicit_table_constant_and_callable():
     states = StateLattice((0,), (3,)).states()
-    U, offsets = ExplicitActionSet((0.5, 0.0, 0.5)).table(states)
+    U, offsets = ExplicitActionSet((0.5, 0.0, 0.5)).at(states)
     assert U.tolist() == [0.0, 0.5] * 4 and offsets.tolist() == [0, 2, 4, 6, 8]
-    U, offsets = ExplicitActionSet(lambda s: range(s[0] + 1)).table(states)
+    U, offsets = ExplicitActionSet(lambda s: range(s[0] + 1)).at(states)
     assert U.tolist() == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]
     assert offsets.tolist() == [0, 1, 3, 6, 10]
     with pytest.raises(EmptyActionSet):
-        ExplicitActionSet(lambda s: range(s[0])).table(states)
+        ExplicitActionSet(lambda s: range(s[0])).at(states)
 
 
 def test_actions_at_keeps_python_scalars(service_quadratic, inventory_model):
@@ -907,6 +909,7 @@ def _assert_same_chain(fast, ref):
     for name in ("Q", "interior_mask", "second_moment_slack", "cross_scale"):
         x, y = getattr(fast, name), getattr(ref, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert fast.actions.dtype == ref.actions.dtype and np.array_equal(fast.actions, ref.actions)
     assert [fast.actions_at(i) for i in range(fast.n_states)] == \
         [ref.actions_at(i) for i in range(ref.n_states)]
     assert fast.cost_oriented == ref.cost_oriented

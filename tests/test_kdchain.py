@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taylordp as tdp
-from taylordp.errors import SmallDriftViolated
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, build_multidim_chain,
                               verify_tcp_equivalence)
 from taylordp.models import build
@@ -17,6 +16,15 @@ IDENTITY_RTOL = 1e-10
 # ------------------------------------------- 1-d reference formulas
 # The displayed one-dimensional construction, kept here as references for
 # the general stencil that build_multidim_chain applies to every pair.
+
+class SmallDriftViolated(ValueError):
+    """Central differencing would give a negative probability: sigma2 < |mu| h."""
+
+    def __init__(self, mu, sigma2, h):
+        self.mu, self.sigma2, self.h = mu, sigma2, h
+        super().__init__(f"small-drift condition sigma2 >= |mu|h fails: "
+                         f"sigma2={sigma2}, |mu|h={abs(mu) * h}")
+
 
 def build_interior_row_1d(mu: float, sigma2: float, Sigma: float, h: float):
     """Central-difference row (p_plus, p_minus, p_stay) on an interior point.
@@ -133,16 +141,24 @@ def test_rescale_reward_identity_property(alpha, h, sigma, r):
 
 # ------------------------------------------------------------ boundary rows
 
+def pair_row(chain, state_index: int, action_index: int):
+    """(targets, probs, reward) of one chain pair, read from chain.assembly()."""
+    asm = chain.assembly()
+    pair = asm.offsets[state_index] + action_index
+    lo, hi = asm.row_ptr[pair], asm.row_ptr[pair + 1]
+    return asm.col_idx[lo:hi], asm.probs[lo:hi], asm.rewards[pair]
+
+
 def test_boundary_rows_1d(quartic_fixed):
     chain = tdp.build_multidim_chain(quartic_fixed.problem, 2)
     g = chain.grid
     # x = 0 reflects to h with no reward and no discount
-    targets, probs, r = chain.pair_row(0, 0)
+    targets, probs, r = pair_row(chain, 0, 0)
     assert g.point(int(targets[0])) == (2,) and probs[0] == 1.0 and r == 0.0
     assert chain.discounts[0] == 1.0
     # x = M reflects to M - h
     last = chain.n_states - 1
-    targets, probs, r = chain.pair_row(last, 0)
+    targets, probs, r = pair_row(chain, last, 0)
     assert g.point(int(targets[0])) == (quartic_fixed.params.M - 2,)
     assert probs[0] == 1.0 and r == 0.0 and chain.discounts[last] == 1.0
 
@@ -152,7 +168,7 @@ def test_boundary_corner_steps_inward_in_all_binding_coordinates(routing2):
     # the (0, 0) corner reflects to (h, h)
     corner = 0
     assert chain.grid.point(corner) == (0, 0)
-    targets, probs, r = chain.pair_row(corner, 0)
+    targets, probs, r = pair_row(chain, corner, 0)
     assert chain.grid.point(int(targets[0])) == (2, 2)
     assert probs[0] == 1.0 and r == 0.0 and chain.discounts[corner] == 1.0
 
@@ -180,7 +196,7 @@ def test_diagonal_sigma_gives_product_of_1d_stencils():
     chain = build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1))
     # interior state: four face targets with the 1-d central probabilities
     idx = next(i for i in range(chain.n_states) if chain.grid.point(i) == (5, 5))
-    targets, probs, _ = chain.pair_row(idx, 0)
+    targets, probs, _ = pair_row(chain, idx, 0)
     q = chain.Q[idx]
     assert q == pytest.approx(3.0)  # sum sigma_ii / h^2
     got = {chain.grid.point(int(t)): p for t, p in zip(targets, probs)}
@@ -303,7 +319,7 @@ def test_general_builder_matches_1d_row_ops(service_quadratic):
         if sig2 < abs(mu) * h:        # fallback region: covered elsewhere
             continue
         p_plus, p_minus, p_stay = build_interior_row_1d(mu, sig2, Sigma, h)
-        targets, probs, r = chain.pair_row(idx, a)
+        targets, probs, r = pair_row(chain, idx, a)
         got = {chain.grid.point(int(t))[0]: p for t, p in zip(targets, probs)}
         assert got.get(52, 0.0) == pytest.approx(p_plus, abs=1e-14)
         assert got.get(48, 0.0) == pytest.approx(p_minus, abs=1e-14)
@@ -328,7 +344,7 @@ def test_fot_boundary_chain_at_h1_equals_fine_chain(quartic_fixed):
     # boundary discount and reward scale check at h = 1
     alpha = quartic_fixed.params.alpha
     assert chain.discounts[0] == pytest.approx(alpha)
-    _, _, r0 = chain.pair_row(0, 0)
+    _, _, r0 = pair_row(chain, 0, 0)
     assert r0 == pytest.approx(quartic_fixed.mdp.reward((0,), 0.5))
 
 

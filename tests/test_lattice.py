@@ -8,8 +8,8 @@ from scipy import stats
 
 from taylordp.errors import EmptyActionSet, ZeroInteriorMass
 from taylordp.lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet,
-                              StateLattice, TransitionRow, max_jump, truncate_renormalize,
-                              uniform_max_jump)
+                              StateLattice, TransitionRow, action_tuple, max_jump,
+                              truncate_renormalize, uniform_max_jump)
 
 
 def test_index_state_roundtrip_all_states():
@@ -167,21 +167,22 @@ def test_max_jump_inventory_order_up_to(inventory_model):
 
 def test_enumerate_actions_routing_interior_only_zero(routing2):
     # when every pool has idle servers, no overflow is feasible
-    acts = routing2.mdp.actions.at((5, 7))
+    acts = action_tuple(routing2.mdp.actions.at([(5, 7)])[0])
     assert acts == ((0, 0),)
 
 
 def test_enumerate_actions_box():
     A = np.zeros((1, 1))
-    acts = PolyhedralActionSet(A, lambda s: np.array([0.0]),
-                               lambda s: [(0, 2)]).at((0,))
-    assert acts == ((0,), (1,), (2,))
+    U, offsets = PolyhedralActionSet(A, lambda s: np.array([0.0]),
+                                     lambda s: [(0, 2)]).at([(0,)])
+    assert action_tuple(U) == ((0,), (1,), (2,))
+    assert offsets.tolist() == [0, 3]
 
 
 def test_enumerate_actions_routing_vs_bruteforce(routing2):
     # brute-force filter of the constraint system over a generous box
     state = (12, 8)
-    acts = routing2.mdp.actions.at(state)
+    acts = action_tuple(routing2.mdp.actions.at([state])[0])
     N = routing2.params.N
     wait = [max(state[i] - N[i], 0) for i in range(2)]
     idle = [max(N[i] - state[i], 0) for i in range(2)]
@@ -208,19 +209,19 @@ def test_enumerate_actions_brute_force_all_states(routing_small):
             (u12, u21)
             for u12 in range(wait[0] + 1) for u21 in range(wait[1] + 1)
             if u12 <= idle[1] and u21 <= idle[0]))
-        assert mdp.actions.at(state) == brute
+        assert action_tuple(mdp.actions.at([state])[0]) == brute
 
 
 def test_empty_action_set_raises():
     with pytest.raises(EmptyActionSet):
-        ExplicitActionSet(()).at((0,))
+        ExplicitActionSet(()).at([(0,)])
 
 
 def test_enumerate_actions_helper(routing_small):
-    # the per-state enumeration is a one-state action table
+    # the per-state enumeration is a one-state call of the batch enumeration
     def enumerate_actions(mdp, state):
         """Complete, duplicate-free, lexicographically ordered feasible actions."""
-        return mdp.actions.at(tuple(state))
+        return action_tuple(mdp.actions.at([tuple(state)])[0])
 
     assert enumerate_actions(routing_small.mdp, (0, 0)) == ((0, 0),)
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import taylordp as tdp
 from taylordp.kdchain import CoarseGrid
-from taylordp.lattice import StateLattice
+from taylordp.lattice import StateLattice, action_tuple
 from taylordp.models import build
+from taylordp.models.routing import build_routing, table_params
 from taylordp.tapi import (TapiOptions, _nearest_actions, disaggregate_value,
                            taylored_greedy_policy)
 
@@ -168,3 +169,40 @@ def test_taylored_greedy_same_as_chain_improvement_on_grid(service_quadratic):
         assert chain_action == fine_action
         checked += 1
     assert checked > 40
+
+
+FRESH_MODELS = {
+    "routing2": lambda: build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8)),
+    "service_quadratic": lambda: build("service_rate", M=100, alpha=0.99, cost="quadratic"),
+}
+SOLVE_VARIANTS = {
+    "approx": TapiOptions(h=2),
+    "one_step": TapiOptions(h=2, one_step=True),
+    "pc": TapiOptions(h=2, policy_extension="pc"),
+    "exact": TapiOptions(h=2, improvement="exact"),
+}
+
+
+@pytest.mark.parametrize("variant", SOLVE_VARIANTS)
+@pytest.mark.parametrize("name", FRESH_MODELS)
+def test_tapi_enumerates_actions_once_per_model(name, variant, monkeypatch):
+    # polyhedral (routing) and explicit (service-rate) action sets: the chain
+    # reads its grid points' actions from the fine action table
+    problem = FRESH_MODELS[name]().problem
+    mdp = problem.mdp
+    enumerate_all = mdp.actions.at
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return enumerate_all(states)
+
+    monkeypatch.setattr(mdp.actions, "at", counted)
+    chain = tdp.tapi_solve(problem, SOLVE_VARIANTS[variant]).chain
+    assert calls == [mdp.n_states]
+
+    oblique = problem.boundary.kind == "oblique"
+    for i, point in enumerate(chain.grid.points()):
+        own = action_tuple(enumerate_all([point])[0])
+        expected = own[:1] if oblique and not chain.interior_mask[i] else own
+        assert chain.actions_at(i) == expected
