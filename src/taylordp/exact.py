@@ -330,7 +330,9 @@ def _bracketed_iteration(r_u, op, disc, options, warm_start=None):
     scale = alpha / (1.0 - alpha)
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
     for _ in range(options.vi_max_iterations):
-        v_next = r_u + alpha * (op @ v)
+        v_next = op @ v                                # r_u + alpha (P v), in place
+        v_next *= alpha
+        v_next += r_u
         d = v_next - v
         lo, hi = d.min(), d.max()
         if 0.5 * scale * (hi - lo) <= options.iterative_tol * (1.0 + np.abs(v_next).max()):

@@ -57,7 +57,8 @@ Reflecting (oblique) boundary grid states get a deterministic step to the
 inward neighbor in every binding coordinate, with zero reward and no
 discounting, encoding V(0) = V(h) and V(M - h) = V(M).  First-order (FOT)
 boundary rows instead keep the boundary reward and a discount derived from
-the one-sided drift.
+the one-sided drift.  Either kind is built in one array pass over the
+boundary points, from one BoundarySpec.direction call.
 """
 
 from __future__ import annotations
@@ -293,7 +294,6 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     strides = np.array([int(np.prod(grid.shape[i + 1:])) for i in range(d)], dtype=np.int64)
     pos = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
     coords = grid.points()
-    points = [tuple(x) for x in coords.tolist()]
     at_lower, at_upper = pos == 0, pos == shape - 1
     interior = ~(at_lower | at_upper).any(axis=1)
     inward_pos = np.clip(pos, 1, shape - 2)           # one step inward on every binding axis
@@ -327,7 +327,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     Q = np.maximum.reduceat(total, np.cumsum(counts[int_states]) - counts[int_states])
     if (Q <= 0.0).any():
         raise ValueError(f"degenerate (zero-diffusion) stencil at "
-                         f"{points[int_states[np.argmax(Q <= 0.0)]]}")
+                         f"{tuple(coords[int_states[np.argmax(Q <= 0.0)]].tolist())}")
     Q_per_state = np.zeros(n)
     Q_per_state[int_states] = Q
     discounts = np.empty(n)
@@ -354,33 +354,43 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     mask[ip, :-1] = keep
     mask[ip, -1] = stay > RATE_TOL
 
-    for idx in np.flatnonzero(~interior):
-        point = points[idx]
-        direction = _check_eta(boundary, point, at_lower[idx], at_upper[idx])
-        lo, hi = offsets[idx], offsets[idx + 1]
-        if boundary.kind == "oblique":
-            cols[lo, 0], probs[lo, 0], mask[lo, 0] = inward_pos[idx] @ strides, 1.0, True
-            discounts[idx] = 1.0
-            continue
-        # first-order row: one-sided drift toward the inward neighbor per binding axis
-        tgt, wgt = [], []
-        for i in np.concatenate([np.flatnonzero(at_lower[idx]), np.flatnonzero(at_upper[idx])]):
-            step = pos[idx].copy()
-            step[i] = inward_pos[idx, i]
-            ax = grid.axes[i]
-            w = abs(float(direction[i])) / abs(float(ax[step[i]] - ax[pos[idx, i]]))
-            if w > 0.0:
-                tgt.append(int(step @ strides))
-                wgt.append(w)
-        W = math.fsum(wgt)
-        if W <= 0.0:
-            raise NonInwardEta(point, direction)
+    # boundary rows: one direction call and one array pass over the boundary points
+    bnd = np.flatnonzero(~interior)
+    lower, upper = at_lower[bnd], at_upper[bnd]
+    direction = boundary.direction(coords[bnd])
+    bad = ((lower & (direction <= 0.0)) | (upper & (direction >= 0.0))).any(axis=1)
+    if boundary.kind == "fot":
+        # one-sided drift toward the inward neighbor per binding axis: a weight
+        # per (face, axis), the lower faces' steps before the upper faces'
+        gap = np.column_stack([ax[inward_pos[bnd, i]] - ax[pos[bnd, i]]
+                               for i, ax in enumerate(grid.axes)]).astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.tile(np.abs(direction) / np.abs(gap), 2)
+        kept = np.concatenate([lower, upper], axis=1) & (w > 0.0)
+        w = np.where(kept, w, 0.0)
+        W = np.array([math.fsum(row) for row in w.tolist()])   # exactly rounded
+        bad |= W <= 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonInwardEta(tuple(coords[bnd[k]].tolist()), direction[k])
+
+    if boundary.kind == "oblique":
+        first = offsets[bnd]
+        cols[first, 0], probs[first, 0], mask[first, 0] = inward_pos[bnd] @ strides, 1.0, True
+        discounts[bnd] = 1.0
+    else:
+        # an axis binds at one face at most, so a row's kept steps fit in d columns
+        order = np.argsort(~kept, axis=1, kind="stable")[:, :d]
+        step = np.tile((inward_pos[bnd] - pos[bnd]) * strides, 2)
+        tgt = np.take_along_axis(bnd[:, None] + step, order, axis=1)
+        wgt = np.take_along_axis(w, order, axis=1) / W[:, None]
+        kept = np.take_along_axis(kept, order, axis=1)
+        owner = np.repeat(np.arange(len(bnd)), counts[bnd])
+        bp = _ranges(offsets[bnd], counts[bnd])
         den = 1.0 - alpha + alpha * W
-        rewards[lo:hi] = r[lo:hi] / den
-        cols[lo:hi, :len(tgt)] = tgt
-        probs[lo:hi, :len(tgt)] = np.asarray(wgt) / W
-        mask[lo:hi, :len(tgt)] = True
-        discounts[idx] = alpha * W / den
+        rewards[bp] = r[bp] / den[owner]
+        cols[bp, :d], probs[bp, :d], mask[bp, :d] = tgt[owner], wgt[owner], kept[owner]
+        discounts[bnd] = alpha * W / den
 
     row_ptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
     slack = np.zeros((n_pairs, d))
@@ -395,26 +405,24 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
 def _stay_mass(p: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """1 - sum of each row's kept probabilities, summed as the kept entries alone.
 
-    numpy sums 8 or more values in unrolled partial sums, so summing a row
-    with its dropped entries zeroed can round differently; rows are grouped
-    by kept-entry count and each group sums a packed (rows, count) block.
+    numpy sums fewer than 8 values left to right, so for a row with at most
+    7 kept entries a left-to-right pass over the row with its dropped
+    entries zeroed gives the same bits.  numpy sums 8 or more values in
+    unrolled partial sums, so those rows are grouped by kept-entry count
+    and each group sums a packed (rows, count) block.
     """
+    total = np.zeros(len(p))
+    for col in np.where(keep, p, 0.0).T:
+        total += col
     kept = keep.sum(axis=1)
-    packed = np.take_along_axis(p, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    stay = np.empty(len(p))
-    for c in np.unique(kept):
-        rows = kept == c
-        stay[rows] = 1.0 - packed[rows, :c].sum(axis=1)
-    return stay
-
-
-def _check_eta(boundary, point, lower, upper):
-    """The boundary direction at point; it must point inward in every binding axis."""
-    direction = boundary.direction(point)
-    if direction.shape != lower.shape or (direction[lower] <= 0.0).any() \
-            or (direction[upper] >= 0.0).any():
-        raise NonInwardEta(point, direction)
-    return direction
+    wide = np.flatnonzero(kept >= 8)
+    if len(wide):
+        packed = np.take_along_axis(p[wide], np.argsort(~keep[wide], axis=1, kind="stable"),
+                                    axis=1)
+        for c in np.unique(kept[wide]):
+            rows = kept[wide] == c
+            total[wide[rows]] = packed[rows, :c].sum(axis=1)
+    return 1.0 - total
 
 
 # ---------------------------------------------------------------------------

@@ -199,10 +199,12 @@ class ExplicitActionSet:
     def at(self, states: np.ndarray):
         """(U, offsets) for an (n, d) state array; see PolyhedralActionSet.at."""
         states = np.atleast_2d(states)
-        if callable(self._actions):
-            per_state = [self._state_actions(tuple(s)) for s in states.tolist()]
-        else:
-            per_state = [self._state_actions(None)] * len(states)
+        if not callable(self._actions):
+            # one action list for every state: tile its array
+            acts = np.asarray(self._state_actions(None))
+            offsets = _table_offsets(np.full(len(states), len(acts)), states)
+            return np.tile(acts, (len(states),) + (1,) * (acts.ndim - 1)), offsets
+        per_state = [self._state_actions(tuple(s)) for s in states.tolist()]
         offsets = _table_offsets(np.array([len(a) for a in per_state]), states)
         return np.asarray([u for acts in per_state for u in acts]), offsets
 

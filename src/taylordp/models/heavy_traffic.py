@@ -80,7 +80,7 @@ class HeavyTrafficQueue:
 
         self.boundary_spec = BoundarySpec(
             kind="oblique",
-            eta=lambda state: np.array([1.0 if state[0] == 0 else -1.0]),
+            eta=lambda states: np.where(states == 0, 1.0, -1.0),
         )
         self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
 

@@ -97,8 +97,8 @@ class InventoryModel:
 
         self.boundary_spec = BoundarySpec(
             kind="oblique",
-            eta=lambda state: np.array([1.0 if state[0] == -M else -1.0]),
-            fot_drift=lambda state: np.array([lam if state[0] == -M else -lam]),
+            eta=lambda states: np.where(states == -M, 1.0, -1.0),
+            fot_drift=lambda states: np.where(states == -M, lam, -lam),
         )
         self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
 

@@ -202,12 +202,9 @@ class RoutingModel:
             digits = tuple(nets + span[:, None]) + tuple(n_busy)
             return np.ravel_multi_index(digits, class_dims).astype(np.int64, copy=False)
 
-        def eta(state):
-            x = np.asarray(state)
-            e = np.zeros(J)
-            e[x == 0] = p[x == 0]
-            e[x == np.asarray(upper)] = -1.0
-            return e
+        def eta(states):
+            x = np.asarray(states)                            # (k, J)
+            return np.where(x == 0, p, np.where(x == np.asarray(upper), -1.0, 0.0))
 
         self.boundary_spec = BoundarySpec(kind="oblique", eta=eta)
         self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec,

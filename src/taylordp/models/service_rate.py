@@ -93,8 +93,8 @@ class ServiceRateModel:
 
         self.boundary_spec = BoundarySpec(
             kind="oblique",
-            eta=lambda state: np.array([1.0 if state[0] == 0 else -1.0]),
-            fot_drift=lambda state: np.array([1.0 if state[0] == 0 else -1.0]),
+            eta=lambda states: np.where(states == 0, 1.0, -1.0),
+            fot_drift=lambda states: np.where(states == 0, 1.0, -1.0),
         )
         self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
 

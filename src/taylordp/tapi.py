@@ -22,7 +22,10 @@ The coarse solution is then carried back to the fine lattice:
     nearest feasible one (L1 distance, first action on a tie).  In the pc
     mode, actions at boundary grid states are not identified by the chain's
     reflecting rows and are completed by a one-step greedy on the fine
-    model against the extended value.
+    model against the extended value,
+  * with one_step, the returned policy is instead one exact improvement
+    step on the fine lattice against the extended value, and no policy
+    extension is computed.
 
 A grid point's chain actions are the fine actions of its lattice state (an
 oblique boundary point keeps only the first), so policies move between the
@@ -44,6 +47,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -80,11 +84,21 @@ class TapiOptions:
 
 @dataclass
 class TapiResult:
+    """What tapi_solve returns.
+
+    fine_policy is the returned policy and fine_values its exact evaluation.
+    disaggregated_policy is the policy extension of the chain's solution to
+    the lattice (the Taylored greedy, or the pc extension with
+    policy_extension="pc" or improvement="exact").  With one_step the
+    one-step improvement against the extended value replaces it, so the
+    extension is not computed and disaggregated_policy is None.
+    """
+
     chain: KdChain
     coarse_values: np.ndarray
     coarse_policy: np.ndarray
     fine_policy: np.ndarray              # policy actually returned (after one-step if enabled)
-    disaggregated_policy: np.ndarray     # fine-lattice extension of the coarse policy
+    disaggregated_policy: Optional[np.ndarray]  # fine-lattice extension; None with one_step
     fine_values: np.ndarray              # exact evaluation of fine_policy
     iterations: int
     wall_time: float
@@ -288,8 +302,8 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
 
     improvement="exact" runs the exact-improvement loop (_tapi_exact_loop)
     on the same chain instead of policy iteration on it.  Either way the
-    optional one-step improvement and the exact evaluation of the returned
-    policy follow.
+    policy extension, or with one_step the one-step improvement in its
+    place, and the exact evaluation of the returned policy follow.
     """
     t0 = time.perf_counter()
     mdp = problem.mdp
@@ -298,23 +312,25 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     if options.improvement == "exact":
         (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
          oscillated) = _tapi_exact_loop(problem, chain, options)
-        disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
     else:
         pi = policy_iteration(chain, options=SolveOptions(max_iterations=options.max_iterations))
         coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
         oscillated = False
-        fine_v = None
+        fine_v = fine_policy = None
         if options.one_step or options.policy_extension == "pc":
             fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
                                         options.disaggregation)
-        if options.policy_extension == "tcp_greedy":
-            disagg = taylored_greedy_policy(problem, chain, coarse_values, options.scheme)
-        else:
-            disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
-        fine_policy = disagg
 
+    # the one-step improvement replaces the policy extension, so it skips it
+    disagg = None
     if options.one_step:
         fine_policy = policy_improvement(mdp, fine_v)
+    elif options.improvement == "exact" or options.policy_extension == "pc":
+        disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
+    else:
+        disagg = taylored_greedy_policy(problem, chain, coarse_values, options.scheme)
+    if fine_policy is None:
+        fine_policy = disagg
     fine_values = policy_evaluation(mdp, fine_policy)
     return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
                       iterations, time.perf_counter() - t0, oscillated)

@@ -62,12 +62,15 @@ class DriftDiffusion:
 class BoundarySpec:
     """Boundary condition for the TCP on the truncated box.
 
-    kind "oblique": eta(state) is the reflecting direction; it must vanish in
-    non-binding coordinates and point into the domain in binding ones
-    (positive at a lower face, negative at an upper face).
+    Both hooks are batch: they map a (k, d) array of boundary states to the
+    (k, d) array of their directions, one row per state.
+
+    kind "oblique": eta(states) gives the reflecting directions; each must
+    vanish in non-binding coordinates and point into the domain in binding
+    ones (positive at a lower face, negative at an upper face).
 
     kind "fot": first-order Tayloring with the control-independent boundary
-    drift returned by fot_drift(state).
+    drifts returned by fot_drift(states).
     """
 
     kind: str
@@ -82,36 +85,38 @@ class BoundarySpec:
         if self.kind == "fot" and self.fot_drift is None:
             raise MissingBoundaryData("FOT boundary requires the boundary drift")
 
-    def direction(self, state) -> np.ndarray:
+    def direction(self, states) -> np.ndarray:
+        """The (k, d) directions of a (k, d) state array, in one hook call."""
+        states = np.atleast_2d(np.asarray(states))
         fn = self.eta if self.kind == "oblique" else self.fot_drift
-        return np.atleast_1d(np.asarray(fn(tuple(state)), dtype=np.float64))
+        directions = np.asarray(fn(states), dtype=np.float64)
+        if directions.shape != states.shape:
+            raise ValueError(f"boundary hook returned shape {directions.shape} "
+                             f"for states of shape {states.shape}")
+        return directions
 
     def validate_inward(self, lattice: StateLattice, nu0: float = NU0) -> None:
         """Check eta points inward on every boundary state of the lattice.
 
         For the axis-aligned box the obliqueness requirement reduces to
         eta_i >= nu0 |eta| at lower faces and eta_i <= -nu0 |eta| at upper
-        faces, with eta_i = 0 in non-binding coordinates.
+        faces, with eta_i = 0 in non-binding coordinates.  The first
+        offending state in lattice order is reported.
         """
         states = lattice.states()
-        lower = np.asarray(lattice.lower)
-        upper = np.asarray(lattice.upper)
-        on_lower = states == lower
-        on_upper = states == upper
+        on_lower = states == np.asarray(lattice.lower)
+        on_upper = states == np.asarray(lattice.upper)
         boundary = (on_lower | on_upper).any(axis=1)
-        for idx in np.flatnonzero(boundary):
-            x = states[idx]
-            eta = self.direction(x)
-            norm = float(np.linalg.norm(eta))
-            if norm == 0.0:
-                raise NonInwardEta(tuple(x), eta)
-            for i in range(lattice.dim):
-                if on_lower[idx, i] and not (eta[i] >= nu0 * norm):
-                    raise NonInwardEta(tuple(x), eta)
-                if on_upper[idx, i] and not (eta[i] <= -nu0 * norm):
-                    raise NonInwardEta(tuple(x), eta)
-                if not on_lower[idx, i] and not on_upper[idx, i] and eta[i] != 0.0:
-                    raise NonInwardEta(tuple(x), eta)
+        states, on_lower, on_upper = states[boundary], on_lower[boundary], on_upper[boundary]
+        eta = self.direction(states)
+        norm = np.linalg.norm(eta, axis=1)[:, None]
+        bad = ((norm[:, 0] == 0.0)
+               | (on_lower & ~(eta >= nu0 * norm)).any(axis=1)
+               | (on_upper & ~(eta <= -nu0 * norm)).any(axis=1)
+               | (~on_lower & ~on_upper & (eta != 0.0)).any(axis=1))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonInwardEta(tuple(states[k].tolist()), eta[k])
 
 
 class TaylorProblem:

@@ -13,7 +13,9 @@ per-pair closed forms it replaced.
 The multilinear value extension is checked bit for bit against the scipy
 RegularGridInterpolator it replaced, the routing matvec against the
 np.tensordot loop, the direct evaluation system against scipy's sparse
-algebra, and the row-sum test against math.fsum.
+algebra, the row-sum test against math.fsum, the chain's stay mass
+against the packed per-count sums, and the in-place bracketed evaluation
+against its loop forming r_u + alpha (P v) anew.
 """
 
 import itertools
@@ -27,18 +29,19 @@ from scipy.interpolate import RegularGridInterpolator
 import taylordp as tdp
 from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
-from taylordp.errors import EmptyActionSet, InfeasibleAction
-from taylordp.exact import _evaluation_system, _tabulate, get_assembly
+from taylordp.errors import EmptyActionSet, InfeasibleAction, MaxIterationsExceeded
+from taylordp.exact import (SolveOptions, _bracketed_iteration, _evaluation_system, _tabulate,
+                            get_assembly)
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
-from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stencil_rates,
-                              verify_tcp_equivalence)
+from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stay_mass,
+                              _stencil_rates, verify_tcp_equivalence)
 from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLattice,
                               TransitionRow, action_tuple, row_sums)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import _extension_interpolator, _restrict_policy
-from taylordp.taylor import ellipticity_check
+from taylordp.taylor import BoundarySpec, TaylorProblem, ellipticity_check
 
 
 def _routing3(n, M):
@@ -167,7 +170,7 @@ def _spacings(grid, pos):
 
 
 def _check_eta(boundary, point, binding_lower, binding_upper, d):
-    direction = boundary.direction(point)
+    direction = boundary.direction([point])[0]
     if direction.shape != (d,):
         raise NonInwardEta(point, direction)
     for i in binding_lower:
@@ -218,7 +221,7 @@ def per_point_chain(problem, h, scheme="inflate"):
                 slack_rows.append(np.zeros((1, d)))
                 cross_rows.append(np.ones(1))
             else:
-                drift = boundary.direction(point)
+                drift = boundary.direction([point])[0]
                 tgt, wgt = [], []
                 for i in binding_lower + binding_upper:
                     step = pos.copy()
@@ -229,6 +232,8 @@ def per_point_chain(problem, h, scheme="inflate"):
                         tgt.append(int(step @ strides))
                         wgt.append(w)
                 W = math.fsum(wgt)
+                if W <= 0.0:
+                    raise NonInwardEta(point, drift)
                 den = 1.0 - alpha + alpha * W
                 chain_actions.append(U_point)
                 for u in acts:
@@ -887,7 +892,9 @@ def test_taylored_greedy_one_moments_call_per_class(routing3_smoke, monkeypatch)
 # ---------------------------------------------------------------------------
 
 def _fot(model):
-    return model.fot_boundary_problem()
+    """The model's problem with first-order boundary rows driven by its fot_drift."""
+    return TaylorProblem(model.mdp, model.problem.moments_batch,
+                         BoundarySpec(kind="fot", fot_drift=model.boundary_spec.fot_drift))
 
 
 CHAIN_CASES = [
@@ -898,6 +905,7 @@ CHAIN_CASES = [
     ("routing2", None, (1, 2, 4)),
     ("routing3_bench", None, (2, 4)),
     pytest.param("routing3_paper", None, (4,), marks=pytest.mark.slow),
+    ("inventory_model", _fot, (1, 3)),
 ]
 
 
@@ -955,6 +963,68 @@ def test_verifier_matches_per_point_check_on_corrupted_rows(name, request):
     rep = verify_tcp_equivalence(chain, problem)
     assert not rep.passed and len(rep.worst) == 10
     _assert_same_report(rep, per_point_verify(chain, problem))
+
+
+def _outward_past(model, axis, start):
+    """The model's oblique problem with eta turned outward on the lower face of axis from start on."""
+    eta = model.boundary_spec.eta
+
+    def bad_eta(states):
+        e = eta(states)
+        flip = (states[:, axis] == 0) & (states[:, 1 - axis] >= start)
+        e[flip, axis] = -e[flip, axis]
+        return e
+
+    return TaylorProblem(model.mdp, model.problem.moments_batch,
+                         BoundarySpec(kind="oblique", eta=bad_eta))
+
+
+def _nan_drift_at(model, bad_state):
+    """First-order boundary rows whose drift is NaN at bad_state: its weight sum is 0."""
+    drift = model.boundary_spec.fot_drift
+
+    def fot_drift(states):
+        out = np.array(drift(states), dtype=np.float64)
+        out[(states == bad_state).all(axis=1)] = math.nan
+        return out
+
+    return TaylorProblem(model.mdp, model.problem.moments_batch,
+                         BoundarySpec(kind="fot", fot_drift=fot_drift))
+
+
+@pytest.mark.parametrize("name,make,first_bad", [
+    ("routing2", lambda m: _outward_past(m, 1, 10), (10, 0)),
+    ("routing2", lambda m: _outward_past(m, 0, 3), (0, 4)),
+    ("service_quadratic", lambda m: _nan_drift_at(m, (100,)), (100,)),
+])
+def test_chain_names_first_non_inward_point(name, make, first_bad, request):
+    problem = make(request.getfixturevalue(name))
+    for build_chain in (lambda: tdp.build_multidim_chain(problem, 2),
+                        lambda: per_point_chain(problem, 2)):
+        with pytest.raises(NonInwardEta) as info:
+            build_chain()
+        assert info.value.state == first_bad
+
+
+def stay_mass_packed(p, keep):
+    """1 - each row's kept probabilities summed as one packed block per kept count."""
+    kept = keep.sum(axis=1)
+    packed = np.take_along_axis(p, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    stay = np.empty(len(p))
+    for c in np.unique(kept):
+        rows = kept == c
+        stay[rows] = 1.0 - packed[rows, :c].sum(axis=1)
+    return stay
+
+
+@pytest.mark.parametrize("width", [2, 8, 18])
+def test_stay_mass_matches_packed_sums(width):
+    rng = np.random.default_rng(width)
+    p = rng.random((3000, width)) * 10.0 ** rng.uniform(-17.0, 0.0, (3000, width))
+    p /= 1.5 * p.sum(axis=1, keepdims=True)
+    keep = rng.random((3000, width)) < rng.uniform(0.0, 1.0, (3000, 1))
+    assert set(keep.sum(axis=1).tolist()) == set(range(width + 1))
+    assert _bits(_stay_mass(p, keep)).tolist() == _bits(stay_mass_packed(p, keep)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1184,6 +1254,34 @@ def test_evaluation_system_sums_duplicates_and_drops_zeros():
         data = rng.choice([0.0, 0.1, 0.3, -0.3, 1.0, 1 / 3], indptr[-1])
         op = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         assert_same_system(op, rng.choice([0.0, 0.5, 0.99, 1.0], n))
+
+
+def bracketed_loop(r_u, op, disc, options, warm_start=None):
+    """The bracketed evaluation forming each iterate as r_u + alpha * (op @ v)."""
+    alpha = float(disc[0])
+    scale = alpha / (1.0 - alpha)
+    v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
+    for _ in range(options.vi_max_iterations):
+        v_next = r_u + alpha * (op @ v)
+        d = v_next - v
+        lo, hi = d.min(), d.max()
+        if 0.5 * scale * (hi - lo) <= options.iterative_tol * (1.0 + np.abs(v_next).max()):
+            return v_next + 0.5 * scale * (hi + lo)
+        v = v_next
+    raise MaxIterationsExceeded(options.vi_max_iterations, "policy evaluation (iterative)")
+
+
+@pytest.mark.parametrize("name", ["routing2", "routing3_bench"])
+def test_bracketed_iteration_matches_loop(name, request):
+    mdp = request.getfixturevalue(name).mdp
+    asm = get_assembly(mdp)
+    optimal = tdp.policy_iteration(mdp)
+    for policy in (np.zeros(mdp.n_states, dtype=np.int64), optimal.policy):
+        r_u, op = asm.policy_rewards(policy), asm.policy_operator(policy)
+        for warm in (None, optimal.values):
+            got = _bracketed_iteration(r_u, op, asm.discounts, SolveOptions(), warm_start=warm)
+            want = bracketed_loop(r_u, op, asm.discounts, SolveOptions(), warm_start=warm)
+            assert _bits(got).tolist() == _bits(want).tolist()
 
 
 def _edge_rows(base):

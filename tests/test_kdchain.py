@@ -186,8 +186,7 @@ def _toy_2d_problem(sig12, mu=(0.0, 0.0), diag=(1.0, 1.0), nu=11):
     s2 = np.array([[diag[0], sig12], [sig12, diag[1]]])
     moments_batch = lambda s, U: (np.tile(np.asarray(mu, dtype=np.float64), (len(U), 1)),
                                   np.tile(s2, (len(U), 1, 1)))
-    eta = lambda s: np.array([1.0 if s[i] == 0 else (-1.0 if s[i] == nu - 1 else 0.0)
-                              for i in range(2)])
+    eta = lambda states: np.where(states == 0, 1.0, np.where(states == nu - 1, -1.0, 0.0))
     return TaylorProblem(mdp, moments_batch, BoundarySpec(kind="oblique", eta=eta))
 
 

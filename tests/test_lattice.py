@@ -212,7 +212,17 @@ def test_enumerate_actions_brute_force_all_states(routing_small):
         assert action_tuple(mdp.actions.at([state])[0]) == brute
 
 
-def test_empty_action_set_raises():
+def test_empty_action_set_raises(service_quadratic):
+    # a fixed action list gives every state the same table slice: the tiled
+    # table equals the flattened per-state lists, dtype included
+    states = StateLattice((0,), (100,)).states()
+    for actions in (service_quadratic.controls, ((1, 0), (0, 0), (0, 2), (1, 0)), (3, 0.5)):
+        per_state = [tuple(sorted(set(actions)))] * len(states)
+        U, offsets = ExplicitActionSet(actions).at(states)
+        ref = np.asarray([u for acts in per_state for u in acts])
+        assert U.dtype == ref.dtype and U.shape == ref.shape and np.array_equal(U, ref)
+        ref_offsets = np.concatenate([[0], np.cumsum([len(a) for a in per_state])])
+        assert offsets.dtype == np.int64 and np.array_equal(offsets, ref_offsets)
     with pytest.raises(EmptyActionSet):
         ExplicitActionSet(()).at([(0,)])
 

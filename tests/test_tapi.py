@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taylordp as tdp
+import taylordp.tapi as tapi
 from taylordp.kdchain import CoarseGrid
 from taylordp.lattice import StateLattice, action_tuple
 from taylordp.models import build
@@ -206,3 +207,33 @@ def test_tapi_enumerates_actions_once_per_model(name, variant, monkeypatch):
         own = action_tuple(enumerate_all([point])[0])
         expected = own[:1] if oblique and not chain.interior_mask[i] else own
         assert chain.actions_at(i) == expected
+
+
+@pytest.mark.parametrize("improvement", ["approx", "exact"])
+@pytest.mark.parametrize("extension", ["tcp_greedy", "pc"])
+def test_one_step_computes_no_policy_extension(routing2, improvement, extension, monkeypatch):
+    calls = {"greedy": 0, "pc": 0}
+    for key, name in (("greedy", "taylored_greedy_policy"), ("pc", "disaggregate_policy")):
+        fn = getattr(tapi, name)
+
+        def counted(*args, _fn=fn, _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(tapi, name, counted)
+    options = TapiOptions(h=2, improvement=improvement, policy_extension=extension)
+    res = tdp.tapi_solve(routing2.problem, options)
+    greedy = improvement == "approx" and extension == "tcp_greedy"
+    assert calls == {"greedy": int(greedy), "pc": int(not greedy)}
+    assert res.disaggregated_policy is not None
+
+    calls.update(greedy=0, pc=0)
+    one = tdp.tapi_solve(routing2.problem, TapiOptions(h=2, improvement=improvement,
+                                                       policy_extension=extension,
+                                                       one_step=True))
+    assert calls == {"greedy": 0, "pc": 0}
+    assert one.disaggregated_policy is None
+    fine_v = disaggregate_value(one.coarse_values, one.chain.grid, routing2.mdp.lattice,
+                                options.disaggregation)
+    assert np.array_equal(one.fine_policy, tdp.policy_improvement(routing2.mdp, fine_v))
+    assert np.array_equal(one.fine_values, tdp.policy_evaluation(routing2.mdp, one.fine_policy))

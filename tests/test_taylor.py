@@ -103,27 +103,33 @@ def test_routing_full_pool_drift(routing2):
 
 def test_oblique_eta_service(quartic_fixed):
     spec = oblique_eta(quartic_fixed)
-    assert spec.direction((0,))[0] == 1.0
-    assert spec.direction((quartic_fixed.params.M,))[0] == -1.0
+    assert spec.direction([(0,), (quartic_fixed.params.M,)]).tolist() == [[1.0], [-1.0]]
     spec.validate_inward(quartic_fixed.mdp.lattice)
 
 
 def test_oblique_eta_routing(routing2):
     spec = oblique_eta(routing2)
-    eta = spec.direction((0, 5))
+    eta = spec.direction([(0, 5)])[0]
     assert eta[0] == pytest.approx(routing2.params.p[0])
     assert eta[1] == 0.0
     # corner combines both faces
-    eta0 = spec.direction((0, 0))
+    eta0 = spec.direction([(0, 0)])[0]
     assert eta0[0] > 0 and eta0[1] > 0
     spec.validate_inward(routing2.mdp.lattice)
 
 
 def test_eta_inward_validation_rejects_outward():
     lat = StateLattice((0,), (3,))
-    bad = BoundarySpec(kind="oblique", eta=lambda s: np.array([-1.0]))
+    bad = BoundarySpec(kind="oblique", eta=lambda states: np.full(states.shape, -1.0))
     with pytest.raises(NonInwardEta):
         bad.validate_inward(lat)
+
+
+def test_boundary_hook_returns_one_direction_per_state():
+    # the hooks are batch: a per-state (d,) answer for several states is rejected
+    spec = BoundarySpec(kind="oblique", eta=lambda states: np.ones(states.shape[1]))
+    with pytest.raises(ValueError):
+        spec.direction([(0,), (3,)])
 
 
 def test_ellipticity_service(quartic_fixed):
@@ -146,7 +152,8 @@ def test_ellipticity_degenerate_fails():
                      lambda s, u: 0.0, 0.9)
     zero_moments = lambda s, U: (np.zeros((len(U), 1)), np.zeros((len(U), 1, 1)))
     problem = TaylorProblem(mdp, zero_moments,
-                            BoundarySpec(kind="oblique", eta=lambda s: np.array([1.0 if s[0] == 0 else -1.0])))
+                            BoundarySpec(kind="oblique",
+                                         eta=lambda states: np.where(states == 0, 1.0, -1.0)))
     rep = ellipticity_check(problem)
     assert not rep.passed
 
