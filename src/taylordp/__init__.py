@@ -14,7 +14,7 @@ from .exact import (PiResult, SolveOptions, discounted_functional, policy_evalua
 from .kdchain import (CoarseGrid, KdChain, TcpEquivalenceReport, build_multidim_chain,
                       verify_tcp_equivalence)
 from .lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet, StateLattice,
-                      TransitionRow, max_jump, truncate_renormalize, uniform_max_jump)
+                      max_jump, truncate_renormalize, uniform_max_jump)
 from .tapi import (TapiOptions, TapiResult, disaggregate_policy, disaggregate_value,
                    tapi_solve)
 from .taylor import (BoundarySpec, DriftDiffusion, EllipticityReport, TaylorProblem,

@@ -93,7 +93,8 @@ class GridFunction1d(SmoothFunction):
 def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.ndarray:
     """A_U[Phi](x) for every lattice state, from the kernel row and (mu, sigma2).
 
-    The policy's moments come from one moments_batch call over all states.
+    The policy's rows come from one mdp.rows() call and its moments from one
+    moments_batch call over all states.
     """
     mdp = problem.mdp
     lattice = mdp.lattice
@@ -103,12 +104,14 @@ def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.
     states = lattice.states()
     phi_states = phi.value(states.astype(np.float64))
     U, offsets = mdp.action_table()
-    mu_b, s2_b = problem.moments_batch(states, U[offsets[:-1] + policy])
+    chosen = U[offsets[:-1] + policy]
+    mu_b, s2_b = problem.moments_batch(states, chosen)
+    row_ptr, targets, probs = mdp.rows(states, chosen)
     out = np.empty(mdp.n_states)
     for i in range(mdp.n_states):
         x = lattice.state(i)
-        row = mdp.row(i, int(policy[i]))
-        p_phi = float(row.probs @ phi_states[row.targets])
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        p_phi = float(probs[lo:hi] @ phi_states[targets[lo:hi]])
         lu = float(mu_b[i] @ phi.grad(x)) + 0.5 * float(np.trace(s2_b[i] @ phi.hess(x)))
         out[i] = alpha * (p_phi - phi_states[i]) - alpha * lu
     return out

@@ -96,6 +96,12 @@ def _build_parser():
 
 def _config_from_args(args, mode) -> ExperimentConfig:
     if args.config:
+        # the model flags would otherwise be silently ignored
+        given = [f"--{flag}" for flag in ("model", "alpha", "M", "cost")
+                 if getattr(args, flag, None) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be combined with --config; "
+                              f"set the model in the config file")
         cfg = load_config(args.config)
     else:
         cfg = ExperimentConfig(mode=mode)

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InfeasibleAction, MaxIterationsExceeded, SingularSystem
-from .lattice import PROB_TOL, LatticeMdp, action_tuple, row_sums
+from .lattice import LatticeMdp
 
 ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
@@ -181,48 +181,14 @@ def _tabulate(mdp: LatticeMdp) -> TabularAssembly:
     """Rows and rewards of every (state, action) pair in one array pass.
 
     One mdp.rows() and one mdp.rewards() call over mdp.pair_states() and
-    the action table, then every row is checked at once (_check_rows).
+    the action table; each checks what it returns.
     """
     U, offsets = mdp.action_table()
     states = mdp.pair_states()
     row_ptr, col_idx, probs = mdp.rows(states, U)
     rewards = mdp.rewards(states, U)
-    _check_rows(mdp, states, U, row_ptr, col_idx, probs, rewards)
     discounts = np.full(mdp.n_states, mdp.discount)
     return TabularAssembly(offsets, rewards, row_ptr, col_idx, probs, discounts)
-
-
-def _check_rows(mdp, states, U, row_ptr, col_idx, probs, rewards):
-    """Raise ValueError naming the first (state, action) pair whose row or reward is bad.
-
-    A row is bad when it has no entries, an entry below -PROB_TOL, a target
-    outside the lattice, or a sum more than PROB_TOL from one (as
-    math.fsum adds it); a reward is bad when it is not finite.
-    """
-    k = len(states)
-    if (row_ptr.shape != (k + 1,) or row_ptr[0] != 0 or (np.diff(row_ptr) < 0).any()
-            or row_ptr[-1] != len(col_idx) or probs.shape != col_idx.shape
-            or rewards.shape != (k,)):
-        raise ValueError(f"kernel rows and rewards do not describe {k} pairs")
-    sums, near_one = row_sums(probs, row_ptr)                # False for an empty row too
-    negative = probs < -PROB_TOL
-    outside = (col_idx < 0) | (col_idx >= mdp.n_states)
-    finite = np.isfinite(rewards)
-    if near_one.all() and finite.all() and not (negative.any() or outside.any()):
-        return
-    lens = np.diff(row_ptr)
-    owner = np.repeat(np.arange(k), lens)
-    checks = [(lens == 0, "has no entries"),
-              (np.isin(np.arange(k), owner[negative]), "has a negative probability"),
-              (~near_one, "does not sum to 1"),
-              (np.isin(np.arange(k), owner[outside]), "leaves the lattice"),
-              (~finite, "has a non-finite reward")]
-    bad = np.column_stack([flag for flag, _ in checks])
-    i = int(np.argmax(bad.any(axis=1)))
-    what = checks[int(np.argmax(bad[i]))][1]
-    detail = f" (sum {sums[i]!r})" if what == "does not sum to 1" else ""
-    raise ValueError(f"pair (state {tuple(states[i].tolist())}, action "
-                     f"{action_tuple(U[i:i + 1])[0]!r}) {what}{detail}")
 
 
 def segmented_argmax(values: np.ndarray, offsets: np.ndarray, tol: float = ARGMAX_TOL):

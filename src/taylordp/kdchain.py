@@ -58,7 +58,9 @@ inward neighbor in every binding coordinate, with zero reward and no
 discounting, encoding V(0) = V(h) and V(M - h) = V(M).  First-order (FOT)
 boundary rows instead keep the boundary reward and a discount derived from
 the one-sided drift.  Either kind is built in one array pass over the
-boundary points, from one BoundarySpec.direction call.
+boundary points, from one BoundarySpec.direction call, whose directions
+must meet the inward rule that BoundarySpec.validate_inward checks
+(taylor.not_inward); the first point that breaks it raises NonInwardEta.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import numpy as np
 from .errors import NonInwardEta
 from .exact import TabularAssembly, _ranges
 from .lattice import StateLattice, action_tuple
-from .taylor import TaylorProblem
+from .taylor import TaylorProblem, not_inward
 
 RATE_TOL = 1e-12
 
@@ -358,18 +360,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     bnd = np.flatnonzero(~interior)
     lower, upper = at_lower[bnd], at_upper[bnd]
     direction = boundary.direction(coords[bnd])
-    bad = ((lower & (direction <= 0.0)) | (upper & (direction >= 0.0))).any(axis=1)
-    if boundary.kind == "fot":
-        # one-sided drift toward the inward neighbor per binding axis: a weight
-        # per (face, axis), the lower faces' steps before the upper faces'
-        gap = np.column_stack([ax[inward_pos[bnd, i]] - ax[pos[bnd, i]]
-                               for i, ax in enumerate(grid.axes)]).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.tile(np.abs(direction) / np.abs(gap), 2)
-        kept = np.concatenate([lower, upper], axis=1) & (w > 0.0)
-        w = np.where(kept, w, 0.0)
-        W = np.array([math.fsum(row) for row in w.tolist()])   # exactly rounded
-        bad |= W <= 0.0
+    bad = not_inward(direction, lower, upper)
     if bad.any():
         k = int(np.argmax(bad))
         raise NonInwardEta(tuple(coords[bnd[k]].tolist()), direction[k])
@@ -379,6 +370,15 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
         cols[first, 0], probs[first, 0], mask[first, 0] = inward_pos[bnd] @ strides, 1.0, True
         discounts[bnd] = 1.0
     else:
+        # one-sided drift toward the inward neighbor per binding axis: a weight
+        # per (face, axis), the lower faces' steps before the upper faces'.
+        # The inward rule makes every binding axis's weight positive
+        gap = np.column_stack([ax[inward_pos[bnd, i]] - ax[pos[bnd, i]]
+                               for i, ax in enumerate(grid.axes)]).astype(np.float64)
+        kept = np.concatenate([lower, upper], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(kept, np.tile(np.abs(direction) / np.abs(gap), 2), 0.0)
+        W = np.array([math.fsum(row) for row in w.tolist()])   # exactly rounded
         # an axis binds at one face at most, so a row's kept steps fit in d columns
         order = np.argsort(~kept, axis=1, kind="stable")[:, :d]
         step = np.tile((inward_pos[bnd] - pos[bnd]) * strides, 2)

@@ -1,13 +1,16 @@
 """Data model for discounted MDPs on truncated integer lattices.
 
 States live on a box ``lower <= x <= upper`` in Z^d and are addressed by a
-row-major flat index.  Transition rows are sparse (target index, probability)
-pairs; kernels that place mass outside the box are repaired by
-:func:`truncate_renormalize`, which rescales each row by the mass it keeps
-inside.  Action sets enumerate the actions of many states in one
-``at(states) -> (U, offsets)`` call, a ragged table in lexicographic order
-per state; each LatticeMdp makes that call once, over all of its states
-(``action_table``).
+row-major flat index.  A model's kernel and reward are batch hooks over k
+(state, action) pairs: the kernel returns the pairs' sparse rows in one
+ragged (row_ptr, targets, probs) triple, the reward a (k,) array.
+LatticeMdp.rows() and rewards() are their only callers, and they check
+every row and reward they return.  Kernels that place mass outside the box
+are repaired by :func:`truncate_renormalize`, which rescales each row by the
+mass it keeps inside.  Action sets enumerate the actions of many states in
+one ``at(states) -> (U, offsets)`` call, a ragged table in lexicographic
+order per state; each LatticeMdp makes that call once, over all of its
+states (``action_table``).
 """
 
 from __future__ import annotations
@@ -77,28 +80,6 @@ class StateLattice:
         return np.ravel_multi_index(tuple(offset.T), self.shape)
 
 
-@dataclass(frozen=True)
-class TransitionRow:
-    """Sparse transition row over flat state indices."""
-
-    targets: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=np.int64))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if self.targets.shape != self.probs.shape:
-            raise ValueError("targets and probs must align")
-        if self.probs.size and self.probs.min() < -PROB_TOL:
-            raise ValueError(f"negative probability {self.probs.min()}")
-        sums, near_one = row_sums(self.probs, np.array([0, self.probs.size]))
-        if not near_one[0]:
-            raise ValueError(f"row sums to {sums[0]}, not 1")
-
-    def expectation(self, values: np.ndarray) -> float:
-        return float(self.probs @ values[self.targets])
-
-
 def row_sums(probs: np.ndarray, row_ptr: np.ndarray):
     """(sums, near_one) of the ragged rows probs[row_ptr[i]:row_ptr[i+1]].
 
@@ -113,14 +94,6 @@ def row_sums(probs: np.ndarray, row_ptr: np.ndarray):
     near or past PROB_TOL are summed again with fsum.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if len(row_ptr) == 2:
-        # one row, as TransitionRow checks it: Python scalars cost less than
-        # the ragged pass below on short rows
-        row = probs[row_ptr[0]:row_ptr[1]]
-        total = float(np.add.reduceat(row, np.arange(0, len(row), ROW_SUM_BLOCK)).sum())
-        if not _clears_tol(total, len(row), float(np.abs(row).sum())):
-            total = math.fsum(row.tolist())
-        return np.array([total]), np.array([abs(total - 1.0) <= PROB_TOL])
     lens = row_ptr[1:] - row_ptr[:-1]
     blocks = (lens + (ROW_SUM_BLOCK - 1)) // ROW_SUM_BLOCK       # none for an empty row
     owner = np.repeat(np.arange(len(lens)), blocks)
@@ -141,33 +114,68 @@ def _clears_tol(sums, lens, abs_sums):
     return abs(sums - 1.0) + margin <= PROB_TOL
 
 
-RawKernel = Callable[[State, object], tuple[np.ndarray, np.ndarray]]
-Kernel = Callable[[State, object], TransitionRow]
+def _check_rows(n_states: int, states, U, row_ptr, targets, probs) -> None:
+    """Raise ValueError naming the first pair whose row is bad.
+
+    A row is bad when it has no entries, an entry below -PROB_TOL, a target
+    outside the lattice, or a sum more than PROB_TOL from one (as math.fsum
+    adds it; a NaN entry fails this test).
+    """
+    k = len(U)
+    if (row_ptr.shape != (k + 1,) or row_ptr[0] != 0 or (np.diff(row_ptr) < 0).any()
+            or row_ptr[-1] != len(targets) or probs.shape != targets.shape):
+        raise ValueError(f"kernel rows do not describe {k} pairs")
+    sums, near_one = row_sums(probs, row_ptr)                # False for an empty row too
+    negative = probs < -PROB_TOL
+    outside = (targets < 0) | (targets >= n_states)
+    if near_one.all() and not (negative.any() or outside.any()):
+        return
+    lens = np.diff(row_ptr)
+    owner = np.repeat(np.arange(k), lens)
+    checks = [(lens == 0, "has no entries"),
+              (np.bincount(owner[negative], minlength=k) > 0, "has a negative probability"),
+              (~near_one, "does not sum to 1"),
+              (np.bincount(owner[outside], minlength=k) > 0, "leaves the lattice")]
+    bad = np.column_stack([flag for flag, _ in checks])
+    i = int(np.argmax(bad.any(axis=1)))
+    what = checks[int(np.argmax(bad[i]))][1]
+    detail = f" (sum {sums[i]!r})" if what == "does not sum to 1" else ""
+    raise ValueError(f"{_pair_name(states, U, i)} {what}{detail}")
 
 
-def truncate_renormalize(raw_kernel: RawKernel, lattice: StateLattice) -> Kernel:
-    """Wrap a kernel that may leak mass outside the lattice.
+def _pair_name(states, U, i: int) -> str:
+    return f"pair (state {tuple(states[i].tolist())}, action {action_tuple(U[i:i + 1])[0]!r})"
 
-    The raw kernel returns (coords, probs) where coords is (k, dim) integer
-    target coordinates.  Mass outside the box is dropped and the remaining
-    row rescaled to sum to one:  P~(x,y) = P(x,y) / sum_{z in box} P(x,z).
-    Raises ZeroInteriorMass when a row keeps no mass at all.
+
+def truncate_renormalize(raw_kernel, lattice: StateLattice):
+    """A batch kernel from a batch raw kernel that may leak mass outside the lattice.
+
+    raw_kernel(states, U) returns padded raw rows (coords, probs, lengths):
+    coords (k, w, d) integer target coordinates, probs (k, w), and row i's
+    entries are its first lengths[i].  Mass outside the box is dropped and
+    each row divided by the math.fsum of the mass it keeps:
+    P~(x,y) = P(x,y) / sum_{z in box} P(x,z).  Raises ZeroInteriorMass for
+    the first row that keeps no mass at all (a NaN mass too).
     """
 
     lower = np.asarray(lattice.lower)
     upper = np.asarray(lattice.upper)
 
-    def kernel(state: State, action) -> TransitionRow:
-        coords, probs = raw_kernel(state, action)
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
+    def kernel(states, U):
+        coords, probs, lengths = raw_kernel(states, U)
+        coords = np.asarray(coords, dtype=np.int64)
         probs = np.asarray(probs, dtype=np.float64)
-        inside = np.all((coords >= lower) & (coords <= upper), axis=1)
-        kept = probs[inside]
-        mass = math.fsum(kept.tolist())
-        if not mass > 0.0:                 # NaN mass too
-            raise ZeroInteriorMass(state, action)
-        targets = lattice.indices_of(coords[inside])
-        return TransitionRow(targets, kept / mass)
+        inside = ((np.arange(probs.shape[1]) < np.asarray(lengths)[:, None])
+                  & np.all((coords >= lower) & (coords <= upper), axis=2))
+        mass = np.array([math.fsum(row) for row in np.where(inside, probs, 0.0).tolist()])
+        empty = ~(mass > 0.0)
+        if empty.any():
+            i = int(np.argmax(empty))
+            raise ZeroInteriorMass(tuple(np.asarray(states)[i].tolist()),
+                                   action_tuple(np.asarray(U)[i:i + 1])[0])
+        row_ptr = np.zeros(len(mass) + 1, dtype=np.int64)
+        np.cumsum(inside.sum(axis=1), out=row_ptr[1:])
+        return row_ptr, lattice.indices_of(coords[inside]), (probs / mass[:, None])[inside]
 
     return kernel
 
@@ -255,38 +263,29 @@ class PolyhedralActionSet:
 class LatticeMdp:
     """Discounted MDP on a StateLattice.
 
-    kernel and reward are pure callables of (state tuple, action); the action
-    set's at(states) enumerates every state's duplicate-free lexicographically
-    ordered actions in one call, made once per model (action_table), and
-    actions_at reads one state's slice back as a tuple.
-    Policies are dense integer arrays indexing into that per-state ordering,
-    values are dense float arrays over flat state indices.
-
-    kernel_batch(states, U) -> (row_ptr, targets, probs) and
-    reward_batch(states, U) -> (k,) are optional batch hooks over k pairs:
-    states is (k, d) and U the matching (k,) or (k, m) actions, and the rows
-    come back ragged, pair i's entries at row_ptr[i]:row_ptr[i+1].  Every
-    caller reads rows and rewards of many pairs through rows() and
-    rewards(), which use the hooks when given and otherwise loop over
-    kernel and reward.  A model with a hook may leave the per-pair callable
-    out (None): it becomes a one-pair call of the hook.
+    kernel(states, U) -> (row_ptr, targets, probs) and reward(states, U) ->
+    (k,) are batch hooks over k (state, action) pairs: states is (k, d) and
+    U the matching (k,) or (k, m) actions, and the rows come back ragged in
+    TabularAssembly's layout, pair i's flat targets and probabilities at
+    row_ptr[i]:row_ptr[i+1] (zero entries may stay).  Every caller reads
+    them through rows() and rewards(), which look the hook up on the
+    instance at each call (so a hook replaced after construction sees every
+    call) and check what it returns.  The action set's at(states)
+    enumerates every state's duplicate-free lexicographically ordered
+    actions in one call, made once per model (action_table), and actions_at
+    reads one state's slice back as a tuple.  Policies are dense integer
+    arrays indexing into that per-state ordering, values are dense float
+    arrays over flat state indices.
     """
 
-    def __init__(self, lattice: StateLattice, actions, kernel: Kernel | None, reward,
-                 discount: float, name: str = "mdp", cost_oriented: bool = False,
-                 factored=None, kernel_batch=None, reward_batch=None):
+    def __init__(self, lattice: StateLattice, actions, kernel, reward, discount: float,
+                 name: str = "mdp", cost_oriented: bool = False, factored=None):
         if not (0.0 < discount < 1.0):
             raise ValueError("discount must lie in (0, 1)")
-        if kernel is None and kernel_batch is None:
-            raise ValueError("need a kernel or a kernel_batch")
-        if reward is None and reward_batch is None:
-            raise ValueError("need a reward or a reward_batch")
         self.lattice = lattice
         self.actions = actions
-        self.kernel_batch = kernel_batch
-        self.reward_batch = reward_batch
-        self.kernel = self._one_pair_row if kernel is None else kernel
-        self.reward = self._one_pair_reward if reward is None else reward
+        self.kernel = kernel
+        self.reward = reward
         self.discount = float(discount)
         self.name = name
         # cost_oriented: rewards are negated costs; reports flip the sign back
@@ -316,41 +315,36 @@ class LatticeMdp:
         return np.repeat(self.lattice.states(), np.diff(self.action_table()[1]), axis=0)
 
     def rows(self, states: np.ndarray, U):
-        """Kernel rows of k pairs as ragged (row_ptr, targets, probs).
+        """Kernel rows of k pairs as ragged (row_ptr, targets, probs), from one kernel call.
 
         states is (k, d) and U holds the k matching actions (a slice of the
-        action table, or a sequence of the action set's actions).  Pair i's
-        flat targets and probabilities are targets[row_ptr[i]:row_ptr[i+1]]
-        and probs[...], in the layout of TabularAssembly.  Without a
-        kernel_batch hook this makes one kernel call per pair.
+        action table, or a sequence of the action set's actions).  Raises
+        ValueError naming the first pair whose row is empty, has an entry
+        below -PROB_TOL or a target outside the lattice, or does not sum to
+        one within PROB_TOL.
         """
-        if self.kernel_batch is not None:
-            row_ptr, targets, probs = self.kernel_batch(states, np.asarray(U))
-            return (np.asarray(row_ptr, dtype=np.int64), np.asarray(targets, dtype=np.int64),
-                    np.asarray(probs, dtype=np.float64))
-        rows = [self.kernel(s, u) for s, u in _pairs(states, U)]
-        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(r.targets) for r in rows], out=row_ptr[1:])
-        targets = np.concatenate([np.empty(0, dtype=np.int64)] + [r.targets for r in rows])
-        probs = np.concatenate([np.empty(0)] + [r.probs for r in rows])
+        states, U = np.asarray(states), np.asarray(U)
+        row_ptr, targets, probs = self.kernel(states, U)
+        row_ptr = np.asarray(row_ptr, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        probs = np.asarray(probs, dtype=np.float64)
+        _check_rows(self.n_states, states, U, row_ptr, targets, probs)
         return row_ptr, targets, probs
 
     def rewards(self, states: np.ndarray, U) -> np.ndarray:
-        """Rewards of k pairs as a (k,) float array; see rows() for the arguments.
+        """Rewards of k pairs as a (k,) float array, from one reward call; see rows().
 
-        Without a reward_batch hook this makes one reward call per pair.
+        Raises ValueError naming the first pair whose reward is not finite.
         """
-        if self.reward_batch is not None:
-            return np.asarray(self.reward_batch(states, np.asarray(U)), dtype=np.float64)
-        return np.array([float(self.reward(s, u)) for s, u in _pairs(states, U)],
-                        dtype=np.float64)
-
-    def _one_pair_row(self, state: State, action) -> TransitionRow:
-        _, targets, probs = self.kernel_batch(np.asarray(state)[None, :], np.asarray([action]))
-        return TransitionRow(targets, probs)
-
-    def _one_pair_reward(self, state: State, action) -> float:
-        return float(self.reward_batch(np.asarray(state)[None, :], np.asarray([action]))[0])
+        states, U = np.asarray(states), np.asarray(U)
+        rewards = np.asarray(self.reward(states, U), dtype=np.float64)
+        if rewards.shape != (len(U),):
+            raise ValueError(f"reward hook returned shape {rewards.shape} for {len(U)} pairs")
+        bad = ~np.isfinite(rewards)
+        if bad.any():
+            raise ValueError(f"{_pair_name(states, U, int(np.argmax(bad)))} "
+                             f"has a non-finite reward")
+        return rewards
 
     def actions_at(self, state_index: int):
         U, offsets = self.action_table()
@@ -363,10 +357,6 @@ class LatticeMdp:
             raise IndexError(f"action index {action_index} out of range at state {state_index}")
         return action_tuple(U[lo + action_index:lo + action_index + 1])[0]
 
-    def row(self, state_index: int, action_index: int) -> TransitionRow:
-        state = self.lattice.state(state_index)
-        return self.kernel(state, self.action(state_index, action_index))
-
     def validate_policy(self, policy: np.ndarray) -> None:
         policy = np.asarray(policy)
         if policy.shape != (self.n_states,):
@@ -374,11 +364,6 @@ class LatticeMdp:
         bad = np.flatnonzero((policy < 0) | (policy >= np.diff(self.action_table()[1])))
         if bad.size:
             raise InfeasibleAction(self.lattice.state(bad[0]), int(policy[bad[0]]))
-
-
-def _pairs(states, U):
-    """(state tuple, action) per pair, in the Python form kernel and reward take."""
-    return zip(map(tuple, np.asarray(states).tolist()), action_tuple(U))
 
 
 def pack_rows(targets: np.ndarray, probs: np.ndarray, lengths: np.ndarray):

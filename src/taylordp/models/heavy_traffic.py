@@ -57,7 +57,7 @@ class HeavyTrafficQueue:
         lattice = StateLattice((0,), (M,))
 
         # batch hooks over k pairs: states (k, 1), the one action 0 (k,)
-        def kernel_batch(states, U):
+        def kernel(states, U):
             x = np.asarray(states, dtype=np.int64)[:, 0]
             targets = np.stack([x - 1, x + 1], axis=1)
             probs = np.tile([mu, lam], (len(x), 1))
@@ -65,12 +65,11 @@ class HeavyTrafficQueue:
             targets[x == M, 0], probs[x == M, 0] = M - 1, 1.0      # down surely from M
             return pack_rows(targets, probs, np.where(x == M, 1, 2))
 
-        def reward_batch(states, U):
+        def reward(states, U):
             return np.asarray(states, dtype=np.float64)[:, 0]
 
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), None, None, params.alpha,
-                              name="heavy_traffic_queue",
-                              kernel_batch=kernel_batch, reward_batch=reward_batch)
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), kernel, reward, params.alpha,
+                              name="heavy_traffic_queue")
 
         def moments_batch(state, actions):
             # drift lam and second moment lam at 0 (lazy reflection), lam - mu and 1 above

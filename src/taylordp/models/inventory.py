@@ -65,15 +65,16 @@ class InventoryModel:
         lattice = StateLattice((-M,), (M,))
         demands = np.arange(self.d_max + 1)
 
-        def raw_kernel(state, u):
-            (x,) = state
-            if x == -M:
-                return np.array([[-M + u]]), np.array([1.0])
-            if x == M:
-                return (M - demands)[:, None], self.demand_pmf
-            return (x + u - demands)[:, None], self.demand_pmf
-
-        kernel = truncate_renormalize(raw_kernel, lattice)
+        def raw_kernel(states, U):
+            # padded raw rows x + u - D: M - D at M, the sure step -M + u at -M
+            x = np.asarray(states, dtype=np.int64)[:, 0]
+            u = np.asarray(U, dtype=np.int64)
+            coords = np.where((x == M)[:, None], M - demands, (x + u)[:, None] - demands)
+            probs = np.tile(self.demand_pmf, (len(x), 1))
+            lengths = np.full(len(x), len(demands))
+            low = x == -M
+            coords[low, 0], probs[low, 0], lengths[low] = -M + u[low], 1.0, 1
+            return coords[:, :, None], probs, lengths
 
         # exact expected one-period cost over the truncated demand
         def cost(state, u) -> float:
@@ -83,10 +84,15 @@ class InventoryModel:
             backlog = params.b * float(self.demand_pmf @ np.maximum(-y, 0))
             return params.c * u + holding + backlog
 
+        def reward(states, U):
+            # one cost call per pair: a batched dot would round differently
+            return np.array([-cost(s, u) for s, u in zip(map(tuple, states.tolist()),
+                                                           U.tolist())])
+
         self.cost = cost
         actions = tuple(range(params.u_max + 1))
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet(actions), kernel,
-                              lambda s, u: -cost(s, u), params.alpha,
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet(actions),
+                              truncate_renormalize(raw_kernel, lattice), reward, params.alpha,
                               name="inventory", cost_oriented=True)
 
         def moments_batch(state, actions_):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exact import FactoredAssembly
-from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice, TransitionRow
+from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice
 from ..taylor import BoundarySpec, TaylorProblem
 from .distributions import binom_pmf, poisson_cutoff, poisson_pmf
 
@@ -150,30 +150,23 @@ class RoutingModel:
         self.cost_batch = cost_batch
         self.post_states = post_states
 
-        def cost(state, u) -> float:
-            return float(cost_batch(state, [u])[0])
-
-        self.cost = cost
-
-        def post_state(state, u):
-            return tuple(post_states(state, [u])[0].tolist())
-
-        self.post_state = post_state
-
-        def kernel(state, u) -> TransitionRow:
-            z = post_state(state, u)
-            rows = [self.K[i][z[i]] for i in range(J)]
-            joint = rows[0]
-            for r in rows[1:]:
-                joint = np.multiply.outer(joint, r)
+        def kernel(states, U):
+            # K_0[z_0] x K_1[z_1] x ... per pair, multiplied in pool order by
+            # broadcasting into one dense (pairs, n_states) block; its nonzero
+            # entries in C order are the rows, pair i's at i * n_states + target
+            z = post_states(states, U)
+            joint = self.K[0][z[:, 0]]
+            for i in range(1, J):
+                joint = joint[..., None] * self.K[i][z[:, i]].reshape(
+                    (len(z),) + (1,) * i + (-1,))
             flat = joint.ravel()
-            live = flat > 0.0
-            return TransitionRow(np.flatnonzero(live), flat[live])
+            live = np.flatnonzero(flat > 0.0)
+            n = lattice.n_states
+            return np.searchsorted(live, np.arange(len(z) + 1) * n), live % n, flat[live]
 
-        self.mdp = LatticeMdp(lattice, actions, kernel, None, params.alpha,
-                              name=f"routing_{J}pool", cost_oriented=True,
-                              factored=self._build_factored,
-                              reward_batch=lambda states, U: -cost_batch(states, U))
+        self.mdp = LatticeMdp(lattice, actions, kernel, lambda states, U: -cost_batch(states, U),
+                              params.alpha, name=f"routing_{J}pool", cost_oriented=True,
+                              factored=self._build_factored)
 
         lam = np.asarray(params.lam, dtype=np.float64)
         p = np.asarray(params.p, dtype=np.float64)

@@ -67,7 +67,7 @@ class ServiceRateModel:
         power = 2 if params.cost == "quadratic" else 4
 
         # batch hooks over k pairs: states (k, 1), controls (k,)
-        def kernel_batch(states, us):
+        def kernel(states, us):
             x = np.asarray(states, dtype=np.int64)[:, 0]
             us = np.asarray(us, dtype=np.float64)
             targets = np.stack([x - 1, x + 1], axis=1)
@@ -76,14 +76,13 @@ class ServiceRateModel:
             targets[x == M, 0], probs[x == M, 0] = M - 1, 1.0      # down surely from M
             return pack_rows(targets, probs, np.where((x == 0) | (x == M), 1, 2))
 
-        def reward_batch(states, us):
+        def reward(states, us):
             x = np.asarray(states, dtype=np.float64)[:, 0]
             x_power = x * x if power == 2 else (x * x) * (x * x)
             return -(x_power + params.c_s / (1.0 - np.asarray(us, dtype=np.float64)))
 
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), None, None,
-                              alpha, name=f"service_rate_{params.cost}", cost_oriented=True,
-                              kernel_batch=kernel_batch, reward_batch=reward_batch)
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), kernel, reward, alpha,
+                              name=f"service_rate_{params.cost}", cost_oriented=True)
 
         def moments_batch(state, actions):
             x = np.asarray(state)[..., 0]                     # one state, or one per action

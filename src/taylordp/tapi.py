@@ -51,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import (SolveOptions, _check_rows, get_assembly, policy_evaluation,
-                    policy_improvement, policy_iteration, segmented_argmax)
+from .exact import (SolveOptions, get_assembly, policy_evaluation, policy_improvement,
+                    policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
 from .lattice import LatticeMdp, StateLattice
 from .taylor import TaylorProblem
@@ -146,8 +146,8 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
     Boundary grid states are completed by a fine one-step greedy against
-    fine_value, from one mdp.rows() and one mdp.rewards() call per point,
-    checked as _tabulate checks its rows.  Inherited actions infeasible at
+    fine_value, from one mdp.rows() and one mdp.rewards() call per point
+    (each checks what it reads).  Inherited actions infeasible at
     the destination are projected to the nearest feasible action
     (_nearest_actions).
     """
@@ -171,7 +171,6 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
         point = np.repeat(states[si:si + 1], hi - lo, axis=0)
         row_ptr, targets, probs = mdp.rows(point, U[lo:hi])
         rewards = mdp.rewards(point, U[lo:hi])
-        _check_rows(mdp, point, U[lo:hi], row_ptr, targets, probs, rewards)
         q = rewards + mdp.discount * np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
         chosen[gi] = lo + segmented_argmax(q, np.array([0, hi - lo]))[1][0]
 
@@ -321,10 +320,12 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
             fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
                                         options.disaggregation)
 
-    # the one-step improvement replaces the policy extension, so it skips it
+    # the one-step improvement replaces the policy extension, so it skips it;
+    # the exact loop's policy already is the one-step improvement of its fine_v
     disagg = None
     if options.one_step:
-        fine_policy = policy_improvement(mdp, fine_v)
+        if fine_policy is None:
+            fine_policy = policy_improvement(mdp, fine_v)
     elif options.improvement == "exact" or options.policy_extension == "pc":
         disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
     else:
@@ -340,7 +341,8 @@ def _tapi_exact_loop(problem, chain, options):
     """Evaluate on the chain, improve on the fine lattice, restrict back to the grid.
 
     Returns (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
-    oscillated), fine_v being the extension of the last coarse_values.
+    oscillated), fine_v being the extension of the last coarse_values and
+    fine_policy its exact greedy policy.
     """
     mdp = problem.mdp
     grid = chain.grid

@@ -96,27 +96,37 @@ class BoundarySpec:
         return directions
 
     def validate_inward(self, lattice: StateLattice, nu0: float = NU0) -> None:
-        """Check eta points inward on every boundary state of the lattice.
+        """Check eta points inward on every boundary state of the lattice (see not_inward).
 
-        For the axis-aligned box the obliqueness requirement reduces to
-        eta_i >= nu0 |eta| at lower faces and eta_i <= -nu0 |eta| at upper
-        faces, with eta_i = 0 in non-binding coordinates.  The first
-        offending state in lattice order is reported.
+        The first offending state in lattice order is reported.
         """
         states = lattice.states()
         on_lower = states == np.asarray(lattice.lower)
         on_upper = states == np.asarray(lattice.upper)
         boundary = (on_lower | on_upper).any(axis=1)
-        states, on_lower, on_upper = states[boundary], on_lower[boundary], on_upper[boundary]
+        states = states[boundary]
         eta = self.direction(states)
-        norm = np.linalg.norm(eta, axis=1)[:, None]
-        bad = ((norm[:, 0] == 0.0)
-               | (on_lower & ~(eta >= nu0 * norm)).any(axis=1)
-               | (on_upper & ~(eta <= -nu0 * norm)).any(axis=1)
-               | (~on_lower & ~on_upper & (eta != 0.0)).any(axis=1))
+        bad = not_inward(eta, on_lower[boundary], on_upper[boundary], nu0)
         if bad.any():
             k = int(np.argmax(bad))
             raise NonInwardEta(tuple(states[k].tolist()), eta[k])
+
+
+def not_inward(eta: np.ndarray, on_lower: np.ndarray, on_upper: np.ndarray,
+               nu0: float = NU0) -> np.ndarray:
+    """Which of k boundary directions break the inward rule, a (k,) bool array.
+
+    eta, on_lower and on_upper are (k, d): the directions and the axes at
+    their lower and upper faces.  For the axis-aligned box the obliqueness
+    requirement reduces to eta_i >= nu0 |eta| at lower faces and
+    eta_i <= -nu0 |eta| at upper faces, with eta_i = 0 on the other axes;
+    a zero vector breaks it, and so does any NaN component.
+    """
+    norm = np.linalg.norm(eta, axis=1)[:, None]
+    return ((norm[:, 0] == 0.0)
+            | (on_lower & ~(eta >= nu0 * norm)).any(axis=1)
+            | (on_upper & ~(eta <= -nu0 * norm)).any(axis=1)
+            | (~on_lower & ~on_upper & (eta != 0.0)).any(axis=1))
 
 
 class TaylorProblem:
@@ -152,33 +162,42 @@ class TaylorProblem:
 
 
 def moments_from_kernel(mdp: LatticeMdp, state, action) -> DriftDiffusion:
-    """Drift and second moment summed from the (truncated) kernel row.
+    """Drift and second moment summed from the pair's (truncated) kernel row.
+
+    The row comes from one mdp.rows() call; see _row_moments.
+    """
+    mu, sigma2 = _row_moments(mdp, np.asarray(state)[None, :], np.asarray([action]))
+    return DriftDiffusion(mu[0], sigma2[0])
+
+
+def _row_moments(mdp: LatticeMdp, states: np.ndarray, U) -> tuple[np.ndarray, np.ndarray]:
+    """(k, d) drifts and (k, d, d) second moments of k pairs, from one mdp.rows() call.
 
     Components are accumulated with exact compensated summation, so Poisson
     and binomial tails do not lose mass to rounding.
     """
-    lattice = mdp.lattice
-    row = mdp.kernel(tuple(state), action)
-    coords = np.stack([lattice.state(t) for t in row.targets]).astype(np.float64)
-    diff = coords - np.asarray(state, dtype=np.float64)
-    d = lattice.dim
-    mu = np.array([math.fsum((row.probs * diff[:, i]).tolist()) for i in range(d)])
-    sigma2 = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            sigma2[i, j] = sigma2[j, i] = math.fsum((row.probs * diff[:, i] * diff[:, j]).tolist())
-    return DriftDiffusion(mu, sigma2)
+    row_ptr, targets, probs = mdp.rows(states, U)
+    diff = (mdp.lattice.states()[targets]
+            - np.repeat(states, np.diff(row_ptr), axis=0)).astype(np.float64)
+    k, d = len(states), mdp.lattice.dim
+    mu = np.empty((k, d))
+    sigma2 = np.empty((k, d, d))
+    for p in range(k):
+        w, dx = probs[row_ptr[p]:row_ptr[p + 1]], diff[row_ptr[p]:row_ptr[p + 1]]
+        for i in range(d):
+            mu[p, i] = math.fsum((w * dx[:, i]).tolist())
+            for j in range(i, d):
+                sigma2[p, i, j] = sigma2[p, j, i] = math.fsum((w * dx[:, i] * dx[:, j]).tolist())
+    return mu, sigma2
 
 
 def kernel_moment_provider(mdp: LatticeMdp):
-    """A moments_batch hook backed by moments_from_kernel, one row per pair."""
+    """A moments_batch hook summing each pair's moments from its kernel row (_row_moments)."""
 
     def moments_batch(state, actions):
-        if isinstance(actions, np.ndarray):
-            actions = action_tuple(actions)
-        states = np.broadcast_to(np.asarray(state), (len(actions), mdp.lattice.dim))
-        dds = [moments_from_kernel(mdp, tuple(x), u) for x, u in zip(states.tolist(), actions)]
-        return np.stack([dd.mu for dd in dds]), np.stack([dd.sigma2 for dd in dds])
+        U = np.asarray(actions)
+        return _row_moments(mdp, np.broadcast_to(np.asarray(state), (len(U), mdp.lattice.dim)),
+                            U)
 
     return moments_batch
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -5,6 +6,7 @@ import taylordp as tdp
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+from taylordp.lattice import action_tuple
 from taylordp.models import build
 from taylordp.models.routing import build_routing, table_params
 
@@ -52,3 +54,40 @@ def routing_small():
     return build_routing(RoutingParams(J=2, N=(3, 3), M=27, p=(0.5, 0.6),
                                        lam=(1.0, 0.8), B=(2.0, 1.0), H=(1.0, 2.0),
                                        alpha=0.95))
+
+
+# ---------------------------------------------------------------------------
+# per-pair views of the batch kernel contract
+# ---------------------------------------------------------------------------
+
+def pair_hooks(row, reward):
+    """Batch kernel and reward hooks from per-pair functions, one call per pair.
+
+    row(state tuple, action) returns a pair's (targets, probs) and
+    reward(state tuple, action) its reward; actions arrive as Python
+    scalars or tuples.
+    """
+    def pairs(states, U):
+        return zip(map(tuple, np.asarray(states).tolist()), action_tuple(U))
+
+    def kernel(states, U):
+        rows = [row(s, u) for s, u in pairs(states, U)]
+        row_ptr = np.cumsum([0] + [len(t) for t, _ in rows])
+        return (row_ptr, np.array([t for r, _ in rows for t in r], dtype=np.int64),
+                np.array([p for _, r in rows for p in r], dtype=np.float64))
+
+    def rewards(states, U):
+        return np.array([reward(s, u) for s, u in pairs(states, U)], dtype=np.float64)
+
+    return kernel, rewards
+
+
+def one_row(mdp, state, action):
+    """(targets, probs) of one pair, from a one-pair rows() call."""
+    _, targets, probs = mdp.rows(np.asarray([state]), np.asarray([action]))
+    return targets, probs
+
+
+def one_reward(mdp, state, action) -> float:
+    """The reward of one pair, from a one-pair rewards() call."""
+    return float(mdp.rewards(np.asarray([state]), np.asarray([action]))[0])

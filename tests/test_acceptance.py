@@ -19,6 +19,8 @@ from taylordp.models.routing import build_routing, table_params
 from taylordp.tapi import TapiOptions, tapi_solve
 from taylordp.taylor import TaylorProblem, kernel_moment_provider, moments_from_kernel
 
+from conftest import pair_hooks
+
 
 def report(num, name, ok, detail, elapsed, budget):
     status = "PASS" if ok else "FAIL"
@@ -246,10 +248,10 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
             failures.append(f"quadratic-remainder {name}: {np.abs(rem).max():.2e}")
 
     # argmax tie-break determinism
-    from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+    from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
     lat = StateLattice((0,), (0,))
     tie_mdp = LatticeMdp(lat, ExplicitActionSet((0, 1, 2)),
-                         lambda s, u: TransitionRow([0], [1.0]), lambda s, u: 1.0, 0.5)
+                         *pair_hooks(lambda s, u: ([0], [1.0]), lambda s, u: 1.0), 0.5)
     picks = {int(tdp.policy_improvement(tie_mdp, np.zeros(1))[0]) for _ in range(3)}
     if picks != {0}:
         failures.append(f"tie-break determinism: {picks}")

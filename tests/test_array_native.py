@@ -8,8 +8,10 @@ the chain and the lattice are each computed once over every (state, action)
 pair.  The reference functions below are the per-state
 loops they replaced, kept here only as oracles; every comparison is exact
 (the verifier's error maxima, sums in a different order, agree to 1e-15).
-Every model's moments_batch hook is checked bit for bit against the
-per-pair closed forms it replaced.
+Every model's moments_batch hook, kernel and reward are checked bit for
+bit against the per-pair definitions they replaced: the closed forms, the
+routing product kernel multiplied out per pair with np.multiply.outer, and
+the inventory rows truncated and renormalized one pair at a time.
 The multilinear value extension is checked bit for bit against the scipy
 RegularGridInterpolator it replaced, the routing matvec against the
 np.tensordot loop, the direct evaluation system against scipy's sparse
@@ -37,11 +39,13 @@ from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stay_mass,
                               _stencil_rates, verify_tcp_equivalence)
 from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLattice,
-                              TransitionRow, action_tuple, row_sums)
+                              action_tuple, pack_rows, row_sums)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import _extension_interpolator, _restrict_policy
 from taylordp.taylor import BoundarySpec, TaylorProblem, ellipticity_check
+
+from conftest import one_reward, one_row, pair_hooks
 
 
 def _routing3(n, M):
@@ -85,25 +89,45 @@ def meshgrid_actions(action_set, state):
     return tuple(tuple(int(v) for v in row) for row in cand[keep])
 
 
-def per_pair_factored(model):
-    """offsets, rewards, post_idx from one cost/post-state evaluation per pair."""
-    params, mdp = model.params, model.mdp
-    lattice = mdp.lattice
-    N = np.asarray(params.N)
+def per_pair_cost(model, state, u) -> float:
+    """The routing cost of one pair: B per moved customer plus H per one left waiting."""
+    params = model.params
     out_of = np.zeros((params.J, len(model.pairs)))
     for k, (i, _) in enumerate(model.pairs):
         out_of[i, k] = 1.0
+    x = np.asarray(state, dtype=np.float64)
+    uv = np.asarray(u, dtype=np.float64)
+    waiting = np.maximum(x - out_of @ uv - np.asarray(params.N), 0.0)
+    return float(np.asarray(params.B) @ uv + np.asarray(params.H) @ waiting)
+
+
+def per_pair_post_state(model, state, u) -> tuple:
+    post = np.asarray(state) + (model.net @ np.asarray(u, dtype=np.float64)).astype(np.int64)
+    return tuple(int(v) for v in post)
+
+
+def per_pair_routing_row(model, state, u):
+    """(targets, probs) of one routing pair: the pools' one-step rows at the
+    post-action state multiplied out with np.multiply.outer, zeros dropped."""
+    z = per_pair_post_state(model, state, u)
+    joint = model.K[0][z[0]]
+    for i in range(1, len(z)):
+        joint = np.multiply.outer(joint, model.K[i][z[i]])
+    flat = joint.ravel()
+    live = flat > 0.0
+    return np.flatnonzero(live), flat[live]
+
+
+def per_pair_factored(model):
+    """offsets, rewards, post_idx from one cost/post-state evaluation per pair."""
+    lattice = model.mdp.lattice
     offsets, rewards, post_idx = [0], [], []
-    for i in range(mdp.n_states):
+    for i in range(lattice.n_states):
         state = lattice.state(i)
-        acts = meshgrid_actions(mdp.actions, state)
+        acts = meshgrid_actions(model.mdp.actions, state)
         for u in acts:
-            x = np.asarray(state, dtype=np.float64)
-            uv = np.asarray(u, dtype=np.float64)
-            waiting = np.maximum(x - out_of @ uv - N, 0.0)
-            rewards.append(-float(np.asarray(params.B) @ uv + np.asarray(params.H) @ waiting))
-            post = np.asarray(state) + (model.net @ uv).astype(np.int64)
-            post_idx.append(lattice.index(tuple(int(v) for v in post)))
+            rewards.append(-per_pair_cost(model, state, u))
+            post_idx.append(lattice.index(per_pair_post_state(model, state, u)))
         offsets.append(offsets[-1] + len(acts))
     return np.array(offsets), np.array(rewards), np.array(post_idx)
 
@@ -155,7 +179,7 @@ def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate"):
         tot = rates.sum(axis=1)
         q_max = float(max(tot.max(), 1e-300))
         a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
-        rew = np.array([mdp.reward(point, u) for u in acts], dtype=np.float64)
+        rew = np.array([one_reward(mdp, point, u) for u in acts], dtype=np.float64)
         expect = (rates / q_max) @ neighbor_vals[si, cols] + (1.0 - tot / q_max) * center_vals[si]
         q = a_h * rew / (alpha * q_max) + a_h * expect
         policy[si] = int(np.flatnonzero(q >= q.max() - 1e-12)[0])
@@ -169,15 +193,22 @@ def _spacings(grid, pos):
     return np.asarray(hl), np.asarray(hr)
 
 
-def _check_eta(boundary, point, binding_lower, binding_upper, d):
+def _check_eta(boundary, point, binding_lower, binding_upper, d, nu0=1e-6):
+    """The inward rule at one point: inward and at least nu0 |eta| on binding axes, zero off them."""
     direction = boundary.direction([point])[0]
     if direction.shape != (d,):
         raise NonInwardEta(point, direction)
-    for i in binding_lower:
-        if direction[i] <= 0.0:
-            raise NonInwardEta(point, direction)
-    for i in binding_upper:
-        if direction[i] >= 0.0:
+    norm = math.sqrt(math.fsum(float(e) ** 2 for e in direction))
+    if not norm > 0.0:                                   # zero or NaN
+        raise NonInwardEta(point, direction)
+    for i in range(d):
+        if i in binding_lower:
+            ok = direction[i] >= nu0 * norm
+        elif i in binding_upper:
+            ok = direction[i] <= -nu0 * norm
+        else:
+            ok = direction[i] == 0.0
+        if not ok:
             raise NonInwardEta(point, direction)
 
 
@@ -237,7 +268,7 @@ def per_point_chain(problem, h, scheme="inflate"):
                 den = 1.0 - alpha + alpha * W
                 chain_actions.append(U_point)
                 for u in acts:
-                    rewards.append(float(mdp.reward(point, u)) / den)
+                    rewards.append(one_reward(mdp, point, u) / den)
                     cols.append(np.asarray(tgt, dtype=np.int64))
                     probs.append(np.asarray(wgt) / W)
                     row_ptr.append(row_ptr[-1] + len(tgt))
@@ -264,7 +295,7 @@ def per_point_chain(problem, h, scheme="inflate"):
             if stay > RATE_TOL:
                 t = np.concatenate([t, [idx]])
                 pp = np.concatenate([pp, [stay]])
-            rewards.append(discounts[idx] * float(mdp.reward(point, acts[a])) / (alpha * Q))
+            rewards.append(discounts[idx] * one_reward(mdp, point, acts[a]) / (alpha * Q))
             cols.append(t.astype(np.int64))
             probs.append(pp)
             row_ptr.append(row_ptr[-1] + len(t))
@@ -323,7 +354,7 @@ def per_point_verify(chain, problem):
                 e_cross = max(e_cross, float(err2[off_mask].max()))
                 if err2[off_mask].max() > 1e-9:
                     worst.append((point, u, "cross-moment", float(err2[off_mask].max())))
-            r = float(mdp.reward(point, u))
+            r = one_reward(mdp, point, u)
             ident = (1.0 - alpha_h) / (1.0 - alpha) * r
             err_r = abs(r_tilde - ident) / max(1.0, abs(ident))
             e_r = max(e_r, err_r)
@@ -415,8 +446,28 @@ def test_routing_cost_and_post_state_per_pair(routing3_smoke):
         state = mdp.lattice.state(i)
         for a, u in enumerate(mdp.actions_at(i)):
             pair = asm.offsets[i] + a
-            assert -routing3_smoke.cost(state, u) == asm.rewards[pair]
-            assert mdp.lattice.index(routing3_smoke.post_state(state, u)) == asm.post_idx[pair]
+            assert -per_pair_cost(routing3_smoke, state, u) == asm.rewards[pair]
+            assert -routing3_smoke.cost_batch(state, [u])[0] == asm.rewards[pair]
+            post = per_pair_post_state(routing3_smoke, state, u)
+            assert mdp.lattice.index(post) == asm.post_idx[pair]
+            assert tuple(routing3_smoke.post_states(state, [u])[0].tolist()) == post
+
+
+@pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_bench"])
+def test_routing_kernel_matches_per_pair_product(name, request):
+    model = request.getfixturevalue(name)
+    mdp = model.mdp
+    U, _ = mdp.action_table()
+    states = mdp.pair_states()
+    block = 512                      # a rows() call holds a dense (pairs, n_states) product
+    for start in range(0, len(U), block):
+        row_ptr, targets, probs = mdp.rows(states[start:start + block], U[start:start + block])
+        for k in range(len(row_ptr) - 1):
+            ref_t, ref_p = per_pair_routing_row(model, tuple(states[start + k].tolist()),
+                                                tuple(U[start + k].tolist()))
+            lo, hi = row_ptr[k], row_ptr[k + 1]
+            assert np.array_equal(targets[lo:hi], ref_t)
+            assert _bits(probs[lo:hi]).tolist() == _bits(ref_p).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +604,50 @@ def per_pair_heavy_traffic(model, x, u):
     return [x - 1, x + 1], [mu, lam], float(x)
 
 
+def per_pair_truncate_renormalize(raw_kernel, lattice):
+    """A per-pair kernel from a per-pair raw row (coords (w, d), probs (w,)): mass
+    outside the box dropped, the rest divided by its math.fsum."""
+    lower, upper = np.asarray(lattice.lower), np.asarray(lattice.upper)
+
+    def kernel(state, u):
+        coords, probs = raw_kernel(state, u)
+        coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
+        probs = np.asarray(probs, dtype=np.float64)
+        inside = np.all((coords >= lower) & (coords <= upper), axis=1)
+        kept = probs[inside]
+        return lattice.indices_of(coords[inside]), kept / math.fsum(kept.tolist())
+
+    return kernel
+
+
+def per_pair_inventory(model, x, u):
+    """(targets, probs, reward) of one inventory pair: its raw row x + u - D
+    (M - D at M, the sure step -M + u at -M), truncated and renormalized."""
+    M, demands = model.params.M, np.arange(model.d_max + 1)
+
+    def raw(state, u):
+        (x,) = state
+        if x == -M:
+            return np.array([[-M + u]]), np.array([1.0])
+        if x == M:
+            return (M - demands)[:, None], model.demand_pmf
+        return (x + u - demands)[:, None], model.demand_pmf
+
+    targets, probs = per_pair_truncate_renormalize(raw, model.mdp.lattice)((x,), u)
+    return targets.tolist(), probs, -model.cost((x,), u)
+
+
 def per_pair_tabulate(mdp):
-    """The tabular assembly with one kernel and one reward call per pair."""
+    """The tabular assembly with one one-pair rows() and rewards() call per pair."""
     rewards, row_ptr, cols, probs = [], [0], [], []
     for i in range(mdp.n_states):
         state = mdp.lattice.state(i)
         for u in mdp.actions_at(i):
-            row = mdp.kernel(state, u)
-            rewards.append(float(mdp.reward(state, u)))
-            cols.append(row.targets)
-            probs.append(row.probs)
-            row_ptr.append(row_ptr[-1] + len(row.targets))
+            targets, p = one_row(mdp, state, u)
+            rewards.append(one_reward(mdp, state, u))
+            cols.append(targets)
+            probs.append(p)
+            row_ptr.append(row_ptr[-1] + len(targets))
     return TabularAssembly(mdp.action_table()[1], rewards, row_ptr, np.concatenate(cols),
                            np.concatenate(probs), np.full(mdp.n_states, mdp.discount))
 
@@ -574,7 +658,8 @@ def service_quartic():
 
 
 HOOKED = [("service_quadratic", per_pair_service_rate), ("service_quartic", per_pair_service_rate),
-          ("quartic_fixed", per_pair_service_rate), ("heavy_queue", per_pair_heavy_traffic)]
+          ("quartic_fixed", per_pair_service_rate), ("heavy_queue", per_pair_heavy_traffic),
+          ("inventory_model", per_pair_inventory)]
 
 
 @pytest.mark.parametrize("name,per_pair", HOOKED)
@@ -595,11 +680,11 @@ def test_batch_hooks_match_per_pair_definition(name, per_pair, request):
         assert targets[lo:hi].tolist() == ref_t
         assert _bits(probs[lo:hi]).tolist() == _bits(np.asarray(ref_p, dtype=np.float64)).tolist()
         assert _bits(rewards[k:k + 1]).tolist() == _bits(np.array([ref_r])).tolist()
-        # the per-pair callables are one-pair calls of the same hooks
-        row = mdp.kernel((x,), u)
-        assert np.array_equal(row.targets, targets[lo:hi])
-        assert _bits(row.probs).tolist() == _bits(probs[lo:hi]).tolist()
-        assert _bits(np.array([mdp.reward((x,), u)])).tolist() == _bits(rewards[k:k + 1]).tolist()
+        # one-pair calls of the same hooks give the same rows and rewards
+        one_t, one_p = one_row(mdp, (x,), u)
+        assert np.array_equal(one_t, targets[lo:hi])
+        assert _bits(one_p).tolist() == _bits(probs[lo:hi]).tolist()
+        assert _bits(np.array([one_reward(mdp, (x,), u)])).tolist() == _bits(rewards[k:k + 1]).tolist()
 
 
 def test_service_rate_rows_keep_zero_entries(service_quadratic):
@@ -619,7 +704,7 @@ def test_routing_reward_batch_matches_per_pair_costs(name, request):
     assert _bits(rewards).tolist() == _bits(ref).tolist()
     assert (U == 0).all(axis=1).any() and (U > 0).any()
     for k in range(0, len(U), 5):
-        r = mdp.reward(tuple(states[k].tolist()), tuple(U[k].tolist()))
+        r = one_reward(mdp, tuple(states[k].tolist()), tuple(U[k].tolist()))
         assert _bits(np.array([r])).tolist() == _bits(rewards[k:k + 1]).tolist()
 
 
@@ -633,33 +718,44 @@ def test_tabulate_matches_per_pair_loop(name, request):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
 
-def test_service_rate_assembly_makes_no_kernel_calls():
+def test_service_rate_assembly_makes_one_kernel_call():
     model = build("service_rate", M=30, alpha=0.99)
     mdp = model.mdp
     calls = []
     kernel, reward = mdp.kernel, mdp.reward
-    mdp.kernel = lambda *a: calls.append("kernel") or kernel(*a)
-    mdp.reward = lambda *a: calls.append("reward") or reward(*a)
+    mdp.kernel = lambda states, U: calls.append(("kernel", len(U))) or kernel(states, U)
+    mdp.reward = lambda states, U: calls.append(("reward", len(U))) or reward(states, U)
     asm = get_assembly(mdp)
-    assert asm.n_pairs == 31 * 100 and calls == []
+    assert asm.n_pairs == 31 * 100 and calls == [("kernel", 3100), ("reward", 3100)]
     tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.problem, 2), model.problem)
     tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.fot_boundary_problem(), 2),
                                model.fot_boundary_problem())
-    assert tdp.uniform_max_jump(mdp) == 1 and calls == []
+    assert tdp.uniform_max_jump(mdp) == 1
+    # every later call reads many pairs at once: per chain, one reward call
+    # over its pairs in the build and one over its interior pairs in the
+    # check; then a first block of 64 rows and the rest in the jump-radius scan
+    assert calls[2:] == [("reward", 14 * 100 + 2), ("reward", 1400), ("reward", 16 * 100),
+                         ("reward", 1400), ("kernel", 64), ("kernel", 3036)]
 
 
-def _walk_mdp(fault=None, hooked=True):
-    """Reflecting walk on 0..5 with actions (0, 1); `fault` spoils the pair (state 3, action 1)."""
+def _walk_mdp(fault=None, hooked=True, excess=0.0):
+    """Reflecting walk on 0..5 with actions (0, 1).
+
+    `fault` spoils the pair (state 3, action 1) and `excess` is added to the
+    last entry of the pair (state 5, action 1).  hooked builds the rows in
+    numpy arrays (pack_rows); otherwise the per-pair definition is lifted to
+    the batch contract one pair at a time (pair_hooks).
+    """
     def pair(x, u):
         targets, probs, reward = [max(x - 1, 0), min(x + 1, 5)], [0.5, 0.5], float(x)
+        if (x, u) == (5, 1):
+            probs = [0.5, 0.5 + excess]
         if (x, u) == (3, 1):
-            if fault == "negative":
-                probs = [1.5, -0.5]
-            elif fault == "sum_high":
-                probs = [0.5, 0.5 + 1e-9]
-            elif fault == "sum_low":
-                probs = [0.5, 0.5 - 1e-9]
-            elif fault == "outside":
+            probs = {"negative": [1.5, -0.5], "sum_high": [0.5, 0.5 + 1e-9],
+                     "sum_low": [0.5, 0.5 - 1e-9], "sum_over": [0.6, 0.6],
+                     "nan_first": [math.nan, 1.0], "nan_both": [math.nan, math.nan],
+                     "nan_last": [0.5, math.nan]}.get(fault, probs)
+            if fault == "outside":
                 targets = [2, 6]
             elif fault == "empty":
                 targets, probs = [], []
@@ -670,23 +766,29 @@ def _walk_mdp(fault=None, hooked=True):
     lattice = StateLattice((0,), (5,))
     actions = ExplicitActionSet((0, 1))
     if not hooked:
-        return LatticeMdp(lattice, actions, lambda s, u: TransitionRow(*pair(s[0], u)[:2]),
-                          lambda s, u: pair(s[0], u)[2], 0.9)
+        return LatticeMdp(lattice, actions, *pair_hooks(lambda s, u: pair(s[0], u)[:2],
+                                                        lambda s, u: pair(s[0], u)[2]), 0.9)
 
-    def kernel_batch(states, U):
-        rows = [pair(x, u) for x, u in zip(states[:, 0].tolist(), U.tolist())]
-        row_ptr = np.cumsum([0] + [len(t) for t, _, _ in rows])
-        return (row_ptr, np.array([t for r in rows for t in r[0]], dtype=np.int64),
-                np.array([p for r in rows for p in r[1]], dtype=np.float64))
+    def kernel(states, U):
+        x = states[:, 0]
+        targets = np.stack([np.maximum(x - 1, 0), np.minimum(x + 1, 5)], axis=1)
+        probs = np.full(targets.shape, 0.5)
+        lengths = np.full(len(x), 2)
+        for x0, u0 in ((3, 1), (5, 1)):                 # the spoiled pairs' rows
+            t, p, _ = pair(x0, u0)
+            at = (x == x0) & (U == u0)
+            targets[at, :len(t)], probs[at, :len(p)], lengths[at] = t, p, len(t)
+        return pack_rows(targets, probs, lengths)
 
-    def reward_batch(states, U):
-        return np.array([pair(x, u)[2] for x, u in zip(states[:, 0].tolist(), U.tolist())])
+    def reward(states, U):
+        x = states[:, 0]
+        return np.where((x == 3) & (U == 1), pair(3, 1)[2], x.astype(np.float64))
 
-    return LatticeMdp(lattice, actions, None, None, 0.9,
-                      kernel_batch=kernel_batch, reward_batch=reward_batch)
+    return LatticeMdp(lattice, actions, kernel, reward, 0.9)
 
 
-FAULTS = ["negative", "sum_high", "sum_low", "outside", "empty", "reward"]
+FAULTS = ["negative", "sum_high", "sum_low", "outside", "empty", "reward",
+          "sum_over", "nan_first", "nan_both", "nan_last"]
 
 
 @pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "hookless"])
@@ -695,35 +797,39 @@ def test_tabulate_rejects_bad_rows(fault, hooked):
     assert _tabulate(_walk_mdp(None, hooked)).n_pairs == 12
     with pytest.raises(ValueError) as err:
         _tabulate(_walk_mdp(fault, hooked))
-    if hooked or fault in ("outside", "reward"):
-        assert "state (3,), action 1)" in str(err.value)
+    assert "state (3,), action 1)" in str(err.value)
 
 
 @pytest.mark.parametrize("hooked", [True, False], ids=["hooked", "hookless"])
 def test_tabulate_row_sum_tolerance_matches_fsum(hooked):
     # PROB_TOL = 1e-12 on the fsum of a row: 0.9e-12 off passes, 1.1e-12 off fails
     for excess, ok in ((0.9e-12, True), (-0.9e-12, True), (1.1e-12, False), (-1.1e-12, False)):
-        mdp = _walk_mdp(None, hooked)
-        base = mdp.kernel_batch if hooked else mdp.kernel
-        if hooked:
-            def kernel_batch(states, U, base=base, excess=excess):
-                row_ptr, targets, probs = base(states, U)
-                probs[-1] += excess
-                return row_ptr, targets, probs
-            mdp.kernel_batch = kernel_batch
-        else:
-            def kernel(state, u, base=base, excess=excess):
-                row = base(state, u)
-                probs = row.probs.copy()
-                if state == (5,) and u == 1:
-                    probs[-1] += excess
-                return TransitionRow(row.targets, probs)
-            mdp.kernel = kernel
+        mdp = _walk_mdp(None, hooked, excess)
         if ok:
             _tabulate(mdp)
         else:
             with pytest.raises(ValueError):
                 _tabulate(mdp)
+
+
+@pytest.mark.parametrize("name", ["routing2", "service_quadratic"])
+def test_replaced_kernel_sees_every_rows_call(name, request, monkeypatch):
+    # a kernel replaced on the instance after the model is built, as the
+    # benchmark's tracer replaces it, sees every rows() call
+    mdp = request.getfixturevalue(name).mdp
+    seen, rows_calls = [], []
+    kernel, rows = mdp.kernel, mdp.rows
+    monkeypatch.setattr(mdp, "kernel", lambda states, U: seen.append(len(U)) or kernel(states, U))
+    monkeypatch.setattr(mdp, "rows", lambda states, U: rows_calls.append(len(U)) or rows(states, U))
+    U, _ = mdp.action_table()
+    states = mdp.pair_states()
+    mdp.rows(states[:7], U[:7])
+    tdp.uniform_max_jump(mdp)
+    model = request.getfixturevalue(name)
+    chain = tdp.build_multidim_chain(model.problem, 4)
+    tdp.disaggregate_policy(chain, np.zeros(chain.n_states, dtype=np.int64), mdp,
+                            np.zeros(mdp.n_states))
+    assert len(rows_calls) > 3 and seen == rows_calls
 
 
 # ---------------------------------------------------------------------------
@@ -992,10 +1098,18 @@ def _nan_drift_at(model, bad_state):
                          BoundarySpec(kind="fot", fot_drift=fot_drift))
 
 
+def _eta_plus(model, shift):
+    """The model's oblique problem with every boundary direction shifted by a constant."""
+    eta = model.boundary_spec.eta
+    return TaylorProblem(model.mdp, model.problem.moments_batch,
+                         BoundarySpec(kind="oblique", eta=lambda states: eta(states) + shift))
+
+
 @pytest.mark.parametrize("name,make,first_bad", [
     ("routing2", lambda m: _outward_past(m, 1, 10), (10, 0)),
     ("routing2", lambda m: _outward_past(m, 0, 3), (0, 4)),
     ("service_quadratic", lambda m: _nan_drift_at(m, (100,)), (100,)),
+    ("routing2", lambda m: _eta_plus(m, 0.5), (0, 2)),      # nonzero off the binding axis
 ])
 def test_chain_names_first_non_inward_point(name, make, first_bad, request):
     problem = make(request.getfixturevalue(name))
@@ -1004,6 +1118,19 @@ def test_chain_names_first_non_inward_point(name, make, first_bad, request):
         with pytest.raises(NonInwardEta) as info:
             build_chain()
         assert info.value.state == first_bad
+
+
+@pytest.mark.parametrize("make", [lambda m: _eta_plus(m, 0.5), lambda m: _outward_past(m, 1, 10),
+                                  lambda m: _outward_past(m, 0, 3)],
+                         ids=["shifted", "outward_lower_1", "outward_lower_0"])
+def test_chain_and_validate_inward_share_one_rule(routing2, make):
+    # at h = 1 the grid is the lattice, so both checks name the same first point
+    problem = make(routing2)
+    with pytest.raises(NonInwardEta) as chain_err:
+        tdp.build_multidim_chain(problem, 1)
+    with pytest.raises(NonInwardEta) as spec_err:
+        problem.boundary.validate_inward(routing2.mdp.lattice)
+    assert chain_err.value.state == spec_err.value.state
 
 
 def stay_mass_packed(p, keep):
@@ -1056,8 +1183,8 @@ def test_validate_policy_reports_first_offending_state(routing2):
 
 def test_validate_policy_single_action_lattice():
     lat = StateLattice((0,), (2,))
-    mdp = LatticeMdp(lat, ExplicitActionSet((0,)), lambda s, u: TransitionRow([0], [1.0]),
-                     lambda s, u: 0.0, 0.9)
+    mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
+                     *pair_hooks(lambda s, u: ([0], [1.0]), lambda s, u: 0.0), 0.9)
     with pytest.raises(InfeasibleAction) as err:
         mdp.validate_policy(np.array([0, 1, 1]))
     assert err.value.state == (1,)
@@ -1112,9 +1239,9 @@ def per_state_disaggregate_policy(chain, coarse_policy, mdp, fine_value):
         acts = mdp.actions_at(si)
         q = np.empty(len(acts))
         for a in range(len(acts)):
-            row = mdp.row(si, a)
-            reward = float(mdp.reward(lattice.state(si), acts[a]))
-            q[a] = reward + mdp.discount * row.expectation(fine_value)
+            targets, probs = one_row(mdp, lattice.state(si), acts[a])
+            reward = one_reward(mdp, lattice.state(si), acts[a])
+            q[a] = reward + mdp.discount * float(probs @ fine_value[targets])
         coarse_actions[gi] = acts[int(np.flatnonzero(q >= q.max() - 1e-12)[0])]
     interior_grid = CoarseGrid(tuple(ax[1:-1] if len(ax) >= 3 else ax for ax in grid.axes))
     pos = np.unravel_index(interior_grid.nearest_index(lattice.states()), interior_grid.shape)
@@ -1308,6 +1435,6 @@ def test_row_sums_match_fsum():
     sums, near_one = row_sums(np.concatenate(rows), row_ptr)
     assert near_one.tolist() == expected.tolist()
     assert _bits(sums[~near_one]).tolist() == _bits(fsums[~near_one]).tolist()
-    for row, fsum, ok in zip(rows, fsums, expected):     # one row, as TransitionRow sums it
+    for row, fsum, ok in zip(rows, fsums, expected):     # one row at a time
         one_sum, one_ok = row_sums(row, np.array([0, len(row)]))
         assert one_ok.tolist() == [ok] and (ok or _bits(one_sum).tolist() == _bits(fsum).tolist())

@@ -63,6 +63,18 @@ def test_inline_config_error_exits_2(inline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("command", ["solve-exact", "solve-tapi", "bounds"])
+@pytest.mark.parametrize("flags", [["--alpha", "0.5", "--M", "10"], ["--model", "inventory"],
+                                   ["--cost", "quartic"]], ids=["alpha-M", "model", "cost"])
+def test_model_flags_with_config_exit_2(command, flags, tmp_path, capsys):
+    cfg = CONFIG_DIR / "service_rate_exact_a099.ini"
+    rc = main([command, "--config", str(cfg), *flags, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: config:")
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("scheme, M", [("inflate", -1), ("foo", 20)],
                          ids=["model-parameter", "scheme"])
 def test_config_value_out_of_range_exits_2(scheme, M, tmp_path, capsys):

@@ -6,16 +6,18 @@ import pytest
 import taylordp as tdp
 from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
 from taylordp.models import build
-from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
+
+from conftest import one_reward, pair_hooks
 
 
 def _chain_mdp(P, r, alpha, n_actions=1):
     """Tabular MDP from dense matrices; action k scales nothing (duplicates)."""
     n = len(r)
     lat = StateLattice((0,), (n - 1,))
-    rows = {x: TransitionRow(np.flatnonzero(P[x] > 0), P[x][P[x] > 0]) for x in range(n)}
+    rows = {x: (np.flatnonzero(P[x] > 0), P[x][P[x] > 0]) for x in range(n)}
     return LatticeMdp(lat, ExplicitActionSet(tuple(range(n_actions))),
-                      lambda s, u: rows[s[0]], lambda s, u: float(r[s[0]]), alpha)
+                      *pair_hooks(lambda s, u: rows[s[0]], lambda s, u: float(r[s[0]])), alpha)
 
 
 def test_policy_evaluation_zero_reward():
@@ -47,8 +49,7 @@ def test_policy_improvement_zero_value_is_myopic():
     lat = StateLattice((0,), (0,))
     rewards = {0: 1.0, 1: 5.0, 2: 3.0}
     mdp = LatticeMdp(lat, ExplicitActionSet((0, 1, 2)),
-                     lambda s, u: TransitionRow([0], [1.0]),
-                     lambda s, u: rewards[u], 0.9)
+                     *pair_hooks(lambda s, u: ([0], [1.0]), lambda s, u: rewards[u]), 0.9)
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [1]
 
 
@@ -75,12 +76,11 @@ def test_policy_iteration_vs_policy_enumeration():
     r = {0: np.array([1.0, -1.0]), 1: np.array([0.2, 0.4])}
     alpha = 0.9
 
-    def kernel(s, u):
-        row = P[u][s[0]]
-        return TransitionRow([0, 1], row)
+    def row(s, u):
+        return [0, 1], P[u][s[0]]
 
-    mdp = LatticeMdp(lat, ExplicitActionSet((0, 1)), kernel,
-                     lambda s, u: float(r[u][s[0]]), alpha)
+    mdp = LatticeMdp(lat, ExplicitActionSet((0, 1)),
+                     *pair_hooks(row, lambda s, u: float(r[u][s[0]])), alpha)
     res = tdp.policy_iteration(mdp)
     best, best_v0 = None, -np.inf
     for a0 in (0, 1):
@@ -126,7 +126,7 @@ def test_discounted_functional_constant():
 def test_discounted_functional_reward_is_policy_evaluation(quartic_fixed):
     mdp = quartic_fixed.mdp
     pol = np.zeros(mdp.n_states, dtype=np.int64)
-    r = np.array([mdp.reward(mdp.lattice.state(i), mdp.action(i, 0))
+    r = np.array([one_reward(mdp, mdp.lattice.state(i), mdp.action(i, 0))
                   for i in range(mdp.n_states)])
     assert np.array_equal(tdp.discounted_functional(mdp, pol, r),
                           tdp.policy_evaluation(mdp, pol))
@@ -192,8 +192,7 @@ def test_argmax_tie_break_first_lexicographic():
     # two actions with identical rows and rewards: the first must win, twice
     lat = StateLattice((0,), (0,))
     mdp = LatticeMdp(lat, ExplicitActionSet((0, 1)),
-                     lambda s, u: TransitionRow([0], [1.0]),
-                     lambda s, u: 1.0, 0.5)
+                     *pair_hooks(lambda s, u: ([0], [1.0]), lambda s, u: 1.0), 0.5)
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [0]
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [0]
 
@@ -266,38 +265,40 @@ def test_direct_evaluation_one_splu_no_eye_or_diags(monkeypatch):
 
 
 def _completion_calls(model, h, monkeypatch):
-    """(rows() calls, kernel calls, boundary grid states) of one disaggregate_policy."""
+    """(rows() calls, kernel calls, reward calls, boundary grid states) of one disaggregate_policy."""
     mdp = model.mdp
     chain = tdp.build_multidim_chain(model.problem, h)
     coarse = np.zeros(chain.n_states, dtype=np.int64)
     fine_v = tdp.disaggregate_value(tdp.policy_evaluation(chain, coarse), chain.grid, mdp.lattice)
-    calls = {"rows": 0, "kernel": 0}
+    calls = {"rows": 0, "kernel": 0, "reward": 0}
 
     def counted(name, fn):
         return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
 
     monkeypatch.setattr(mdp, "rows", counted("rows", mdp.rows))
     monkeypatch.setattr(mdp, "kernel", counted("kernel", mdp.kernel))
-    monkeypatch.setattr(mdp, "row", _raise)
-    monkeypatch.setattr(mdp, "reward", _raise)
+    monkeypatch.setattr(mdp, "reward", counted("reward", mdp.reward))
     tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
     boundary = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
-    return calls["rows"], calls["kernel"], boundary
+    return calls["rows"], calls["kernel"], calls["reward"], boundary
 
 
 def test_boundary_completion_one_rows_call_per_point(monkeypatch):
+    # one rows() call, so one kernel and one reward call, per boundary grid
+    # point over all of its actions
     from taylordp.models.routing import build_routing, table_params
     model = build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))
-    rows, kernel, boundary = _completion_calls(model, 4, monkeypatch)
-    # routing has no kernel_batch hook: rows() makes one kernel call per pair
-    assert len(boundary) > 0 and rows == len(boundary)
-    assert kernel == np.diff(model.mdp.action_table()[1])[boundary].sum()
+    rows, kernel, reward, boundary = _completion_calls(model, 4, monkeypatch)
+    assert len(boundary) > 0 and rows == kernel == reward == len(boundary)
 
 
 def test_boundary_completion_no_kernel_calls_with_batch_hooks(monkeypatch):
-    rows, kernel, boundary = _completion_calls(build("service_rate", M=30, alpha=0.99), 2,
-                                               monkeypatch)
-    assert len(boundary) > 0 and rows == len(boundary) and kernel == 0
+    # no per-pair kernel call: service rate's batch hooks see each boundary
+    # point's actions in one call, so there are fewer calls than pairs
+    model = build("service_rate", M=30, alpha=0.99)
+    rows, kernel, reward, boundary = _completion_calls(model, 2, monkeypatch)
+    pairs = np.diff(model.mdp.action_table()[1])[boundary].sum()
+    assert len(boundary) > 0 and rows == kernel == reward == len(boundary) < pairs
 
 
 def test_factored_evaluation_max_iterations(routing2):

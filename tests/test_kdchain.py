@@ -10,6 +10,8 @@ from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing
 from taylordp.taylor import BoundarySpec, TaylorProblem
 
+from conftest import one_reward, pair_hooks
+
 IDENTITY_RTOL = 1e-10
 
 
@@ -176,13 +178,12 @@ def test_boundary_corner_steps_inward_in_all_binding_coordinates(routing2):
 # ----------------------------------------------------- multi-d construction
 
 def _toy_2d_problem(sig12, mu=(0.0, 0.0), diag=(1.0, 1.0), nu=11):
-    from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+    from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
     lat = StateLattice((0, 0), (nu - 1, nu - 1))
 
-    def kernel(s, u):  # placeholder; chain construction uses moments only
-        return TransitionRow([lat.index(s)], [1.0])
-
-    mdp = LatticeMdp(lat, ExplicitActionSet(((0, 0),)), kernel, lambda s, u: 1.0, 0.9)
+    # placeholder kernel; chain construction uses moments only
+    mdp = LatticeMdp(lat, ExplicitActionSet(((0, 0),)),
+                     *pair_hooks(lambda s, u: ([lat.index(s)], [1.0]), lambda s, u: 1.0), 0.9)
     s2 = np.array([[diag[0], sig12], [sig12, diag[1]]])
     moments_batch = lambda s, U: (np.tile(np.asarray(mu, dtype=np.float64), (len(U), 1)),
                                   np.tile(s2, (len(U), 1, 1)))
@@ -326,7 +327,7 @@ def test_general_builder_matches_1d_row_ops(service_quadratic):
         alpha = service_quadratic.params.alpha
         a_h = state_discount(Sigma, h, alpha)
         assert chain.discounts[idx] == pytest.approx(a_h, abs=1e-14)
-        expected_r = rescale_reward(service_quadratic.mdp.reward((50,), u), a_h,
+        expected_r = rescale_reward(one_reward(service_quadratic.mdp, (50,), u), a_h,
                                     alpha, Sigma, h)
         assert r == pytest.approx(expected_r, rel=1e-12)
 
@@ -344,7 +345,7 @@ def test_fot_boundary_chain_at_h1_equals_fine_chain(quartic_fixed):
     alpha = quartic_fixed.params.alpha
     assert chain.discounts[0] == pytest.approx(alpha)
     _, _, r0 = pair_row(chain, 0, 0)
-    assert r0 == pytest.approx(quartic_fixed.mdp.reward((0,), 0.5))
+    assert r0 == pytest.approx(one_reward(quartic_fixed.mdp, (0,), 0.5))
 
 
 def test_chain_policy_evaluation_reproduces_closed_form_trend():

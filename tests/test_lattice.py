@@ -8,8 +8,10 @@ from scipy import stats
 
 from taylordp.errors import EmptyActionSet, ZeroInteriorMass
 from taylordp.lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet,
-                              StateLattice, TransitionRow, action_tuple, max_jump,
-                              truncate_renormalize, uniform_max_jump)
+                              StateLattice, action_tuple, max_jump, truncate_renormalize,
+                              uniform_max_jump)
+
+from conftest import one_row, pair_hooks
 
 
 def test_index_state_roundtrip_all_states():
@@ -30,20 +32,13 @@ def test_roundtrip_random_lattices(bounds, salt):
     assert lat.index(lat.state(i)) == i
 
 
-def test_transition_row_validation():
-    with pytest.raises(ValueError):
-        TransitionRow([0, 1], [0.6, 0.6])
-    with pytest.raises(ValueError):
-        TransitionRow([0, 1], [1.2, -0.2])
-    row = TransitionRow([3, 4], [0.25, 0.75])
-    assert row.expectation(np.arange(10.0)) == pytest.approx(3.75)
-
-
-@pytest.mark.parametrize("probs", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.nan]])
-def test_transition_row_rejects_nan(probs):
-    # nan < -PROB_TOL and abs(nan - 1) > PROB_TOL are both False
-    with pytest.raises(ValueError):
-        TransitionRow([0, 1], probs)
+def _rows_of(raw_row):
+    """A batch raw kernel from a per-pair raw row (coords (w, 1), probs (w,)), padded to w."""
+    def raw(states, U):
+        rows = [raw_row(tuple(s), u) for s, u in zip(states.tolist(), U.tolist())]
+        return (np.stack([c for c, _ in rows]), np.stack([p for _, p in rows]),
+                np.array([len(p) for _, p in rows]))
+    return raw
 
 
 def test_truncate_renormalize_walk_at_upper_bound():
@@ -56,10 +51,11 @@ def test_truncate_renormalize_walk_at_upper_bound():
         (x,) = state
         return np.array([[x - 1], [x + 1]]), np.array([u, 1.0 - u])
 
-    kernel = truncate_renormalize(raw, lat)
-    row = kernel((M,), 0.3)
-    assert row.targets.tolist() == [M - 1]
-    assert row.probs.tolist() == [1.0]
+    kernel = truncate_renormalize(_rows_of(raw), lat)
+    row_ptr, targets, probs = kernel(np.array([[M]]), np.array([0.3]))
+    assert row_ptr.tolist() == [0, 1]
+    assert targets.tolist() == [M - 1]
+    assert probs.tolist() == [1.0]
 
 
 def test_truncate_renormalize_interior_row_unchanged():
@@ -69,9 +65,9 @@ def test_truncate_renormalize_interior_row_unchanged():
         (x,) = state
         return np.array([[x - 1], [x + 1]]), np.array([0.4, 0.6])
 
-    row = truncate_renormalize(raw, lat)((2,), None)
-    assert row.targets.tolist() == [1, 3]
-    assert np.allclose(row.probs, [0.4, 0.6], atol=0, rtol=0)
+    _, targets, probs = truncate_renormalize(_rows_of(raw), lat)(np.array([[2]]), np.array([0]))
+    assert targets.tolist() == [1, 3]
+    assert np.allclose(probs, [0.4, 0.6], atol=0, rtol=0)
 
 
 def test_truncate_renormalize_poisson_tail():
@@ -85,11 +81,11 @@ def test_truncate_renormalize_poisson_tail():
     def raw(state, u):
         return support[:, None], pmf
 
-    row = truncate_renormalize(raw, lat)((0,), None)
+    _, _, probs = truncate_renormalize(_rows_of(raw), lat)(np.array([[0]]), np.array([0]))
     kept = pmf[: M + 1]
     expected = kept / math.fsum(kept.tolist())
-    assert math.isclose(math.fsum(row.probs.tolist()), 1.0, abs_tol=1e-15)
-    assert np.allclose(row.probs, expected, rtol=0, atol=1e-15)
+    assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-15)
+    assert np.allclose(probs, expected, rtol=0, atol=1e-15)
 
 
 def test_truncate_renormalize_zero_interior_mass():
@@ -99,7 +95,7 @@ def test_truncate_renormalize_zero_interior_mass():
         return np.array([[10]]), np.array([1.0])
 
     with pytest.raises(ZeroInteriorMass):
-        truncate_renormalize(raw, lat)((0,), None)
+        truncate_renormalize(_rows_of(raw), lat)(np.array([[0]]), np.array([0]))
 
 
 def test_truncate_renormalize_nan_mass():
@@ -109,21 +105,21 @@ def test_truncate_renormalize_nan_mass():
         return np.array([[0], [1]]), np.array([math.nan, 0.5])
 
     with pytest.raises(ZeroInteriorMass):
-        truncate_renormalize(raw, lat)((0,), None)
+        truncate_renormalize(_rows_of(raw), lat)(np.array([[0]]), np.array([0]))
 
 
 def _walk_mdp(M=6):
     lat = StateLattice((0,), (M,))
 
-    def kernel(state, u):
+    def row(state, u):
         (x,) = state
         if x == 0:
-            return TransitionRow([1], [1.0])
+            return [1], [1.0]
         if x == M:
-            return TransitionRow([M - 1], [1.0])
-        return TransitionRow([x - 1, x + 1], [0.5, 0.5])
+            return [M - 1], [1.0]
+        return [x - 1, x + 1], [0.5, 0.5]
 
-    return LatticeMdp(lat, ExplicitActionSet((0,)), kernel, lambda s, u: 0.0, 0.9)
+    return LatticeMdp(lat, ExplicitActionSet((0,)), *pair_hooks(row, lambda s, u: 0.0), 0.9)
 
 
 def test_max_jump_birth_death_walk():
@@ -134,8 +130,7 @@ def test_max_jump_birth_death_walk():
 def test_max_jump_identity_kernel():
     lat = StateLattice((0,), (4,))
     mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
-                     lambda s, u: TransitionRow([lat.index(s)], [1.0]),
-                     lambda s, u: 0.0, 0.9)
+                     *pair_hooks(lambda s, u: ([lat.index(s)], [1.0]), lambda s, u: 0.0), 0.9)
     assert max_jump(mdp, np.zeros(5, dtype=int)) == 0
 
 
@@ -242,19 +237,19 @@ def test_rows_stochastic_across_models(routing2, inventory_model, heavy_queue):
         mdp = model.mdp
         for i in rng.choice(mdp.n_states, size=25):
             for a in range(len(mdp.actions_at(int(i)))):
-                row = mdp.row(int(i), a)
-                assert row.probs.min() >= 0.0
-                assert math.isclose(math.fsum(row.probs.tolist()), 1.0, abs_tol=1e-12)
+                _, probs = one_row(mdp, mdp.lattice.state(int(i)), mdp.action(int(i), a))
+                assert probs.min() >= 0.0
+                assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
 
 
 def _uniform_jump_reference(mdp):
-    """Largest jump radius over every (state, action) row, one kernel call per pair."""
+    """Largest jump radius over every (state, action) row, one rows() call per pair."""
     states = mdp.lattice.states()
     worst = 0.0
     for i in range(mdp.n_states):
         for u in mdp.actions_at(i):
-            row = mdp.kernel(mdp.lattice.state(i), u)
-            y = states[row.targets[row.probs > 0.0]]
+            targets, probs = one_row(mdp, mdp.lattice.state(i), u)
+            y = states[targets[probs > 0.0]]
             if len(y):
                 worst = max(worst, float(np.linalg.norm(y - states[i], axis=1).max()))
     return math.ceil(worst - 1e-12)

@@ -13,14 +13,16 @@ from taylordp.models.heavy_traffic import (heavy_traffic_oracle, heavy_traffic_o
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.models.service_rate import continuous_one_step_control, quartic_oracle
 
+from conftest import one_reward, one_row
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -------------------------------------------------------------- service rate
 
 def test_service_rate_zero_state_row(quartic_fixed):
-    row = quartic_fixed.mdp.kernel((0,), 0.5)
-    assert row.targets.tolist() == [1] and row.probs.tolist() == [1.0]
+    targets, probs = one_row(quartic_fixed.mdp, (0,), 0.5)
+    assert targets.tolist() == [1] and probs.tolist() == [1.0]
 
 
 def test_service_rate_oracle_value():
@@ -36,9 +38,9 @@ def test_service_rate_fixed_half_moments(quartic_fixed):
 
 def test_service_rate_rewards():
     m = build("service_rate", M=10, alpha=0.9, cost="quadratic", c_s=2.0)
-    assert m.mdp.reward((3,), 0.5) == pytest.approx(-(9 + 4.0))
+    assert one_reward(m.mdp, (3,), 0.5) == pytest.approx(-(9 + 4.0))
     mq = build("service_rate", M=10, alpha=0.9, cost="quartic", c_s=1.0)
-    assert mq.mdp.reward((2,), 0.0) == pytest.approx(-(16 + 1.0))
+    assert one_reward(mq.mdp, (2,), 0.0) == pytest.approx(-(16 + 1.0))
 
 
 def test_continuous_one_step_control_matches_grid(service_quadratic, service_quadratic_star):
@@ -108,9 +110,9 @@ def test_inventory_newsvendor_limit():
 def test_routing_cost_examples(routing2):
     p = routing2.params
     # holding three waiting customers in pool 1, no overflow
-    assert routing2.cost((13, 0), (0, 0)) == pytest.approx(3 * p.H[0])
+    assert routing2.cost_batch((13, 0), [(0, 0)])[0] == pytest.approx(3 * p.H[0])
     # overflow costs B per moved customer plus remaining holding
-    assert routing2.cost((13, 0), (2, 0)) == pytest.approx(2 * p.B[0] + 1 * p.H[0])
+    assert routing2.cost_batch((13, 0), [(2, 0)])[0] == pytest.approx(2 * p.B[0] + 1 * p.H[0])
 
 
 def test_routing_pool_symmetry():
@@ -139,9 +141,9 @@ def test_routing_factored_matches_joint_rows(routing_small):
         state = mdp.lattice.state(i)
         for a in range(min(2, len(mdp.actions_at(i)))):
             u = mdp.actions_at(i)[a]
-            row = mdp.kernel(state, u)
-            post = routing_small.post_state(state, u)
-            assert row.expectation(values) == pytest.approx(
+            targets, probs = one_row(mdp, state, u)
+            post = routing_small.post_states(state, [u])[0]
+            assert float(probs @ values[targets]) == pytest.approx(
                 tv[mdp.lattice.index(post)], rel=1e-12)
 
 
@@ -267,8 +269,8 @@ def test_heavy_traffic_oracle_vs_fd_solve():
 
 def test_heavy_traffic_chain_rows(heavy_queue):
     lam = heavy_queue.params.lam
-    row0 = heavy_queue.mdp.kernel((0,), 0)
-    assert row0.targets.tolist() == [0, 1]
-    assert row0.probs.tolist() == pytest.approx([1 - lam, lam])
-    rowM = heavy_queue.mdp.kernel((heavy_queue.params.M,), 0)
-    assert rowM.probs.tolist() == [1.0]
+    targets, probs = one_row(heavy_queue.mdp, (0,), 0)
+    assert targets.tolist() == [0, 1]
+    assert probs.tolist() == pytest.approx([1 - lam, lam])
+    _, probs = one_row(heavy_queue.mdp, (heavy_queue.params.M,), 0)
+    assert probs.tolist() == [1.0]

@@ -212,8 +212,9 @@ def test_tapi_enumerates_actions_once_per_model(name, variant, monkeypatch):
 @pytest.mark.parametrize("improvement", ["approx", "exact"])
 @pytest.mark.parametrize("extension", ["tcp_greedy", "pc"])
 def test_one_step_computes_no_policy_extension(routing2, improvement, extension, monkeypatch):
-    calls = {"greedy": 0, "pc": 0}
-    for key, name in (("greedy", "taylored_greedy_policy"), ("pc", "disaggregate_policy")):
+    calls = {"greedy": 0, "pc": 0, "improve": 0}
+    for key, name in (("greedy", "taylored_greedy_policy"), ("pc", "disaggregate_policy"),
+                      ("improve", "policy_improvement")):
         fn = getattr(tapi, name)
 
         def counted(*args, _fn=fn, _key=key, **kwargs):
@@ -224,14 +225,18 @@ def test_one_step_computes_no_policy_extension(routing2, improvement, extension,
     options = TapiOptions(h=2, improvement=improvement, policy_extension=extension)
     res = tdp.tapi_solve(routing2.problem, options)
     greedy = improvement == "approx" and extension == "tcp_greedy"
-    assert calls == {"greedy": int(greedy), "pc": int(not greedy)}
+    # the exact loop improves once an iteration on the fine lattice
+    loop = res.iterations if improvement == "exact" else 0
+    assert calls == {"greedy": int(greedy), "pc": int(not greedy), "improve": loop}
     assert res.disaggregated_policy is not None
 
-    calls.update(greedy=0, pc=0)
+    calls.update(greedy=0, pc=0, improve=0)
     one = tdp.tapi_solve(routing2.problem, TapiOptions(h=2, improvement=improvement,
                                                        policy_extension=extension,
                                                        one_step=True))
-    assert calls == {"greedy": 0, "pc": 0}
+    # the one-step improvement is the exact loop's last one, not a repeat of it
+    loop = one.iterations if improvement == "exact" else 1
+    assert calls == {"greedy": 0, "pc": 0, "improve": loop}
     assert one.disaggregated_policy is None
     fine_v = disaggregate_value(one.coarse_values, one.chain.grid, routing2.mdp.lattice,
                                 options.disaggregation)

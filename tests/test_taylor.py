@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from taylordp.errors import NonInwardEta
-from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, TransitionRow
+from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
 from taylordp.models import build
 from taylordp.taylor import (BoundarySpec, DriftDiffusion, TaylorProblem,
                              ellipticity_check, moments_from_kernel, oblique_eta)
+
+from conftest import pair_hooks
 
 
 def test_moments_queue_walk():
@@ -18,8 +20,7 @@ def test_moments_queue_walk():
 def test_moments_deterministic_self_loop():
     lat = StateLattice((0,), (2,))
     mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
-                     lambda s, u: TransitionRow([lat.index(s)], [1.0]),
-                     lambda s, u: 0.0, 0.9)
+                     *pair_hooks(lambda s, u: ([lat.index(s)], [1.0]), lambda s, u: 0.0), 0.9)
     dd = moments_from_kernel(mdp, (1,), 0)
     assert dd.mu[0] == 0.0
     assert dd.sigma2[0, 0] == 0.0
@@ -148,8 +149,7 @@ def test_ellipticity_inventory(inventory_model):
 def test_ellipticity_degenerate_fails():
     lat = StateLattice((0,), (3,))
     mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
-                     lambda s, u: TransitionRow([lat.index(s)], [1.0]),
-                     lambda s, u: 0.0, 0.9)
+                     *pair_hooks(lambda s, u: ([lat.index(s)], [1.0]), lambda s, u: 0.0), 0.9)
     zero_moments = lambda s, U: (np.zeros((len(U), 1)), np.zeros((len(U), 1, 1)))
     problem = TaylorProblem(mdp, zero_moments,
                             BoundarySpec(kind="oblique",
