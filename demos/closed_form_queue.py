@@ -23,7 +23,7 @@ for M in (50, 100, 200):
     chain = tdp.build_multidim_chain(model.problem, 1)
     res = tdp.policy_iteration(chain)
     xs = np.arange(M // 2 + 1.0)
-    v_hat = model.oracle().value(xs)
+    v_hat = model.oracle().value(xs[:, None])
     err = np.abs(res.values[: M // 2 + 1] - v_hat).max() / np.abs(v_hat).max()
     print(f"M={M:4d}: coarse chain vs closed form, sup-norm relative error {err:.3e}")
 
@@ -34,7 +34,7 @@ policy = np.zeros(mdp.n_states, dtype=np.int64)
 phi = model.oracle()
 
 v_u = tdp.policy_evaluation(mdp, policy)
-v_hat = phi.value(np.arange(201.0))
+v_hat = phi.value(mdp.lattice.states())
 remainder = taylor_remainder(model.problem, policy, phi)
 bound = discounted_accumulation(mdp, policy, np.abs(remainder))
 gap = np.abs(v_hat - v_u)

@@ -24,35 +24,54 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InsufficientNeighborhood, OutOfStencilRange
-from .exact import SolveOptions, DEFAULT_OPTIONS, discounted_functional
+from .exact import SolveOptions, DEFAULT_OPTIONS, discounted_functional, get_assembly
 from .lattice import LatticeMdp
 from .taylor import TaylorProblem
 
 
 class SmoothFunction:
-    """Callable with analytic gradient and Hessian, evaluated on coordinates."""
+    """A function of the state with analytic gradient and Hessian, as batch hooks.
+
+    value, grad and hess each take an (n, d) coordinate array and return
+    (n,), (n, d) and (n, d, d) arrays, one row per coordinate; any other
+    shape, in or out, raises ValueError.
+    """
 
     def __init__(self, value: Callable, grad: Callable, hess: Callable):
         self._value = value
         self._grad = grad
         self._hess = hess
 
-    def value(self, coords):
-        return np.asarray(self._value(np.asarray(coords, dtype=np.float64)))
+    def value(self, coords) -> np.ndarray:
+        return _batch_call(self._value, coords, 0)
 
-    def grad(self, x):
-        return np.atleast_1d(np.asarray(self._grad(np.asarray(x, dtype=np.float64)), dtype=np.float64))
+    def grad(self, coords) -> np.ndarray:
+        return _batch_call(self._grad, coords, 1)
 
-    def hess(self, x):
-        return np.atleast_2d(np.asarray(self._hess(np.asarray(x, dtype=np.float64)), dtype=np.float64))
+    def hess(self, coords) -> np.ndarray:
+        return _batch_call(self._hess, coords, 2)
+
+
+def _batch_call(fn: Callable, coords, order: int) -> np.ndarray:
+    """fn on an (n, d) float array, checked to return shape (n,) + (d,) * order."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2:
+        raise ValueError(f"coordinates must be an (n, d) array, not shape {coords.shape}")
+    out = np.asarray(fn(coords), dtype=np.float64)
+    want = coords.shape[:1] + coords.shape[1:] * order
+    if out.shape != want:
+        raise ValueError(f"order-{order} hook returned shape {out.shape} "
+                         f"for coordinates of shape {coords.shape}")
+    return out
 
 
 class GridFunction1d(SmoothFunction):
     """Values on a one-dimensional grid lower, lower + h, ... with finite-difference derivatives.
 
     Centered differences inside, one-sided at the two edge states; the
-    one_sided mask flags where the fallback was used.  Coordinates off the
-    grid points raise OutOfStencilRange.
+    one_sided mask flags where the fallback was used.  The gradient and
+    Hessian (fd_hessian_1d) arrays are computed once; coordinates off the
+    grid points raise OutOfStencilRange, and so do fewer than 3 values.
     """
 
     def __init__(self, values: np.ndarray, lower: int = 0, h: float = 1.0):
@@ -60,11 +79,14 @@ class GridFunction1d(SmoothFunction):
         self.values_arr = v
         self.lower = lower
         self.h = float(h)
-        self.one_sided = np.zeros(len(v), dtype=bool)
-        self.one_sided[[0, -1]] = True
+        d2, self.one_sided = fd_hessian_1d(v, self.h)
+        d1 = np.empty(len(v))
+        d1[1:-1] = (v[2:] - v[:-2]) / (2 * self.h)
+        d1[0] = (v[1] - v[0]) / self.h
+        d1[-1] = (v[-1] - v[-2]) / self.h
 
         def index(coords):
-            c = np.asarray(coords, dtype=np.float64).reshape(-1)
+            c = coords.reshape(-1)
             pos = (c - lower) / self.h
             idx = np.rint(pos).astype(int)
             off = (idx < 0) | (idx >= len(v)) | (np.abs(pos - idx) > 1e-9)
@@ -72,56 +94,37 @@ class GridFunction1d(SmoothFunction):
                 raise OutOfStencilRange(f"coordinate {c[off][0]} is not a grid point")
             return idx
 
-        def value(coords):
-            return v[index(coords)]
-
-        def grad(x):
-            i = int(index(x)[0])
-            if 0 < i < len(v) - 1:
-                return (v[i + 1] - v[i - 1]) / (2 * self.h)
-            if i == 0:
-                return (v[1] - v[0]) / self.h
-            return (v[-1] - v[-2]) / self.h
-
-        def hess(x):
-            i = min(max(int(index(x)[0]), 1), len(v) - 2)
-            return (v[i + 1] - 2 * v[i] + v[i - 1]) / self.h ** 2
-
-        super().__init__(value, grad, hess)
+        super().__init__(lambda coords: v[index(coords)],
+                         lambda coords: d1[index(coords)][:, None],
+                         lambda coords: d2[index(coords)][:, None, None])
 
 
 def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.ndarray:
-    """A_U[Phi](x) for every lattice state, from the kernel row and (mu, sigma2).
+    """A_U[Phi](x) for every lattice state, in one array pass.
 
-    The policy's rows come from one mdp.rows() call and its moments from one
-    moments_batch call over all states.
+    P^U Phi is one product with the evaluation solves' policy operator
+    (get_assembly(mdp).policy_operator), the moments come from one
+    moments_batch call, and Phi's derivatives from one grad and one hess
+    call over all states.
     """
     mdp = problem.mdp
-    lattice = mdp.lattice
     alpha = mdp.discount
     mdp.validate_policy(policy)
     policy = np.asarray(policy, dtype=np.int64)
-    states = lattice.states()
-    phi_states = phi.value(states.astype(np.float64))
+    states = mdp.lattice.states()
+    coords = states.astype(np.float64)
+    phi_states = phi.value(coords)
     U, offsets = mdp.action_table()
-    chosen = U[offsets[:-1] + policy]
-    mu_b, s2_b = problem.moments_batch(states, chosen)
-    row_ptr, targets, probs = mdp.rows(states, chosen)
-    out = np.empty(mdp.n_states)
-    for i in range(mdp.n_states):
-        x = lattice.state(i)
-        lo, hi = row_ptr[i], row_ptr[i + 1]
-        p_phi = float(probs[lo:hi] @ phi_states[targets[lo:hi]])
-        lu = float(mu_b[i] @ phi.grad(x)) + 0.5 * float(np.trace(s2_b[i] @ phi.hess(x)))
-        out[i] = alpha * (p_phi - phi_states[i]) - alpha * lu
-    return out
+    mu, sigma2 = problem.moments_batch(states, U[offsets[:-1] + policy])
+    p_phi = get_assembly(mdp).policy_operator(policy) @ phi_states
+    lu = (np.einsum("nd,nd->n", mu, phi.grad(coords))
+          + 0.5 * np.einsum("nij,nji->n", sigma2, phi.hess(coords)))     # mu.DPhi + tr(s2 D2Phi)/2
+    return alpha * (p_phi - phi_states) - alpha * lu
 
 
-def discounted_accumulation(mdp: LatticeMdp, policy, g,
+def discounted_accumulation(mdp: LatticeMdp, policy, g: np.ndarray,
                             options: SolveOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """E_x[sum_t alpha^t g(X_t)] for a nonnegative per-state g (exact solve)."""
-    if callable(g):
-        g = np.array([g(mdp.lattice.state(i)) for i in range(mdp.n_states)], dtype=np.float64)
+    """E_x[sum_t alpha^t g(X_t)] for a nonnegative per-state vector g (exact solve)."""
     g = np.asarray(g, dtype=np.float64)
     if g.min() < 0.0:
         raise ValueError("discounted_accumulation expects nonnegative g; "
@@ -152,8 +155,13 @@ def proxy_at(values: np.ndarray, i: int, h: int = 1) -> float:
 
 
 def fd_hessian_1d(values: np.ndarray, h: float = 1.0):
-    """Second differences with one-sided copies at the edges; returns (H, one_sided)."""
+    """Second differences with one-sided copies at the edges; returns (H, one_sided).
+
+    Fewer than 3 values raise OutOfStencilRange.
+    """
     v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or len(v) < 3:
+        raise OutOfStencilRange("need a one-dimensional grid with at least 3 points")
     hess = np.empty(len(v))
     hess[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
     hess[0] = hess[1]

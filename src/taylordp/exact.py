@@ -223,6 +223,10 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
         r_u = np.asarray(reward_override, dtype=np.float64)
         if r_u.shape != (asm.n_states,):
             raise ValueError("reward override must be a per-state vector")
+        bad = ~np.isfinite(r_u)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"reward override at state {i} is not finite ({r_u[i]!r})")
     op = asm.policy_operator(policy)
     disc = asm.discounts
 
@@ -365,11 +369,5 @@ def value_iteration(mdp, options: SolveOptions = DEFAULT_OPTIONS):
 
 
 def discounted_functional(mdp, policy, f, options: SolveOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """V_U[f](x) = E_x^U [ sum_t alpha^t f(X_t) ] via the evaluation solve.
-
-    f is a per-state vector or a callable on state tuples.
-    """
-    if callable(f):
-        lattice = mdp.lattice
-        f = np.array([f(lattice.state(i)) for i in range(mdp.n_states)], dtype=np.float64)
+    """V_U[f](x) = E_x^U [ sum_t alpha^t f(X_t) ] for a per-state vector f (evaluation solve)."""
     return policy_evaluation(mdp, policy, options, reward_override=f)

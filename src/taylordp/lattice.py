@@ -195,26 +195,17 @@ def _table_offsets(counts: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 class ExplicitActionSet:
-    """Per-state action lists given directly (or by a callable of the state tuple)."""
+    """One action list shared by every state, duplicates dropped and sorted."""
 
     def __init__(self, actions):
-        self._actions = actions
-
-    def _state_actions(self, state: State) -> tuple:
-        acts = self._actions(state) if callable(self._actions) else self._actions
-        return tuple(sorted(set(acts)))
+        self._actions = np.asarray(tuple(sorted(set(actions))))
 
     def at(self, states: np.ndarray):
-        """(U, offsets) for an (n, d) state array; see PolyhedralActionSet.at."""
+        """(U, offsets) for an (n, d) state array: the action list tiled once per state."""
         states = np.atleast_2d(states)
-        if not callable(self._actions):
-            # one action list for every state: tile its array
-            acts = np.asarray(self._state_actions(None))
-            offsets = _table_offsets(np.full(len(states), len(acts)), states)
-            return np.tile(acts, (len(states),) + (1,) * (acts.ndim - 1)), offsets
-        per_state = [self._state_actions(tuple(s)) for s in states.tolist()]
-        offsets = _table_offsets(np.array([len(a) for a in per_state]), states)
-        return np.asarray([u for acts in per_state for u in acts]), offsets
+        acts = self._actions
+        offsets = _table_offsets(np.full(len(states), len(acts)), states)
+        return np.tile(acts, (len(states),) + (1,) * (acts.ndim - 1)), offsets
 
 
 class PolyhedralActionSet:

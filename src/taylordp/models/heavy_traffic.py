@@ -71,9 +71,9 @@ class HeavyTrafficQueue:
         self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), kernel, reward, params.alpha,
                               name="heavy_traffic_queue")
 
-        def moments_batch(state, actions):
+        def moments_batch(states, actions):
             # drift lam and second moment lam at 0 (lazy reflection), lam - mu and 1 above
-            x = np.broadcast_to(np.asarray(state)[..., 0], (len(actions),))
+            x = np.asarray(states)[:, 0]
             mu_b = np.where(x == 0, lam, lam - mu)
             return mu_b[:, None], np.where(x == 0, lam, 1.0)[:, None, None]
 
@@ -109,19 +109,18 @@ def heavy_traffic_oracle(lam: float, alpha: float, x) -> np.ndarray:
 
 
 def heavy_traffic_oracle_fn(lam: float, alpha: float) -> SmoothFunction:
+    """Vhat^alpha and its derivatives as a SmoothFunction of (n, 1) coordinates."""
     gamma, c1 = ode_coefficients(lam, alpha)
     one = 1.0 - alpha
 
     def value(x):
-        return heavy_traffic_oracle(lam, alpha, np.asarray(x).reshape(-1))
+        return heavy_traffic_oracle(lam, alpha, x[:, 0])
 
     def grad(x):
-        x = float(np.atleast_1d(x)[0])
-        return np.array([1.0 / one + c1 * gamma * math.exp(gamma * x)])
+        return 1.0 / one + c1 * gamma * np.exp(gamma * x)
 
     def hess(x):
-        x = float(np.atleast_1d(x)[0])
-        return np.array([[c1 * gamma ** 2 * math.exp(gamma * x)]])
+        return (c1 * gamma ** 2 * np.exp(gamma * x))[:, :, None]
 
     fn = SmoothFunction(value, grad, hess)
     fn.third = lambda x: c1 * gamma ** 3 * np.exp(gamma * np.asarray(x, dtype=np.float64))

@@ -95,8 +95,8 @@ class InventoryModel:
                               truncate_renormalize(raw_kernel, lattice), reward, params.alpha,
                               name="inventory", cost_oriented=True)
 
-        def moments_batch(state, actions_):
-            # interior moments do not depend on the state (one or one per action)
+        def moments_batch(states, actions_):
+            # interior moments do not depend on the state
             us = np.asarray(actions_, dtype=np.float64)
             mu = us - lam
             return mu[:, None], (mu ** 2 + lam)[:, None, None]

@@ -136,7 +136,7 @@ class RoutingModel:
         for k, (i, j) in enumerate(self.pairs):
             out_of[i, k] = 1.0
 
-        # batch hooks: states are (J,) or per pair (k, J), actions (k, m)
+        # batch hooks over k pairs: states (k, J), actions (k, m)
         def cost_batch(states, U) -> np.ndarray:
             x = np.asarray(states, dtype=np.float64)
             uv = np.asarray(U, dtype=np.float64).reshape(-1, m)
@@ -171,8 +171,8 @@ class RoutingModel:
         lam = np.asarray(params.lam, dtype=np.float64)
         p = np.asarray(params.p, dtype=np.float64)
 
-        def moments_batch(state, action_list):
-            x = np.asarray(state, dtype=np.float64)           # (J,) or per pair (k, J)
+        def moments_batch(states, action_list):
+            x = np.asarray(states, dtype=np.float64)          # (k, J)
             U = np.asarray(action_list, dtype=np.float64).reshape(-1, m)
             nets = U @ net.T                                  # (k, J)
             n_busy = np.minimum(x + nets, N)                  # ceil(x) = x on the lattice
@@ -189,7 +189,7 @@ class RoutingModel:
 
         def moment_classes(states, U) -> np.ndarray:
             # pool-major (J, k) columns: long inner loops for the elementwise steps
-            x = np.asarray(states, dtype=np.int64).reshape(-1, J).T
+            x = np.asarray(states, dtype=np.int64).T
             nets = (net @ np.asarray(U, dtype=np.float64).reshape(-1, m).T).astype(np.int64)
             n_busy = np.minimum(x + nets, N[:, None])
             digits = tuple(nets + span[:, None]) + tuple(n_busy)

@@ -84,8 +84,8 @@ class ServiceRateModel:
         self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), kernel, reward, alpha,
                               name=f"service_rate_{params.cost}", cost_oriented=True)
 
-        def moments_batch(state, actions):
-            x = np.asarray(state)[..., 0]                     # one state, or one per action
+        def moments_batch(states, actions):
+            x = np.asarray(states)[:, 0]
             us = np.asarray(actions, dtype=np.float64)
             mu = np.where(x == 0, 1.0, 1.0 - 2.0 * us)
             return mu[:, None], np.ones((len(us), 1, 1))
@@ -117,22 +117,20 @@ class ServiceRateModel:
 
 
 def quartic_oracle(alpha: float, c_s: float = 1.0) -> SmoothFunction:
-    """The quartic closed form and its derivatives (u = 1/2)."""
+    """The quartic closed form and its derivatives (u = 1/2), of (n, 1) coordinates."""
     a = alpha
     one = 1.0 - a
 
     def value(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        x = x[:, 0]
         return (-x ** 4 / one - 6 * a * x ** 2 / one ** 2
                 - 6 * a ** 2 / one ** 3 - 2 * c_s / one)
 
     def grad(x):
-        x = float(np.atleast_1d(x)[0])
-        return np.array([-4 * x ** 3 / one - 12 * a * x / one ** 2])
+        return -4 * x ** 3 / one - 12 * a * x / one ** 2
 
     def hess(x):
-        x = float(np.atleast_1d(x)[0])
-        return np.array([[-12 * x ** 2 / one - 12 * a / one ** 2]])
+        return (-12 * x ** 2 / one - 12 * a / one ** 2)[:, :, None]
 
     fn = SmoothFunction(value, grad, hess)
     fn.third = lambda x: -24.0 * np.asarray(x, dtype=np.float64) / one

@@ -132,19 +132,19 @@ def not_inward(eta: np.ndarray, on_lower: np.ndarray, on_upper: np.ndarray,
 class TaylorProblem:
     """An MDP together with its drift/diffusion hook and boundary spec.
 
-    moments_batch(state, actions) -> (mu, sigma2) stacks the moments of k
-    actions as (k, d) and (k, d, d).  state is one state (d,) shared by all
-    actions, or one state per action (k, d); actions is a sequence of the
+    moments_batch(states, actions) -> (mu, sigma2) stacks the moments of k
+    (state, action) pairs as (k, d) and (k, d, d): states is (k, d), one
+    state per pair, and actions the k matching actions, a sequence of the
     action set's actions or an action-table slice.  It must be defined for
     every lattice state and every feasible action there.  Models with closed
     forms pass their own hook; kernel_moment_provider(mdp) sums the moments
     from the truncated kernel rows instead.
 
     moment_classes(states, U), when given, returns one int64 code per
-    (state, action) pair, broadcasting like moments_batch; pairs with equal
-    codes must have bit-equal moments_batch rows.  The fine-lattice Taylored
-    greedy then computes moments and stencil rates once per code.  Without
-    it every pair is its own class.
+    (state, action) pair, over the same (k, d) states as moments_batch;
+    pairs with equal codes must have bit-equal moments_batch rows.  The
+    fine-lattice Taylored greedy then computes moments and stencil rates
+    once per code.  Without it every pair is its own class.
     """
 
     def __init__(self, mdp: LatticeMdp, moments_batch, boundary: BoundarySpec,
@@ -194,10 +194,8 @@ def _row_moments(mdp: LatticeMdp, states: np.ndarray, U) -> tuple[np.ndarray, np
 def kernel_moment_provider(mdp: LatticeMdp):
     """A moments_batch hook summing each pair's moments from its kernel row (_row_moments)."""
 
-    def moments_batch(state, actions):
-        U = np.asarray(actions)
-        return _row_moments(mdp, np.broadcast_to(np.asarray(state), (len(U), mdp.lattice.dim)),
-                            U)
+    def moments_batch(states, actions):
+        return _row_moments(mdp, np.asarray(states), np.asarray(actions))
 
     return moments_batch
 

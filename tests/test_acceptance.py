@@ -40,7 +40,7 @@ def test_criterion_1_closed_form_oracle():
             chain = tdp.build_multidim_chain(model.problem, 1)
             res = tdp.policy_iteration(chain)
             xs = np.arange(M // 2 + 1.0)
-            v_hat = model.oracle().value(xs)
+            v_hat = model.oracle().value(xs[:, None])
             errs[M] = np.abs(res.values[: M // 2 + 1] - v_hat).max() / np.abs(v_hat).max()
         ok &= errs[200] <= 0.01 and errs[400] < errs[200]
         details.append(f"alpha={alpha}: err(M=200)={errs[200]:.2e}, err(M=400)={errs[400]:.2e}")
@@ -62,7 +62,7 @@ def test_criterion_2_gap_bound_inequality(alpha):
     holds = bool((lhs <= rhs).all())
     # the left side is exactly |Vhat - V_U| (accumulation identity)
     v_u = tdp.policy_evaluation(mdp, pol)
-    v_hat = phi.value(np.arange(M + 1.0))
+    v_hat = phi.value(mdp.lattice.states())
     ident = np.abs((v_hat - v_u) + tdp.discounted_functional(mdp, pol, rem)).max()
     ident_ok = ident <= 1e-12 * (1.0 + np.abs(v_hat).max())
     report(2, f"gap-bound inequality (alpha={alpha})", holds and ident_ok,
@@ -170,13 +170,9 @@ def test_criterion_7_heavy_traffic_consistency():
 def _poly_quad(c0, c1, c2):
     from taylordp.bounds import SmoothFunction
 
-    def value(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        return c0 + c1 * x + c2 * x * x
-
-    return SmoothFunction(value,
-                          lambda x: np.array([c1 + 2 * c2 * float(np.atleast_1d(x)[0])]),
-                          lambda x: np.array([[2.0 * c2]]))
+    return SmoothFunction(lambda x: c0 + c1 * x[:, 0] + c2 * x[:, 0] * x[:, 0],
+                          lambda x: c1 + 2 * c2 * x,
+                          lambda x: np.full((len(x), 1, 1), 2.0 * c2))
 
 
 def test_criterion_8_property_suites(service_quadratic, inventory_model, routing2,

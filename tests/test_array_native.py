@@ -31,7 +31,7 @@ from scipy.interpolate import RegularGridInterpolator
 import taylordp as tdp
 from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
-from taylordp.errors import EmptyActionSet, InfeasibleAction, MaxIterationsExceeded
+from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
 from taylordp.exact import (SolveOptions, _bracketed_iteration, _evaluation_system, _tabulate,
                             get_assembly)
 from taylordp.errors import NonInwardEta
@@ -173,8 +173,8 @@ def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate"):
     for si in range(lattice.n_states):
         point = lattice.state(si)
         acts = mdp.actions_at(si)
-        mu_b, s2_b = problem.moments_batch(point, acts)
-        dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
+        mu_b, s2_b = problem.moments_batch(np.tile(point, (len(acts), 1)), acts)
+        dirs, rates, _, _ = _stencil_rates(mu_b, s2_b, hvec, hvec, scheme)
         cols = _offset_columns(dirs * h, offs)
         tot = rates.sum(axis=1)
         q_max = float(max(tot.max(), 1e-300))
@@ -280,8 +280,8 @@ def per_point_chain(problem, h, scheme="inflate"):
 
         interior_mask[idx] = True
         hl, hr = _spacings(grid, pos)
-        mu_b, s2_b = problem.moments_batch(point, acts)
-        dirs, rates, slack, cscale = _stencil_rates(np.atleast_2d(mu_b), s2_b, hl, hr, scheme)
+        mu_b, s2_b = problem.moments_batch(np.tile(point, (len(acts), 1)), acts)
+        dirs, rates, slack, cscale = _stencil_rates(mu_b, s2_b, hl, hr, scheme)
         Q = float(rates.sum(axis=1).max())
         Q_per_state[idx] = Q
         discounts[idx] = 1.0 / (1.0 + (1.0 / alpha - 1.0) / Q)
@@ -324,8 +324,7 @@ def per_point_verify(chain, problem):
     for idx in np.flatnonzero(chain.interior_mask):
         acts = chain.actions_at(idx)
         point = grid.point(idx)
-        mu_b, s2_b = problem.moments_batch(point, acts)
-        mu_b = np.atleast_2d(mu_b)
+        mu_b, s2_b = problem.moments_batch(np.tile(point, (len(acts), 1)), acts)
         alpha_h = chain.discounts[idx]
         kappa = alpha * (1.0 - alpha_h) / (alpha_h * (1.0 - alpha))
         for a, u in enumerate(acts):
@@ -371,7 +370,7 @@ def per_state_ellipticity(problem):
     for i in range(mdp.n_states):
         state = mdp.lattice.state(i)
         acts = mdp.actions_at(i)
-        _, s2 = problem.moments_batch(state, acts)
+        _, s2 = problem.moments_batch(np.tile(state, (len(acts), 1)), acts)
         eig = np.linalg.eigvalsh(s2)
         k = int(np.argmin(eig[:, 0]))
         if eig[k, 0] < lam_min:
@@ -406,15 +405,10 @@ def test_actions_at_matches_meshgrid_on_every_state(routing3_smoke):
     assert mdp.action_table()[0].dtype == np.int64
 
 
-def test_explicit_table_constant_and_callable():
+def test_explicit_table_constant():
     states = StateLattice((0,), (3,)).states()
     U, offsets = ExplicitActionSet((0.5, 0.0, 0.5)).at(states)
     assert U.tolist() == [0.0, 0.5] * 4 and offsets.tolist() == [0, 2, 4, 6, 8]
-    U, offsets = ExplicitActionSet(lambda s: range(s[0] + 1)).at(states)
-    assert U.tolist() == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]
-    assert offsets.tolist() == [0, 1, 3, 6, 10]
-    with pytest.raises(EmptyActionSet):
-        ExplicitActionSet(lambda s: range(s[0])).at(states)
 
 
 def test_actions_at_keeps_python_scalars(service_quadratic, inventory_model):
@@ -447,10 +441,10 @@ def test_routing_cost_and_post_state_per_pair(routing3_smoke):
         for a, u in enumerate(mdp.actions_at(i)):
             pair = asm.offsets[i] + a
             assert -per_pair_cost(routing3_smoke, state, u) == asm.rewards[pair]
-            assert -routing3_smoke.cost_batch(state, [u])[0] == asm.rewards[pair]
+            assert -routing3_smoke.cost_batch([state], [u])[0] == asm.rewards[pair]
             post = per_pair_post_state(routing3_smoke, state, u)
             assert mdp.lattice.index(post) == asm.post_idx[pair]
-            assert tuple(routing3_smoke.post_states(state, [u])[0].tolist()) == post
+            assert tuple(routing3_smoke.post_states([state], [u])[0].tolist()) == post
 
 
 @pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_bench"])
@@ -483,8 +477,9 @@ def test_moments_batch_per_pair_states(name, request):
     mu, s2 = problem.moments_batch(mdp.pair_states(), U)
     for i in range(0, mdp.n_states, 5):
         lo, hi = offsets[i], offsets[i + 1]
-        mu_i, s2_i = problem.moments_batch(mdp.lattice.state(i), mdp.actions_at(i))
-        assert np.array_equal(mu[lo:hi], np.atleast_2d(mu_i))
+        mu_i, s2_i = problem.moments_batch(np.tile(mdp.lattice.state(i), (hi - lo, 1)),
+                                           mdp.actions_at(i))
+        assert np.array_equal(mu[lo:hi], mu_i)
         assert np.array_equal(s2[lo:hi], s2_i)
 
 

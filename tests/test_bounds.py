@@ -17,15 +17,45 @@ def _poly(coeffs):
     c = np.asarray(coeffs, dtype=np.float64)
     dc = np.polynomial.polynomial.polyder(c)
     ddc = np.polynomial.polynomial.polyder(c, 2)
+    polyval = np.polynomial.polynomial.polyval
+    return SmoothFunction(lambda x: polyval(x[:, 0], c), lambda x: polyval(x, dc),
+                          lambda x: polyval(x, ddc)[:, :, None])
 
-    def value(x):
-        return np.polynomial.polynomial.polyval(np.asarray(x).reshape(-1), c)
 
+def _quadratic_2d():
+    """1 + x0 - 2 x1 + x0^2 / 2 + x1^2 / 4 + x0 x1 / 10 on (n, 2) coordinates."""
+    hess = np.array([[1.0, 0.1], [0.1, 0.5]])
     return SmoothFunction(
-        value,
-        lambda x: np.atleast_1d(np.polynomial.polynomial.polyval(np.atleast_1d(x)[0], dc)),
-        lambda x: np.atleast_2d(np.polynomial.polynomial.polyval(np.atleast_1d(x)[0], ddc)),
-    )
+        lambda x: (1.0 + x[:, 0] - 2 * x[:, 1] + 0.5 * x[:, 0] ** 2 + 0.25 * x[:, 1] ** 2
+                   + 0.1 * x[:, 0] * x[:, 1]),
+        lambda x: np.array([1.0, -2.0]) + x @ hess,
+        lambda x: np.broadcast_to(hess, (len(x), 2, 2)))
+
+
+def per_state_taylor_remainder(problem, policy, phi):
+    """The per-state loop taylor_remainder replaced, kept as its reference.
+
+    One rows() call for the policy's rows, then per state one
+    probs @ phi[targets] dot and one grad and one hess call on a (1, d)
+    coordinate array.
+    """
+    mdp = problem.mdp
+    alpha = mdp.discount
+    states = mdp.lattice.states()
+    phi_states = phi.value(states)
+    U, offsets = mdp.action_table()
+    chosen = U[offsets[:-1] + policy]
+    mu_b, s2_b = problem.moments_batch(states, chosen)
+    row_ptr, targets, probs = mdp.rows(states, chosen)
+    out = np.empty(mdp.n_states)
+    for i in range(mdp.n_states):
+        x = states[i:i + 1]
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        p_phi = float(probs[lo:hi] @ phi_states[targets[lo:hi]])
+        lu = (float(mu_b[i] @ phi.grad(x)[0])
+              + 0.5 * float(np.trace(s2_b[i] @ phi.hess(x)[0])))
+        out[i] = alpha * (p_phi - phi_states[i]) - alpha * lu
+    return out
 
 
 def test_remainder_vanishes_on_quadratics(quartic_fixed, routing_small):
@@ -41,20 +71,12 @@ def test_remainder_vanishes_on_quadratics(quartic_fixed, routing_small):
         # the analytic extension agrees wherever truncation leaves rows intact
         rem_a = taylor_remainder(model.problem, pol, _poly([2.0, -1.0, 0.5]))
         assert np.abs(rem_a[model.mass_conserving_states()]).max() <= 1e-9
-    # multi-d quadratic on the routing model
-
-    def value(x):
-        x = np.atleast_2d(x)
-        return 1.0 + x[:, 0] - 2 * x[:, 1] + 0.5 * x[:, 0] ** 2 + 0.25 * x[:, 1] ** 2 + 0.1 * x[:, 0] * x[:, 1]
-
-    phi = SmoothFunction(value,
-                         lambda x: np.array([1 + x[0] + 0.1 * x[1], -2 + 0.5 * x[1] + 0.1 * x[0]]),
-                         lambda x: np.array([[1.0, 0.1], [0.1, 0.5]]))
-    # restrict to mass-conserving states: there kernel rows and analytic
-    # moments describe the same jump, so the remainder must vanish
+    # multi-d quadratic on the routing model: restrict to mass-conserving
+    # states, where kernel rows and analytic moments describe the same
+    # jump, so the remainder must vanish
     mask = routing_small.mass_conserving_states()
     pol = np.zeros(routing_small.mdp.n_states, dtype=np.int64)
-    rem = taylor_remainder(routing_small.problem, pol, phi)
+    rem = taylor_remainder(routing_small.problem, pol, _quadratic_2d())
     assert np.abs(rem[mask]).max() <= 1e-8
 
 
@@ -67,6 +89,78 @@ def test_remainder_zero_on_random_quadratics(coeffs):
     pol = np.zeros(model.mdp.n_states, dtype=np.int64)
     rem = taylor_remainder(prob, pol, _poly(coeffs))
     assert np.abs(rem).max() <= 1e-8 * (1 + np.abs(coeffs).max())
+
+
+def _quartic_cases(model):
+    from taylordp.bounds import GridFunction1d
+    from taylordp.taylor import TaylorProblem, kernel_moment_provider
+    mdp = model.mdp
+    kernel_prob = TaylorProblem(mdp, kernel_moment_provider(mdp), model.boundary_spec)
+    xs = np.arange(mdp.n_states, dtype=np.float64)
+    return [(model.problem, model.oracle()),
+            (kernel_prob, _poly([1.0, -0.5, 0.25, 0.01])),
+            (model.problem, GridFunction1d(np.sin(xs / 7.0) * xs)),
+            (kernel_prob, GridFunction1d(model.oracle().value(xs[:, None])))]
+
+
+def test_remainder_matches_per_state_loop_bit_for_bit(quartic_fixed):
+    # u = 1/2 rows: both products of a two-entry row are exact, so the
+    # operator's sum and the per-row BLAS dot round alike
+    pol = np.zeros(quartic_fixed.mdp.n_states, dtype=np.int64)
+    for problem, phi in _quartic_cases(quartic_fixed):
+        fast = taylor_remainder(problem, pol, phi)
+        assert np.array_equal(fast, per_state_taylor_remainder(problem, pol, phi))
+
+
+@pytest.mark.parametrize("name", ["heavy_queue", "service_quadratic", "inventory_model"])
+def test_remainder_matches_per_state_loop(name, request):
+    # the policy operator adds p0 f0 + p1 f1 where the per-row dot may fuse
+    # them: the two agree to rounding, relative to the size of Phi
+    from taylordp.bounds import GridFunction1d
+    model = request.getfixturevalue(name)
+    mdp = model.mdp
+    pol = tdp.policy_iteration(mdp).policy
+    xs = mdp.lattice.states()[:, 0].astype(float)
+    phis = [_poly([1.0, -0.5, 0.25, 0.01]), GridFunction1d(np.sin(xs / 7) * xs, lower=int(xs[0]))]
+    if name == "heavy_queue":
+        phis.append(model.oracle())
+    for phi in phis:
+        fast = taylor_remainder(model.problem, pol, phi)
+        ref = per_state_taylor_remainder(model.problem, pol, phi)
+        assert np.abs(fast - ref).max() <= 1e-12 * (1.0 + np.abs(phi.value(xs[:, None])).max())
+
+
+def test_remainder_routing_one_pass_without_kernel_rows(routing_small, monkeypatch):
+    # P^U Phi is one factored matvec: no kernel row is read
+    mdp = routing_small.mdp
+    pol = np.zeros(mdp.n_states, dtype=np.int64)
+    phi = _quadratic_2d()
+
+    def no_kernel(states, U):
+        raise AssertionError("taylor_remainder read kernel rows")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mdp, "kernel", no_kernel)
+        fast = taylor_remainder(routing_small.problem, pol, phi)
+    mask = routing_small.mass_conserving_states()
+    assert np.abs(fast[mask]).max() <= 1e-8
+    ref = per_state_taylor_remainder(routing_small.problem, pol, phi)
+    assert np.abs(fast - ref).max() <= 1e-12 * (1.0 + np.abs(phi.value(mdp.lattice.states())).max())
+
+
+def test_smooth_function_takes_coordinate_arrays_only():
+    phi = _poly([0.0, 1.0, 1.0])
+    assert phi.value([[1.0], [2.0]]).tolist() == [2.0, 6.0]
+    assert phi.grad([[1.0]]).shape == (1, 1) and phi.hess([[1.0]]).shape == (1, 1, 1)
+    for coords in (1.0, [1.0, 2.0], np.zeros((2, 1, 1))):
+        for method in (phi.value, phi.grad, phi.hess):
+            with pytest.raises(ValueError, match="coordinates"):
+                method(coords)
+    flat = SmoothFunction(lambda x: x[:, 0], lambda x: x[:, 0], lambda x: x)
+    with pytest.raises(ValueError, match="shape"):
+        flat.grad([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="shape"):
+        flat.hess([[1.0], [2.0]])
 
 
 def test_remainder_hand_values(quartic_fixed):
@@ -94,7 +188,7 @@ def test_gap_bound_inequality_fixed_policy(alpha, M):
     rhs = discounted_accumulation(mdp, pol, np.abs(rem))
     assert (lhs <= rhs).all()
     v_u = tdp.policy_evaluation(mdp, pol)
-    v_hat = phi.value(np.arange(M + 1.0))
+    v_hat = phi.value(mdp.lattice.states())
     ident = np.abs((v_hat - v_u) + tdp.discounted_functional(mdp, pol, rem))
     assert ident.max() <= 1e-12 * (1.0 + np.abs(v_hat).max())
     # strict slack exists away from the boundary layer
@@ -108,6 +202,10 @@ def test_accumulation_constant_and_validation(quartic_fixed):
     assert np.allclose(ones, 1.0 / (1.0 - quartic_fixed.params.alpha), rtol=1e-10)
     with pytest.raises(ValueError):
         discounted_accumulation(mdp, pol, -np.ones(mdp.n_states))
+    g = np.ones(mdp.n_states)
+    g[[7, 9]] = np.nan
+    with pytest.raises(ValueError, match="state 7 is not finite"):
+        discounted_accumulation(mdp, pol, g)
 
 
 def test_corner_occupancy_is_discounted_functional(routing_small):
@@ -168,9 +266,11 @@ def test_grid_function_spacing_two():
     from taylordp.bounds import GridFunction1d
     xs = np.arange(0.0, 10.0, 2.0)
     phi = GridFunction1d(xs ** 2, lower=0, h=2)
-    assert phi.value(2)[0] == 4.0 and np.array_equal(phi.value(xs), xs ** 2)
-    assert phi.grad(4)[0] == 8.0 and phi.hess(4)[0, 0] == 2.0
-    assert phi.grad(0)[0] == 2.0 and phi.grad(8)[0] == 14.0     # one-sided at the edges
+    assert phi.value([[2.0]])[0] == 4.0 and np.array_equal(phi.value(xs[:, None]), xs ** 2)
+    assert phi.grad([[4.0]])[0, 0] == 8.0 and phi.hess([[4.0]])[0, 0, 0] == 2.0
+    # one-sided at the edges
+    assert phi.grad([[0.0], [8.0]])[:, 0].tolist() == [2.0, 14.0]
+    assert phi.hess(xs[:, None]).shape == (5, 1, 1)
 
 
 @pytest.mark.parametrize("coord", [-1.0, 3.0, 10.0])
@@ -179,7 +279,16 @@ def test_grid_function_off_grid_raises(coord):
     phi = GridFunction1d(np.arange(0.0, 10.0, 2.0) ** 2, lower=0, h=2)
     for method in (phi.value, phi.grad, phi.hess):
         with pytest.raises(OutOfStencilRange):
-            method(coord)
+            method([[4.0], [coord]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_derivatives_need_three_grid_values(n):
+    from taylordp.bounds import GridFunction1d
+    with pytest.raises(OutOfStencilRange):
+        fd_hessian_1d(np.arange(float(n)))
+    with pytest.raises(OutOfStencilRange):
+        GridFunction1d(np.arange(float(n)))
 
 
 def test_holder_estimate_zero_on_quadratics():
@@ -195,7 +304,7 @@ def test_holder_estimate_quartic_bound():
     alpha, M, r = 0.9, 60, 2.0
     orc = quartic_oracle(alpha)
     xs = np.arange(M + 1.0)
-    hess, _ = fd_hessian_1d(orc.value(xs))
+    hess, _ = fd_hessian_1d(orc.value(xs[:, None]))
     est = holder_seminorm_estimate(hess[1:-1], xs[1:-1], radius=r, beta=1.0)
     bound = 24.0 * (xs[1:-1] + r) / (1.0 - alpha)
     assert (est <= bound + 1e-9).all()
@@ -235,7 +344,7 @@ def test_vanishing_discount_trend():
         model = build("service_rate", M=M, alpha=alpha, cost="quartic", fixed_u=0.5)
         pol = np.zeros(model.mdp.n_states, dtype=np.int64)
         v_u = tdp.policy_evaluation(model.mdp, pol)
-        v_hat = model.oracle().value(np.arange(M + 1.0))
+        v_hat = model.oracle().value(model.mdp.lattice.states())
         lo = int(np.ceil(1.0 / (1.0 - alpha)))
         hi = min(M - 200, 2 * lo)
         rel = np.abs(v_hat - v_u) / np.abs(v_u)

@@ -20,7 +20,10 @@ config's own `mode` for the first three files and `bounds` for the fourth:
     `taylordp bounds --config configs/<stem>.ini` writes for the configs
     whose model has a closed-form oracle (BOUNDS_CONFIGS), first recorded
     before the moments CSV and the Taylor remainder read the moments in one
-    batch call.
+    batch call.  The heavy-traffic bounds CSV was re-recorded when the
+    remainder became one array pass: P^U Phi from the policy operator adds
+    a two-entry row as p0 f0 + p1 f1, which the per-row BLAS dot rounded
+    differently in the last bit.
 
 The digests belong to numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64,
 OpenBLAS).  Another numpy/scipy version may round the linear solves

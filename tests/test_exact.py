@@ -119,8 +119,20 @@ def test_value_iteration_max_iterations():
 
 def test_discounted_functional_constant():
     mdp = _chain_mdp(np.array([[0.2, 0.8], [0.7, 0.3]]), [0.0, 0.0], 0.9)
-    v = tdp.discounted_functional(mdp, np.zeros(2, dtype=int), lambda s: 1.0)
+    v = tdp.discounted_functional(mdp, np.zeros(2, dtype=int), np.ones(2))
     assert np.allclose(v, 10.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reward_override_must_be_finite(quartic_fixed, bad):
+    mdp = quartic_fixed.mdp
+    pol = np.zeros(mdp.n_states, dtype=np.int64)
+    f = np.ones(mdp.n_states)
+    f[[3, 5]] = bad
+    with pytest.raises(ValueError, match="state 3 is not finite"):
+        tdp.policy_evaluation(mdp, pol, reward_override=f)
+    with pytest.raises(ValueError, match="state 3 is not finite"):
+        tdp.discounted_functional(mdp, pol, f)
 
 
 def test_discounted_functional_reward_is_policy_evaluation(quartic_fixed):
@@ -139,7 +151,7 @@ def test_discounted_functional_monte_carlo_cross_check(quartic_fixed):
     M = quartic_fixed.params.M
     alpha = quartic_fixed.params.alpha
     pol = np.zeros(mdp.n_states, dtype=np.int64)
-    v = tdp.discounted_functional(mdp, pol, lambda s: float(s[0]) ** 3)
+    v = tdp.discounted_functional(mdp, pol, mdp.lattice.states()[:, 0].astype(float) ** 3)
     rng = np.random.default_rng(20240817)
     n_paths, horizon, x0 = 100_000, int(round(10 / (1 - alpha))), 10
     x = np.full(n_paths, x0)

@@ -357,7 +357,7 @@ def test_chain_policy_evaluation_reproduces_closed_form_trend():
         chain = tdp.build_multidim_chain(model.problem, 1)
         res = tdp.policy_iteration(chain)
         xs = np.arange(M // 2 + 1.0)
-        vh = model.oracle().value(xs)
+        vh = model.oracle().value(xs[:, None])
         errs.append(np.abs(res.values[: M // 2 + 1] - vh).max() / np.abs(vh).max())
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-4

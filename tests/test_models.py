@@ -28,7 +28,7 @@ def test_service_rate_zero_state_row(quartic_fixed):
 def test_service_rate_oracle_value():
     # plug x = 0, alpha = 0.9, c_s = 1 into the closed form: -4880
     orc = quartic_oracle(0.9, 1.0)
-    assert orc.value(np.array([0.0]))[0] == pytest.approx(-4880.0, abs=1e-9)
+    assert orc.value(np.array([[0.0]]))[0] == pytest.approx(-4880.0, abs=1e-9)
 
 
 def test_service_rate_fixed_half_moments(quartic_fixed):
@@ -110,9 +110,9 @@ def test_inventory_newsvendor_limit():
 def test_routing_cost_examples(routing2):
     p = routing2.params
     # holding three waiting customers in pool 1, no overflow
-    assert routing2.cost_batch((13, 0), [(0, 0)])[0] == pytest.approx(3 * p.H[0])
+    assert routing2.cost_batch([(13, 0)], [(0, 0)])[0] == pytest.approx(3 * p.H[0])
     # overflow costs B per moved customer plus remaining holding
-    assert routing2.cost_batch((13, 0), [(2, 0)])[0] == pytest.approx(2 * p.B[0] + 1 * p.H[0])
+    assert routing2.cost_batch([(13, 0)], [(2, 0)])[0] == pytest.approx(2 * p.B[0] + 1 * p.H[0])
 
 
 def test_routing_pool_symmetry():
@@ -142,7 +142,7 @@ def test_routing_factored_matches_joint_rows(routing_small):
         for a in range(min(2, len(mdp.actions_at(i)))):
             u = mdp.actions_at(i)[a]
             targets, probs = one_row(mdp, state, u)
-            post = routing_small.post_states(state, [u])[0]
+            post = routing_small.post_states([state], [u])[0]
             assert float(probs @ values[targets]) == pytest.approx(
                 tv[mdp.lattice.index(post)], rel=1e-12)
 
@@ -232,11 +232,11 @@ def test_heavy_traffic_ode_residual():
     fn = heavy_traffic_oracle_fn(0.4, 0.99)
     rng = np.random.default_rng(0)
     lam, alpha = 0.4, 0.99
-    for x in rng.uniform(0.0, 60.0, size=100):
-        res = (x + alpha * ((lam - (1 - lam)) * fn.grad(x)[0] + 0.5 * fn.hess(x)[0, 0])
-               - (1 - alpha) * fn.value(np.array([x]))[0])
-        assert abs(res) <= 1e-8
-    assert abs(fn.grad(0.0)[0]) <= 1e-12
+    xs = rng.uniform(0.0, 60.0, size=(100, 1))
+    res = (xs[:, 0] + alpha * ((lam - (1 - lam)) * fn.grad(xs)[:, 0] + 0.5 * fn.hess(xs)[:, 0, 0])
+           - (1 - alpha) * fn.value(xs))
+    assert np.abs(res).max() <= 1e-8
+    assert abs(fn.grad(np.zeros((1, 1)))[0, 0]) <= 1e-12
 
 
 def test_heavy_traffic_oracle_vs_fd_solve():
