@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration/validation error, 1 solver error
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -113,16 +112,10 @@ def _config_from_args(args, mode) -> ExperimentConfig:
             cfg.model_params["M"] = args.M
         if getattr(args, "cost", None):
             cfg.model_params["cost"] = args.cost
-    if getattr(args, "h", None) is not None:
-        cfg.h = args.h
-    if getattr(args, "improvement", None):
-        cfg.improvement = args.improvement
-    if getattr(args, "disaggregation", None):
-        cfg.disaggregation = args.disaggregation
-    if getattr(args, "one_step", None):
-        cfg.one_step = args.one_step == "on"
-    if getattr(args, "out_dir", None):
-        cfg.out_dir = args.out_dir
+    for name in ("h", "improvement", "disaggregation", "one_step", "out_dir"):
+        value = getattr(args, name, None)
+        if value not in (None, ""):
+            setattr(cfg, name, value == "on" if name == "one_step" else value)
     cfg.mode = mode
     _validate(cfg)
     return cfg
@@ -169,6 +162,19 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _first_action_mismatch(mdp_a, mdp_b):
+    """First state whose action list differs between two MDPs on one lattice, or None."""
+    (U_a, off_a), (U_b, off_b) = mdp_a.action_table(), mdp_b.action_table()
+    if U_a.shape[1:] != U_b.shape[1:]:
+        return 0
+    n = min(len(U_a), len(U_b))
+    # up to the first count mismatch the offsets agree, so equal positions are equal pairs
+    counts = np.flatnonzero(np.diff(off_a) != np.diff(off_b))[:1]
+    pairs = np.flatnonzero((U_a[:n] != U_b[:n]).reshape(n, -1).any(axis=1))[:1]
+    states = [*counts.tolist(), *(np.searchsorted(off_a, pairs, "right") - 1).tolist()]
+    return min(states, default=None)
+
+
 def cmd_compare(args) -> int:
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
@@ -176,6 +182,11 @@ def cmd_compare(args) -> int:
     model_b = cfg_b.build_model()
     if model_a.mdp.lattice != model_b.mdp.lattice:
         raise LatticeMismatch(f"{model_a.mdp.lattice} vs {model_b.mdp.lattice}")
+    first = _first_action_mismatch(model_a.mdp, model_b.mdp)
+    if first is not None:
+        raise LatticeMismatch(
+            f"the two models offer different actions at state {model_a.mdp.lattice.state(first)}"
+            f" ({len(model_a.mdp.actions_at(first))} vs {len(model_b.mdp.actions_at(first))} actions)")
     t0 = time.perf_counter()
     pol_a, _, iters, _ = _policy_for(cfg_a, model_a)
     pol_b, _, _, _ = _policy_for(cfg_b, model_b)
@@ -185,8 +196,7 @@ def cmd_compare(args) -> int:
     rho = uniform_max_jump(model_b.mdp) if model_b.mdp.lattice.dim > 1 else 1
     corners = corner_states(model_b.mdp.lattice, rho)
     out = Path(args.out_dir)
-    write_gap_csv(out / "compare_gaps.csv", model_b.mdp.lattice, v_b, v_a, rep,
-                  corner_mask=corners)
+    write_gap_csv(out / "compare_gaps.csv", v_b, v_a, rep, corner_mask=corners)
     print(summary_line(cfg_a.model_name, cfg_a.alpha, cfg_a.h, f"{cfg_a.mode}-vs-{cfg_b.mode}",
                        rep.max_rel, rep.mean_rel, iters, time.perf_counter() - t0))
     return 0
@@ -219,69 +229,47 @@ def cmd_bounds(args) -> int:
     rep = gap_report(v_hat, v_u)
     corners = corner_states(mdp.lattice, 1.0)
     out = Path(cfg.out_dir)
-    write_gap_csv(out / f"{cfg.model_name}_bounds.csv", mdp.lattice, v_u, v_hat, rep,
-                  remainder=remainder, accumulation=accumulation, proxy=proxy,
-                  corner_mask=corners)
+    write_gap_csv(out / f"{cfg.model_name}_bounds.csv", v_u, v_hat, rep, remainder=remainder,
+                  accumulation=accumulation, proxy=proxy, corner_mask=corners)
     write_moments_csv(out / f"{cfg.model_name}_moments.csv", model.problem)
     print(summary_line(cfg.model_name, cfg.alpha, "", "bounds", rep.max_rel,
                        rep.mean_rel, 0, time.perf_counter() - t0))
     return 0
 
 
-def _cached_exact(model, cache_dir: Path, key: str):
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    path = cache_dir / f"exact_{digest}.npz"
-    if path.exists():
-        data = np.load(path)
-        return data["values"], data["policy"]
-    pi = exact.policy_iteration(model.mdp)
-    np.savez(path, values=pi.values, policy=pi.policy)
-    return pi.values, pi.policy
-
-
 def cmd_reproduce(args) -> int:
-    out = Path(args.out_dir)
-    rows = []
+    """Table 5 rows (2-pool: max_rel of TAPI, exact improvement, one-step) or
+    Table 1 rows (3-pool: max_rel and mean_rel of exact improvement)."""
+    fast = args.tier == "fast"
+    alphas = (0.99,) if fast else (0.99, 0.999)
     if args.table == 5:
-        alphas = (0.99,) if args.tier == "fast" else (0.99, 0.999)
-        factors = (0.8,) if args.tier == "fast" else (0.8, 1.0)
-        hs = (1, 2, 4)
+        J, factors, hs = 2, (0.8,) if fast else (0.8, 1.0), (1, 2, 4)
         print("table 5: lam_factor, alpha, h, tapi, exact_improv, one_step")
-        for factor in factors:
-            for alpha in alphas:
-                params = table_params(J=2, alpha=alpha, lam_factor=factor)
-                model = build_routing(params)
-                v_star, _ = _cached_exact(model, out / "cache", f"t5-{alpha}-{factor}")
-                for h in hs:
-                    r_tapi = tapi_solve(model.problem, TapiOptions(h=h))
-                    r_exact = tapi_solve(model.problem, TapiOptions(h=h, improvement="exact"))
-                    r_one = tapi_solve(model.problem, TapiOptions(h=h, one_step=True))
-                    cells = [gap_report(r.fine_values, v_star).max_rel
-                             for r in (r_tapi, r_exact, r_one)]
-                    row = (factor, alpha, h, *[round(c, 4) for c in cells])
-                    rows.append(row)
-                    print(", ".join(map(str, row)))
     else:
-        alphas = (0.99,) if args.tier == "fast" else (0.99, 0.999)
-        factors = (0.7,) if args.tier == "fast" else (0.7, 0.8)
-        hs = (4,) if args.tier == "fast" else (2, 4, 8)
+        J, factors, hs = 3, (0.7,) if fast else (0.7, 0.8), (4,) if fast else (2, 4, 8)
         print("table 1: lam_factor, alpha, h, max_rel, mean_rel")
-        for factor in factors:
-            for alpha in alphas:
-                params = table_params(J=3, alpha=alpha, lam_factor=factor)
-                model = build_routing(params)
-                v_star, _ = _cached_exact(model, out / "cache", f"t1-{alpha}-{factor}")
-                for h in hs:
+    rows = []
+    for factor in factors:
+        for alpha in alphas:
+            model = build_routing(table_params(J=J, alpha=alpha, lam_factor=factor))
+            v_star = exact.policy_iteration(model.mdp).values
+            for h in hs:
+                if args.table == 5:
+                    opts = (TapiOptions(h=h), TapiOptions(h=h, improvement="exact"),
+                            TapiOptions(h=h, one_step=True))
+                    reps = [gap_report(tapi_solve(model.problem, o).fine_values, v_star)
+                            for o in opts]
+                    cells = [round(rep.max_rel, 4) for rep in reps]
+                else:
                     res = tapi_solve(model.problem, TapiOptions(h=h, improvement="exact"))
                     rep = gap_report(res.fine_values, v_star)
-                    row = (factor, alpha, h, round(rep.max_rel, 4), round(rep.mean_rel, 5))
-                    rows.append(row)
-                    print(", ".join(map(str, row)))
+                    cells = [round(rep.max_rel, 4), round(rep.mean_rel, 5)]
+                rows.append((factor, alpha, h, *cells))
+                print(", ".join(map(str, rows[-1])))
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / f"table{args.table}_{args.tier}.csv").open("w") as fh:
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+    (out / f"table{args.table}_{args.tier}.csv").write_text(
+        "".join(",".join(map(str, row)) + "\n" for row in rows))
     return 0
 
 

@@ -10,7 +10,7 @@ name.
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,23 +54,25 @@ class ExperimentConfig:
 _BOOLS = {"on": True, "off": False, "true": True, "false": False, "1": True, "0": False}
 
 
+def _field_types(cls) -> dict:
+    """Field name -> the type its config value parses as (Optional[X] as X)."""
+    return {name: next(a for a in typing.get_args(hint) if a is not type(None))
+            if typing.get_origin(hint) is typing.Union else hint
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
 def _coerce(name: str, text: str, typ):
+    """Parse one config value as typ: bool, tuple (of ints or floats) or a callable like int."""
     text = text.strip()
     try:
-        if typ is int:
-            v = int(text)
-        elif typ is float:
-            v = float(text)
-        elif typ is bool:
-            v = _BOOLS[text.lower()]
-        elif typ is tuple:
-            v = tuple(float(t) if "." in t or "e" in t.lower() else int(t)
-                      for t in text.split(","))
-        else:
-            v = text
+        if typ is bool:
+            return _BOOLS[text.lower()]
+        if typ is tuple:
+            return tuple(float(t) if "." in t or "e" in t.lower() else int(t)
+                         for t in text.split(","))
+        return typ(text)
     except (ValueError, KeyError):
         raise ConfigError(f"cannot parse {name} = {text!r}") from None
-    return v
 
 
 def load_config(path) -> ExperimentConfig:
@@ -83,41 +85,22 @@ def load_config(path) -> ExperimentConfig:
     if "model" not in parser or "name" not in parser["model"]:
         raise ConfigError("config needs a [model] section with a name")
     cfg = ExperimentConfig()
-    exp = parser["experiment"] if "experiment" in parser else {}
-    for key in dict(exp):
-        if key == "mode":
-            cfg.mode = exp[key].strip()
-        elif key == "alpha":
-            cfg.alpha = _coerce("alpha", exp[key], float)
-        elif key == "h":
-            cfg.h = _coerce("h", exp[key], int)
-        elif key in ("improvement", "disaggregation", "policy_extension", "scheme",
-                     "out_dir"):
-            setattr(cfg, key, exp[key].strip())
-        elif key == "one_step":
-            cfg.one_step = _coerce("one_step", exp[key], bool)
-        else:
+    types = _field_types(ExperimentConfig)
+    for key, text in (parser["experiment"] if "experiment" in parser else {}).items():
+        if key not in types or key.startswith("model_"):   # the model comes from [model]
             raise ConfigError(f"unknown experiment key {key!r}")
+        setattr(cfg, key, _coerce(key, text, types[key]))
 
-    model = parser["model"]
-    cfg.model_name = model["name"].strip()
+    model = dict(parser["model"])
+    cfg.model_name = model.pop("name").strip()
     _validate(cfg)
-    params_cls, _ = REGISTRY[cfg.model_name]
-    fields = {f.name: f for f in dataclasses.fields(params_cls)}
-    for key in dict(model):
-        if key in ("name",):
-            continue
+    types = _field_types(REGISTRY[cfg.model_name][0])
+    for key, text in model.items():
         if key == "alpha":
             raise ConfigError("set alpha under [experiment], not [model]")
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"model {cfg.model_name!r} has no parameter {key!r}")
-        ftype = fields[key].type
-        typ = {"int": int, "float": float, "str": str, "tuple": tuple,
-               "bool": bool}.get(str(ftype).replace("builtins.", ""), None)
-        if typ is None:
-            typ = tuple if "tuple" in str(ftype) else (float if "float" in str(ftype) else
-                                                       (int if "int" in str(ftype) else str))
-        cfg.model_params[key] = _coerce(key, model[key], typ)
+        cfg.model_params[key] = _coerce(key, text, types[key])
     return cfg
 
 

@@ -58,7 +58,7 @@ class OutOfStencilRange(TaylorDpError):
 
 
 class LatticeMismatch(TaylorDpError):
-    """Two artifacts being compared live on different lattices."""
+    """Two artifacts being compared live on different lattices or action sets."""
 
 
 class InfeasibleAction(TaylorDpError):

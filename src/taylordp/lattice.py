@@ -64,9 +64,6 @@ class StateLattice:
         offset = np.unravel_index(int(index), self.shape)
         return tuple(int(o) + l for o, l in zip(offset, self.lower))
 
-    def contains(self, state: Sequence[int]) -> bool:
-        return all(l <= int(s) <= u for s, l, u in zip(state, self.lower, self.upper))
-
     def states(self) -> np.ndarray:
         """All states as an (n_states, dim) int array in index order."""
         axes = [np.arange(l, u + 1) for l, u in zip(self.lower, self.upper)]

@@ -17,9 +17,11 @@ RegularGridInterpolator it replaced, the routing matvec against the
 np.tensordot loop, the direct evaluation system against scipy's sparse
 algebra, the row-sum test against math.fsum, the chain's stay mass
 against the packed per-count sums, and the in-place bracketed evaluation
-against its loop forming r_u + alpha (P v) anew.
+against its loop forming r_u + alpha (P v) anew.  The columnar CSV writers
+are checked byte for byte against the per-row writers they replaced.
 """
 
+import csv
 import itertools
 import math
 
@@ -1433,3 +1435,82 @@ def test_row_sums_match_fsum():
     for row, fsum, ok in zip(rows, fsums, expected):     # one row at a time
         one_sum, one_ok = row_sums(row, np.array([0, len(row)]))
         assert one_ok.tolist() == [ok] and (ok or _bits(one_sum).tolist() == _bits(fsum).tolist())
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, (float, np.floating)):
+        return "" if np.isnan(x) else repr(float(x))
+    return str(x)
+
+
+def per_row_value_policy_csv(path, mdp, values, policy):
+    first = np.atleast_1d(np.asarray(mdp.action(0, int(policy[0])), dtype=np.float64))
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["state_index"] + [f"coord_{i + 1}" for i in range(mdp.lattice.dim)]
+                        + ["value"] + [f"action_{j + 1}" for j in range(first.size)])
+        for i in range(mdp.n_states):
+            act = np.atleast_1d(np.asarray(mdp.action(i, int(policy[i])), dtype=np.float64))
+            writer.writerow([i] + [_fmt(c) for c in mdp.lattice.state(i)]
+                            + [_fmt(float(values[i]))] + [_fmt(a) for a in act])
+
+
+def per_row_gap_csv(path, v_star, v_candidate, report, remainder=None,
+                    accumulation=None, proxy=None, corner_mask=None):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["state", "V_star", "V_candidate", "abs_gap", "rel_gap",
+                         "remainder", "accumulation", "proxy", "corner_flag"])
+        for i in range(len(v_star)):
+            writer.writerow([
+                i, _fmt(float(v_star[i])), _fmt(float(v_candidate[i])),
+                _fmt(float(report.abs_gap[i])), _fmt(float(report.rel_gap[i])),
+                *(_fmt(None if c is None else float(c[i]))
+                  for c in (remainder, accumulation, proxy)),
+                "" if corner_mask is None else int(bool(corner_mask[i]))])
+
+
+def per_row_moments_csv(path, problem):
+    mdp = problem.mdp
+    d = mdp.lattice.dim
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["state", "action"] + [f"mu_{i + 1}" for i in range(d)]
+                        + [f"sigma2_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+                        + ["eig_min", "eig_max"])
+        states = mdp.lattice.states()
+        for s in range(mdp.n_states):
+            for u in mdp.actions_at(s):
+                mu, s2 = problem.moments_batch(states[s:s + 1], np.asarray([u]))
+                eig = np.linalg.eigvalsh(s2[0])
+                row = [*mu[0], *s2[0].ravel(), eig[0], eig[-1]]
+                writer.writerow([s, _fmt(u)] + [_fmt(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("name", ["service_quadratic", "inventory_model", "heavy_queue",
+                                  "routing2", "routing3_smoke"])
+def test_csv_writers_match_per_row_writers(name, request, tmp_path):
+    """The columnar writers give the per-row writers' bytes, NaN and absent columns included."""
+    from taylordp.report import write_gap_csv, write_moments_csv, write_value_policy_csv
+    model = request.getfixturevalue(name)
+    mdp = model.mdp
+    rng = np.random.default_rng(7)
+    n = mdp.n_states
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n)
+    values[n // 2] = math.nan
+    policy = rng.integers(0, np.diff(mdp.action_table()[1]))
+    v_star = rng.normal(size=n)
+    v_star[1] = 0.0                    # a blank rel_gap
+    report = tdp.gap_report(values, v_star)
+    extras = [{}, {"corner_mask": rng.random(n) < 0.3},
+              {"remainder": rng.normal(size=n), "accumulation": rng.random(n),
+               "proxy": values[::-1], "corner_mask": np.zeros(n, dtype=bool)}]
+    cases = [(write_value_policy_csv, per_row_value_policy_csv, (mdp, values, policy), {}),
+             (write_moments_csv, per_row_moments_csv, (model.problem,), {}),
+             *((write_gap_csv, per_row_gap_csv, (v_star, values, report), kw) for kw in extras)]
+    for write, reference, args, kw in cases:
+        write(tmp_path / "got.csv", *args, **kw)
+        reference(tmp_path / "want.csv", *args, **kw)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

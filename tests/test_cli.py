@@ -2,12 +2,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import taylordp
 from taylordp.cli import main
+from taylordp.errors import InfeasibleAction
+from taylordp.report import write_value_policy_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -163,7 +166,7 @@ def test_reproduce_table5_fast(tmp_path):
     assert rc == 0
     rows = (tmp_path / "table5_fast.csv").read_text().splitlines()
     assert len(rows) == 3                      # h in {1, 2, 4}
-    assert (tmp_path / "cache").exists()       # exact baseline cached
+    assert [p.name for p in tmp_path.iterdir()] == ["table5_fast.csv"]
 
 
 @pytest.mark.parametrize("config", [
@@ -186,3 +189,93 @@ def test_shipped_configs_run(config, tmp_path, monkeypatch):
     else:
         res = tapi.tapi_solve(model.problem, cfg.tapi_options())
         assert np.isfinite(res.fine_values).all()
+
+
+_SERVICE_INI = """[experiment]
+mode = solve-tapi
+{experiment}
+
+[model]
+name = service_rate
+M = 20
+{model}"""
+
+
+@pytest.mark.parametrize("text, named", [
+    (_SERVICE_INI.format(experiment="speed = 3", model=""), "experiment key 'speed'"),
+    (_SERVICE_INI.format(experiment="h = two", model=""), "h = 'two'"),
+    (_SERVICE_INI.format(experiment="alpha = fast", model=""), "alpha = 'fast'"),
+    (_SERVICE_INI.format(experiment="one_step = maybe", model=""), "one_step = 'maybe'"),
+    (_SERVICE_INI.format(experiment="", model="colour = red"), "parameter 'colour'"),
+    (_SERVICE_INI.format(experiment="", model="alpha = 0.9"), "set alpha under [experiment]"),
+    ("[experiment]\nmode = solve-exact\n\n[model]\nname = routing\nN = 10,ten\n", "N = '10,ten'"),
+    ("[experiment]\nmode = solve-exact\n\n[model]\nM = 20\n", "[model] section with a name"),
+], ids=["unknown-experiment-key", "h", "alpha", "one_step", "unknown-model-parameter",
+        "alpha-under-model", "tuple-parameter", "model-without-name"])
+def test_config_parse_error_exits_2(text, named, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    rc = main(["solve-tapi", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: config:")
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_different_action_sets_exits_1(tmp_path, capsys):
+    """Policies are action indices, so two models must offer the same actions to compare."""
+    paths = []
+    for K in (10, 100):
+        paths.append(tmp_path / f"k{K}.ini")
+        paths[-1].write_text(f"""[experiment]
+mode = solve-exact
+alpha = 0.9
+
+[model]
+name = service_rate
+M = 30
+n_controls = {K}
+""")
+    rc = main(["compare", "--config-a", str(paths[0]), "--config-b", str(paths[1]),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: lattice-mismatch:")
+    assert "state (0,)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _action_table_stub(U, offsets):
+    return SimpleNamespace(action_table=lambda: (np.asarray(U), np.asarray(offsets)))
+
+
+@pytest.mark.parametrize("U_b, off_b, first", [
+    ([0, 1, 0, 1, 2, 0], [0, 2, 5, 6], None),
+    ([0, 1, 0, 1, 2, 0, 1], [0, 2, 5, 7], 2),            # state 2 has one more action
+    ([0, 1, 0, 1, 3, 0], [0, 2, 5, 6], 1),               # same counts, another action
+    ([0, 0, 1, 2, 0, 1], [0, 1, 4, 6], 0),               # counts differ from state 0
+    ([[0], [1], [0], [1], [2], [0]], [0, 2, 5, 6], 0),   # vector against scalar actions
+], ids=["equal", "count", "value", "shifted", "vector"])
+def test_first_action_mismatch(U_b, off_b, first):
+    from taylordp.cli import _first_action_mismatch
+    a = _action_table_stub([0, 1, 0, 1, 2, 0], [0, 2, 5, 6])
+    assert _first_action_mismatch(a, _action_table_stub(U_b, off_b)) == first
+
+
+@pytest.mark.parametrize("bad", [-1, 100], ids=["negative", "past-the-end"])
+def test_value_policy_csv_rejects_out_of_range_action(bad, service_quadratic, tmp_path):
+    """A bare gather would read a neighbouring state's action; the writer must raise."""
+    mdp = service_quadratic.mdp
+    policy = np.zeros(mdp.n_states, dtype=np.int64)
+    policy[5] = bad
+    with pytest.raises(InfeasibleAction):
+        write_value_policy_csv(tmp_path / "v.csv", mdp, np.zeros(mdp.n_states), policy)
+    assert not (tmp_path / "v.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_value_policy_csv_rejects_values_of_wrong_length(extra, service_quadratic, tmp_path):
+    mdp = service_quadratic.mdp
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_value_policy_csv(tmp_path / "v.csv", mdp, np.zeros(mdp.n_states + extra),
+                               np.zeros(mdp.n_states, dtype=np.int64))
+    assert not (tmp_path / "v.csv").exists()
