@@ -19,7 +19,7 @@ gap reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -147,13 +147,6 @@ def third_derivative_proxy(values: np.ndarray, h: int = 1) -> np.ndarray:
     return out
 
 
-def proxy_at(values: np.ndarray, i: int, h: int = 1) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    if not 2 <= i <= len(v) - 3:
-        raise OutOfStencilRange(f"state {i} is within 2h of a grid edge")
-    return float((v[i + 2] - 2 * v[i + 1] + 2 * v[i - 1] - v[i - 2]) / (2.0 * float(h) ** 3))
-
-
 def fd_hessian_1d(values: np.ndarray, h: float = 1.0):
     """Second differences with one-sided copies at the edges; returns (H, one_sided).
 
@@ -232,16 +225,9 @@ class GapReport:
     max_rel: float
     mean_rel: float
     excluded: int
-    corner_mask: Optional[np.ndarray] = None
-    occupancy: Optional[np.ndarray] = None
-    proxy: Optional[np.ndarray] = None
-
-    def summary(self) -> str:
-        return f"max_rel={self.max_rel:.6g} mean_rel={self.mean_rel:.6g} excluded={self.excluded}"
 
 
-def gap_report(v_candidate: np.ndarray, v_star: np.ndarray, corner_mask=None,
-               occupancy=None, proxy=None, eps: float = 1e-9) -> GapReport:
+def gap_report(v_candidate: np.ndarray, v_star: np.ndarray, eps: float = 1e-9) -> GapReport:
     """Per-state |V_U - V_*| and relative errors |V_U - V_*| / |V_*|.
 
     States with |V_*| < eps are excluded from the ratios and counted.
@@ -256,5 +242,4 @@ def gap_report(v_candidate: np.ndarray, v_star: np.ndarray, corner_mask=None,
     rel[ok] = abs_gap[ok] / np.abs(v_star[ok])
     max_rel = float(np.nanmax(rel)) if ok.any() else float("nan")
     mean_rel = float(np.nanmean(rel)) if ok.any() else float("nan")
-    return GapReport(abs_gap, rel, max_rel, mean_rel, int((~ok).sum()),
-                     corner_mask, occupancy, proxy)
+    return GapReport(abs_gap, rel, max_rel, mean_rel, int((~ok).sum()))

@@ -338,13 +338,6 @@ class LatticeMdp:
         U, offsets = self.action_table()
         return action_tuple(U[offsets[state_index]:offsets[state_index + 1]])
 
-    def action(self, state_index: int, action_index: int):
-        U, offsets = self.action_table()
-        lo, hi = offsets[state_index], offsets[state_index + 1]
-        if not 0 <= action_index < hi - lo:
-            raise IndexError(f"action index {action_index} out of range at state {state_index}")
-        return action_tuple(U[lo + action_index:lo + action_index + 1])[0]
-
     def validate_policy(self, policy: np.ndarray) -> None:
         policy = np.asarray(policy)
         if policy.shape != (self.n_states,):
@@ -395,7 +388,3 @@ def max_jump(mdp: LatticeMdp, policy: np.ndarray) -> int:
     mdp.validate_policy(policy)
     return _max_radius(mdp, mdp.action_table()[1][:-1] + np.asarray(policy, dtype=np.int64))
 
-
-def uniform_max_jump(mdp: LatticeMdp) -> int:
-    """max_jump maximized over all feasible actions (the uniform jump bound)."""
-    return _max_radius(mdp, np.arange(mdp.action_table()[1][-1]))

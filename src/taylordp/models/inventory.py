@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, truncate_renormalize
-from ..taylor import BoundarySpec, DriftDiffusion, TaylorProblem
+from ..taylor import BoundarySpec, TaylorProblem
 from .distributions import poisson_cutoff, poisson_pmf
 
 
@@ -107,16 +107,6 @@ class InventoryModel:
             fot_drift=lambda states: np.where(states == -M, lam, -lam),
         )
         self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
-
-    def truncated_boundary_moments(self, state, u) -> DriftDiffusion:
-        """Moments of the edge rows: (u, u^2) at -M and (-lam, lam + lam^2) at M."""
-        lam = self.params.lam
-        (x,) = state
-        if x == -self.params.M:
-            return DriftDiffusion([float(u)], [[float(u) ** 2]])
-        if x == self.params.M:
-            return DriftDiffusion([-lam], [[lam + lam ** 2]])
-        raise ValueError("interior state has no boundary moments")
 
     def mass_conserving_states(self) -> np.ndarray:
         """States whose raw row X + u - D keeps mass >= 1 - tail for every order."""

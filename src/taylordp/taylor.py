@@ -26,36 +26,7 @@ import numpy as np
 from .errors import MissingBoundaryData, NonInwardEta
 from .lattice import LatticeMdp, StateLattice, action_tuple
 
-SYM_TOL = 1e-12
-COV_EIG_TOL = -1e-9
 NU0 = 1e-6
-
-
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """Drift vector and raw second-moment matrix of the one-step jump."""
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64))
-        s2 = np.atleast_2d(np.asarray(self.sigma2, dtype=np.float64))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", s2)
-        if s2.shape != (mu.size, mu.size):
-            raise ValueError("sigma2 must be d x d for a d-vector mu")
-        if np.abs(s2 - s2.T).max() > SYM_TOL:
-            raise ValueError("sigma2 must be symmetric")
-
-    def jump_covariance(self) -> np.ndarray:
-        return self.sigma2 - np.outer(self.mu, self.mu)
-
-    def validate_covariance(self) -> None:
-        """sigma2 - mu mu' is the jump covariance and must be PSD."""
-        eig = np.linalg.eigvalsh(self.jump_covariance())
-        if eig.min() < COV_EIG_TOL:
-            raise ValueError(f"sigma2 - mu mu' has eigenvalue {eig.min()} < 0")
 
 
 @dataclass(frozen=True)
@@ -138,7 +109,9 @@ class TaylorProblem:
     action set's actions or an action-table slice.  It must be defined for
     every lattice state and every feasible action there.  Models with closed
     forms pass their own hook; kernel_moment_provider(mdp) sums the moments
-    from the truncated kernel rows instead.
+    from the truncated kernel rows instead.  The hook is the only form of
+    the moments: one pair is a call with a (1, d) state array and a
+    one-action slice.
 
     moment_classes(states, U), when given, returns one int64 code per
     (state, action) pair, over the same (k, d) states as moments_batch;
@@ -155,65 +128,34 @@ class TaylorProblem:
         self.moment_classes = moment_classes
         self.name = name or mdp.name
 
-    def moments(self, state, action) -> DriftDiffusion:
-        """The moments of one pair: a one-pair call of moments_batch."""
-        mu, sigma2 = self.moments_batch(np.asarray(state)[None, :], np.asarray([action]))
-        return DriftDiffusion(mu[0], sigma2[0])
-
-
-def moments_from_kernel(mdp: LatticeMdp, state, action) -> DriftDiffusion:
-    """Drift and second moment summed from the pair's (truncated) kernel row.
-
-    The row comes from one mdp.rows() call; see _row_moments.
-    """
-    mu, sigma2 = _row_moments(mdp, np.asarray(state)[None, :], np.asarray([action]))
-    return DriftDiffusion(mu[0], sigma2[0])
-
-
-def _row_moments(mdp: LatticeMdp, states: np.ndarray, U) -> tuple[np.ndarray, np.ndarray]:
-    """(k, d) drifts and (k, d, d) second moments of k pairs, from one mdp.rows() call.
-
-    Components are accumulated with exact compensated summation, so Poisson
-    and binomial tails do not lose mass to rounding.
-    """
-    row_ptr, targets, probs = mdp.rows(states, U)
-    diff = (mdp.lattice.states()[targets]
-            - np.repeat(states, np.diff(row_ptr), axis=0)).astype(np.float64)
-    k, d = len(states), mdp.lattice.dim
-    mu = np.empty((k, d))
-    sigma2 = np.empty((k, d, d))
-    for p in range(k):
-        w, dx = probs[row_ptr[p]:row_ptr[p + 1]], diff[row_ptr[p]:row_ptr[p + 1]]
-        for i in range(d):
-            mu[p, i] = math.fsum((w * dx[:, i]).tolist())
-            for j in range(i, d):
-                sigma2[p, i, j] = sigma2[p, j, i] = math.fsum((w * dx[:, i] * dx[:, j]).tolist())
-    return mu, sigma2
-
 
 def kernel_moment_provider(mdp: LatticeMdp):
-    """A moments_batch hook summing each pair's moments from its kernel row (_row_moments)."""
+    """A moments_batch hook that sums each pair's moments from its kernel row.
+
+    One call reads the rows of all its k pairs through one mdp.rows() call.
+    Components are accumulated with exact compensated summation, so Poisson
+    and binomial tails do not lose mass to rounding.  It is the reference
+    the closed-form hooks are tested against.
+    """
 
     def moments_batch(states, actions):
-        return _row_moments(mdp, np.asarray(states), np.asarray(actions))
+        states = np.asarray(states)
+        row_ptr, targets, probs = mdp.rows(states, np.asarray(actions))
+        diff = (mdp.lattice.states()[targets]
+                - np.repeat(states, np.diff(row_ptr), axis=0)).astype(np.float64)
+        k, d = len(states), mdp.lattice.dim
+        mu = np.empty((k, d))
+        sigma2 = np.empty((k, d, d))
+        for p in range(k):
+            w, dx = probs[row_ptr[p]:row_ptr[p + 1]], diff[row_ptr[p]:row_ptr[p + 1]]
+            for i in range(d):
+                mu[p, i] = math.fsum((w * dx[:, i]).tolist())
+                for j in range(i, d):
+                    sigma2[p, i, j] = sigma2[p, j, i] = math.fsum(
+                        (w * dx[:, i] * dx[:, j]).tolist())
+        return mu, sigma2
 
     return moments_batch
-
-
-def oblique_eta(model) -> BoundarySpec:
-    """The model's oblique-derivative boundary spec.
-
-    Models construct eta from the one-sided drift limits at each face (the
-    jump of the drift as the boundary is approached); this helper just
-    surfaces it and fails loudly for models without boundary data.
-    """
-    spec = getattr(model, "boundary_spec", None)
-    if spec is None:
-        raise MissingBoundaryData(f"model {model!r} declares no boundary data")
-    spec = spec() if callable(spec) else spec
-    if spec.kind != "oblique":
-        raise MissingBoundaryData("model declares no oblique boundary direction")
-    return spec
 
 
 @dataclass(frozen=True)

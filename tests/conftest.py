@@ -22,6 +22,11 @@ def service_quadratic_star(service_quadratic):
 
 
 @pytest.fixture(scope="session")
+def service_quartic():
+    return build("service_rate", M=100, alpha=0.99, cost="quartic")
+
+
+@pytest.fixture(scope="session")
 def quartic_fixed():
     return build("service_rate", M=100, alpha=0.9, cost="quartic", fixed_u=0.5)
 
@@ -91,3 +96,12 @@ def one_row(mdp, state, action):
 def one_reward(mdp, state, action) -> float:
     """The reward of one pair, from a one-pair rewards() call."""
     return float(mdp.rewards(np.asarray([state]), np.asarray([action]))[0])
+
+
+def sampled_pairs(mdp, state_indices, per_state):
+    """(states, U) of the first per_state actions of each listed state, in table order."""
+    U, offsets = mdp.action_table()
+    pairs = np.concatenate([np.arange(offsets[i], min(offsets[i] + per_state, offsets[i + 1]))
+                            for i in state_indices])
+    owners = np.searchsorted(offsets, pairs, side="right") - 1
+    return mdp.lattice.states()[owners], U[pairs]

@@ -17,9 +17,9 @@ from taylordp.models import build
 from taylordp.models.heavy_traffic import heavy_traffic_oracle
 from taylordp.models.routing import build_routing, table_params
 from taylordp.tapi import TapiOptions, tapi_solve
-from taylordp.taylor import TaylorProblem, kernel_moment_provider, moments_from_kernel
+from taylordp.taylor import TaylorProblem, kernel_moment_provider
 
-from conftest import pair_hooks
+from conftest import pair_hooks, sampled_pairs
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -225,14 +225,13 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             continue
-        for i in rng.choice(idx, size=min(12, idx.size), replace=False):
-            state = model.mdp.lattice.state(int(i))
-            for u in model.mdp.actions_at(int(i))[:4]:
-                dk = moments_from_kernel(model.mdp, state, u)
-                da = model.problem.moments(state, u)
-                if (np.abs(dk.mu - da.mu).max() > 1e-9
-                        or np.abs(dk.sigma2 - da.sigma2).max() > 1e-9):
-                    failures.append(f"moments {name} at {state}")
+        states, U = sampled_pairs(model.mdp, rng.choice(idx, size=min(12, idx.size),
+                                                        replace=False), 4)
+        mu_k, s2_k = kernel_moment_provider(model.mdp)(states, U)
+        mu, s2 = model.problem.moments_batch(states, U)
+        bad = ((np.abs(mu_k - mu).max(axis=1) > 1e-9)
+               | (np.abs(s2_k - s2).max(axis=(1, 2)) > 1e-9))
+        failures.extend(f"moments {name} at {tuple(x)}" for x in states[bad].tolist())
 
     # remainder vanishes on quadratics (kernel-moment operator)
     for name, model in [("quartic", quartic), ("heavy_traffic", heavy_queue)]:

@@ -418,7 +418,7 @@ def test_actions_at_keeps_python_scalars(service_quadratic, inventory_model):
     assert acts == service_quadratic.controls
     assert all(type(u) is float for u in acts)
     assert all(type(u) is int for u in inventory_model.mdp.actions_at(0))
-    assert inventory_model.mdp.action(0, 4) == 4
+    assert inventory_model.mdp.actions_at(0)[4] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +550,14 @@ def test_moments_batch_matches_per_pair_formulas(name, per_pair, request):
     mu, s2 = problem.moments_batch(states, U)
     assert mu.dtype == s2.dtype == np.float64
     assert mu.shape == (len(U), d) and s2.shape == (len(U), d, d)
-    actions = action_tuple(U)
-    ref = [per_pair(model, x, u) for x, u in zip(states.tolist(), actions)]
+    ref = [per_pair(model, x, u) for x, u in zip(states.tolist(), action_tuple(U))]
     assert np.array_equal(_bits(mu), _bits(np.array([m for m, _ in ref], dtype=np.float64)))
     assert np.array_equal(_bits(s2), _bits(np.array([v for _, v in ref], dtype=np.float64)))
-    # problem.moments is a one-pair call of the same hook
+    # a one-pair call of the hook gives the pair's row of the whole-table call
     for k in range(len(U)):
-        dd = problem.moments(tuple(states[k].tolist()), actions[k])
-        assert np.array_equal(_bits(dd.mu), _bits(mu[k]))
-        assert np.array_equal(_bits(dd.sigma2), _bits(s2[k]))
+        mu_k, s2_k = problem.moments_batch(states[k:k + 1], U[k:k + 1])
+        assert np.array_equal(_bits(mu_k[0]), _bits(mu[k]))
+        assert np.array_equal(_bits(s2_k[0]), _bits(s2[k]))
 
 
 def test_heavy_traffic_chain_makes_one_moments_call(heavy_queue, monkeypatch):
@@ -649,11 +648,6 @@ def per_pair_tabulate(mdp):
                            np.concatenate(probs), np.full(mdp.n_states, mdp.discount))
 
 
-@pytest.fixture(scope="module")
-def service_quartic():
-    return build("service_rate", M=100, alpha=0.99, cost="quartic")
-
-
 HOOKED = [("service_quadratic", per_pair_service_rate), ("service_quartic", per_pair_service_rate),
           ("quartic_fixed", per_pair_service_rate), ("heavy_queue", per_pair_heavy_traffic),
           ("inventory_model", per_pair_inventory)]
@@ -727,12 +721,13 @@ def test_service_rate_assembly_makes_one_kernel_call():
     tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.problem, 2), model.problem)
     tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.fot_boundary_problem(), 2),
                                model.fot_boundary_problem())
-    assert tdp.uniform_max_jump(mdp) == 1
+    first, last = np.zeros(31, dtype=np.int64), np.full(31, 99)
+    assert max(tdp.max_jump(mdp, first), tdp.max_jump(mdp, last)) == 1
     # every later call reads many pairs at once: per chain, one reward call
     # over its pairs in the build and one over its interior pairs in the
-    # check; then a first block of 64 rows and the rest in the jump-radius scan
+    # check; then one kernel call over the 31 rows of each policy's jump radius
     assert calls[2:] == [("reward", 14 * 100 + 2), ("reward", 1400), ("reward", 16 * 100),
-                         ("reward", 1400), ("kernel", 64), ("kernel", 3036)]
+                         ("reward", 1400), ("kernel", 31), ("kernel", 31)]
 
 
 def _walk_mdp(fault=None, hooked=True, excess=0.0):
@@ -821,7 +816,7 @@ def test_replaced_kernel_sees_every_rows_call(name, request, monkeypatch):
     U, _ = mdp.action_table()
     states = mdp.pair_states()
     mdp.rows(states[:7], U[:7])
-    tdp.uniform_max_jump(mdp)
+    tdp.max_jump(mdp, np.zeros(mdp.n_states, dtype=np.int64))
     model = request.getfixturevalue(name)
     chain = tdp.build_multidim_chain(model.problem, 4)
     tdp.disaggregate_policy(chain, np.zeros(chain.n_states, dtype=np.int64), mdp,
@@ -1446,13 +1441,13 @@ def _fmt(x) -> str:
 
 
 def per_row_value_policy_csv(path, mdp, values, policy):
-    first = np.atleast_1d(np.asarray(mdp.action(0, int(policy[0])), dtype=np.float64))
+    first = np.atleast_1d(np.asarray(mdp.actions_at(0)[policy[0]], dtype=np.float64))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state_index"] + [f"coord_{i + 1}" for i in range(mdp.lattice.dim)]
                         + ["value"] + [f"action_{j + 1}" for j in range(first.size)])
         for i in range(mdp.n_states):
-            act = np.atleast_1d(np.asarray(mdp.action(i, int(policy[i])), dtype=np.float64))
+            act = np.atleast_1d(np.asarray(mdp.actions_at(i)[policy[i]], dtype=np.float64))
             writer.writerow([i] + [_fmt(c) for c in mdp.lattice.state(i)]
                             + [_fmt(float(values[i]))] + [_fmt(a) for a in act])
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import taylordp as tdp
 from taylordp.bounds import (SmoothFunction, corner_states, discounted_accumulation,
                              fd_hessian_1d, gap_report, holder_seminorm_estimate,
-                             proxy_at, taylor_remainder, third_derivative_proxy)
+                             taylor_remainder, third_derivative_proxy)
 from taylordp.errors import InsufficientNeighborhood, OutOfStencilRange
 from taylordp.models import build
 from taylordp.models.service_rate import quartic_oracle
@@ -244,8 +244,6 @@ def test_proxy_superposition():
 
 
 def test_proxy_out_of_range():
-    with pytest.raises(OutOfStencilRange):
-        proxy_at(np.arange(10.0), 1)
     with pytest.raises(OutOfStencilRange):
         third_derivative_proxy(np.arange(4.0))
 

@@ -138,7 +138,7 @@ def test_reward_override_must_be_finite(quartic_fixed, bad):
 def test_discounted_functional_reward_is_policy_evaluation(quartic_fixed):
     mdp = quartic_fixed.mdp
     pol = np.zeros(mdp.n_states, dtype=np.int64)
-    r = np.array([one_reward(mdp, mdp.lattice.state(i), mdp.action(i, 0))
+    r = np.array([one_reward(mdp, mdp.lattice.state(i), mdp.actions_at(i)[0])
                   for i in range(mdp.n_states)])
     assert np.array_equal(tdp.discounted_functional(mdp, pol, r),
                           tdp.policy_evaluation(mdp, pol))

@@ -8,8 +8,7 @@ from scipy import stats
 
 from taylordp.errors import EmptyActionSet, ZeroInteriorMass
 from taylordp.lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet,
-                              StateLattice, action_tuple, max_jump, truncate_renormalize,
-                              uniform_max_jump)
+                              StateLattice, action_tuple, max_jump, truncate_renormalize)
 
 from conftest import one_row, pair_hooks
 
@@ -236,29 +235,30 @@ def test_rows_stochastic_across_models(routing2, inventory_model, heavy_queue):
     for model in (routing2, inventory_model, heavy_queue):
         mdp = model.mdp
         for i in rng.choice(mdp.n_states, size=25):
-            for a in range(len(mdp.actions_at(int(i)))):
-                _, probs = one_row(mdp, mdp.lattice.state(int(i)), mdp.action(int(i), a))
+            for u in mdp.actions_at(int(i)):
+                _, probs = one_row(mdp, mdp.lattice.state(int(i)), u)
                 assert probs.min() >= 0.0
                 assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
 
 
-def _uniform_jump_reference(mdp):
-    """Largest jump radius over every (state, action) row, one rows() call per pair."""
+def _jump_reference(mdp, policy):
+    """Largest jump radius over the policy's rows, one rows() call per state."""
     states = mdp.lattice.states()
     worst = 0.0
     for i in range(mdp.n_states):
-        for u in mdp.actions_at(i):
-            targets, probs = one_row(mdp, mdp.lattice.state(i), u)
-            y = states[targets[probs > 0.0]]
-            if len(y):
-                worst = max(worst, float(np.linalg.norm(y - states[i], axis=1).max()))
+        targets, probs = one_row(mdp, mdp.lattice.state(i), mdp.actions_at(i)[policy[i]])
+        y = states[targets[probs > 0.0]]
+        if len(y):
+            worst = max(worst, float(np.linalg.norm(y - states[i], axis=1).max()))
     return math.ceil(worst - 1e-12)
 
 
 @pytest.mark.parametrize("name", ["inventory_model", "routing2", "service_quadratic"])
-def test_uniform_max_jump_matches_per_row_scan(name, request):
+def test_max_jump_matches_per_row_scan(name, request):
+    # over two policies, as compare takes its corner radius: each state's
+    # first and last action
     mdp = request.getfixturevalue(name).mdp
-    expected = _uniform_jump_reference(mdp)
-    assert uniform_max_jump(mdp) == expected
-    # no single policy jumps farther than the uniform bound
-    assert max_jump(mdp, np.zeros(mdp.n_states, dtype=np.int64)) <= expected
+    first = np.zeros(mdp.n_states, dtype=np.int64)
+    last = np.diff(mdp.action_table()[1]) - 1
+    for policy in (first, last):
+        assert max_jump(mdp, policy) == _jump_reference(mdp, policy)

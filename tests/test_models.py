@@ -32,8 +32,8 @@ def test_service_rate_oracle_value():
 
 
 def test_service_rate_fixed_half_moments(quartic_fixed):
-    dd = quartic_fixed.problem.moments((7,), 0.5)
-    assert dd.mu[0] == 0.0 and dd.sigma2[0, 0] == 1.0
+    mu, s2 = quartic_fixed.problem.moments_batch(np.array([[7]]), np.array([0.5]))
+    assert mu[0, 0] == 0.0 and s2[0, 0, 0] == 1.0
 
 
 def test_service_rate_rewards():
@@ -56,27 +56,24 @@ def test_continuous_one_step_control_matches_grid(service_quadratic, service_qua
 
 def test_inventory_moments_special_cases(inventory_model):
     lam = inventory_model.params.lam
-    dd = inventory_model.problem.moments((0,), 2)    # u = lam
-    assert dd.mu[0] == pytest.approx(0.0) and dd.sigma2[0, 0] == pytest.approx(lam)
+    mu, s2 = inventory_model.problem.moments_batch(np.array([[0]]), np.array([2]))  # u = lam
+    assert mu[0, 0] == pytest.approx(0.0) and s2[0, 0, 0] == pytest.approx(lam)
     m5 = build("inventory", lam=5.0, M=40, u_max=10, alpha=0.9)
-    dd = m5.problem.moments((0,), 8)
-    assert dd.mu[0] == pytest.approx(3.0) and dd.sigma2[0, 0] == pytest.approx(14.0)
+    mu, s2 = m5.problem.moments_batch(np.array([[0]]), np.array([8]))
+    assert mu[0, 0] == pytest.approx(3.0) and s2[0, 0, 0] == pytest.approx(14.0)
 
 
 def test_inventory_boundary_rows(inventory_model):
     M = inventory_model.params.M
     lam = inventory_model.params.lam
-    # at -M the demand is suppressed: deterministic +u jump, moments (u, u^2)
-    from taylordp.taylor import moments_from_kernel
-    dk = moments_from_kernel(inventory_model.mdp, (-M,), 4)
-    assert dk.mu[0] == pytest.approx(4.0, abs=1e-12)
-    assert dk.sigma2[0, 0] == pytest.approx(16.0, abs=1e-12)
-    da = inventory_model.truncated_boundary_moments((-M,), 4)
-    assert da.mu[0] == 4.0 and da.sigma2[0, 0] == 16.0
+    # at -M the demand is suppressed: deterministic +u jump, moments (u, u^2);
     # at +M the order is suppressed: drift -lam, second moment lam + lam^2
-    dk = moments_from_kernel(inventory_model.mdp, (M,), 7)
-    assert dk.mu[0] == pytest.approx(-lam, abs=1e-9)
-    assert dk.sigma2[0, 0] == pytest.approx(lam + lam ** 2, abs=1e-9)
+    mu, s2 = tdp.kernel_moment_provider(inventory_model.mdp)(np.array([[-M], [M]]),
+                                                             np.array([4, 7]))
+    assert mu[0, 0] == pytest.approx(4.0, abs=1e-12)
+    assert s2[0, 0, 0] == pytest.approx(16.0, abs=1e-12)
+    assert mu[1, 0] == pytest.approx(-lam, abs=1e-9)
+    assert s2[1, 0, 0] == pytest.approx(lam + lam ** 2, abs=1e-9)
 
 
 def test_inventory_reward_formula_and_convexity(inventory_model):
