@@ -201,20 +201,13 @@ def holder_seminorm_estimate(hessians: np.ndarray, coords: np.ndarray,
     return out
 
 
-def corner_states(lattice, rho: float, faces: str = "lower") -> np.ndarray:
-    """States within rho of at least two boundary faces (the 'corners').
+def corner_states(lattice, rho: float) -> np.ndarray:
+    """States within rho of at least two lower boundary faces (the 'corners').
 
-    faces 'lower' counts the axes B_i = {x_i = lower_i} only (empty result
-    in one dimension); 'all' also counts the truncation faces x_i = upper_i.
+    The faces are the axes B_i = {x_i = lower_i}; the truncation faces do
+    not count, so the result is empty in one dimension.
     """
-    states = lattice.states()
-    lower = np.asarray(lattice.lower)
-    upper = np.asarray(lattice.upper)
-    close = (states - lower) <= rho
-    if faces == "all":
-        close = np.concatenate([close, (upper - states) <= rho], axis=1)
-    elif faces != "lower":
-        raise ValueError("faces must be 'lower' or 'all'")
+    close = (lattice.states() - np.asarray(lattice.lower)) <= rho
     return close.sum(axis=1) >= 2
 
 

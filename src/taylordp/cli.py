@@ -25,7 +25,7 @@ import numpy as np
 from . import exact
 from .bounds import (corner_states, discounted_accumulation, gap_report,
                      taylor_remainder, third_derivative_proxy)
-from .config import ConfigError, ExperimentConfig, _validate, load_config
+from .config import ConfigError, ExperimentConfig, _validate, load_config, set_tapi
 from .errors import LatticeMismatch, TaylorDpError
 from .lattice import max_jump
 from .models.routing import table_params, build_routing
@@ -68,11 +68,9 @@ def _build_parser():
 
     p = sub.add_parser("solve-tapi", help="Taylored approximate policy iteration")
     common(p)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--improvement", choices=("approx", "exact"), default=None)
-    p.add_argument("--disaggregation", choices=("multilinear", "pc"), default=None)
-    p.add_argument("--one-step", choices=("on", "off"), default=None)
-    p.add_argument("--out", default=None, help="fine value/policy CSV path")
+    # parsed and validated as the config file's values are
+    for flag in ("--h", "--improvement", "--disaggregation", "--one-step"):
+        p.add_argument(flag, default=None)
     p.set_defaults(func=cmd_solve, mode="solve-tapi")
 
     p = sub.add_parser("compare", help="exactly evaluate two configs' policies and report gaps")
@@ -112,10 +110,10 @@ def _config_from_args(args, mode) -> ExperimentConfig:
             cfg.model_params["M"] = args.M
         if getattr(args, "cost", None):
             cfg.model_params["cost"] = args.cost
-    for name in ("h", "improvement", "disaggregation", "one_step", "out_dir"):
-        value = getattr(args, name, None)
-        if value not in (None, ""):
-            setattr(cfg, name, value == "on" if name == "one_step" else value)
+    set_tapi(cfg, {name: text for name in ("h", "improvement", "disaggregation", "one_step")
+                   if (text := getattr(args, name, None)) is not None})
+    if args.out_dir:
+        cfg.out_dir = args.out_dir
     cfg.mode = mode
     _validate(cfg)
     return cfg
@@ -131,7 +129,7 @@ def _policy_for(cfg: ExperimentConfig, model):
         pi = exact.policy_iteration(model.mdp)
         return pi.policy, pi.values, pi.iterations, None
     if cfg.mode == "solve-tapi":
-        res = tapi_solve(model.problem, cfg.tapi_options())
+        res = tapi_solve(model.problem, cfg.tapi)
         return res.fine_policy, res.fine_values, res.iterations, res.chain
     if cfg.mode == "heuristic-max-overflow":
         # overflow as many customers as possible; the first maximizer wins
@@ -153,10 +151,10 @@ def cmd_solve(args) -> int:
                                model.mdp, values, policy)
         h, label = "", "exact"
     else:
-        path = Path(args.out) if args.out else out / f"{cfg.model_name}_tapi_h{cfg.h}.csv"
-        write_value_policy_csv(path, model.mdp, values, policy)
-        write_chain_csv(out / f"{cfg.model_name}_chain_h{cfg.h}.csv", chain)
-        h, label = cfg.h, f"tapi-{cfg.improvement}"
+        h = cfg.tapi.h
+        write_value_policy_csv(out / f"{cfg.model_name}_tapi_h{h}.csv", model.mdp, values, policy)
+        write_chain_csv(out / f"{cfg.model_name}_chain_h{h}.csv", chain)
+        label = f"tapi-{cfg.tapi.improvement}"
     print(summary_line(cfg.model_name, cfg.alpha, h, label, None, None,
                        iterations, time.perf_counter() - t0))
     return 0
@@ -199,8 +197,9 @@ def cmd_compare(args) -> int:
     corners = corner_states(model_b.mdp.lattice, rho)
     out = Path(args.out_dir)
     write_gap_csv(out / "compare_gaps.csv", v_b, v_a, rep, corner_mask=corners)
-    print(summary_line(cfg_a.model_name, cfg_a.alpha, cfg_a.h, f"{cfg_a.mode}-vs-{cfg_b.mode}",
-                       rep.max_rel, rep.mean_rel, iters, time.perf_counter() - t0))
+    print(summary_line(cfg_a.model_name, cfg_a.alpha, cfg_a.tapi.h,
+                       f"{cfg_a.mode}-vs-{cfg_b.mode}", rep.max_rel, rep.mean_rel, iters,
+                       time.perf_counter() - t0))
     return 0
 
 

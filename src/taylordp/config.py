@@ -1,15 +1,17 @@
 """Experiment configuration files.
 
-Flat INI files with two sections: [experiment] holds the run mode and solver
-knobs, [model] names a registered model and its parameters.  One file per
-experiment; the shipped files under configs/ reproduce the benchmark table
-cells.  Values are validated before any computation; errors carry the field
-name.
+Flat INI files with two sections: [experiment] holds the run mode, alpha,
+out_dir and the fields of TapiOptions, which alone declares and checks the
+TAPI settings; [model] names a registered model and its parameters.  One
+file per experiment; the shipped files under configs/ reproduce the
+benchmark table cells.  Values are validated before any computation;
+errors carry the field name.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,19 +30,8 @@ class ExperimentConfig:
     model_name: str = "service_rate"
     model_params: dict = field(default_factory=dict)
     alpha: float = 0.99
-    h: int = 2
-    improvement: str = "approx"
-    disaggregation: str = "multilinear"
-    policy_extension: str = "tcp_greedy"
-    scheme: str = "inflate"
-    one_step: bool = False
     out_dir: str = "out"
-
-    def tapi_options(self) -> TapiOptions:
-        return TapiOptions(h=self.h, improvement=self.improvement,
-                           disaggregation=self.disaggregation,
-                           policy_extension=self.policy_extension,
-                           scheme=self.scheme, one_step=self.one_step)
+    tapi: TapiOptions = TapiOptions()
 
     def build_model(self):
         params_cls, builder = REGISTRY[self.model_name]
@@ -75,6 +66,24 @@ def _coerce(name: str, text: str, typ):
         raise ConfigError(f"cannot parse {name} = {text!r}") from None
 
 
+_TAPI_TYPES = _field_types(TapiOptions)
+# the [experiment] keys besides TapiOptions' fields (the model comes from [model])
+_RUN_TYPES = {name: typ for name, typ in _field_types(ExperimentConfig).items()
+              if name not in ("model_name", "model_params", "tapi")}
+
+
+def set_tapi(cfg: ExperimentConfig, texts: dict) -> None:
+    """Parse {TapiOptions field: text} and replace those fields of cfg.tapi.
+
+    TapiOptions validates the result; its error becomes a ConfigError.
+    """
+    changes = {name: _coerce(name, text, _TAPI_TYPES[name]) for name, text in texts.items()}
+    try:
+        cfg.tapi = dataclasses.replace(cfg.tapi, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -85,11 +94,15 @@ def load_config(path) -> ExperimentConfig:
     if "model" not in parser or "name" not in parser["model"]:
         raise ConfigError("config needs a [model] section with a name")
     cfg = ExperimentConfig()
-    types = _field_types(ExperimentConfig)
+    tapi = {}
     for key, text in (parser["experiment"] if "experiment" in parser else {}).items():
-        if key not in types or key.startswith("model_"):   # the model comes from [model]
+        if key in _TAPI_TYPES:
+            tapi[key] = text
+        elif key in _RUN_TYPES:
+            setattr(cfg, key, _coerce(key, text, _RUN_TYPES[key]))
+        else:
             raise ConfigError(f"unknown experiment key {key!r}")
-        setattr(cfg, key, _coerce(key, text, types[key]))
+    set_tapi(cfg, tapi)
 
     model = dict(parser["model"])
     cfg.model_name = model.pop("name").strip()
@@ -105,14 +118,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Check every field but model_params, which the model's dataclass checks."""
+    """Check the run fields; the model's dataclass checks model_params, TapiOptions itself."""
     if cfg.model_name not in REGISTRY:
         raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
     if cfg.mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError("alpha must lie in (0, 1)")
-    try:
-        cfg.tapi_options()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None

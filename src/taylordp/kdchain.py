@@ -76,6 +76,8 @@ from .lattice import StateLattice, action_tuple
 from .taylor import TaylorProblem, not_inward
 
 RATE_TOL = 1e-12
+MOMENT_TOL = 1e-9      # TCP-equivalence bound on each moment error, relative to max(1, |target|)
+REWARD_TOL = 1e-10     # the same for the rescaled reward
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +86,18 @@ RATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CoarseGrid:
-    """Per-axis grid {lower, lower+h, ...} with the upper bound always kept."""
+    """Per-axis grid {lower, lower+h, ...} with the upper bound always kept.
+
+    Every axis has 2 or more strictly ascending points, checked once here.
+    """
 
     axes: tuple
+
+    def __post_init__(self):
+        for i, ax in enumerate(self.axes):
+            if len(ax) < 2 or (np.diff(ax) <= 0).any():
+                raise ValueError(f"grid axis {i} needs 2 or more strictly ascending grid points, "
+                                 f"got {np.asarray(ax).tolist()}")
 
     @classmethod
     def from_lattice(cls, lattice: StateLattice, h: int) -> "CoarseGrid":
@@ -244,18 +255,15 @@ class KdChain:
     in action-table order (an oblique boundary point keeps only the first).
     """
 
-    def __init__(self, grid, alpha, actions, assembly, Q, interior_mask,
-                 second_moment_slack, cross_scale, cost_oriented=False, name="kd-chain"):
+    def __init__(self, grid, actions, assembly, Q, interior_mask, second_moment_slack,
+                 cross_scale):
         self.grid = grid
-        self.alpha = float(alpha)
         self.actions = actions
         self._asm = assembly
         self.Q = Q                                # per-state normalizer (0 on boundary rows)
         self.interior_mask = interior_mask
         self.second_moment_slack = second_moment_slack
         self.cross_scale = cross_scale            # per-pair factor on cross-derivative mass
-        self.cost_oriented = cost_oriented
-        self.name = name
 
     @property
     def n_states(self) -> int:
@@ -398,8 +406,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     cross_scale = np.ones(n_pairs)
     cross_scale[ip] = cscale
     asm = TabularAssembly(offsets, rewards, row_ptr, cols[mask], probs[mask], discounts)
-    return KdChain(grid, alpha, actions, asm, Q_per_state, interior, slack, cross_scale,
-                   mdp.cost_oriented, name=f"{mdp.name}-kd")
+    return KdChain(grid, actions, asm, Q_per_state, interior, slack, cross_scale)
 
 
 def _stay_mass(p: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -444,8 +451,8 @@ class TcpEquivalenceReport:
 
     @property
     def passed(self) -> bool:
-        return (self.max_first_moment_err <= 1e-9 and self.max_cross_moment_err <= 1e-9
-                and self.max_diag_moment_err <= 1e-9 and self.max_reward_err <= 1e-10)
+        return (self.max_first_moment_err <= MOMENT_TOL and self.max_cross_moment_err <= MOMENT_TOL
+                and self.max_diag_moment_err <= MOMENT_TOL and self.max_reward_err <= REWARD_TOL)
 
     @property
     def exact(self) -> bool:
@@ -466,7 +473,8 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     where cross_scale and slack_i are the recorded clipping of the
     cross-derivative mass and the second-moment inflation of the fallback
     stencil (1 and 0 on rows that represent the raw moments), and the reward
-    must satisfy r~ = (1 - alpha_h)/(1 - alpha) r to 1e-10 relative.
+    must satisfy r~ = (1 - alpha_h)/(1 - alpha) r, each moment to MOMENT_TOL
+    and the reward to REWARD_TOL relative.
     Boundary rows are excluded (they encode the boundary condition, not the
     operator).  Errors are reported relative to max(1, |target|); the
     report also counts the clipped and inflated pairs, and `exact` holds
@@ -514,7 +522,7 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     # worst offenders, pair by pair in check order, largest error first
     labels = ["first-moment"] + [f"diag-moment[{i}]" for i in range(d)] + ["cross-moment", "reward"]
     errs = np.column_stack([err1, err2[:, diag, diag], err_cross, err_r])
-    tol = np.array([1e-9] * (len(labels) - 1) + [1e-10])
+    tol = np.array([MOMENT_TOL] * (len(labels) - 1) + [REWARD_TOL])
     bad_pair, bad_check = np.nonzero(errs > tol)
     order = np.argsort(-errs[bad_pair, bad_check], kind="stable")[:10]
     worst = [(points[own[bad_pair[k]]], u, labels[bad_check[k]],

@@ -267,7 +267,7 @@ class LatticeMdp:
     """
 
     def __init__(self, lattice: StateLattice, actions, kernel, reward, discount: float,
-                 name: str = "mdp", cost_oriented: bool = False, factored=None):
+                 factored=None):
         if not (0.0 < discount < 1.0):
             raise ValueError("discount must lie in (0, 1)")
         self.lattice = lattice
@@ -275,9 +275,6 @@ class LatticeMdp:
         self.kernel = kernel
         self.reward = reward
         self.discount = float(discount)
-        self.name = name
-        # cost_oriented: rewards are negated costs; reports flip the sign back
-        self.cost_oriented = cost_oriented
         # optional product-form kernel: a zero-argument builder of the
         # FactoredAssembly the solvers use in place of tabulated rows (exact.py)
         self.factored = factored

@@ -68,8 +68,7 @@ class HeavyTrafficQueue:
         def reward(states, U):
             return np.asarray(states, dtype=np.float64)[:, 0]
 
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), kernel, reward, params.alpha,
-                              name="heavy_traffic_queue")
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet((0,)), kernel, reward, params.alpha)
 
         def moments_batch(states, actions):
             # drift lam and second moment lam at 0 (lazy reflection), lam - mu and 1 above

@@ -92,8 +92,7 @@ class InventoryModel:
         self.cost = cost
         actions = tuple(range(params.u_max + 1))
         self.mdp = LatticeMdp(lattice, ExplicitActionSet(actions),
-                              truncate_renormalize(raw_kernel, lattice), reward, params.alpha,
-                              name="inventory", cost_oriented=True)
+                              truncate_renormalize(raw_kernel, lattice), reward, params.alpha)
 
         def moments_batch(states, actions_):
             # interior moments do not depend on the state

@@ -165,8 +165,7 @@ class RoutingModel:
             return np.searchsorted(live, np.arange(len(z) + 1) * n), live % n, flat[live]
 
         self.mdp = LatticeMdp(lattice, actions, kernel, lambda states, U: -cost_batch(states, U),
-                              params.alpha, name=f"routing_{J}pool", cost_oriented=True,
-                              factored=self._build_factored)
+                              params.alpha, factored=self._build_factored)
 
         lam = np.asarray(params.lam, dtype=np.float64)
         p = np.asarray(params.p, dtype=np.float64)

@@ -81,8 +81,7 @@ class ServiceRateModel:
             x_power = x * x if power == 2 else (x * x) * (x * x)
             return -(x_power + params.c_s / (1.0 - np.asarray(us, dtype=np.float64)))
 
-        self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), kernel, reward, alpha,
-                              name=f"service_rate_{params.cost}", cost_oriented=True)
+        self.mdp = LatticeMdp(lattice, ExplicitActionSet(controls), kernel, reward, alpha)
 
         def moments_batch(states, actions):
             x = np.asarray(states)[:, 0]

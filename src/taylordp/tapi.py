@@ -38,7 +38,7 @@ actions.
 With improvement="exact", the greedy-on-the-chain step is replaced by a
 fine-lattice greedy against the disaggregated value (the true kernel, not
 the Taylored operator); that loop has no convergence guarantee, so cycles
-are detected and capped.
+are detected and capped at the policy-iteration cap of SolveOptions.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import (SolveOptions, get_assembly, policy_evaluation, policy_improvement,
+from .exact import (DEFAULT_OPTIONS, get_assembly, policy_evaluation, policy_improvement,
                     policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
 from .lattice import LatticeMdp, StateLattice
@@ -61,7 +61,6 @@ from .taylor import TaylorProblem
 @dataclass(frozen=True)
 class TapiOptions:
     h: int = 2
-    max_iterations: int = 100
     improvement: str = "approx"          # approx | exact
     disaggregation: str = "multilinear"  # value extension: multilinear | pc
     policy_extension: str = "tcp_greedy"  # tcp_greedy | pc
@@ -174,16 +173,11 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
         q = rewards + mdp.discount * np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
         chosen[gi] = lo + segmented_argmax(q, np.array([0, hi - lo]))[1][0]
 
-    # nearest interior grid point for every fine state (per-axis clamp into the interior)
-    clamped_axes = []
-    for ax in grid.axes:
-        clamped_axes.append(ax[1:-1] if len(ax) >= 3 else ax)
-    interior_grid = CoarseGrid(tuple(clamped_axes))
-    near_int = interior_grid.nearest_index(lattice.states())
-    # map interior-grid flat index -> chain grid flat index
-    pos = np.unravel_index(near_int, interior_grid.shape)
-    full_pos = tuple(p + (1 if len(ax) >= 3 else 0) for p, ax in zip(pos, grid.axes))
-    source = np.ravel_multi_index(full_pos, grid.shape)
+    # nearest interior grid point for every fine state: the nearest grid
+    # position clamped into the interior on every axis
+    pos = np.unravel_index(grid.nearest_index(states), grid.shape)
+    source = np.ravel_multi_index(tuple(np.clip(p, 1, n - 2) for p, n in zip(pos, grid.shape)),
+                                  grid.shape)
 
     # grid states keep their own action, every other state its nearest interior one
     source[grid_state] = np.arange(chain.n_states)
@@ -255,15 +249,14 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
 def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):
     """Multilinear interpolant over the interior grid planes, extrapolating past them.
 
-    Axes with fewer than 4 grid points keep all of them.  The returned
+    Axes with fewer than 4 grid points keep all of them (CoarseGrid
+    guarantees 2 or more ascending points an axis).  The returned
     function maps (n, d) points to (n,) values; each point is placed in the
     cell [ax[j], ax[j+1]] of every axis (the first or last cell past the
     ends, which extrapolates linearly) and the 2^d corner terms are summed.
     """
     axes, slices = [], []
     for ax in grid.axes:
-        if len(ax) < 2 or (np.diff(ax) <= 0).any():
-            raise ValueError("multilinear extension needs 2 or more ascending grid points an axis")
         if len(ax) >= 4:
             axes.append(ax[1:-1].astype(np.float64))
             slices.append(slice(1, -1))
@@ -312,7 +305,7 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
         (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
          oscillated) = _tapi_exact_loop(problem, chain, options)
     else:
-        pi = policy_iteration(chain, options=SolveOptions(max_iterations=options.max_iterations))
+        pi = policy_iteration(chain)
         coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
         oscillated = False
         fine_v = fine_policy = None
@@ -354,7 +347,7 @@ def _tapi_exact_loop(problem, chain, options):
     oscillated = False
     iterations = 0
 
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, DEFAULT_OPTIONS.max_iterations + 1):
         iterations = it
         coarse_values = policy_evaluation(chain, coarse_policy)
         fine_v = disaggregate_value(coarse_values, grid, lattice, options.disaggregation)

@@ -121,12 +121,11 @@ class TaylorProblem:
     """
 
     def __init__(self, mdp: LatticeMdp, moments_batch, boundary: BoundarySpec,
-                 name: str = "", moment_classes=None):
+                 moment_classes=None):
         self.mdp = mdp
         self.moments_batch = moments_batch
         self.boundary = boundary
         self.moment_classes = moment_classes
-        self.name = name or mdp.name
 
 
 def kernel_moment_provider(mdp: LatticeMdp):

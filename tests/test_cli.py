@@ -11,6 +11,7 @@ import taylordp
 from taylordp.cli import main
 from taylordp.errors import InfeasibleAction
 from taylordp.report import write_value_policy_csv
+from taylordp.tapi import TapiOptions
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,6 +50,27 @@ def test_invalid_h_exits_2(tmp_path):
     rc = main(["solve-tapi", "--model", "service_rate", "--alpha", "0.9",
                "--M", "20", "--h", "0", "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--improvement", "bogus"), ("--disaggregation", "nn"),
+                                         ("--one-step", "maybe"), ("--h", "two")])
+def test_bad_tapi_flag_exits_2_as_a_config_value(flag, value, tmp_path, capsys):
+    # the flags go through the config file's parser and TapiOptions' own checks
+    rc = main(["solve-tapi", "--model", "service_rate", "--M", "20", flag, value,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_tapi_flags_override_the_config(tmp_path):
+    from taylordp.cli import _build_parser, _config_from_args
+    args = _build_parser().parse_args([
+        "solve-tapi", "--config", str(CONFIG_DIR / "inventory_tapi_h3.ini"), "--h", "2",
+        "--improvement", "exact", "--one-step", "off", "--out-dir", str(tmp_path)])
+    cfg = _config_from_args(args, "solve-tapi")
+    assert cfg.tapi == TapiOptions(h=2, improvement="exact")
+    assert cfg.out_dir == str(tmp_path)
 
 
 def test_unknown_model_exits_2(tmp_path):
@@ -187,8 +209,51 @@ def test_shipped_configs_run(config, tmp_path, monkeypatch):
         policy, _, _, _ = _policy_for(cfg, model)
         assert np.isfinite(exact.policy_evaluation(model.mdp, policy)).all()
     else:
-        res = tapi.tapi_solve(model.problem, cfg.tapi_options())
+        res = tapi.tapi_solve(model.problem, cfg.tapi)
         assert np.isfinite(res.fine_values).all()
+
+
+# the TapiOptions each shipped config gave when ExperimentConfig still held
+# its own copies of the TAPI fields
+SHIPPED_TAPI = {
+    "inventory_tapi_h1": TapiOptions(h=1, one_step=True),
+    "inventory_tapi_h3": TapiOptions(h=3, one_step=True),
+    "routing2_tapi_a099_f08_h1": TapiOptions(h=1),
+    "routing2_tapi_a099_f08_h4": TapiOptions(h=4),
+    "routing3_tapi_a099_f07_h4": TapiOptions(h=4, improvement="exact"),
+    "service_rate_tapi_a099_h1": TapiOptions(h=1),
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_loads_its_tapi_settings(config):
+    from taylordp.config import load_config
+    assert load_config(config).tapi == SHIPPED_TAPI.get(config.stem, TapiOptions())
+
+
+def test_config_accepts_every_experiment_key(tmp_path):
+    # the run keys and exactly TapiOptions' fields, each settable from a file
+    cfg = tmp_path / "all.ini"
+    cfg.write_text("""[experiment]
+mode = solve-tapi
+alpha = 0.9
+out_dir = elsewhere
+h = 3
+improvement = exact
+disaggregation = pc
+policy_extension = pc
+scheme = upwind
+one_step = on
+
+[model]
+name = service_rate
+M = 20
+""")
+    from taylordp.config import load_config
+    loaded = load_config(cfg)
+    assert (loaded.mode, loaded.alpha, loaded.out_dir) == ("solve-tapi", 0.9, "elsewhere")
+    assert loaded.tapi == TapiOptions(h=3, improvement="exact", disaggregation="pc",
+                                      policy_extension="pc", scheme="upwind", one_step=True)
 
 
 _SERVICE_INI = """[experiment]
@@ -203,6 +268,11 @@ M = 20
 
 @pytest.mark.parametrize("text, named", [
     (_SERVICE_INI.format(experiment="speed = 3", model=""), "experiment key 'speed'"),
+    (_SERVICE_INI.format(experiment="max_iterations = 5", model=""),
+     "experiment key 'max_iterations'"),
+    (_SERVICE_INI.format(experiment="tapi = h2", model=""), "experiment key 'tapi'"),
+    (_SERVICE_INI.format(experiment="model_name = routing", model=""),
+     "experiment key 'model_name'"),
     (_SERVICE_INI.format(experiment="h = two", model=""), "h = 'two'"),
     (_SERVICE_INI.format(experiment="alpha = fast", model=""), "alpha = 'fast'"),
     (_SERVICE_INI.format(experiment="one_step = maybe", model=""), "one_step = 'maybe'"),
@@ -210,7 +280,7 @@ M = 20
     (_SERVICE_INI.format(experiment="", model="alpha = 0.9"), "set alpha under [experiment]"),
     ("[experiment]\nmode = solve-exact\n\n[model]\nname = routing\nN = 10,ten\n", "N = '10,ten'"),
     ("[experiment]\nmode = solve-exact\n\n[model]\nM = 20\n", "[model] section with a name"),
-], ids=["unknown-experiment-key", "h", "alpha", "one_step", "unknown-model-parameter",
+], ids=["unknown-experiment-key", "max_iterations", "tapi", "model_name", "h", "alpha", "one_step", "unknown-model-parameter",
         "alpha-under-model", "tuple-parameter", "model-without-name"])
 def test_config_parse_error_exits_2(text, named, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ import taylordp.tapi as tapi
 from taylordp.kdchain import CoarseGrid
 from taylordp.lattice import StateLattice, action_tuple
 from taylordp.models import build
-from taylordp.models.routing import build_routing, table_params
+from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import (TapiOptions, _nearest_actions, disaggregate_value,
                            taylored_greedy_policy)
 
@@ -140,9 +142,10 @@ def test_exact_improvement_variant_single_action_matches_tapi():
     assert np.allclose(a.fine_values, b.fine_values, rtol=1e-12)
 
 
-def test_exact_improvement_cap_sets_flag(routing2):
-    res = tdp.tapi_solve(routing2.problem, TapiOptions(h=4, improvement="exact",
-                                                       max_iterations=1))
+def test_exact_improvement_cap_sets_flag(routing2, monkeypatch):
+    # the exact-improvement loop stops at the solvers' policy-iteration cap
+    monkeypatch.setattr(tapi, "DEFAULT_OPTIONS", tdp.SolveOptions(max_iterations=1))
+    res = tdp.tapi_solve(routing2.problem, TapiOptions(h=4, improvement="exact"))
     assert res.oscillated
     assert res.fine_policy is not None
     routing2.mdp.validate_policy(res.fine_policy)
@@ -207,6 +210,62 @@ def test_tapi_enumerates_actions_once_per_model(name, variant, monkeypatch):
         own = action_tuple(enumerate_all([point])[0])
         expected = own[:1] if oblique and not chain.interior_mask[i] else own
         assert chain.actions_at(i) == expected
+
+
+SWEEP_MODELS = {
+    "service_rate_M20": lambda: build("service_rate", M=20, alpha=0.99),
+    # h = 3, 4 and 5 give 3-point axes on the 7-point boxes, h = 3 and 4 on the 6-point ones
+    "routing2_N3_M3": lambda: build_routing(RoutingParams(
+        J=2, N=(3, 3), M=3, p=(0.56, 0.56), lam=(1.344, 1.344), B=(5.0, 1.0), H=(1.0, 4.0),
+        alpha=0.99)),
+    "routing3_N3_M2": lambda: build_routing(RoutingParams(
+        J=3, N=(3, 3, 3), M=2, p=(0.8, 0.8, 0.8), lam=(1.68, 1.68, 1.68),
+        B=(1.0, 1.0, 4.0, 1.0, 2.0, 1.0), H=(1.0, 2.0, 3.0), alpha=0.99)),
+}
+
+
+def _accepted_spacings(lattice):
+    hs = []
+    for h in range(1, max(lattice.upper) + 1):
+        try:
+            CoarseGrid.from_lattice(lattice, h)
+        except ValueError:
+            continue
+        hs.append(h)
+    return hs
+
+
+@pytest.mark.parametrize("name", SWEEP_MODELS)
+def test_every_accepted_spacing_gives_valid_policies(name):
+    # every variant on every grid the lattice admits, 3-point axes included
+    model = SWEEP_MODELS[name]()
+    hs = _accepted_spacings(model.mdp.lattice)
+    assert 3 in hs
+    for h in hs:
+        for variant, options in SOLVE_VARIANTS.items():
+            res = tdp.tapi_solve(model.problem, dataclasses.replace(options, h=h))
+            model.mdp.validate_policy(res.fine_policy)
+            if res.disaggregated_policy is not None:
+                model.mdp.validate_policy(res.disaggregated_policy)
+            assert np.isfinite(res.fine_values).all(), (h, variant)
+
+
+@pytest.mark.parametrize("make, h", [
+    (lambda: build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8)), 10),
+    (lambda: build_routing(table_params(J=3, alpha=0.99, lam_factor=0.7, M=4)), 7),
+    (lambda: build_routing(table_params(J=3, alpha=0.99, lam_factor=0.7, M=4)), 8),
+    (lambda: build("service_rate", M=4, alpha=0.99), 2),
+], ids=["routing2_h10", "routing3_M4_h7", "routing3_M4_h8", "service_rate_M4_h2"])
+def test_three_point_axes_extend_the_pc_policy(make, h):
+    # every chain axis has 3 points, so its one interior point is the
+    # nearest interior point of every fine state on that axis
+    model = make()
+    for options in (TapiOptions(h=h, policy_extension="pc"),
+                    TapiOptions(h=h, improvement="exact")):
+        res = tdp.tapi_solve(model.problem, options)
+        assert set(res.chain.grid.shape) == {3}
+        model.mdp.validate_policy(res.fine_policy)
+        model.mdp.validate_policy(res.disaggregated_policy)
 
 
 @pytest.mark.parametrize("improvement", ["approx", "exact"])

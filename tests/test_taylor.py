@@ -159,10 +159,12 @@ def test_drift_diffusion_covariance_psd(service_quadratic, service_quartic, inve
                                         routing2, heavy_queue):
     # sigma2 is the raw second moment, so sigma2 - mu mu' is the jump
     # covariance: symmetric and positive semidefinite at every pair
-    for model in (service_quadratic, service_quartic, inventory_model, routing2, heavy_queue):
+    models = {"service_quadratic": service_quadratic, "service_quartic": service_quartic,
+              "inventory_model": inventory_model, "routing2": routing2, "heavy_queue": heavy_queue}
+    for name, model in models.items():
         mdp = model.mdp
         mu, s2 = model.problem.moments_batch(mdp.pair_states(), mdp.action_table()[0])
         assert len(mu) == mdp.action_table()[1][-1]
         assert np.array_equal(s2, np.swapaxes(s2, 1, 2))
         cov = s2 - mu[:, :, None] * mu[:, None, :]
-        assert np.linalg.eigvalsh(cov).min() >= -1e-9, model.mdp.name
+        assert np.linalg.eigvalsh(cov).min() >= -1e-9, name
