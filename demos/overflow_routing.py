@@ -13,7 +13,7 @@ from taylordp.models.routing import build_routing, table_params
 from taylordp.tapi import TapiOptions, tapi_solve
 
 model = build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))
-star = tdp.policy_iteration(model.mdp, options=tdp.SolveOptions(max_iterations=100))
+star = tdp.policy_iteration(model.mdp)
 v = star.values
 print("2-pool instance: 441 states, exact PI took", star.iterations, "iterations")
 print("\n  h | coarse-PI | +exact improv | one step")

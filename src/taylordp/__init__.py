@@ -9,8 +9,8 @@ from .bounds import (GapReport, GridFunction1d, SmoothFunction, corner_states,
                      discounted_accumulation, fd_hessian_1d, gap_report,
                      holder_seminorm_estimate, taylor_remainder,
                      third_derivative_proxy)
-from .exact import (PiResult, SolveOptions, discounted_functional, policy_evaluation,
-                    policy_improvement, policy_iteration, value_iteration)
+from .exact import (PiResult, discounted_functional, policy_evaluation, policy_improvement,
+                    policy_iteration, value_iteration)
 from .kdchain import (CoarseGrid, KdChain, TcpEquivalenceReport, build_multidim_chain,
                       verify_tcp_equivalence)
 from .lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet, StateLattice,

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientNeighborhood, OutOfStencilRange
-from .exact import SolveOptions, DEFAULT_OPTIONS, discounted_functional, get_assembly
+from .exact import discounted_functional, get_assembly
 from .lattice import LatticeMdp
 from .taylor import TaylorProblem
 
@@ -122,14 +122,13 @@ def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.
     return alpha * (p_phi - phi_states) - alpha * lu
 
 
-def discounted_accumulation(mdp: LatticeMdp, policy, g: np.ndarray,
-                            options: SolveOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def discounted_accumulation(mdp: LatticeMdp, policy, g: np.ndarray) -> np.ndarray:
     """E_x[sum_t alpha^t g(X_t)] for a nonnegative per-state vector g (exact solve)."""
     g = np.asarray(g, dtype=np.float64)
     if g.min() < 0.0:
         raise ValueError("discounted_accumulation expects nonnegative g; "
                          "use discounted_functional for signed integrands")
-    return discounted_functional(mdp, policy, g, options)
+    return discounted_functional(mdp, policy, g)
 
 
 def third_derivative_proxy(values: np.ndarray, h: int = 1) -> np.ndarray:

@@ -197,7 +197,8 @@ def cmd_compare(args) -> int:
     corners = corner_states(model_b.mdp.lattice, rho)
     out = Path(args.out_dir)
     write_gap_csv(out / "compare_gaps.csv", v_b, v_a, rep, corner_mask=corners)
-    print(summary_line(cfg_a.model_name, cfg_a.alpha, cfg_a.tapi.h,
+    print(summary_line(cfg_a.model_name, cfg_a.alpha,
+                       cfg_a.tapi.h if cfg_a.mode == "solve-tapi" else "",
                        f"{cfg_a.mode}-vs-{cfg_b.mode}", rep.max_rel, rep.mean_rel, iters,
                        time.perf_counter() - t0))
     return 0

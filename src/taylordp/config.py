@@ -88,9 +88,12 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.optionxform = str          # keep parameter names case-sensitive (M, H, B, ...)
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:  # no section header, a duplicate key or section, ...
+        raise ConfigError(str(exc).replace("\n", " ")) from None
     if "model" not in parser or "name" not in parser["model"]:
         raise ConfigError("config needs a [model] section with a name")
     cfg = ExperimentConfig()

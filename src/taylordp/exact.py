@@ -31,21 +31,11 @@ ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    iterative_tol: float = 1e-10         # matrix-free evaluation: value error / (1 + |V|)
-    vi_tol: float = 1e-9
-    max_iterations: int = 100            # policy-iteration cap
-    vi_max_iterations: int = 200_000     # value-iteration and matrix-free evaluation steps
-
-    def __post_init__(self):
-        if self.iterative_tol <= 0 or self.vi_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1 or self.vi_max_iterations < 1:
-            raise ValueError("iteration caps must be >= 1")
-
-
-DEFAULT_OPTIONS = SolveOptions()
+# solver tolerances and caps, read at call time
+ITERATIVE_TOL = 1e-10        # matrix-free evaluation: value error / (1 + |V|)
+VI_TOL = 1e-9                # value iteration: value error / (1 + |V|)
+MAX_ITERATIONS = 100         # policy-iteration cap
+VI_MAX_ITERATIONS = 200_000  # value-iteration and matrix-free evaluation steps
 
 
 class _PairAssembly:
@@ -203,8 +193,7 @@ def segmented_argmax(values: np.ndarray, offsets: np.ndarray, tol: float = ARGMA
     return seg_max, first.astype(np.int64)
 
 
-def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
-                      reward_override=None, warm_start=None) -> np.ndarray:
+def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.ndarray:
     """Solve V = r_U + diag(alpha) P^U V for the given stationary policy.
 
     reward_override replaces r_U with a per-state vector (used for
@@ -212,8 +201,8 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
     matrix-free one comes only from a FactoredAssembly, whose discount is one
     scalar, and is solved by bracketed fixed-point iteration
     (_bracketed_iteration) from warm_start, to a sup-norm value error of at
-    most options.iterative_tol * (1 + |V|) within options.vi_max_iterations
-    steps.  Either way the result must meet the RESIDUAL_REL residual contract.
+    most ITERATIVE_TOL * (1 + |V|) within VI_MAX_ITERATIONS steps.  Either
+    way the result must meet the RESIDUAL_REL residual contract.
     """
     asm = get_assembly(mdp)
     policy = np.asarray(policy, dtype=np.int64)
@@ -243,7 +232,7 @@ def policy_evaluation(mdp, policy, options: SolveOptions = DEFAULT_OPTIONS,
         except RuntimeError as exc:  # singular factorization
             raise SingularSystem(str(exc)) from None
     else:
-        values = _bracketed_iteration(r_u, op, disc, options, warm_start=warm_start)
+        values = _bracketed_iteration(r_u, op, disc, warm_start=warm_start)
 
     residual = np.abs(values - (r_u + disc * (op @ values))).max()
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
@@ -281,14 +270,14 @@ def _evaluation_system(op: sp.csr_matrix, disc: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data[keep], row[keep], indptr), shape=(n, n))
 
 
-def _bracketed_iteration(r_u, op, disc, options, warm_start=None):
+def _bracketed_iteration(r_u, op, disc, warm_start=None):
     """Fixed-point iteration V <- r_U + alpha P^U V with MacQueen-Porteus bounds.
 
     For a stochastic P^U and one scalar discount alpha, the increment
     d = V_{n+1} - V_n of each step brackets the solution:
     V_U in V_{n+1} + alpha/(1-alpha) [min d, max d] (MacQueen 1966; Porteus
     1971; Puterman 1994, 6.6.3).  The loop stops once half that bracket is at
-    most iterative_tol * (1 + |V_{n+1}|) and returns its midpoint.  The
+    most ITERATIVE_TOL * (1 + |V_{n+1}|) and returns its midpoint.  The
     bracket removes the constant mode of P^U (eigenvalue 1) exactly, so the
     step count follows the rest of the spectrum, not 1 / (1 - alpha).
     """
@@ -299,16 +288,16 @@ def _bracketed_iteration(r_u, op, disc, options, warm_start=None):
         raise SingularSystem("iterative evaluation requires discounts < 1")
     scale = alpha / (1.0 - alpha)
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    for _ in range(options.vi_max_iterations):
+    for _ in range(VI_MAX_ITERATIONS):
         v_next = op @ v                                # r_u + alpha (P v), in place
         v_next *= alpha
         v_next += r_u
         d = v_next - v
         lo, hi = d.min(), d.max()
-        if 0.5 * scale * (hi - lo) <= options.iterative_tol * (1.0 + np.abs(v_next).max()):
+        if 0.5 * scale * (hi - lo) <= ITERATIVE_TOL * (1.0 + np.abs(v_next).max()):
             return v_next + 0.5 * scale * (hi + lo)
         v = v_next
-    raise MaxIterationsExceeded(options.vi_max_iterations, "policy evaluation (iterative)")
+    raise MaxIterationsExceeded(VI_MAX_ITERATIONS, "policy evaluation (iterative)")
 
 
 def policy_improvement(mdp, values):
@@ -326,8 +315,7 @@ class PiResult:
     value_history: list = field(default_factory=list)
 
 
-def policy_iteration(mdp, initial_policy=None, options: SolveOptions = DEFAULT_OPTIONS,
-                     record_history: bool = False) -> PiResult:
+def policy_iteration(mdp, initial_policy=None, record_history: bool = False) -> PiResult:
     """Standard policy iteration; terminates on policy stability."""
     asm = get_assembly(mdp)
     if initial_policy is None:
@@ -336,38 +324,40 @@ def policy_iteration(mdp, initial_policy=None, options: SolveOptions = DEFAULT_O
         policy = np.asarray(initial_policy, dtype=np.int64).copy()
     history = []
     values = None
-    for it in range(1, options.max_iterations + 1):
-        values = policy_evaluation(mdp, policy, options, warm_start=values)
+    for it in range(1, MAX_ITERATIONS + 1):
+        values = policy_evaluation(mdp, policy, warm_start=values)
         if record_history:
             history.append(values.copy())
         new_policy = policy_improvement(mdp, values)
         if np.array_equal(new_policy, policy):
             return PiResult(policy, values, it, history)
         policy = new_policy
-    raise MaxIterationsExceeded(options.max_iterations, "policy iteration")
+    raise MaxIterationsExceeded(MAX_ITERATIONS, "policy iteration")
 
 
-def value_iteration(mdp, options: SolveOptions = DEFAULT_OPTIONS):
+def value_iteration(mdp):
     """Contraction iteration on the Bellman operator.
 
-    Stops when the sup-norm update is below vi_tol * (1 - alpha) / (2 alpha),
-    which bounds the distance to the fixed point by vi_tol.
+    Stops when the sup-norm update is at most
+    VI_TOL * (1 + |V|) * (1 - alpha) / (2 alpha), which bounds the distance
+    to the fixed point by VI_TOL * (1 + |V|), V the returned values: an
+    absolute bound is below the floating-point spacing of large values.
     """
     asm = get_assembly(mdp)
     alpha_bar = float(np.max(asm.discounts))
     if alpha_bar >= 1.0:
         raise ValueError("value iteration requires all discounts < 1")
-    stop = options.vi_tol * (1.0 - alpha_bar) / (2.0 * alpha_bar)
+    stop = VI_TOL * (1.0 - alpha_bar) / (2.0 * alpha_bar)
     v = np.zeros(asm.n_states)
-    for it in range(options.vi_max_iterations):
+    for _ in range(VI_MAX_ITERATIONS):
         q = asm.q_values(v)
         v_new, policy = segmented_argmax(q, asm.offsets)
-        if np.abs(v_new - v).max() <= stop:
+        if np.abs(v_new - v).max() <= stop * (1.0 + np.abs(v_new).max()):
             return policy, v_new
         v = v_new
-    raise MaxIterationsExceeded(options.vi_max_iterations, "value iteration")
+    raise MaxIterationsExceeded(VI_MAX_ITERATIONS, "value iteration")
 
 
-def discounted_functional(mdp, policy, f, options: SolveOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def discounted_functional(mdp, policy, f) -> np.ndarray:
     """V_U[f](x) = E_x^U [ sum_t alpha^t f(X_t) ] for a per-state vector f (evaluation solve)."""
-    return policy_evaluation(mdp, policy, options, reward_override=f)
+    return policy_evaluation(mdp, policy, reward_override=f)

@@ -281,10 +281,10 @@ class KdChain:
         return self._asm
 
 
-def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") -> KdChain:
+def build_multidim_chain(problem: TaylorProblem, h: int, scheme: str = "inflate") -> KdChain:
     """Assemble the K-D chain for all grid states and feasible actions.
 
-    grid is a CoarseGrid, or an integral spacing h for CoarseGrid.from_lattice.
+    The grid is CoarseGrid.from_lattice(problem.mdp.lattice, h).
     A grid point's actions are its lattice state's slice of
     mdp.action_table(), gathered for every point in one pass.  Interior rows
     discretize L_u with the central/fallback stencil, built in one pass over
@@ -296,8 +296,7 @@ def build_multidim_chain(problem: TaylorProblem, grid, scheme: str = "inflate") 
     """
     mdp = problem.mdp
     alpha = mdp.discount
-    if not isinstance(grid, CoarseGrid):
-        grid = CoarseGrid.from_lattice(mdp.lattice, grid)
+    grid = CoarseGrid.from_lattice(mdp.lattice, h)
     boundary = problem.boundary
     n, d = grid.n_points, grid.dim
     shape = np.asarray(grid.shape)

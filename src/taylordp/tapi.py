@@ -6,39 +6,39 @@ equation, with state-dependent discount), and approximate policy improvement
 is the greedy step on the same chain.  Because the chain is a finite MDP,
 the loop terminates in finitely many iterations.
 
-The coarse solution is then carried back to the fine lattice:
+The returned fine-lattice policy is formed in one of four ways (TapiOptions
+refuses a setting the chosen way does not read):
 
-  * values are extended piecewise-constant through the nearest-grid-point
-    map, or multilinearly; multilinear interpolation uses the interior grid
-    planes only (reflecting-boundary values are duplicates by construction)
-    and extrapolates linearly into the boundary cells.  It is an in-package
-    numpy pass (_extension_interpolator) that rounds exactly as scipy's
-    RegularGridInterpolator does, without importing scipy.interpolate,
-  * policies are extended either by re-running the approximate (Taylored)
-    improvement at every fine state -- the same stencil greedy the chain
-    uses, fed with each state's own drift/diffusion and interpolated coarse
-    values ("tcp_greedy", the default) -- or piecewise-constant from the
-    nearest interior grid point with infeasible actions projected to the
-    nearest feasible one (L1 distance, first action on a tie).  In the pc
-    mode, actions at boundary grid states are not identified by the chain's
-    reflecting rows and are completed by a one-step greedy on the fine
-    model against the extended value,
-  * with one_step, the returned policy is instead one exact improvement
-    step on the fine lattice against the extended value, and no policy
-    extension is computed.
+  * tcp_greedy (the default): the chain's stencil greedy re-run at every
+    fine state with its own drift/diffusion, fed with the coarse values
+    interpolated multilinearly at the stencil points,
+  * policy_extension="pc": the chain's policy copied from the nearest
+    interior grid point, infeasible actions projected to the nearest
+    feasible one (L1 distance, first action on a tie); boundary grid
+    states, whose reflecting rows identify no action, are completed by a
+    one-step fine greedy against the extended value,
+  * one_step: one exact improvement step on the fine lattice against the
+    extended value; no policy extension is computed,
+  * improvement="exact": the chain's greedy step is replaced by the fine
+    greedy against the extended value (the true kernel, not the Taylored
+    operator), and the last such policy is returned; the loop has no
+    convergence guarantee, so cycles are detected and capped at
+    exact.MAX_ITERATIONS.
+
+The extended value carries the coarse values to every lattice state,
+piecewise-constant through the nearest-grid-point map or multilinearly (the
+disaggregation setting).  Multilinear interpolation uses the interior grid
+planes only (reflecting-boundary values are duplicates by construction) and
+extrapolates linearly into the boundary cells, in a numpy pass
+(_extension_interpolator) that rounds exactly as scipy's
+RegularGridInterpolator does.
 
 A grid point's chain actions are the fine actions of its lattice state (an
 oblique boundary point keeps only the first), so policies move between the
 chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
-grid is a gather.  The boundary completion goes point by point: one
-mdp.rows() call reads the true kernel rows of all of a boundary grid point's
-actions.
-
-With improvement="exact", the greedy-on-the-chain step is replaced by a
-fine-lattice greedy against the disaggregated value (the true kernel, not
-the Taylored operator); that loop has no convergence guarantee, so cycles
-are detected and capped at the policy-iteration cap of SolveOptions.
+grid is a gather.  The boundary completion reads, with one mdp.rows() call
+a point, the true kernel rows of all of a boundary grid point's actions.
 """
 
 from __future__ import annotations
@@ -51,15 +51,31 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import (DEFAULT_OPTIONS, get_assembly, policy_evaluation, policy_improvement,
-                    policy_iteration, segmented_argmax)
+from . import exact
+from .exact import (get_assembly, policy_evaluation, policy_improvement, policy_iteration,
+                    segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
 from .lattice import LatticeMdp, StateLattice
 from .taylor import TaylorProblem
 
+# the settings each way of forming the returned policy reads, besides h and scheme
+_READS = {
+    "improvement='exact'": ("disaggregation",),
+    "one_step": ("one_step", "disaggregation"),
+    "policy_extension='pc'": ("policy_extension", "disaggregation"),
+    "policy_extension='tcp_greedy'": ("policy_extension",),
+}
+
 
 @dataclass(frozen=True)
 class TapiOptions:
+    """How tapi_solve runs.
+
+    improvement, one_step and policy_extension pick one of four variants
+    (_READS); a field set away from its default that the variant does not
+    read raises ValueError naming it.
+    """
+
     h: int = 2
     improvement: str = "approx"          # approx | exact
     disaggregation: str = "multilinear"  # value extension: multilinear | pc
@@ -79,6 +95,15 @@ class TapiOptions:
             raise ValueError("policy_extension must be 'tcp_greedy' or 'pc'")
         if self.scheme not in ("inflate", "upwind"):
             raise ValueError("scheme must be 'inflate' or 'upwind'")
+        variant = ("improvement='exact'" if self.improvement == "exact" else "one_step"
+                   if self.one_step else f"policy_extension={self.policy_extension!r}")
+        ignored = [name for name, changed in (
+            ("one_step", self.one_step),
+            ("policy_extension", self.policy_extension != "tcp_greedy"),
+            ("disaggregation", self.disaggregation != "multilinear"))
+            if changed and name not in _READS[variant]]
+        if ignored:
+            raise ValueError(f"{' and '.join(ignored)} would be ignored with {variant}")
 
 
 @dataclass
@@ -87,10 +112,9 @@ class TapiResult:
 
     fine_policy is the returned policy and fine_values its exact evaluation.
     disaggregated_policy is the policy extension of the chain's solution to
-    the lattice (the Taylored greedy, or the pc extension with
-    policy_extension="pc" or improvement="exact").  With one_step the
-    one-step improvement against the extended value replaces it, so the
-    extension is not computed and disaggregated_policy is None.
+    the lattice: the returned policy itself with tcp_greedy or pc, and the
+    pc extension of the final chain policy with improvement="exact".  A
+    one_step run computes no extension, so it is None there.
     """
 
     chain: KdChain
@@ -290,41 +314,34 @@ def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):
 # ---------------------------------------------------------------------------
 
 def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> TapiResult:
-    """Policy iteration on the K-D chain, then disaggregation to the lattice.
+    """Policy iteration on the K-D chain, then the returned policy and its exact evaluation.
 
     improvement="exact" runs the exact-improvement loop (_tapi_exact_loop)
-    on the same chain instead of policy iteration on it.  Either way the
-    policy extension, or with one_step the one-step improvement in its
-    place, and the exact evaluation of the returned policy follow.
+    on the same chain instead of policy iteration on it; the three
+    approximate variants differ only in how the fine policy is formed.
     """
     t0 = time.perf_counter()
     mdp = problem.mdp
     chain = build_multidim_chain(problem, options.h, scheme=options.scheme)
-
+    oscillated = False
     if options.improvement == "exact":
         (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
          oscillated) = _tapi_exact_loop(problem, chain, options)
+        disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_v)
     else:
         pi = policy_iteration(chain)
         coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
-        oscillated = False
-        fine_v = fine_policy = None
-        if options.one_step or options.policy_extension == "pc":
+        if options.one_step:
             fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
                                         options.disaggregation)
-
-    # the one-step improvement replaces the policy extension, so it skips it;
-    # the exact loop's policy already is the one-step improvement of its fine_v
-    disagg = None
-    if options.one_step:
-        if fine_policy is None:
-            fine_policy = policy_improvement(mdp, fine_v)
-    elif options.improvement == "exact" or options.policy_extension == "pc":
-        disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_value=fine_v)
-    else:
-        disagg = taylored_greedy_policy(problem, chain, coarse_values, options.scheme)
-    if fine_policy is None:
-        fine_policy = disagg
+            fine_policy, disagg = policy_improvement(mdp, fine_v), None
+        elif options.policy_extension == "pc":
+            fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
+                                        options.disaggregation)
+            fine_policy = disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_v)
+        else:
+            fine_policy = disagg = taylored_greedy_policy(problem, chain, coarse_values,
+                                                          options.scheme)
     fine_values = policy_evaluation(mdp, fine_policy)
     return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
                       iterations, time.perf_counter() - t0, oscillated)
@@ -335,36 +352,24 @@ def _tapi_exact_loop(problem, chain, options):
 
     Returns (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
     oscillated), fine_v being the extension of the last coarse_values and
-    fine_policy its exact greedy policy.
+    fine_policy its exact greedy policy.  The loop stops when that policy
+    repeats: unchanged (converged) or an earlier one (a cycle, oscillated).
     """
     mdp = problem.mdp
-    grid = chain.grid
-    lattice = mdp.lattice
-
     coarse_policy = np.zeros(chain.n_states, dtype=np.int64)
-    seen: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     fine_policy = None
-    oscillated = False
-    iterations = 0
-
-    for it in range(1, DEFAULT_OPTIONS.max_iterations + 1):
-        iterations = it
+    for iterations in range(1, exact.MAX_ITERATIONS + 1):
         coarse_values = policy_evaluation(chain, coarse_policy)
-        fine_v = disaggregate_value(coarse_values, grid, lattice, options.disaggregation)
+        fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice, options.disaggregation)
         new_fine = policy_improvement(mdp, fine_v)
-        if fine_policy is not None and np.array_equal(new_fine, fine_policy):
-            fine_policy = new_fine
-            break
+        if new_fine.tobytes() in seen:
+            return (coarse_values, coarse_policy, fine_v, new_fine, iterations,
+                    not np.array_equal(new_fine, fine_policy))
+        seen.add(new_fine.tobytes())
         fine_policy = new_fine
-        key = fine_policy.tobytes()
-        if key in seen:
-            oscillated = True
-            break
-        seen[key] = it
-        coarse_policy = _restrict_policy(chain, lattice, fine_policy)
-    else:
-        oscillated = True
-    return coarse_values, coarse_policy, fine_v, fine_policy, iterations, oscillated
+        coarse_policy = _restrict_policy(chain, mdp.lattice, fine_policy)
+    return coarse_values, coarse_policy, fine_v, fine_policy, iterations, True
 
 
 def _restrict_policy(chain: KdChain, lattice, fine_policy: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ def routing2():
 
 @pytest.fixture(scope="session")
 def routing2_star(routing2):
-    return tdp.policy_iteration(routing2.mdp, options=tdp.SolveOptions(max_iterations=100))
+    return tdp.policy_iteration(routing2.mdp)
 
 
 @pytest.fixture(scope="session")

@@ -134,8 +134,7 @@ def test_criterion_6_routing_three_pool_cell(tmp_path_factory):
     if cache.exists():
         v_star = np.load(cache)["values"]
     else:
-        v_star = tdp.policy_iteration(model.mdp,
-                                      options=tdp.SolveOptions(max_iterations=100)).values
+        v_star = tdp.policy_iteration(model.mdp).values
         np.savez(cache, values=v_star)
     res = tapi_solve(model.problem, TapiOptions(h=4, improvement="exact"))
     rep = tdp.gap_report(res.fine_values, v_star)
@@ -202,8 +201,7 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
     for name, model in [("service_quadratic", service_quadratic),
                         ("inventory", inventory_model), ("routing2", routing2),
                         ("heavy_traffic", heavy_queue)]:
-        res = tdp.policy_iteration(model.mdp, record_history=True,
-                                   options=tdp.SolveOptions(max_iterations=100))
+        res = tdp.policy_iteration(model.mdp, record_history=True)
         if res.iterations > 100:
             failures.append(f"pi-termination {name}")
         for k in range(1, len(res.value_history)):
@@ -211,7 +209,7 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
             if not (cur >= prev - 1e-7 * (1.0 + np.abs(prev))).all():
                 failures.append(f"pi-monotonicity {name} iter {k}")
                 break
-        _, v_vi = tdp.value_iteration(model.mdp, tdp.SolveOptions(vi_tol=1e-7))
+        _, v_vi = tdp.value_iteration(model.mdp)
         rel = np.abs(v_vi - res.values) / (1.0 + np.abs(res.values))
         if rel.max() > 1e-6:
             failures.append(f"pi-vs-vi {name}: {rel.max():.2e}")

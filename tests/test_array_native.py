@@ -34,8 +34,8 @@ import taylordp as tdp
 from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
 from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
-from taylordp.exact import (SolveOptions, _bracketed_iteration, _evaluation_system, _tabulate,
-                            get_assembly)
+from taylordp import exact
+from taylordp.exact import _bracketed_iteration, _evaluation_system, _tabulate, get_assembly
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stay_mass,
@@ -1373,19 +1373,19 @@ def test_evaluation_system_sums_duplicates_and_drops_zeros():
         assert_same_system(op, rng.choice([0.0, 0.5, 0.99, 1.0], n))
 
 
-def bracketed_loop(r_u, op, disc, options, warm_start=None):
+def bracketed_loop(r_u, op, disc, warm_start=None):
     """The bracketed evaluation forming each iterate as r_u + alpha * (op @ v)."""
     alpha = float(disc[0])
     scale = alpha / (1.0 - alpha)
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    for _ in range(options.vi_max_iterations):
+    for _ in range(exact.VI_MAX_ITERATIONS):
         v_next = r_u + alpha * (op @ v)
         d = v_next - v
         lo, hi = d.min(), d.max()
-        if 0.5 * scale * (hi - lo) <= options.iterative_tol * (1.0 + np.abs(v_next).max()):
+        if 0.5 * scale * (hi - lo) <= exact.ITERATIVE_TOL * (1.0 + np.abs(v_next).max()):
             return v_next + 0.5 * scale * (hi + lo)
         v = v_next
-    raise MaxIterationsExceeded(options.vi_max_iterations, "policy evaluation (iterative)")
+    raise MaxIterationsExceeded(exact.VI_MAX_ITERATIONS, "policy evaluation (iterative)")
 
 
 @pytest.mark.parametrize("name", ["routing2", "routing3_bench"])
@@ -1396,8 +1396,8 @@ def test_bracketed_iteration_matches_loop(name, request):
     for policy in (np.zeros(mdp.n_states, dtype=np.int64), optimal.policy):
         r_u, op = asm.policy_rewards(policy), asm.policy_operator(policy)
         for warm in (None, optimal.values):
-            got = _bracketed_iteration(r_u, op, asm.discounts, SolveOptions(), warm_start=warm)
-            want = bracketed_loop(r_u, op, asm.discounts, SolveOptions(), warm_start=warm)
+            got = _bracketed_iteration(r_u, op, asm.discounts, warm_start=warm)
+            want = bracketed_loop(r_u, op, asm.discounts, warm_start=warm)
             assert _bits(got).tolist() == _bits(want).tolist()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -131,7 +132,7 @@ def test_csv_determinism(tmp_path):
         (b / "service_rate_chain_h2.csv").read_bytes()
 
 
-def test_compare_policy_with_itself(tmp_path):
+def test_compare_policy_with_itself(tmp_path, capsys):
     cfg = tmp_path / "self.ini"
     cfg.write_text("""[experiment]
 mode = solve-exact
@@ -149,6 +150,8 @@ cost = quadratic
     rows = (tmp_path / "compare_gaps.csv").read_text().splitlines()[1:]
     rels = [float(r.split(",")[4]) for r in rows]
     assert max(rels) == 0.0
+    # an exact run has no spacing, so the summary leaves h empty as solve-exact does
+    assert capsys.readouterr().out.startswith("service_rate, 0.95, , solve-exact-vs-solve-exact, ")
 
 
 def test_compare_lattice_mismatch(tmp_path):
@@ -231,29 +234,44 @@ def test_shipped_config_loads_its_tapi_settings(config):
     assert load_config(config).tapi == SHIPPED_TAPI.get(config.stem, TapiOptions())
 
 
-def test_config_accepts_every_experiment_key(tmp_path):
-    # the run keys and exactly TapiOptions' fields, each settable from a file
-    cfg = tmp_path / "all.ini"
-    cfg.write_text("""[experiment]
+_ALL_KEYS_INI = """[experiment]
 mode = solve-tapi
 alpha = 0.9
-out_dir = elsewhere
+out_dir = else%where
 h = 3
-improvement = exact
+improvement = {improvement}
 disaggregation = pc
-policy_extension = pc
+policy_extension = {extension}
 scheme = upwind
-one_step = on
+one_step = {one_step}
 
 [model]
 name = service_rate
 M = 20
-""")
-    from taylordp.config import load_config
-    loaded = load_config(cfg)
-    assert (loaded.mode, loaded.alpha, loaded.out_dir) == ("solve-tapi", 0.9, "elsewhere")
-    assert loaded.tapi == TapiOptions(h=3, improvement="exact", disaggregation="pc",
-                                      policy_extension="pc", scheme="upwind", one_step=True)
+"""
+
+
+def test_config_accepts_every_experiment_key(tmp_path):
+    # the run keys and exactly TapiOptions' fields, each settable from a file;
+    # a value is read literally ('%' is no interpolation)
+    from taylordp.config import ConfigError, load_config
+    cfg = tmp_path / "all.ini"
+    for keys, want in [
+        (dict(improvement="approx", extension="pc", one_step="off"),
+         dict(policy_extension="pc")),
+        (dict(improvement="exact", extension="tcp_greedy", one_step="off"),
+         dict(improvement="exact")),
+        (dict(improvement="approx", extension="tcp_greedy", one_step="on"),
+         dict(one_step=True)),
+    ]:
+        cfg.write_text(_ALL_KEYS_INI.format(**keys))
+        loaded = load_config(cfg)
+        assert (loaded.mode, loaded.alpha, loaded.out_dir) == ("solve-tapi", 0.9, "else%where")
+        assert loaded.tapi == TapiOptions(h=3, disaggregation="pc", scheme="upwind", **want)
+    # every field at once names a combination whose variant ignores two of them
+    cfg.write_text(_ALL_KEYS_INI.format(improvement="exact", extension="pc", one_step="on"))
+    with pytest.raises(ConfigError, match="one_step and policy_extension would be ignored"):
+        load_config(cfg)
 
 
 _SERVICE_INI = """[experiment]
@@ -280,8 +298,14 @@ M = 20
     (_SERVICE_INI.format(experiment="", model="alpha = 0.9"), "set alpha under [experiment]"),
     ("[experiment]\nmode = solve-exact\n\n[model]\nname = routing\nN = 10,ten\n", "N = '10,ten'"),
     ("[experiment]\nmode = solve-exact\n\n[model]\nM = 20\n", "[model] section with a name"),
+    ("mode = solve-exact\n" + _SERVICE_INI.format(experiment="", model=""), "no section headers"),
+    (_SERVICE_INI.format(experiment="h = 2\nh = 3", model=""), "option 'h'"),
+    (_SERVICE_INI.format(experiment="", model="[model]"), "section 'model'"),
+    (_SERVICE_INI.format(experiment="disaggregation = pc", model=""),
+     "disaggregation would be ignored with policy_extension='tcp_greedy'"),
 ], ids=["unknown-experiment-key", "max_iterations", "tapi", "model_name", "h", "alpha", "one_step", "unknown-model-parameter",
-        "alpha-under-model", "tuple-parameter", "model-without-name"])
+        "alpha-under-model", "tuple-parameter", "model-without-name", "no-section-header",
+        "duplicate-key", "duplicate-section", "ignored-setting"])
 def test_config_parse_error_exits_2(text, named, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -290,6 +314,40 @@ def test_config_parse_error_exits_2(text, named, tmp_path, capsys):
     assert rc == 2 and err.startswith("error: config:")
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_tapi_options_refuse_every_ignored_setting(capsys):
+    # of the 32 settings of improvement x policy_extension x one_step x
+    # disaggregation x scheme, exactly the 14 whose variant reads every field
+    # are accepted; a refusal names each field its variant would ignore
+    accepted = 0
+    for improvement, extension, one_step, disaggregation, scheme in itertools.product(
+            ("approx", "exact"), ("tcp_greedy", "pc"), (False, True), ("multilinear", "pc"),
+            ("inflate", "upwind")):
+        if improvement == "exact":
+            ignored = ["one_step"] * one_step + ["policy_extension"] * (extension == "pc")
+        elif one_step:
+            ignored = ["policy_extension"] * (extension == "pc")
+        else:
+            ignored = ["disaggregation"] * (extension == "tcp_greedy" and disaggregation == "pc")
+        settings = dict(improvement=improvement, policy_extension=extension, one_step=one_step,
+                        disaggregation=disaggregation, scheme=scheme)
+        if not ignored:
+            assert TapiOptions(**settings).one_step is one_step
+            accepted += 1
+            continue
+        with pytest.raises(ValueError) as err:
+            TapiOptions(**settings)
+        named = str(err.value).split(" would be ignored")[0].split(" and ")
+        assert named == ignored, settings
+    assert accepted == 14
+
+    # a flag that the config's variant would ignore exits 2 as a bad file value does
+    rc = main(["solve-tapi", "--config", str(CONFIG_DIR / "routing3_tapi_a099_f07_h4.ini"),
+               "--one-step", "on"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: config: one_step would be ignored with improvement='exact'")
 
 
 def test_compare_different_action_sets_exits_1(tmp_path, capsys):

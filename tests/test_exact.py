@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import taylordp as tdp
+from taylordp import exact
 from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
 from taylordp.models import build
 from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
@@ -94,9 +95,20 @@ def test_policy_iteration_vs_policy_enumeration():
 
 
 def test_pi_agrees_with_vi(service_quadratic, service_quadratic_star):
-    pol, v = tdp.value_iteration(service_quadratic.mdp, tdp.SolveOptions(vi_tol=1e-7))
+    pol, v = tdp.value_iteration(service_quadratic.mdp)
     rel = np.abs(v - service_quadratic_star.values) / (1.0 + np.abs(service_quadratic_star.values))
     assert rel.max() <= 1e-6
+
+
+def test_value_iteration_error_bound_is_relative():
+    # quartic cost: |V| reaches 1.8e9, where the floating-point spacing is
+    # 2.4e-7, so only a bound relative to |V| can be met
+    model = build("service_rate", M=100, alpha=0.99, cost="quartic")
+    pol, v = tdp.value_iteration(model.mdp)
+    star = tdp.policy_iteration(model.mdp)
+    assert np.abs(v).max() > 1e9
+    assert np.abs(v - star.values).max() <= exact.VI_TOL * (1.0 + np.abs(v).max())
+    assert np.array_equal(pol, star.policy)
 
 
 def test_value_iteration_constant_reward():
@@ -111,10 +123,11 @@ def test_value_iteration_single_state():
     assert v[0] == pytest.approx(2.0, rel=1e-8)
 
 
-def test_value_iteration_max_iterations():
+def test_value_iteration_max_iterations(monkeypatch):
     mdp = _chain_mdp(np.array([[1.0]]), [1.0], 0.99)
+    monkeypatch.setattr(exact, "VI_MAX_ITERATIONS", 3)
     with pytest.raises(MaxIterationsExceeded):
-        tdp.value_iteration(mdp, tdp.SolveOptions(vi_max_iterations=3))
+        tdp.value_iteration(mdp)
 
 
 def test_discounted_functional_constant():
@@ -170,8 +183,7 @@ def test_discounted_functional_monte_carlo_cross_check(quartic_fixed):
 
 def test_pi_monotone_and_bounded_iterations(service_quadratic, routing2, inventory_model):
     for model in (service_quadratic, routing2, inventory_model):
-        res = tdp.policy_iteration(model.mdp, record_history=True,
-                                   options=tdp.SolveOptions(max_iterations=100))
+        res = tdp.policy_iteration(model.mdp, record_history=True)
         assert res.iterations <= 100
         for k in range(1, len(res.value_history)):
             prev, cur = res.value_history[k - 1], res.value_history[k]
@@ -230,7 +242,7 @@ def test_factored_evaluation_value_error_bound(alpha):
                                asm.policy_rewards(pi.policy))
     rng = np.random.default_rng(7)
     warm = v_direct * (1.0 + 0.01 * rng.standard_normal(mdp.n_states))
-    tol = tdp.SolveOptions().iterative_tol
+    tol = exact.ITERATIVE_TOL
     for start in (None, warm):
         v = tdp.policy_evaluation(mdp, pi.policy, warm_start=start)
         assert np.abs(v - v_direct).max() <= tol * (1.0 + np.abs(v).max())
@@ -313,17 +325,18 @@ def test_boundary_completion_no_kernel_calls_with_batch_hooks(monkeypatch):
     assert len(boundary) > 0 and rows == kernel == reward == len(boundary) < pairs
 
 
-def test_factored_evaluation_max_iterations(routing2):
+def test_factored_evaluation_max_iterations(routing2, monkeypatch):
     pol = np.zeros(routing2.mdp.n_states, dtype=np.int64)
+    monkeypatch.setattr(exact, "VI_MAX_ITERATIONS", 3)
     with pytest.raises(MaxIterationsExceeded):
-        tdp.policy_evaluation(routing2.mdp, pol, tdp.SolveOptions(vi_max_iterations=3))
+        tdp.policy_evaluation(routing2.mdp, pol)
 
 
 def test_factored_evaluation_needs_scalar_discount():
     # the bracket holds for one scalar discount only; chains take the direct solve
     from taylordp.exact import _bracketed_iteration
     with pytest.raises(ValueError):
-        _bracketed_iteration(np.ones(2), np.eye(2), np.array([0.5, 0.9]), tdp.SolveOptions())
+        _bracketed_iteration(np.ones(2), np.eye(2), np.array([0.5, 0.9]))
 
 
 def test_policy_evaluation_rejects_out_of_range_action_index(routing2):

@@ -166,7 +166,7 @@ def test_boundary_rows_1d(quartic_fixed):
 
 
 def test_boundary_corner_steps_inward_in_all_binding_coordinates(routing2):
-    chain = build_multidim_chain(routing2.problem, CoarseGrid.from_lattice(routing2.mdp.lattice, 2))
+    chain = build_multidim_chain(routing2.problem, 2)
     # the (0, 0) corner reflects to (h, h)
     corner = 0
     assert chain.grid.point(corner) == (0, 0)
@@ -193,7 +193,7 @@ def _toy_2d_problem(sig12, mu=(0.0, 0.0), diag=(1.0, 1.0), nu=11):
 
 def test_diagonal_sigma_gives_product_of_1d_stencils():
     prob = _toy_2d_problem(0.0, mu=(0.2, -0.3), diag=(1.0, 2.0))
-    chain = build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1))
+    chain = build_multidim_chain(prob, 1)
     # interior state: four face targets with the 1-d central probabilities
     idx = next(i for i in range(chain.n_states) if chain.grid.point(i) == (5, 5))
     targets, probs, _ = pair_row(chain, idx, 0)
@@ -210,7 +210,7 @@ def test_not_diagonally_dominant_strict():
     # sigma2_12 > sigma2_11: the corner mass is clipped, and the verifier
     # tells that equivalence apart from an exact one
     prob = _toy_2d_problem(1.5)
-    chain = build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1))
+    chain = build_multidim_chain(prob, 1)
     assert chain.cross_scale.min() < 1.0
     rep = verify_tcp_equivalence(chain, prob)
     assert rep.passed
@@ -219,7 +219,7 @@ def test_not_diagonally_dominant_strict():
     # a diagonal sigma2 with zero drift is represented exactly
     prob = _toy_2d_problem(0.0)
     rep = verify_tcp_equivalence(
-        build_multidim_chain(prob, CoarseGrid.from_lattice(prob.mdp.lattice, 1)), prob)
+        build_multidim_chain(prob, 1), prob)
     assert rep.exact is True
     assert rep.clipped_pairs == rep.inflated_pairs == 0 and rep.max_slack == 0.0
 

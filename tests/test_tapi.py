@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import taylordp as tdp
 import taylordp.tapi as tapi
+from taylordp import exact
 from taylordp.kdchain import CoarseGrid
 from taylordp.lattice import StateLattice, action_tuple
 from taylordp.models import build
@@ -144,7 +145,7 @@ def test_exact_improvement_variant_single_action_matches_tapi():
 
 def test_exact_improvement_cap_sets_flag(routing2, monkeypatch):
     # the exact-improvement loop stops at the solvers' policy-iteration cap
-    monkeypatch.setattr(tapi, "DEFAULT_OPTIONS", tdp.SolveOptions(max_iterations=1))
+    monkeypatch.setattr(exact, "MAX_ITERATIONS", 1)
     res = tdp.tapi_solve(routing2.problem, TapiOptions(h=4, improvement="exact"))
     assert res.oscillated
     assert res.fine_policy is not None
@@ -281,23 +282,37 @@ def test_one_step_computes_no_policy_extension(routing2, improvement, extension,
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(tapi, name, counted)
-    options = TapiOptions(h=2, improvement=improvement, policy_extension=extension)
-    res = tdp.tapi_solve(routing2.problem, options)
-    greedy = improvement == "approx" and extension == "tcp_greedy"
-    # the exact loop improves once an iteration on the fine lattice
-    loop = res.iterations if improvement == "exact" else 0
-    assert calls == {"greedy": int(greedy), "pc": int(not greedy), "improve": loop}
-    assert res.disaggregated_policy is not None
+    options = dict(h=2, improvement=improvement, policy_extension=extension)
+    if improvement == "exact" and extension == "pc":
+        # the exact loop forms its own policy, so a policy extension is refused
+        with pytest.raises(ValueError, match="^policy_extension would be ignored"):
+            TapiOptions(**options)
+    else:
+        res = tdp.tapi_solve(routing2.problem, TapiOptions(**options))
+        greedy = improvement == "approx" and extension == "tcp_greedy"
+        # the exact loop improves once an iteration on the fine lattice
+        loop = res.iterations if improvement == "exact" else 0
+        assert calls == {"greedy": int(greedy), "pc": int(not greedy), "improve": loop}
+        assert res.disaggregated_policy is not None
+        if improvement == "exact":
+            # the loop returns the greedy policy of its last extended value
+            fine_v = disaggregate_value(res.coarse_values, res.chain.grid,
+                                        routing2.mdp.lattice, "multilinear")
+            assert np.array_equal(res.fine_policy, tdp.policy_improvement(routing2.mdp, fine_v))
 
+    # the one-step improvement replaces the policy extension, and the exact
+    # loop's policy already is one, so one_step is refused beside either
+    ignored = [name for name, given in (("one_step", improvement == "exact"),
+                                        ("policy_extension", extension == "pc")) if given]
+    if ignored:
+        with pytest.raises(ValueError, match=f"^{' and '.join(ignored)} would be ignored"):
+            TapiOptions(**options, one_step=True)
+        return
     calls.update(greedy=0, pc=0, improve=0)
-    one = tdp.tapi_solve(routing2.problem, TapiOptions(h=2, improvement=improvement,
-                                                       policy_extension=extension,
-                                                       one_step=True))
-    # the one-step improvement is the exact loop's last one, not a repeat of it
-    loop = one.iterations if improvement == "exact" else 1
-    assert calls == {"greedy": 0, "pc": 0, "improve": loop}
+    one = tdp.tapi_solve(routing2.problem, TapiOptions(**options, one_step=True))
+    assert calls == {"greedy": 0, "pc": 0, "improve": 1}
     assert one.disaggregated_policy is None
     fine_v = disaggregate_value(one.coarse_values, one.chain.grid, routing2.mdp.lattice,
-                                options.disaggregation)
+                                "multilinear")
     assert np.array_equal(one.fine_policy, tdp.policy_improvement(routing2.mdp, fine_v))
     assert np.array_equal(one.fine_values, tdp.policy_evaluation(routing2.mdp, one.fine_policy))
