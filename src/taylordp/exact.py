@@ -10,7 +10,9 @@ policy U, an operator P^U with P^U @ V = E^U[V]: a sparse matrix (solved
 directly) or a matrix-free product (solved by fixed-point iteration with
 MacQueen-Porteus bounds, which bracket the solution and stop on a value-error
 bound).  Maximization is the internal convention throughout; cost models
-negate rewards at the model boundary.
+negate rewards at the model boundary.  scipy.sparse is imported only where a
+tabular assembly builds or solves its sparse system, so importing the
+package or solving a factored model never loads it.
 
 Argmax ties are broken to the first action in lexicographic order, with a
 1e-12 absolute tolerance on value comparisons, so runs are reproducible.
@@ -19,13 +21,15 @@ Argmax ties are broken to the first action in lexicographic order, with a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InfeasibleAction, MaxIterationsExceeded, SingularSystem
 from .lattice import LatticeMdp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
@@ -93,6 +97,7 @@ class TabularAssembly(_PairAssembly):
         return np.add.reduceat(prod, self.row_ptr[:-1])
 
     def policy_operator(self, policy: np.ndarray) -> sp.csr_matrix:
+        import scipy.sparse as sp
         pairs = self.policy_pairs(policy)
         starts = self.row_ptr[pairs]
         stops = self.row_ptr[pairs + 1]
@@ -219,7 +224,10 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     op = asm.policy_operator(policy)
     disc = asm.discounts
 
-    if sp.issparse(op):
+    if isinstance(op, _PostStateOperator):
+        values = _bracketed_iteration(r_u, op, disc, warm_start=warm_start)
+    else:
+        import scipy.sparse.linalg as spla
         system = _evaluation_system(op, disc)
         try:
             lu = spla.splu(system)
@@ -231,8 +239,6 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
                 values = values + lu.solve(resid)
         except RuntimeError as exc:  # singular factorization
             raise SingularSystem(str(exc)) from None
-    else:
-        values = _bracketed_iteration(r_u, op, disc, warm_start=warm_start)
 
     residual = np.abs(values - (r_u + disc * (op @ values))).max()
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
@@ -251,6 +257,7 @@ def _evaluation_system(op: sp.csr_matrix, disc: np.ndarray) -> sp.csc_matrix:
     again; each column lists its rows ascending.  One 0.0 entry per diagonal
     position stands for the identity and leaves every sum unchanged.
     """
+    import scipy.sparse as sp
     n = op.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
     key = np.concatenate([op.indices.astype(np.int64) * n + rows,

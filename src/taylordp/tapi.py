@@ -37,8 +37,9 @@ A grid point's chain actions are the fine actions of its lattice state (an
 oblique boundary point keeps only the first), so policies move between the
 chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
-grid is a gather.  The boundary completion reads, with one mdp.rows() call
-a point, the true kernel rows of all of a boundary grid point's actions.
+grid is a gather.  The boundary completion reads the true kernel rows of
+every boundary grid point's actions in memory-bounded blocks
+(lattice.row_blocks), one mdp.rows() call a block.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from typing import Optional
 import numpy as np
 
 from . import exact
-from .exact import (get_assembly, policy_evaluation, policy_improvement, policy_iteration,
-                    segmented_argmax)
+from .exact import (_ranges, get_assembly, policy_evaluation, policy_improvement,
+                    policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
-from .lattice import LatticeMdp, StateLattice
+from .lattice import LatticeMdp, StateLattice, row_blocks
 from .taylor import TaylorProblem
 
 # the settings each way of forming the returned policy reads, besides h and scheme
@@ -169,10 +170,12 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
     Boundary grid states are completed by a fine one-step greedy against
-    fine_value, from one mdp.rows() and one mdp.rewards() call per point
-    (each checks what it reads).  Inherited actions infeasible at
-    the destination are projected to the nearest feasible action
-    (_nearest_actions).
+    fine_value over all of their (state, action) pairs at once: the true
+    kernel rows read in blocks of about lattice.ROW_BLOCK entries
+    (row_blocks), the rewards from one mdp.rewards() call (each checks what
+    it reads), and one segmented_argmax over the points' actions.
+    Inherited actions infeasible at the destination are projected to the
+    nearest feasible action (_nearest_actions).
     """
     grid = chain.grid
     lattice = mdp.lattice
@@ -185,17 +188,19 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     grid_state = lattice.indices_of(grid.points())
     chosen = offsets[grid_state] + np.asarray(coarse_policy, dtype=np.int64)
 
-    # completion at boundary grid states: the rows and rewards of one point's
-    # actions at a time, so at most one point's rows are held at once
+    # completion at boundary grid states: one fine greedy step over all of
+    # their pairs, the rows read in blocks and the rewards in one call
     states = lattice.states()
-    for gi in np.flatnonzero(~chain.interior_mask):
-        si = int(grid_state[gi])
-        lo, hi = offsets[si], offsets[si + 1]
-        point = np.repeat(states[si:si + 1], hi - lo, axis=0)
-        row_ptr, targets, probs = mdp.rows(point, U[lo:hi])
-        rewards = mdp.rewards(point, U[lo:hi])
-        q = rewards + mdp.discount * np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
-        chosen[gi] = lo + segmented_argmax(q, np.array([0, hi - lo]))[1][0]
+    boundary = np.flatnonzero(~chain.interior_mask)
+    points = grid_state[boundary]
+    first, counts = offsets[points], np.diff(offsets)[points]
+    pairs = _ranges(first, counts)
+    rewards = mdp.rewards(np.repeat(states[points], counts, axis=0), U[pairs])
+    expect = np.concatenate([np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
+                             for _, row_ptr, targets, probs in row_blocks(mdp, pairs)])
+    segments = np.zeros(len(boundary) + 1, dtype=np.int64)
+    np.cumsum(counts, out=segments[1:])
+    chosen[boundary] = first + segmented_argmax(rewards + mdp.discount * expect, segments)[1]
 
     # nearest interior grid point for every fine state: the nearest grid
     # position clamped into the interior on every axis

@@ -18,12 +18,15 @@ np.tensordot loop, the direct evaluation system against scipy's sparse
 algebra, the row-sum test against math.fsum, the chain's stay mass
 against the packed per-count sums, and the in-place bracketed evaluation
 against its loop forming r_u + alpha (P v) anew.  The columnar CSV writers
-are checked byte for byte against the per-row writers they replaced.
+are checked byte for byte against the per-row writers they replaced.  The
+boundary completion, read in row blocks, is checked bit for bit against
+the one-point-at-a-time loop it replaced, and its memory peak is bounded.
 """
 
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -801,6 +804,64 @@ def test_tabulate_row_sum_tolerance_matches_fsum(hooked):
         else:
             with pytest.raises(ValueError):
                 _tabulate(mdp)
+
+
+def per_point_completion(chain, mdp, fine_value):
+    """Each boundary grid point's completed action index, one rows() and rewards() call a point."""
+    U, offsets = mdp.action_table()
+    states = mdp.lattice.states()
+    chosen = []
+    for si in mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]:
+        lo, hi = offsets[si], offsets[si + 1]
+        point = np.repeat(states[si:si + 1], hi - lo, axis=0)
+        row_ptr, targets, probs = mdp.rows(point, U[lo:hi])
+        rewards = mdp.rewards(point, U[lo:hi])
+        q = rewards + mdp.discount * np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
+        chosen.append(exact.segmented_argmax(q, np.array([0, hi - lo]))[1][0])
+    return np.array(chosen, dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def service_rate_m30():
+    return build("service_rate", M=30, alpha=0.99)
+
+
+@pytest.mark.parametrize("row_block", [None, 2])
+@pytest.mark.parametrize("name,h", [("routing2", 1), ("routing2", 2), ("routing2", 4),
+                                    ("service_rate_m30", 1), ("service_rate_m30", 2),
+                                    ("routing3_smoke", 2)])
+def test_blocked_completion_matches_per_point_loop(name, h, row_block, request, monkeypatch):
+    # at ROW_BLOCK = 2 every block after the first is one pair, so a point
+    # with two or more actions is split across blocks
+    model = request.getfixturevalue(name)
+    mdp = model.mdp
+    chain = tdp.build_multidim_chain(model.problem, h)
+    pi = tdp.policy_iteration(chain)
+    fine_v = tdp.disaggregate_value(pi.values, chain.grid, mdp.lattice)
+    points = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
+    assert (np.diff(mdp.action_table()[1])[points] > 1).any()
+    if row_block is not None:
+        monkeypatch.setattr("taylordp.lattice.ROW_BLOCK", row_block)
+    policy = tdp.disaggregate_policy(chain, pi.policy, mdp, fine_v)
+    assert np.array_equal(policy[points], per_point_completion(chain, mdp, fine_v))
+
+
+def test_completion_memory_stays_bounded(routing3_bench):
+    # the tracemalloc peak of one call on the 2,197-state 3-pool cell at
+    # h=4: 4.0 MB with ROW_BLOCK = 2^16 entries a block, 27.5 MB with all
+    # boundary rows in one rows() call
+    mdp = routing3_bench.mdp
+    chain = tdp.build_multidim_chain(routing3_bench.problem, 4)
+    coarse = np.zeros(chain.n_states, dtype=np.int64)
+    fine_v = tdp.disaggregate_value(tdp.policy_evaluation(chain, coarse), chain.grid, mdp.lattice)
+    mdp.action_table()
+    tracemalloc.start()
+    try:
+        tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("name", ["routing2", "service_quadratic"])

@@ -1,4 +1,9 @@
 import functools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -289,40 +294,75 @@ def test_direct_evaluation_one_splu_no_eye_or_diags(monkeypatch):
 
 
 def _completion_calls(model, h, monkeypatch):
-    """(rows() calls, kernel calls, reward calls, boundary grid states) of one disaggregate_policy."""
+    """Calls of one disaggregate_policy: rows(), kernel and reward calls, boundary pairs, blocks.
+
+    The blocks are those lattice.row_blocks makes for the boundary pairs'
+    rows: a first block of 64 pairs, then ROW_BLOCK // (widest row so far).
+    """
     mdp = model.mdp
     chain = tdp.build_multidim_chain(model.problem, h)
     coarse = np.zeros(chain.n_states, dtype=np.int64)
     fine_v = tdp.disaggregate_value(tdp.policy_evaluation(chain, coarse), chain.grid, mdp.lattice)
-    calls = {"rows": 0, "kernel": 0, "reward": 0}
+    U, offsets = mdp.action_table()
+    points = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
+    pairs = np.concatenate([np.arange(offsets[s], offsets[s + 1]) for s in points])
+    widths = np.diff(mdp.rows(np.repeat(mdp.lattice.states()[points],
+                                        np.diff(offsets)[points], axis=0), U[pairs])[0])
+    blocks, start, block = 0, 0, 64
+    while start < len(pairs):
+        blocks, start = blocks + 1, start + block
+        block = max(1, tdp.lattice.ROW_BLOCK // int(widths[:start].max()))
+    calls = {"rows": [], "kernel": [], "reward": []}
 
     def counted(name, fn):
-        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+        return lambda states, U: calls[name].append(len(U)) or fn(states, U)
 
     monkeypatch.setattr(mdp, "rows", counted("rows", mdp.rows))
     monkeypatch.setattr(mdp, "kernel", counted("kernel", mdp.kernel))
     monkeypatch.setattr(mdp, "reward", counted("reward", mdp.reward))
     tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
-    boundary = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
-    return calls["rows"], calls["kernel"], calls["reward"], boundary
+    return calls, len(points), len(pairs), blocks
 
 
-def test_boundary_completion_one_rows_call_per_point(monkeypatch):
-    # one rows() call, so one kernel and one reward call, per boundary grid
-    # point over all of its actions
+def test_boundary_completion_reads_rows_in_blocks(monkeypatch):
+    # one rows() and kernel call a block of about ROW_BLOCK entries and one
+    # rewards() call over every boundary pair: on the 2-pool lattice at h=1
+    # (80 boundary points) fewer rows() calls than points
     from taylordp.models.routing import build_routing, table_params
     model = build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))
-    rows, kernel, reward, boundary = _completion_calls(model, 4, monkeypatch)
-    assert len(boundary) > 0 and rows == kernel == reward == len(boundary)
+    calls, points, pairs, blocks = _completion_calls(model, 1, monkeypatch)
+    assert points == 80
+    assert calls["rows"] == calls["kernel"] and len(calls["rows"]) == blocks < points
+    assert calls["reward"] == [pairs]
 
 
-def test_boundary_completion_no_kernel_calls_with_batch_hooks(monkeypatch):
-    # no per-pair kernel call: service rate's batch hooks see each boundary
-    # point's actions in one call, so there are fewer calls than pairs
+def test_boundary_completion_no_per_pair_kernel_calls(monkeypatch):
+    # service rate's 200 boundary pairs (2 points) take one kernel call a
+    # block, not one a pair
     model = build("service_rate", M=30, alpha=0.99)
-    rows, kernel, reward, boundary = _completion_calls(model, 2, monkeypatch)
-    pairs = np.diff(model.mdp.action_table()[1])[boundary].sum()
-    assert len(boundary) > 0 and rows == kernel == reward == len(boundary) < pairs
+    calls, points, pairs, blocks = _completion_calls(model, 2, monkeypatch)
+    assert calls["kernel"] == calls["rows"] and len(calls["kernel"]) == blocks < pairs
+    assert sum(calls["kernel"]) == pairs and calls["reward"] == [pairs]
+
+
+def test_import_and_factored_solves_leave_scipy_sparse_unloaded():
+    # only a tabular assembly's sparse system needs scipy.sparse: the
+    # factored routing solve never loads it, the service-rate solve does
+    script = textwrap.dedent("""
+        import sys
+        import taylordp, taylordp.models, taylordp.cli
+        from taylordp.models.routing import build_routing, table_params
+        loaded = [("import", "scipy.sparse" in sys.modules)]
+        taylordp.policy_iteration(build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8)).mdp)
+        loaded.append(("routing", "scipy.sparse" in sys.modules))
+        taylordp.policy_iteration(taylordp.models.build("service_rate", M=30, alpha=0.99).mdp)
+        loaded.append(("service_rate", "scipy.sparse" in sys.modules))
+        print(loaded)
+    """)
+    src = str(pathlib.Path(tdp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == str([("import", False), ("routing", False), ("service_rate", True)])
 
 
 def test_factored_evaluation_max_iterations(routing2, monkeypatch):
