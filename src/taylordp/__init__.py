@@ -14,7 +14,7 @@ from .exact import (PiResult, discounted_functional, policy_evaluation, policy_i
 from .kdchain import (CoarseGrid, KdChain, TcpEquivalenceReport, build_multidim_chain,
                       verify_tcp_equivalence)
 from .lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet, StateLattice,
-                      max_jump, truncate_renormalize)
+                      truncate_renormalize)
 from .tapi import (TapiOptions, TapiResult, disaggregate_policy, disaggregate_value,
                    tapi_solve)
 from .taylor import (BoundarySpec, EllipticityReport, TaylorProblem, ellipticity_check,

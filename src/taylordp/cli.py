@@ -27,7 +27,6 @@ from .bounds import (corner_states, discounted_accumulation, gap_report,
                      taylor_remainder, third_derivative_proxy)
 from .config import ConfigError, ExperimentConfig, _validate, load_config, set_tapi
 from .errors import LatticeMismatch, TaylorDpError
-from .lattice import max_jump
 from .models.routing import table_params, build_routing
 from .report import (summary_line, write_chain_csv, write_gap_csv,
                      write_moments_csv, write_value_policy_csv)
@@ -191,10 +190,7 @@ def cmd_compare(args) -> int:
     v_a = exact.policy_evaluation(model_b.mdp, pol_a)
     v_b = exact.policy_evaluation(model_b.mdp, pol_b)
     rep = gap_report(v_a, v_b)
-    # one jump of either policy reaches two faces from a corner state
-    rho = (max(max_jump(model_b.mdp, pol_a), max_jump(model_b.mdp, pol_b))
-           if model_b.mdp.lattice.dim > 1 else 1)
-    corners = corner_states(model_b.mdp.lattice, rho)
+    corners = corner_states(model_b.mdp.lattice, 1.0)
     out = Path(args.out_dir)
     write_gap_csv(out / "compare_gaps.csv", v_b, v_a, rep, corner_mask=corners)
     print(summary_line(cfg_a.model_name, cfg_a.alpha,

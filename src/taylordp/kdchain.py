@@ -513,7 +513,6 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     target2[:, diag, diag] = kappa[:, None] * (s2_b[:, diag, diag] + slack)
     err2 = np.abs(m2 - target2) / np.maximum(1.0, np.abs(target2))
     err_cross = err2[:, ~np.eye(d, dtype=bool)].max(axis=1, initial=0.0)
-    points = [tuple(x) for x in pts.tolist()]
     r = mdp.rewards(pts[own], actions)
     ident = (1.0 - alpha_h) / (1.0 - alpha) * r
     err_r = np.abs(asm.rewards[ip] - ident) / np.maximum(1.0, np.abs(ident))
@@ -524,7 +523,7 @@ def verify_tcp_equivalence(chain: KdChain, problem: TaylorProblem) -> TcpEquival
     tol = np.array([MOMENT_TOL] * (len(labels) - 1) + [REWARD_TOL])
     bad_pair, bad_check = np.nonzero(errs > tol)
     order = np.argsort(-errs[bad_pair, bad_check], kind="stable")[:10]
-    worst = [(points[own[bad_pair[k]]], u, labels[bad_check[k]],
+    worst = [(tuple(pts[own[bad_pair[k]]].tolist()), u, labels[bad_check[k]],
               float(errs[bad_pair[k], bad_check[k]]))
              for k, u in zip(order, action_tuple(actions[bad_pair[order]]))]
 

@@ -26,7 +26,7 @@ from .errors import EmptyActionSet, InfeasibleAction, ZeroInteriorMass
 State = tuple[int, ...]
 
 PROB_TOL = 1e-12
-ROW_BLOCK = 1 << 16    # entries per rows() call in row_blocks (max_jump, boundary completion)
+ROW_BLOCK = 1 << 16    # entries per rows() call in row_blocks (boundary completion)
 ROW_SUM_BLOCK = 64     # entries per partial sum in row_sums
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -356,42 +356,22 @@ def pack_rows(targets: np.ndarray, probs: np.ndarray, lengths: np.ndarray):
     return row_ptr, targets[keep], probs[keep]
 
 
-def row_blocks(mdp: LatticeMdp, pairs: np.ndarray):
-    """Kernel rows of the given flat (state, action) pairs, one mdp.rows() call a block.
+def row_blocks(mdp: LatticeMdp, states: np.ndarray, U: np.ndarray):
+    """Kernel rows of k (state, action) pairs, one mdp.rows() call a block.
 
-    Yields (owner, row_ptr, targets, probs) for consecutive runs of pairs,
-    in order: owner holds the run's flat state indices and the rest is
-    rows() of the run.  A block holds about ROW_BLOCK entries, sized by the
-    widest row seen so far: short 1-D rows take one call after a first
-    block of 64 pairs (at most ROW_BLOCK, as every row has an entry), and
-    product-form rows (dense (k, n_states) blocks in the routing kernel, up
-    to 12,167 entries a row on the paper 3-pool lattice) never sit in memory
-    all at once.
+    states is (k, d) and U holds the k matching actions.  Yields
+    (row_ptr, targets, probs), rows() of consecutive runs of pairs, in
+    order.  A block holds about ROW_BLOCK entries, sized by the widest row
+    seen so far: short 1-D rows take one call after a first block of 64
+    pairs (at most ROW_BLOCK, as every row has an entry), and product-form
+    rows (dense (k, n_states) blocks in the routing kernel, up to 12,167
+    entries a row on the paper 3-pool lattice) never sit in memory all at
+    once.
     """
-    U, offsets = mdp.action_table()
-    states = mdp.lattice.states()
     start, block, widest = 0, min(64, ROW_BLOCK), 1
-    while start < len(pairs):
-        sel = pairs[start:start + block]
-        owner = np.searchsorted(offsets, sel, side="right") - 1
-        row_ptr, targets, probs = mdp.rows(states[owner], U[sel])
-        yield owner, row_ptr, targets, probs
-        start += len(sel)
+    while start < len(U):
+        row_ptr, targets, probs = mdp.rows(states[start:start + block], U[start:start + block])
+        yield row_ptr, targets, probs
+        start += block
         widest = max(widest, int(np.diff(row_ptr).max()))
         block = max(1, ROW_BLOCK // widest)
-
-
-def max_jump(mdp: LatticeMdp, policy: np.ndarray) -> int:
-    """Largest jump radius under the policy: max_x ceil(|y - x|_2) over P(x,y) > 0.
-
-    The policy's rows are read in blocks (row_blocks).
-    """
-    mdp.validate_policy(policy)
-    pairs = mdp.action_table()[1][:-1] + np.asarray(policy, dtype=np.int64)
-    states = mdp.lattice.states()
-    worst = 0.0
-    for owner, row_ptr, targets, probs in row_blocks(mdp, pairs):
-        live = probs > 0.0
-        diff = states[targets[live]] - states[np.repeat(owner, np.diff(row_ptr))[live]]
-        worst = max(worst, float(np.sqrt((diff.astype(float) ** 2).sum(axis=1)).max(initial=0.0)))
-    return int(math.ceil(worst - 1e-12))

@@ -195,9 +195,11 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     points = grid_state[boundary]
     first, counts = offsets[points], np.diff(offsets)[points]
     pairs = _ranges(first, counts)
-    rewards = mdp.rewards(np.repeat(states[points], counts, axis=0), U[pairs])
+    pair_states, pair_actions = np.repeat(states[points], counts, axis=0), U[pairs]
+    rewards = mdp.rewards(pair_states, pair_actions)
     expect = np.concatenate([np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
-                             for _, row_ptr, targets, probs in row_blocks(mdp, pairs)])
+                             for row_ptr, targets, probs
+                             in row_blocks(mdp, pair_states, pair_actions)])
     segments = np.zeros(len(boundary) + 1, dtype=np.int64)
     np.cumsum(counts, out=segments[1:])
     chosen[boundary] = first + segmented_argmax(rewards + mdp.discount * expect, segments)[1]

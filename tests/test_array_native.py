@@ -723,13 +723,10 @@ def test_service_rate_assembly_makes_one_kernel_call():
     tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.problem, 2), model.problem)
     tdp.verify_tcp_equivalence(tdp.build_multidim_chain(model.fot_boundary_problem(), 2),
                                model.fot_boundary_problem())
-    first, last = np.zeros(31, dtype=np.int64), np.full(31, 99)
-    assert max(tdp.max_jump(mdp, first), tdp.max_jump(mdp, last)) == 1
     # every later call reads many pairs at once: per chain, one reward call
-    # over its pairs in the build and one over its interior pairs in the
-    # check; then one kernel call over the 31 rows of each policy's jump radius
+    # over its pairs in the build and one over its interior pairs in the check
     assert calls[2:] == [("reward", 14 * 100 + 2), ("reward", 1400), ("reward", 16 * 100),
-                         ("reward", 1400), ("kernel", 31), ("kernel", 31)]
+                         ("reward", 1400)]
 
 
 def _walk_mdp(fault=None, hooked=True, excess=0.0):
@@ -876,7 +873,7 @@ def test_replaced_kernel_sees_every_rows_call(name, request, monkeypatch):
     U, _ = mdp.action_table()
     states = mdp.pair_states()
     mdp.rows(states[:7], U[:7])
-    tdp.max_jump(mdp, np.zeros(mdp.n_states, dtype=np.int64))
+    tdp.kernel_moment_provider(mdp)(states[-5:], U[-5:])
     model = request.getfixturevalue(name)
     chain = tdp.build_multidim_chain(model.problem, 4)
     tdp.disaggregate_policy(chain, np.zeros(chain.n_states, dtype=np.int64), mdp,

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import os
 import subprocess
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import taylordp
+from taylordp.bounds import corner_states
 from taylordp.cli import main
+from taylordp.config import load_config
 from taylordp.errors import InfeasibleAction
+from taylordp.lattice import LatticeMdp
 from taylordp.report import write_value_policy_csv
 from taylordp.tapi import TapiOptions
 
@@ -152,6 +156,24 @@ cost = quadratic
     assert max(rels) == 0.0
     # an exact run has no spacing, so the summary leaves h empty as solve-exact does
     assert capsys.readouterr().out.startswith("service_rate, 0.95, , solve-exact-vs-solve-exact, ")
+
+
+def test_compare_flags_radius_one_corners_without_reading_rows(tmp_path, monkeypatch):
+    """compare flags the states within 1 of two lower faces, as bounds does, from no kernel rows."""
+    calls = []
+    rows = LatticeMdp.rows
+    monkeypatch.setattr(LatticeMdp, "rows",
+                        lambda self, states, U: calls.append(len(U)) or rows(self, states, U))
+    rc = main(["compare", "--config-a", str(CONFIG_DIR / "routing2_tapi_a099_f08_h2.ini"),
+               "--config-b", str(CONFIG_DIR / "routing2_exact_a099_f08.ini"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0 and calls == []
+    with open(tmp_path / "compare_gaps.csv", newline="") as fh:
+        flags = np.array([int(r["corner_flag"]) for r in csv.DictReader(fh)])
+    lattice = load_config(CONFIG_DIR / "routing2_exact_a099_f08.ini").build_model().mdp.lattice
+    corners = corner_states(lattice, 1.0)
+    assert np.array_equal(flags, corners.astype(int))
+    assert np.array_equal(lattice.states()[corners], [[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
 def test_compare_lattice_mismatch(tmp_path):

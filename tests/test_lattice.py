@@ -8,7 +8,7 @@ from scipy import stats
 
 from taylordp.errors import EmptyActionSet, ZeroInteriorMass
 from taylordp.lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet,
-                              StateLattice, action_tuple, max_jump, truncate_renormalize)
+                              StateLattice, action_tuple, truncate_renormalize)
 
 from conftest import one_row, pair_hooks
 
@@ -107,58 +107,6 @@ def test_truncate_renormalize_nan_mass():
         truncate_renormalize(_rows_of(raw), lat)(np.array([[0]]), np.array([0]))
 
 
-def _walk_mdp(M=6):
-    lat = StateLattice((0,), (M,))
-
-    def row(state, u):
-        (x,) = state
-        if x == 0:
-            return [1], [1.0]
-        if x == M:
-            return [M - 1], [1.0]
-        return [x - 1, x + 1], [0.5, 0.5]
-
-    return LatticeMdp(lat, ExplicitActionSet((0,)), *pair_hooks(row, lambda s, u: 0.0), 0.9)
-
-
-def test_max_jump_birth_death_walk():
-    mdp = _walk_mdp()
-    assert max_jump(mdp, np.zeros(mdp.n_states, dtype=int)) == 1
-
-
-def test_max_jump_identity_kernel():
-    lat = StateLattice((0,), (4,))
-    mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
-                     *pair_hooks(lambda s, u: ([lat.index(s)], [1.0]), lambda s, u: 0.0), 0.9)
-    assert max_jump(mdp, np.zeros(5, dtype=int)) == 0
-
-
-def test_max_jump_inventory_order_up_to(inventory_model):
-    # oracle: from the demand support, an order-up-to-S policy jumps up by at
-    # most the boundary order and down by at most d_max; exhaustive row scan
-    # must agree
-    mdp = inventory_model.mdp
-    lat = mdp.lattice
-    S = 3
-    policy = np.empty(mdp.n_states, dtype=np.int64)
-    for i in range(mdp.n_states):
-        (x,) = lat.state(i)
-        policy[i] = min(max(S - x, 0), inventory_model.params.u_max)
-    d_max = inventory_model.d_max
-    expected = 0
-    for i in range(mdp.n_states):
-        (x,) = lat.state(i)
-        u = int(policy[i])
-        if x == -inventory_model.params.M:
-            expected = max(expected, u)
-        elif x == inventory_model.params.M:
-            expected = max(expected, min(d_max, 2 * inventory_model.params.M))
-        else:
-            lo = max(x + u - d_max, -inventory_model.params.M)
-            expected = max(expected, u, x - lo)
-    assert max_jump(mdp, policy) == expected
-
-
 def test_enumerate_actions_routing_interior_only_zero(routing2):
     # when every pool has idle servers, no overflow is feasible
     acts = action_tuple(routing2.mdp.actions.at([(5, 7)])[0])
@@ -239,26 +187,3 @@ def test_rows_stochastic_across_models(routing2, inventory_model, heavy_queue):
                 _, probs = one_row(mdp, mdp.lattice.state(int(i)), u)
                 assert probs.min() >= 0.0
                 assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
-
-
-def _jump_reference(mdp, policy):
-    """Largest jump radius over the policy's rows, one rows() call per state."""
-    states = mdp.lattice.states()
-    worst = 0.0
-    for i in range(mdp.n_states):
-        targets, probs = one_row(mdp, mdp.lattice.state(i), mdp.actions_at(i)[policy[i]])
-        y = states[targets[probs > 0.0]]
-        if len(y):
-            worst = max(worst, float(np.linalg.norm(y - states[i], axis=1).max()))
-    return math.ceil(worst - 1e-12)
-
-
-@pytest.mark.parametrize("name", ["inventory_model", "routing2", "service_quadratic"])
-def test_max_jump_matches_per_row_scan(name, request):
-    # over two policies, as compare takes its corner radius: each state's
-    # first and last action
-    mdp = request.getfixturevalue(name).mdp
-    first = np.zeros(mdp.n_states, dtype=np.int64)
-    last = np.diff(mdp.action_table()[1]) - 1
-    for policy in (first, last):
-        assert max_jump(mdp, policy) == _jump_reference(mdp, policy)
