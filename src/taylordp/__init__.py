@@ -17,7 +17,7 @@ from .lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet, StateL
                       truncate_renormalize)
 from .tapi import (TapiOptions, TapiResult, disaggregate_policy, disaggregate_value,
                    tapi_solve)
-from .taylor import (BoundarySpec, EllipticityReport, TaylorProblem, ellipticity_check,
+from .taylor import (EllipticityReport, TaylorProblem, ellipticity_check,
                      kernel_moment_provider)
 
 __version__ = "0.1.0"

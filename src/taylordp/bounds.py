@@ -179,19 +179,25 @@ def holder_seminorm_estimate(hessians: np.ndarray, coords: np.ndarray,
     if X.ndim == 1:
         X = X[:, None]
     n = len(H)
-    dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-    off_diag = dist.copy()
-    np.fill_diagonal(off_diag, np.inf)
-    min_gap = float(off_diag.min())
+
+    def distances(Y, Z):
+        return np.sqrt(((Y[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
+
+    # one distance row at a time: memory stays O(n) rather than O(n^2 d)
+    min_gap = np.inf
+    for k in range(n):
+        row = distances(X[k:k + 1], X)[0]
+        row[k] = np.inf
+        min_gap = min(min_gap, float(row.min()))
     if radius < min_gap:
         raise InsufficientNeighborhood(f"radius {radius} below grid spacing {min_gap}")
     out = np.empty(n)
     for k in range(n):
-        near = np.flatnonzero(dist[k] <= radius + 1e-12)
+        near = np.flatnonzero(distances(X[k:k + 1], X)[0] <= radius + 1e-12)
         if len(near) < 2:
             raise InsufficientNeighborhood(f"state {k} has fewer than 2 neighbors in radius")
         sub = H[near]
-        dd = dist[np.ix_(near, near)]
+        dd = distances(X[near], X[near])
         num = np.abs(sub[:, None] - sub[None, :]).max(axis=(2, 3))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = num / dd ** beta

@@ -27,6 +27,7 @@ from .bounds import (corner_states, discounted_accumulation, gap_report,
                      taylor_remainder, third_derivative_proxy)
 from .config import ConfigError, ExperimentConfig, _validate, load_config, set_tapi
 from .errors import LatticeMismatch, TaylorDpError
+from .kdchain import CoarseGrid
 from .models.routing import table_params, build_routing
 from .report import (summary_line, write_chain_csv, write_gap_csv,
                      write_moments_csv, write_value_policy_csv)
@@ -128,6 +129,10 @@ def _policy_for(cfg: ExperimentConfig, model):
         pi = exact.policy_iteration(model.mdp)
         return pi.policy, pi.values, pi.iterations, None
     if cfg.mode == "solve-tapi":
+        try:
+            CoarseGrid.from_lattice(model.mdp.lattice, cfg.tapi.h)
+        except ValueError as exc:
+            raise ConfigError(f"h = {cfg.tapi.h} is too coarse for the lattice: {exc}") from None
         res = tapi_solve(model.problem, cfg.tapi)
         return res.fine_policy, res.fine_values, res.iterations, res.chain
     if cfg.mode == "heuristic-max-overflow":
@@ -193,7 +198,8 @@ def cmd_compare(args) -> int:
     corners = corner_states(model_b.mdp.lattice, 1.0)
     out = Path(args.out_dir)
     write_gap_csv(out / "compare_gaps.csv", v_b, v_a, rep, corner_mask=corners)
-    print(summary_line(cfg_a.model_name, cfg_a.alpha,
+    # both policies are evaluated in model B, so the discount reported is B's
+    print(summary_line(cfg_a.model_name, cfg_b.alpha,
                        cfg_a.tapi.h if cfg_a.mode == "solve-tapi" else "",
                        f"{cfg_a.mode}-vs-{cfg_b.mode}", rep.max_rel, rep.mean_rel, iters,
                        time.perf_counter() - t0))

@@ -37,16 +37,13 @@ class MaxIterationsExceeded(TaylorDpError):
 
 
 class NonInwardEta(TaylorDpError):
-    """The reflecting direction does not point into the domain at a boundary state."""
+    """A first-order (FOT) boundary drift does not point into the domain at a grid point."""
 
-    def __init__(self, state, eta):
+    def __init__(self, state, drift):
         self.state = state
-        self.eta = eta
-        super().__init__(f"eta {eta} does not point inward at boundary state {state}")
-
-
-class MissingBoundaryData(TaylorDpError):
-    """The model does not declare boundary drift limits needed for eta."""
+        self.drift = drift
+        super().__init__(f"FOT boundary drift {drift} does not point inward at boundary state "
+                         f"{state}")
 
 
 class InsufficientNeighborhood(TaylorDpError):

@@ -53,14 +53,17 @@ the fine action set is enumerated once per model.  The interior rows of all
 call, one _stencil_rates call with per-pair spacings and one shared
 direction template.
 
-Reflecting (oblique) boundary grid states get a deterministic step to the
-inward neighbor in every binding coordinate, with zero reward and no
-discounting, encoding V(0) = V(h) and V(M - h) = V(M).  First-order (FOT)
-boundary rows instead keep the boundary reward and a discount derived from
-the one-sided drift.  Either kind is built in one array pass over the
-boundary points, from one BoundarySpec.direction call, whose directions
-must meet the inward rule that BoundarySpec.validate_inward checks
-(taylor.not_inward); the first point that breaks it raises NonInwardEta.
+Reflecting boundary grid states get a deterministic step to the inward
+neighbour on every binding coordinate, with zero reward and no
+discounting, encoding V(0) = V(h) and V(M - h) = V(M).  These rows need no
+data: on a face the paper's reflection direction eta is the inward normal,
+so the step is the whole condition, and at a corner the chain steps along
+every binding axis whatever eta would say.  First-order (FOT) boundary
+rows, built when the problem carries a fot_drift hook, instead keep the
+boundary reward and a discount derived from the one-sided drift.  Either
+kind is built in one array pass over the boundary points; the FOT kind
+reads its drifts in one fot_drift call, and the first point whose drift
+breaks the inward rule (taylor.not_inward) raises NonInwardEta.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class KdChain:
     actions is the chain's action table, one action per (grid point, action)
     pair and aligned with assembly().offsets: grid point i's actions are
     actions[offsets[i]:offsets[i+1]], the fine actions of its lattice state
-    in action-table order (an oblique boundary point keeps only the first).
+    in action-table order (a reflecting boundary point keeps only the first).
     """
 
     def __init__(self, grid, actions, assembly, Q, interior_mask, second_moment_slack,
@@ -288,16 +291,16 @@ def build_multidim_chain(problem: TaylorProblem, h: int, scheme: str = "inflate"
     A grid point's actions are its lattice state's slice of
     mdp.action_table(), gathered for every point in one pass.  Interior rows
     discretize L_u with the central/fallback stencil, built in one pass over
-    every interior (grid point, action) pair; boundary rows
-    realize the problem's boundary condition.  Cross-derivative mass in
-    excess of the diagonal budget is scaled down to the representable amount
-    and recorded per pair (cross_scale); verify_tcp_equivalence reports how
-    many pairs were clipped or inflated.
+    every interior (grid point, action) pair.  Boundary rows reflect, or
+    follow the problem's first-order drift when it has a fot_drift hook.
+    Cross-derivative mass in excess of the diagonal budget is scaled down to
+    the representable amount and recorded per pair (cross_scale);
+    verify_tcp_equivalence reports how many pairs were clipped or inflated.
     """
     mdp = problem.mdp
     alpha = mdp.discount
     grid = CoarseGrid.from_lattice(mdp.lattice, h)
-    boundary = problem.boundary
+    reflecting = problem.fot_drift is None
     n, d = grid.n_points, grid.dim
     shape = np.asarray(grid.shape)
     strides = np.array([int(np.prod(grid.shape[i + 1:])) for i in range(d)], dtype=np.int64)
@@ -311,7 +314,7 @@ def build_multidim_chain(problem: TaylorProblem, h: int, scheme: str = "inflate"
     U, fine_offsets = mdp.action_table()
     fine_state = mdp.lattice.indices_of(coords)
     counts = np.diff(fine_offsets)[fine_state]
-    if boundary.kind == "oblique":
+    if reflecting:
         # deterministic reflection keeps one action: no reward, no discounting
         counts[~interior] = 1
     actions = U[_ranges(fine_offsets[fine_state], counts)]
@@ -363,20 +366,22 @@ def build_multidim_chain(problem: TaylorProblem, h: int, scheme: str = "inflate"
     mask[ip, :-1] = keep
     mask[ip, -1] = stay > RATE_TOL
 
-    # boundary rows: one direction call and one array pass over the boundary points
+    # boundary rows: one array pass over the boundary points
     bnd = np.flatnonzero(~interior)
-    lower, upper = at_lower[bnd], at_upper[bnd]
-    direction = boundary.direction(coords[bnd])
-    bad = not_inward(direction, lower, upper)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NonInwardEta(tuple(coords[bnd[k]].tolist()), direction[k])
-
-    if boundary.kind == "oblique":
+    if reflecting:
         first = offsets[bnd]
         cols[first, 0], probs[first, 0], mask[first, 0] = inward_pos[bnd] @ strides, 1.0, True
         discounts[bnd] = 1.0
     else:
+        lower, upper = at_lower[bnd], at_upper[bnd]
+        drift = np.asarray(problem.fot_drift(coords[bnd]), dtype=np.float64)
+        if drift.shape != (len(bnd), d):
+            raise ValueError(f"fot_drift returned shape {drift.shape} "
+                             f"for boundary states of shape {(len(bnd), d)}")
+        bad = not_inward(drift, lower, upper)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonInwardEta(tuple(coords[bnd[k]].tolist()), drift[k])
         # one-sided drift toward the inward neighbor per binding axis: a weight
         # per (face, axis), the lower faces' steps before the upper faces'.
         # The inward rule makes every binding axis's weight positive
@@ -384,7 +389,7 @@ def build_multidim_chain(problem: TaylorProblem, h: int, scheme: str = "inflate"
                                for i, ax in enumerate(grid.axes)]).astype(np.float64)
         kept = np.concatenate([lower, upper], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(kept, np.tile(np.abs(direction) / np.abs(gap), 2), 0.0)
+            w = np.where(kept, np.tile(np.abs(drift) / np.abs(gap), 2), 0.0)
         W = np.array([math.fsum(row) for row in w.tolist()])   # exactly rounded
         # an axis binds at one face at most, so a row's kept steps fit in d columns
         order = np.argsort(~kept, axis=1, kind="stable")[:, :d]

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..bounds import SmoothFunction
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, pack_rows
-from ..taylor import BoundarySpec, TaylorProblem
+from ..taylor import TaylorProblem
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,7 @@ class HeavyTrafficQueue:
             mu_b = np.where(x == 0, lam, lam - mu)
             return mu_b[:, None], np.where(x == 0, lam, 1.0)[:, None, None]
 
-        self.boundary_spec = BoundarySpec(
-            kind="oblique",
-            eta=lambda states: np.where(states == 0, 1.0, -1.0),
-        )
-        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
+        self.problem = TaylorProblem(self.mdp, moments_batch)
 
     def mass_conserving_states(self) -> np.ndarray:
         mask = np.ones(self.mdp.n_states, dtype=bool)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, truncate_renormalize
-from ..taylor import BoundarySpec, TaylorProblem
+from ..taylor import TaylorProblem
 from .distributions import poisson_cutoff, poisson_pmf
 
 
@@ -100,12 +100,13 @@ class InventoryModel:
             mu = us - lam
             return mu[:, None], (mu ** 2 + lam)[:, None, None]
 
-        self.boundary_spec = BoundarySpec(
-            kind="oblique",
-            eta=lambda states: np.where(states == -M, 1.0, -1.0),
-            fot_drift=lambda states: np.where(states == -M, lam, -lam),
-        )
-        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
+        self.problem = TaylorProblem(self.mdp, moments_batch)
+
+    def fot_boundary_problem(self) -> TaylorProblem:
+        """Same model with first-order Tayloring at -M and M: drift lam at -M, -lam at M."""
+        lam, M = self.params.lam, self.params.M
+        return TaylorProblem(self.mdp, self.problem.moments_batch,
+                             fot_drift=lambda states: np.where(states == -M, lam, -lam))
 
     def mass_conserving_states(self) -> np.ndarray:
         """States whose raw row X + u - D keeps mass >= 1 - tail for every order."""

@@ -24,9 +24,9 @@ Moments at (x, u), writing n_i = (x_i + net_i) ^ N_i:
     sigma2_ii  = lam_i + n_i p_i (1 - p_i) + mu_i^2
     sigma2_ij  = mu_i mu_j   (i != j, independence across pools)
 
-The oblique boundary direction is eta_i(x) = p_i at faces x_i = 0 (the
-drift jumps by p_i off the empty state) and points inward (-1) at the
-buffer-cap faces.
+The boundary reflects: each boundary grid point of the K-D chain steps to
+its inward neighbour on every binding axis, at the empty faces x_i = 0 and
+at the buffer-cap faces alike.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from ..exact import FactoredAssembly
 from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice
-from ..taylor import BoundarySpec, TaylorProblem
+from ..taylor import TaylorProblem
 from .distributions import binom_pmf, poisson_cutoff, poisson_pmf
 
 
@@ -194,13 +194,7 @@ class RoutingModel:
             digits = tuple(nets + span[:, None]) + tuple(n_busy)
             return np.ravel_multi_index(digits, class_dims).astype(np.int64, copy=False)
 
-        def eta(states):
-            x = np.asarray(states)                            # (k, J)
-            return np.where(x == 0, p, np.where(x == np.asarray(upper), -1.0, 0.0))
-
-        self.boundary_spec = BoundarySpec(kind="oblique", eta=eta)
-        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec,
-                                     moment_classes=moment_classes)
+        self.problem = TaylorProblem(self.mdp, moments_batch, moment_classes=moment_classes)
 
     def _build_factored(self) -> FactoredAssembly:
         mdp = self.mdp

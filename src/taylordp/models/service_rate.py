@@ -12,9 +12,8 @@ Two cost variants share the dynamics:
 
 Costs are negated into rewards; drift is 1 - 2u away from the lower
 boundary and +1 at x = 0 (the one-step move is deterministic there), the
-second moment is identically 1.  The drift jump at 0 is proportional to -1,
-so the oblique boundary direction is eta(0) = +1 (V'(0) = 0), and the
-truncation at M reflects likewise (V'(M) = 0).
+second moment is identically 1.  Both ends reflect (V'(0) = V'(M) = 0);
+fot_boundary_problem() gives the first-order variant instead.
 
 With u fixed at 1/2 the quartic-cost Taylored equation has the closed-form
 solution
@@ -33,7 +32,7 @@ import numpy as np
 
 from ..bounds import SmoothFunction
 from ..lattice import ExplicitActionSet, LatticeMdp, StateLattice, pack_rows
-from ..taylor import BoundarySpec, TaylorProblem
+from ..taylor import TaylorProblem
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,12 @@ class ServiceRateModel:
             mu = np.where(x == 0, 1.0, 1.0 - 2.0 * us)
             return mu[:, None], np.ones((len(us), 1, 1))
 
-        self.boundary_spec = BoundarySpec(
-            kind="oblique",
-            eta=lambda states: np.where(states == 0, 1.0, -1.0),
-            fot_drift=lambda states: np.where(states == 0, 1.0, -1.0),
-        )
-        self.problem = TaylorProblem(self.mdp, moments_batch, self.boundary_spec)
+        self.problem = TaylorProblem(self.mdp, moments_batch)
 
     def fot_boundary_problem(self) -> TaylorProblem:
-        """Same model with first-order Tayloring at 0 and M."""
-        spec = BoundarySpec(kind="fot", fot_drift=self.boundary_spec.fot_drift)
-        return TaylorProblem(self.mdp, self.problem.moments_batch, spec)
+        """Same model with first-order Tayloring at 0 and M: drift 1 at 0, -1 at M."""
+        return TaylorProblem(self.mdp, self.problem.moments_batch,
+                             fot_drift=lambda states: np.where(states == 0, 1.0, -1.0))
 
     def mass_conserving_states(self) -> np.ndarray:
         """States whose raw random-walk row keeps all mass inside [0, M]."""

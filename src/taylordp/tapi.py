@@ -33,8 +33,8 @@ extrapolates linearly into the boundary cells, in a numpy pass
 (_extension_interpolator) that rounds exactly as scipy's
 RegularGridInterpolator does.
 
-A grid point's chain actions are the fine actions of its lattice state (an
-oblique boundary point keeps only the first), so policies move between the
+A grid point's chain actions are the fine actions of its lattice state (a
+reflecting boundary point keeps only the first), so policies move between the
 chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
 grid is a gather.  The boundary completion reads the true kernel rows of
@@ -383,7 +383,7 @@ def _restrict_policy(chain: KdChain, lattice, fine_policy: np.ndarray) -> np.nda
     """The fine policy at the grid points, as chain action indices.
 
     A grid point's chain actions are the fine actions of its lattice state,
-    so the index carries over; a point left with one action (an oblique
+    so the index carries over; a point left with one action (a reflecting
     boundary point keeps only the first) takes it.
     """
     single = np.diff(chain.assembly().offsets) == 1

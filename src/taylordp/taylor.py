@@ -10,98 +10,45 @@ second-moment matrix that drive the differential operator
 
     L_u V = mu_u . DV + 1/2 trace(sigma2_u D^2 V).
 
-Boundary behaviour is described by a BoundarySpec: either an oblique
-reflecting direction eta (eta . DV = 0 on the boundary) or a first-order
-Taylor (FOT) condition driven by the control-independent boundary drift.
+The boundary is a rule unless a problem asks otherwise.  Reflecting rows
+step to the inward neighbour on every binding axis and need no data: on a
+face the paper's reflection direction eta is the inward normal, so that
+step is the whole condition, and at a corner the chain steps along every
+binding axis whatever eta would say.  A problem may instead carry a
+first-order Taylor (FOT) boundary, driven by the control-independent
+boundary drift its fot_drift hook returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingBoundaryData, NonInwardEta
-from .lattice import LatticeMdp, StateLattice, action_tuple
+from .lattice import LatticeMdp, action_tuple
 
 NU0 = 1e-6
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Boundary condition for the TCP on the truncated box.
+def not_inward(drift: np.ndarray, on_lower: np.ndarray, on_upper: np.ndarray) -> np.ndarray:
+    """Which of k boundary drifts break the inward rule, a (k,) bool array.
 
-    Both hooks are batch: they map a (k, d) array of boundary states to the
-    (k, d) array of their directions, one row per state.
-
-    kind "oblique": eta(states) gives the reflecting directions; each must
-    vanish in non-binding coordinates and point into the domain in binding
-    ones (positive at a lower face, negative at an upper face).
-
-    kind "fot": first-order Tayloring with the control-independent boundary
-    drifts returned by fot_drift(states).
+    drift, on_lower and on_upper are (k, d): the directions and the axes at
+    their lower and upper faces.  On the axis-aligned box a direction is
+    inward when drift_i >= NU0 |drift| at lower faces, drift_i <= -NU0 |drift|
+    at upper faces and drift_i = 0 on the other axes; a zero vector breaks
+    the rule, and so does any NaN component.
     """
-
-    kind: str
-    eta: Optional[Callable] = None
-    fot_drift: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind not in ("oblique", "fot"):
-            raise ValueError("kind must be 'oblique' or 'fot'")
-        if self.kind == "oblique" and self.eta is None:
-            raise MissingBoundaryData("oblique boundary requires eta")
-        if self.kind == "fot" and self.fot_drift is None:
-            raise MissingBoundaryData("FOT boundary requires the boundary drift")
-
-    def direction(self, states) -> np.ndarray:
-        """The (k, d) directions of a (k, d) state array, in one hook call."""
-        states = np.atleast_2d(np.asarray(states))
-        fn = self.eta if self.kind == "oblique" else self.fot_drift
-        directions = np.asarray(fn(states), dtype=np.float64)
-        if directions.shape != states.shape:
-            raise ValueError(f"boundary hook returned shape {directions.shape} "
-                             f"for states of shape {states.shape}")
-        return directions
-
-    def validate_inward(self, lattice: StateLattice, nu0: float = NU0) -> None:
-        """Check eta points inward on every boundary state of the lattice (see not_inward).
-
-        The first offending state in lattice order is reported.
-        """
-        states = lattice.states()
-        on_lower = states == np.asarray(lattice.lower)
-        on_upper = states == np.asarray(lattice.upper)
-        boundary = (on_lower | on_upper).any(axis=1)
-        states = states[boundary]
-        eta = self.direction(states)
-        bad = not_inward(eta, on_lower[boundary], on_upper[boundary], nu0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NonInwardEta(tuple(states[k].tolist()), eta[k])
-
-
-def not_inward(eta: np.ndarray, on_lower: np.ndarray, on_upper: np.ndarray,
-               nu0: float = NU0) -> np.ndarray:
-    """Which of k boundary directions break the inward rule, a (k,) bool array.
-
-    eta, on_lower and on_upper are (k, d): the directions and the axes at
-    their lower and upper faces.  For the axis-aligned box the obliqueness
-    requirement reduces to eta_i >= nu0 |eta| at lower faces and
-    eta_i <= -nu0 |eta| at upper faces, with eta_i = 0 on the other axes;
-    a zero vector breaks it, and so does any NaN component.
-    """
-    norm = np.linalg.norm(eta, axis=1)[:, None]
+    norm = np.linalg.norm(drift, axis=1)[:, None]
     return ((norm[:, 0] == 0.0)
-            | (on_lower & ~(eta >= nu0 * norm)).any(axis=1)
-            | (on_upper & ~(eta <= -nu0 * norm)).any(axis=1)
-            | (~on_lower & ~on_upper & (eta != 0.0)).any(axis=1))
+            | (on_lower & ~(drift >= NU0 * norm)).any(axis=1)
+            | (on_upper & ~(drift <= -NU0 * norm)).any(axis=1)
+            | (~on_lower & ~on_upper & (drift != 0.0)).any(axis=1))
 
 
 class TaylorProblem:
-    """An MDP together with its drift/diffusion hook and boundary spec.
+    """An MDP together with its drift/diffusion hook and boundary rule.
 
     moments_batch(states, actions) -> (mu, sigma2) stacks the moments of k
     (state, action) pairs as (k, d) and (k, d, d): states is (k, d), one
@@ -118,13 +65,17 @@ class TaylorProblem:
     pairs with equal codes must have bit-equal moments_batch rows.  The
     fine-lattice Taylored greedy then computes moments and stencil rates
     once per code.  Without it every pair is its own class.
+
+    fot_drift(states), when given, makes the boundary first-order (FOT): it
+    maps a (k, d) array of boundary states to their (k, d) control-independent
+    drifts, each of which must point inward (see not_inward).  Without it the
+    boundary reflects: each boundary row steps to its inward neighbour.
     """
 
-    def __init__(self, mdp: LatticeMdp, moments_batch, boundary: BoundarySpec,
-                 moment_classes=None):
+    def __init__(self, mdp: LatticeMdp, moments_batch, fot_drift=None, moment_classes=None):
         self.mdp = mdp
         self.moments_batch = moments_batch
-        self.boundary = boundary
+        self.fot_drift = fot_drift
         self.moment_classes = moment_classes
 
 

@@ -233,8 +233,7 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
 
     # remainder vanishes on quadratics (kernel-moment operator)
     for name, model in [("quartic", quartic), ("heavy_traffic", heavy_queue)]:
-        prob = TaylorProblem(model.mdp, kernel_moment_provider(model.mdp),
-                             model.boundary_spec)
+        prob = TaylorProblem(model.mdp, kernel_moment_provider(model.mdp))
         pol = np.zeros(model.mdp.n_states, dtype=np.int64)
         rem = taylor_remainder(prob, pol, _poly_quad(1.0, -2.0, 0.5))
         if np.abs(rem).max() > 1e-8:

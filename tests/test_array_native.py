@@ -48,7 +48,7 @@ from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLatt
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import _extension_interpolator, _restrict_policy
-from taylordp.taylor import BoundarySpec, TaylorProblem, ellipticity_check
+from taylordp.taylor import TaylorProblem, ellipticity_check
 
 from conftest import one_reward, one_row, pair_hooks
 
@@ -198,9 +198,12 @@ def _spacings(grid, pos):
     return np.asarray(hl), np.asarray(hr)
 
 
-def _check_eta(boundary, point, binding_lower, binding_upper, d, nu0=1e-6):
-    """The inward rule at one point: inward and at least nu0 |eta| on binding axes, zero off them."""
-    direction = boundary.direction([point])[0]
+def _fot_drift_at(problem, point, binding_lower, binding_upper, d, nu0=1e-6):
+    """One point's first-order drift, checked against the inward rule.
+
+    Inward and at least nu0 |drift| on binding axes, zero off them.
+    """
+    direction = np.asarray(problem.fot_drift(np.array([point])), dtype=np.float64)[0]
     if direction.shape != (d,):
         raise NonInwardEta(point, direction)
     norm = math.sqrt(math.fsum(float(e) ** 2 for e in direction))
@@ -215,6 +218,7 @@ def _check_eta(boundary, point, binding_lower, binding_upper, d, nu0=1e-6):
             ok = direction[i] == 0.0
         if not ok:
             raise NonInwardEta(point, direction)
+    return direction
 
 
 def per_point_chain(problem, h, scheme="inflate"):
@@ -222,7 +226,6 @@ def per_point_chain(problem, h, scheme="inflate"):
     mdp = problem.mdp
     alpha = mdp.discount
     grid = tdp.CoarseGrid.from_lattice(mdp.lattice, h)
-    boundary = problem.boundary
     n, d = grid.n_points, grid.dim
     offsets, rewards, row_ptr, cols, probs = [0], [], [0], [], []
     discounts = np.empty(n)
@@ -240,13 +243,12 @@ def per_point_chain(problem, h, scheme="inflate"):
         if any(p == 0 or p == len(ax) - 1 for p, ax in zip(pos, grid.axes)):
             binding_lower = [i for i in range(d) if pos[i] == 0]
             binding_upper = [i for i in range(d) if pos[i] == len(grid.axes[i]) - 1]
-            _check_eta(boundary, point, binding_lower, binding_upper, d)
             inward_pos = pos.copy()
             for i in binding_lower:
                 inward_pos[i] += 1
             for i in binding_upper:
                 inward_pos[i] -= 1
-            if boundary.kind == "oblique":
+            if problem.fot_drift is None:
                 chain_actions.append(U_point[:1])
                 rewards.append(0.0)
                 cols.append(np.array([int(inward_pos @ strides)], dtype=np.int64))
@@ -257,7 +259,7 @@ def per_point_chain(problem, h, scheme="inflate"):
                 slack_rows.append(np.zeros((1, d)))
                 cross_rows.append(np.ones(1))
             else:
-                drift = boundary.direction([point])[0]
+                drift = _fot_drift_at(problem, point, binding_lower, binding_upper, d)
                 tgt, wgt = [], []
                 for i in binding_lower + binding_upper:
                     step = pos.copy()
@@ -1048,8 +1050,19 @@ def test_taylored_greedy_one_moments_call_per_class(routing3_smoke, monkeypatch)
 
 def _fot(model):
     """The model's problem with first-order boundary rows driven by its fot_drift."""
+    return model.fot_boundary_problem()
+
+
+def _inward_drift_2d(model):
+    """A 2-D first-order drift: +1 on axes at their lower face, -1 at their upper face."""
+    upper = np.asarray(model.mdp.lattice.upper)
+    return lambda states: np.where(states == 0, 1.0, np.where(states == upper, -1.0, 0.0))
+
+
+def _fot_2d(model):
+    """The model's problem with first-order boundary rows driven by _inward_drift_2d."""
     return TaylorProblem(model.mdp, model.problem.moments_batch,
-                         BoundarySpec(kind="fot", fot_drift=model.boundary_spec.fot_drift))
+                         fot_drift=_inward_drift_2d(model))
 
 
 CHAIN_CASES = [
@@ -1061,6 +1074,7 @@ CHAIN_CASES = [
     ("routing3_bench", None, (2, 4)),
     pytest.param("routing3_paper", None, (4,), marks=pytest.mark.slow),
     ("inventory_model", _fot, (1, 3)),
+    ("routing2", _fot_2d, (1, 2)),   # also the inward base of the first-non-inward cases
 ]
 
 
@@ -1120,44 +1134,42 @@ def test_verifier_matches_per_point_check_on_corrupted_rows(name, request):
 
 
 def _outward_past(model, axis, start):
-    """The model's oblique problem with eta turned outward on the lower face of axis from start on."""
-    eta = model.boundary_spec.eta
+    """First-order boundary rows whose drift turns outward on the lower face of axis from start on."""
+    drift = _inward_drift_2d(model)
 
-    def bad_eta(states):
-        e = eta(states)
+    def fot_drift(states):
+        out = drift(states)
         flip = (states[:, axis] == 0) & (states[:, 1 - axis] >= start)
-        e[flip, axis] = -e[flip, axis]
-        return e
+        out[flip, axis] = -out[flip, axis]
+        return out
 
-    return TaylorProblem(model.mdp, model.problem.moments_batch,
-                         BoundarySpec(kind="oblique", eta=bad_eta))
+    return TaylorProblem(model.mdp, model.problem.moments_batch, fot_drift=fot_drift)
 
 
 def _nan_drift_at(model, bad_state):
     """First-order boundary rows whose drift is NaN at bad_state: its weight sum is 0."""
-    drift = model.boundary_spec.fot_drift
+    drift = model.fot_boundary_problem().fot_drift
 
     def fot_drift(states):
         out = np.array(drift(states), dtype=np.float64)
         out[(states == bad_state).all(axis=1)] = math.nan
         return out
 
-    return TaylorProblem(model.mdp, model.problem.moments_batch,
-                         BoundarySpec(kind="fot", fot_drift=fot_drift))
+    return TaylorProblem(model.mdp, model.problem.moments_batch, fot_drift=fot_drift)
 
 
-def _eta_plus(model, shift):
-    """The model's oblique problem with every boundary direction shifted by a constant."""
-    eta = model.boundary_spec.eta
+def _drift_plus(model, shift):
+    """First-order boundary rows whose 2-D drift is shifted by a constant on every axis."""
+    drift = _inward_drift_2d(model)
     return TaylorProblem(model.mdp, model.problem.moments_batch,
-                         BoundarySpec(kind="oblique", eta=lambda states: eta(states) + shift))
+                         fot_drift=lambda states: drift(states) + shift)
 
 
 @pytest.mark.parametrize("name,make,first_bad", [
     ("routing2", lambda m: _outward_past(m, 1, 10), (10, 0)),
     ("routing2", lambda m: _outward_past(m, 0, 3), (0, 4)),
     ("service_quadratic", lambda m: _nan_drift_at(m, (100,)), (100,)),
-    ("routing2", lambda m: _eta_plus(m, 0.5), (0, 2)),      # nonzero off the binding axis
+    ("routing2", lambda m: _drift_plus(m, 0.5), (0, 2)),    # nonzero off the binding axis
 ])
 def test_chain_names_first_non_inward_point(name, make, first_bad, request):
     problem = make(request.getfixturevalue(name))
@@ -1166,19 +1178,6 @@ def test_chain_names_first_non_inward_point(name, make, first_bad, request):
         with pytest.raises(NonInwardEta) as info:
             build_chain()
         assert info.value.state == first_bad
-
-
-@pytest.mark.parametrize("make", [lambda m: _eta_plus(m, 0.5), lambda m: _outward_past(m, 1, 10),
-                                  lambda m: _outward_past(m, 0, 3)],
-                         ids=["shifted", "outward_lower_1", "outward_lower_0"])
-def test_chain_and_validate_inward_share_one_rule(routing2, make):
-    # at h = 1 the grid is the lattice, so both checks name the same first point
-    problem = make(routing2)
-    with pytest.raises(NonInwardEta) as chain_err:
-        tdp.build_multidim_chain(problem, 1)
-    with pytest.raises(NonInwardEta) as spec_err:
-        problem.boundary.validate_inward(routing2.mdp.lattice)
-    assert chain_err.value.state == spec_err.value.state
 
 
 def stay_mass_packed(p, keep):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +66,7 @@ def test_remainder_vanishes_on_quadratics(quartic_fixed, routing_small):
     from taylordp.taylor import TaylorProblem, kernel_moment_provider
     for model in (quartic_fixed,):
         mdp = model.mdp
-        kernel_prob = TaylorProblem(mdp, kernel_moment_provider(mdp), model.boundary_spec)
+        kernel_prob = TaylorProblem(mdp, kernel_moment_provider(mdp))
         pol = np.zeros(mdp.n_states, dtype=np.int64)
         rem = taylor_remainder(kernel_prob, pol, _poly([2.0, -1.0, 0.5]))
         assert np.abs(rem).max() <= 1e-9
@@ -85,7 +87,7 @@ def test_remainder_vanishes_on_quadratics(quartic_fixed, routing_small):
 def test_remainder_zero_on_random_quadratics(coeffs):
     from taylordp.taylor import TaylorProblem, kernel_moment_provider
     model = build("service_rate", M=20, alpha=0.9, cost="quartic", fixed_u=0.5)
-    prob = TaylorProblem(model.mdp, kernel_moment_provider(model.mdp), model.boundary_spec)
+    prob = TaylorProblem(model.mdp, kernel_moment_provider(model.mdp))
     pol = np.zeros(model.mdp.n_states, dtype=np.int64)
     rem = taylor_remainder(prob, pol, _poly(coeffs))
     assert np.abs(rem).max() <= 1e-8 * (1 + np.abs(coeffs).max())
@@ -95,7 +97,7 @@ def _quartic_cases(model):
     from taylordp.bounds import GridFunction1d
     from taylordp.taylor import TaylorProblem, kernel_moment_provider
     mdp = model.mdp
-    kernel_prob = TaylorProblem(mdp, kernel_moment_provider(mdp), model.boundary_spec)
+    kernel_prob = TaylorProblem(mdp, kernel_moment_provider(mdp))
     xs = np.arange(mdp.n_states, dtype=np.float64)
     return [(model.problem, model.oracle()),
             (kernel_prob, _poly([1.0, -0.5, 0.25, 0.01])),
@@ -311,6 +313,59 @@ def test_holder_estimate_quartic_bound():
 def test_holder_estimate_radius_too_small():
     with pytest.raises(InsufficientNeighborhood):
         holder_seminorm_estimate(np.zeros(5), np.arange(5.0), radius=0.5)
+
+
+def dense_holder_estimate(hessians, coords, radius, beta=1.0):
+    """The Hoelder estimate from the dense (n, n) distance matrix."""
+    H = np.asarray(hessians, dtype=np.float64)
+    if H.ndim == 1:
+        H = H[:, None, None]
+    X = np.asarray(coords, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    off_diag = dist.copy()
+    np.fill_diagonal(off_diag, np.inf)
+    assert radius >= off_diag.min()
+    out = np.empty(len(H))
+    for k in range(len(H)):
+        near = np.flatnonzero(dist[k] <= radius + 1e-12)
+        sub = H[near]
+        dd = dist[np.ix_(near, near)]
+        num = np.abs(sub[:, None] - sub[None, :]).max(axis=(2, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = num / dd ** beta
+        ratio[dd == 0.0] = 0.0
+        out[k] = float(ratio.max())
+    return out
+
+
+def _lattice_hessians(side, d, seed):
+    coords = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), -1).reshape(-1, d)
+    return np.random.default_rng(seed).normal(size=(len(coords), d, d)), coords
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_holder_estimate_matches_dense_reference(beta):
+    xs = np.arange(0.0, 40.0)
+    hess = np.sin(xs) * xs
+    assert np.array_equal(holder_seminorm_estimate(hess, xs, radius=2.5, beta=beta),
+                          dense_holder_estimate(hess, xs, radius=2.5, beta=beta))
+    hess, coords = _lattice_hessians(7, 3, 0)
+    assert np.array_equal(holder_seminorm_estimate(hess, coords, radius=1.5, beta=beta),
+                          dense_holder_estimate(hess, coords, radius=1.5, beta=beta))
+
+
+def test_holder_estimate_memory_stays_linear():
+    # the dense matrices of 2,197 states in 3-D would take about 150 MB
+    hess, coords = _lattice_hessians(13, 3, 1)
+    tracemalloc.start()
+    try:
+        holder_seminorm_estimate(hess, coords, radius=1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_gap_report_zero_and_hand_example():

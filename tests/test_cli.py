@@ -158,6 +158,43 @@ cost = quadratic
     assert capsys.readouterr().out.startswith("service_rate, 0.95, , solve-exact-vs-solve-exact, ")
 
 
+def _service_config(path, mode, alpha, M, extra=""):
+    path.write_text(f"""[experiment]
+mode = {mode}
+alpha = {alpha}
+{extra}
+[model]
+name = service_rate
+M = {M}
+""")
+    return str(path)
+
+
+def test_compare_reports_the_alpha_of_config_b(tmp_path, capsys):
+    # both policies are evaluated in model B, so the summary's discount is B's
+    a = _service_config(tmp_path / "a.ini", "solve-exact", 0.9, 30)
+    b = _service_config(tmp_path / "b.ini", "solve-exact", 0.99, 30)
+    rc = main(["compare", "--config-a", a, "--config-b", b, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("service_rate, 0.99, , solve-exact-vs-solve-exact, ")
+
+
+def test_too_coarse_h_exits_2_naming_h(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["solve-tapi", "--model", "service_rate", "--M", "10", "--h", "20",
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: h = 20 ") and "fewer than 3 grid points" in err
+    assert not out.exists()
+    a = _service_config(tmp_path / "a.ini", "solve-tapi", 0.9, 10, extra="h = 20\n")
+    b = _service_config(tmp_path / "b.ini", "solve-exact", 0.9, 10)
+    rc = main(["compare", "--config-a", a, "--config-b", b, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: h = 20 ")
+    assert not out.exists()
+
+
 def test_compare_flags_radius_one_corners_without_reading_rows(tmp_path, monkeypatch):
     """compare flags the states within 1 of two lower faces, as bounds does, from no kernel rows."""
     calls = []

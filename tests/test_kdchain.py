@@ -8,7 +8,7 @@ from taylordp.kdchain import (RATE_TOL, CoarseGrid, build_multidim_chain,
                               verify_tcp_equivalence)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing
-from taylordp.taylor import BoundarySpec, TaylorProblem
+from taylordp.taylor import TaylorProblem
 
 from conftest import one_reward, pair_hooks
 
@@ -187,8 +187,7 @@ def _toy_2d_problem(sig12, mu=(0.0, 0.0), diag=(1.0, 1.0), nu=11):
     s2 = np.array([[diag[0], sig12], [sig12, diag[1]]])
     moments_batch = lambda s, U: (np.tile(np.asarray(mu, dtype=np.float64), (len(U), 1)),
                                   np.tile(s2, (len(U), 1, 1)))
-    eta = lambda states: np.where(states == 0, 1.0, np.where(states == nu - 1, -1.0, 0.0))
-    return TaylorProblem(mdp, moments_batch, BoundarySpec(kind="oblique", eta=eta))
+    return TaylorProblem(mdp, moments_batch)
 
 
 def test_diagonal_sigma_gives_product_of_1d_stencils():

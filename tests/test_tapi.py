@@ -206,10 +206,10 @@ def test_tapi_enumerates_actions_once_per_model(name, variant, monkeypatch):
     chain = tdp.tapi_solve(problem, SOLVE_VARIANTS[variant]).chain
     assert calls == [mdp.n_states]
 
-    oblique = problem.boundary.kind == "oblique"
+    reflecting = problem.fot_drift is None
     for i, point in enumerate(chain.grid.points()):
         own = action_tuple(enumerate_all([point])[0])
-        expected = own[:1] if oblique and not chain.interior_mask[i] else own
+        expected = own[:1] if reflecting and not chain.interior_mask[i] else own
         assert chain.actions_at(i) == expected
 
 

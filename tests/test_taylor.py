@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from taylordp.errors import NonInwardEta
+from taylordp.kdchain import build_multidim_chain
 from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
 from taylordp.models import build
-from taylordp.taylor import (BoundarySpec, TaylorProblem, ellipticity_check,
-                             kernel_moment_provider)
+from taylordp.taylor import TaylorProblem, ellipticity_check, kernel_moment_provider
 
 from conftest import pair_hooks, sampled_pairs
 
@@ -97,37 +96,12 @@ def test_routing_full_pool_drift(routing2):
     assert mu[0, 0] == pytest.approx(p.lam[0] - p.p[0] * p.N[0], abs=1e-12)
 
 
-def test_boundary_spec_service(quartic_fixed):
-    spec = quartic_fixed.boundary_spec
-    assert spec.kind == "oblique"
-    assert spec.direction([(0,), (quartic_fixed.params.M,)]).tolist() == [[1.0], [-1.0]]
-    spec.validate_inward(quartic_fixed.mdp.lattice)
-
-
-def test_boundary_spec_routing(routing2):
-    spec = routing2.boundary_spec
-    assert spec.kind == "oblique"
-    eta = spec.direction([(0, 5)])[0]
-    assert eta[0] == pytest.approx(routing2.params.p[0])
-    assert eta[1] == 0.0
-    # corner combines both faces
-    eta0 = spec.direction([(0, 0)])[0]
-    assert eta0[0] > 0 and eta0[1] > 0
-    spec.validate_inward(routing2.mdp.lattice)
-
-
-def test_eta_inward_validation_rejects_outward():
-    lat = StateLattice((0,), (3,))
-    bad = BoundarySpec(kind="oblique", eta=lambda states: np.full(states.shape, -1.0))
-    with pytest.raises(NonInwardEta):
-        bad.validate_inward(lat)
-
-
-def test_boundary_hook_returns_one_direction_per_state():
-    # the hooks are batch: a per-state (d,) answer for several states is rejected
-    spec = BoundarySpec(kind="oblique", eta=lambda states: np.ones(states.shape[1]))
-    with pytest.raises(ValueError):
-        spec.direction([(0,), (3,)])
+def test_boundary_hook_returns_one_direction_per_state(service_quadratic):
+    # the fot_drift hook is batch: a per-state (d,) answer for several states is rejected
+    problem = TaylorProblem(service_quadratic.mdp, service_quadratic.problem.moments_batch,
+                            fot_drift=lambda states: np.ones(states.shape[1]))
+    with pytest.raises(ValueError, match="fot_drift returned shape"):
+        build_multidim_chain(problem, 2)
 
 
 def test_ellipticity_service(quartic_fixed):
@@ -148,9 +122,7 @@ def test_ellipticity_degenerate_fails():
     mdp = LatticeMdp(lat, ExplicitActionSet((0,)),
                      *pair_hooks(lambda s, u: ([lat.index(s)], [1.0]), lambda s, u: 0.0), 0.9)
     zero_moments = lambda s, U: (np.zeros((len(U), 1)), np.zeros((len(U), 1, 1)))
-    problem = TaylorProblem(mdp, zero_moments,
-                            BoundarySpec(kind="oblique",
-                                         eta=lambda states: np.where(states == 0, 1.0, -1.0)))
+    problem = TaylorProblem(mdp, zero_moments)
     rep = ellipticity_check(problem)
     assert not rep.passed
 
