@@ -210,13 +210,13 @@ class PolyhedralActionSet:
 
     `box` maps an (n, d) state array to (n, m, 2) per-coordinate inclusive
     integer (lo, hi) bounds and `b` maps it to the (n, c) right-hand sides.
-    The constraint check A u <= b(x) is exact integer arithmetic whenever the
-    inputs are integral.
+    A is held as float64 and A u <= b(x) is tested in float64: the test is
+    exact when A, b and the boxes are integral (or dyadic) and |A u| < 2^53.
     """
 
     def __init__(self, A: np.ndarray, b: Callable[[np.ndarray], np.ndarray],
                  box: Callable[[np.ndarray], np.ndarray]):
-        self.A = np.asarray(A)
+        self.A = np.asarray(A, dtype=np.float64)
         self.b = b
         self.box = box
 
@@ -224,9 +224,15 @@ class PolyhedralActionSet:
         """Feasible actions of every state as one ragged array.
 
         Returns (U, offsets): U[offsets[i]:offsets[i+1]] are the actions of
-        states[i] as an (k_i, m) integer array in lexicographic order.  The
-        candidates of a state are its box points in mixed radix with the last
-        coordinate varying fastest; all of them are filtered in one pass.
+        states[i] as a C-contiguous (k_i, m) int64 array in lexicographic
+        order.  The candidates of a state are its box points, ranked in
+        mixed radix with the last coordinate varying fastest.  Only the
+        state's active coordinates, those whose box holds more than one
+        point, take a digit of the rank: they fill the state's slots in
+        coordinate order, so k slots (k the most active coordinates of any
+        state) cost k - 1 divmod passes.  The candidates are built
+        coordinate-major, (m, N), from their low corners, filtered by one
+        (c, m) @ (m, N) product and transposed once at the end.
         """
         states = np.atleast_2d(states)
         n = len(states)
@@ -235,17 +241,35 @@ class PolyhedralActionSet:
         lo = box[:, :, 0]
         width = np.maximum(box[:, :, 1] - lo + 1, 0)
         n_cand = width.prod(axis=1)
-        owner = np.repeat(np.arange(n), n_cand)
-        rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
-        width = width[owner]
-        cand = lo[owner]
-        for j in range(m - 1, -1, -1):
-            rank, digit = np.divmod(rank, width[:, j])
-            cand[:, j] += digit
-        bvec = np.asarray(self.b(states)).reshape(n, c)
-        keep = (cand @ self.A.T <= bvec[owner]).all(axis=1)
-        offsets = _table_offsets(np.bincount(owner[keep], minlength=n), states)
-        return cand[keep], offsets
+        total = int(n_cand.sum())
+        # slot s of a state holds its s-th active coordinate: the offset of
+        # that coordinate's row in the flat candidates, and the box width
+        active = width > 1
+        slot = np.cumsum(active, axis=1) - 1
+        k = int(slot[:, -1].max(initial=-1)) + 1
+        state, coord = np.nonzero(active)
+        cells = slot[state, coord], state
+        slot_row = np.zeros((k, n), dtype=np.int64)
+        slot_row[cells] = coord * total
+        slot_width = np.ones((k, n), dtype=np.int64)
+        slot_width[cells] = width[state, coord]
+        start = np.cumsum(n_cand) - n_cand
+        col = np.arange(total)
+        rank = col - np.repeat(start, n_cand)
+        cand = np.repeat(lo.T, n_cand, axis=1)
+        flat = cand.reshape(-1)
+        for s in range(k - 1, 0, -1):
+            rank, digit = np.divmod(rank, np.repeat(slot_width[s], n_cand))
+            flat[np.repeat(slot_row[s], n_cand) + col] += digit
+        if k:  # what is left of the rank is the leading slot's digit
+            flat[np.repeat(slot_row[0], n_cand) + col] += rank
+        del rank, col  # freed before the (c, N) test: a lower memory peak
+        bvec = np.asarray(self.b(states), dtype=np.float64).reshape(n, c)
+        keep = np.logical_and.reduce(self.A @ cand <= np.repeat(bvec.T, n_cand, axis=1), axis=0)
+        kept = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        offsets = _table_offsets(np.diff(kept[np.append(start, total)]), states)
+        return np.compress(keep, cand, axis=1).T.copy(), offsets
 
 
 class LatticeMdp:

@@ -151,6 +151,22 @@ def disaggregate_value(coarse_values: np.ndarray, grid: CoarseGrid, lattice,
     return _extension_interpolator(v, grid)(fine)
 
 
+def _unique_classes(codes: np.ndarray):
+    """np.unique(codes, return_index=True, return_inverse=True), from an unstable sort.
+
+    The sorted distinct codes, the first position of each and every code's
+    class; the first position is the least position in its run of the sort.
+    """
+    order = np.argsort(codes)
+    ordered = codes[order]
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    classes = np.empty(len(codes), dtype=np.intp)
+    classes[order] = np.cumsum(new) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), classes
+
+
 def _nearest_actions(U: np.ndarray, offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per state, the index of its action nearest the state's target action.
 
@@ -247,8 +263,7 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     pair_states, pair_U = mdp.pair_states(), U
     classes = None
     if problem.moment_classes is not None:
-        _, first, classes = np.unique(problem.moment_classes(pair_states, U),
-                                      return_index=True, return_inverse=True)
+        _, first, classes = _unique_classes(problem.moment_classes(pair_states, U))
         pair_states, pair_U = pair_states[first], U[first]
     mu_b, s2_b = problem.moments_batch(pair_states, pair_U)
     dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)

@@ -21,6 +21,11 @@ against its loop forming r_u + alpha (P v) anew.  The columnar CSV writers
 are checked byte for byte against the per-row writers they replaced.  The
 boundary completion, read in row blocks, is checked bit for bit against
 the one-point-at-a-time loop it replaced, and its memory peak is bounded.
+The polyhedral action table, decoded over each state's active
+coordinates only, is checked against the all-coordinate enumeration it
+replaced (kept verbatim as _reference_at) and a per-state
+itertools.product, and its memory peak is bounded; the moment classes from
+an unstable sort are checked against np.unique's three arrays.
 """
 
 import csv
@@ -36,7 +41,7 @@ from scipy.interpolate import RegularGridInterpolator
 import taylordp as tdp
 from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
-from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
+from taylordp.errors import EmptyActionSet, InfeasibleAction, MaxIterationsExceeded
 from taylordp import exact
 from taylordp.exact import _bracketed_iteration, _evaluation_system, _tabulate, get_assembly
 from taylordp.errors import NonInwardEta
@@ -44,10 +49,10 @@ from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stay_mass,
                               _stencil_rates, verify_tcp_equivalence)
 from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLattice,
-                              action_tuple, pack_rows, row_sums)
+                              _table_offsets, action_tuple, pack_rows, row_sums)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
-from taylordp.tapi import _extension_interpolator, _restrict_policy
+from taylordp.tapi import _extension_interpolator, _restrict_policy, _unique_classes
 from taylordp.taylor import TaylorProblem, ellipticity_check
 
 from conftest import one_reward, one_row, pair_hooks
@@ -423,6 +428,129 @@ def test_actions_at_keeps_python_scalars(service_quadratic, inventory_model):
     assert all(type(u) is float for u in acts)
     assert all(type(u) is int for u in inventory_model.mdp.actions_at(0))
     assert inventory_model.mdp.actions_at(0)[4] == 4
+
+
+def _reference_at(action_set, states):
+    """PolyhedralActionSet.at as it was: all m coordinates of all box points, (N, m)."""
+    states = np.atleast_2d(states)
+    n = len(states)
+    c, m = action_set.A.shape
+    box = np.asarray(action_set.box(states), dtype=np.int64).reshape(n, m, 2)
+    lo = box[:, :, 0]
+    width = np.maximum(box[:, :, 1] - lo + 1, 0)
+    n_cand = width.prod(axis=1)
+    owner = np.repeat(np.arange(n), n_cand)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
+    width = width[owner]
+    cand = lo[owner]
+    for j in range(m - 1, -1, -1):
+        rank, digit = np.divmod(rank, width[:, j])
+        cand[:, j] += digit
+    bvec = np.asarray(action_set.b(states)).reshape(n, c)
+    keep = (cand @ action_set.A.T <= bvec[owner]).all(axis=1)
+    offsets = _table_offsets(np.bincount(owner[keep], minlength=n), states)
+    return cand[keep], offsets
+
+
+def _table_or_empty(at, action_set, states):
+    """at(action_set, states), or the state named by its EmptyActionSet."""
+    try:
+        return at(action_set, states)
+    except EmptyActionSet as err:
+        return err.state
+
+
+def _random_action_set(rng):
+    """A random polyhedral set over n states addressed by index, with its state array.
+
+    A is integral with negative entries and halves; lower bounds fall on
+    both sides of 0 and box widths mix 0 (some below 0), 1 and wide.  Each
+    state's low corner is feasible unless one of its constraints is cut
+    below the box's minimum.
+    """
+    m, c = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    n = int(rng.choice([0, 1, int(rng.integers(2, 30))], p=[0.05, 0.15, 0.8]))
+    A = rng.integers(-3, 4, size=(c, m)) + 0.5 * rng.integers(0, 2, size=(c, m))
+    lo = rng.integers(-4, 4, size=(n, m))
+    width = rng.choice([0, 1, 2, 3, 4, 5], size=(n, m), p=[0.004, 0.5, 0.124, 0.124, 0.124, 0.124])
+    width[rng.random((n, m)) < 0.002] = -1
+    boxes = np.stack([lo, lo + width - 1], axis=-1)
+    b = lo @ A.T + 0.5 * rng.integers(0, 12, size=(n, c))
+    cut = rng.random(n) < 0.01
+    low = lo @ A.T + np.maximum(width - 1, 0) @ np.minimum(A, 0).T
+    b[cut, 0] = low[cut, 0] - 0.5
+    action_set = tdp.PolyhedralActionSet(A, lambda x: b[x[:, 0]], lambda x: boxes[x[:, 0]])
+    return action_set, np.arange(n).reshape(n, 1)
+
+
+def _product_table(action_set, states):
+    """Per state, the feasible points of itertools.product over its box."""
+    rows, offsets = [], [0]
+    for x in states:
+        bounds = np.asarray(action_set.box(x[None]))[0]
+        rhs = np.asarray(action_set.b(x[None]), dtype=np.float64)[0]
+        pts = [u for u in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+               if np.all(action_set.A @ np.asarray(u, dtype=np.float64) <= rhs)]
+        if not pts:
+            return tuple(x.tolist())
+        rows += pts
+        offsets.append(len(rows))
+    return (np.asarray(rows, dtype=np.int64).reshape(len(rows), action_set.A.shape[1]),
+            np.asarray(offsets))
+
+
+def _is_table(result):
+    return isinstance(result[0], np.ndarray)
+
+
+def assert_same_table(got, expect):
+    if not _is_table(expect):
+        assert got == expect                                   # the same empty state
+        return
+    (U, offsets), (U_ref, offsets_ref) = got, expect
+    assert U.dtype == np.int64 and U.flags.c_contiguous and U.shape == U_ref.shape
+    assert np.array_equal(U, U_ref)
+    assert offsets.dtype == np.int64 and np.array_equal(offsets, offsets_ref)
+
+
+def test_table_matches_reference_on_random_sets():
+    rng = np.random.default_rng(23)
+    seen = dict.fromkeys(["empty state", "no states", "one state", "states", "filtered"], 0)
+    for _ in range(600):
+        action_set, states = _random_action_set(rng)
+        got = _table_or_empty(tdp.PolyhedralActionSet.at, action_set, states)
+        assert_same_table(got, _table_or_empty(_reference_at, action_set, states))
+        assert_same_table(got, _product_table(action_set, states))
+        if not _is_table(got):
+            seen["empty state"] += 1
+            continue
+        seen[("no states", "one state", "states")[min(len(states), 2)]] += 1
+        widths = np.diff(action_set.box(states), axis=-1) + 1
+        seen["filtered"] += int(len(got[0]) < widths.prod(axis=(1, 2)).sum())
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_bench",
+                                  pytest.param("routing3_paper", marks=pytest.mark.slow)])
+def test_table_matches_reference_on_routing_lattices(name, request):
+    mdp = request.getfixturevalue(name).mdp
+    states = mdp.lattice.states()
+    assert_same_table(mdp.actions.at(states), _reference_at(mdp.actions, states))
+
+
+def test_table_memory_stays_bounded(routing3_bench):
+    # the tracemalloc peak of one at() over the 2,197-state 3-pool lattice:
+    # 3.5 MiB with (m, N) candidates and k - 1 divmod passes, 4.3 MiB when every
+    # candidate was an (N, m) row tested by an (N, c) product
+    actions, states = routing3_bench.mdp.actions, routing3_bench.mdp.lattice.states()
+    actions.at(states)
+    tracemalloc.start()
+    try:
+        actions.at(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +1057,21 @@ def test_routing_moment_classes_contract(name, request):
     assert n_classes < len(U)
     with pytest.raises(AssertionError):
         assert_moment_classes_contract(problem, _nets_only_classes(model))
+
+
+@pytest.mark.parametrize("source", ["routing2", "routing3_bench", "random", "one class"])
+def test_unique_classes_match_np_unique(source, request):
+    if source.startswith("routing"):
+        model = request.getfixturevalue(source)
+        codes = model.problem.moment_classes(model.mdp.pair_states(), model.mdp.action_table()[0])
+    elif source == "random":
+        codes = np.random.default_rng(7).integers(-6, 6, size=20_000) * 10**12
+    else:
+        codes = np.full(50, 3, dtype=np.int64)
+    for got, expect in zip(_unique_classes(codes),
+                           np.unique(codes, return_index=True, return_inverse=True)):
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
