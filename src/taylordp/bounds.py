@@ -184,18 +184,14 @@ def holder_seminorm_estimate(hessians: np.ndarray, coords: np.ndarray,
         return np.sqrt(((Y[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
 
     # one distance row at a time: memory stays O(n) rather than O(n^2 d)
-    min_gap = np.inf
-    for k in range(n):
-        row = distances(X[k:k + 1], X)[0]
-        row[k] = np.inf
-        min_gap = min(min_gap, float(row.min()))
-    if radius < min_gap:
-        raise InsufficientNeighborhood(f"radius {radius} below grid spacing {min_gap}")
     out = np.empty(n)
     for k in range(n):
-        near = np.flatnonzero(distances(X[k:k + 1], X)[0] <= radius + 1e-12)
+        row = distances(X[k:k + 1], X)[0]
+        near = np.flatnonzero(row <= radius + 1e-12)
         if len(near) < 2:
-            raise InsufficientNeighborhood(f"state {k} has fewer than 2 neighbors in radius")
+            row[k] = np.inf
+            raise InsufficientNeighborhood(f"state {k} has no neighbor within radius {radius}; "
+                                           f"the nearest is {row.min()} away")
         sub = H[near]
         dd = distances(X[near], X[near])
         num = np.abs(sub[:, None] - sub[None, :]).max(axis=(2, 3))

@@ -25,7 +25,7 @@ import numpy as np
 from . import exact
 from .bounds import (corner_states, discounted_accumulation, gap_report,
                      taylor_remainder, third_derivative_proxy)
-from .config import ConfigError, ExperimentConfig, _validate, load_config, set_tapi
+from .config import ConfigError, ExperimentConfig, load_config, parse_config, read_sections
 from .errors import LatticeMismatch, TaylorDpError
 from .kdchain import CoarseGrid
 from .models.routing import table_params, build_routing
@@ -50,17 +50,21 @@ def main(argv=None) -> int:
         return 1
 
 
+# the flags that set the model; --config refuses them
+_MODEL_FLAGS = ("model", "alpha", "M", "cost")
+# the TAPI flags of solve-tapi, each the TapiOptions field of its name
+_TAPI_KEYS = ("h", "improvement", "disaggregation", "one_step")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="taylordp")
     sub = parser.add_subparsers(required=True)
 
     def common(p):
         p.add_argument("--config", help="INI experiment file")
-        p.add_argument("--model", default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--cost", default=None, help="service_rate cost variant")
-        p.add_argument("--out-dir", default=None)
+        for flag in _MODEL_FLAGS:
+            p.add_argument(f"--{flag}")
+        p.add_argument("--out-dir")
 
     p = sub.add_parser("solve-exact", help="exact policy iteration on the fine lattice")
     common(p)
@@ -68,9 +72,8 @@ def _build_parser():
 
     p = sub.add_parser("solve-tapi", help="Taylored approximate policy iteration")
     common(p)
-    # parsed and validated as the config file's values are
-    for flag in ("--h", "--improvement", "--disaggregation", "--one-step"):
-        p.add_argument(flag, default=None)
+    for key in _TAPI_KEYS:
+        p.add_argument("--" + key.replace("_", "-"))
     p.set_defaults(func=cmd_solve, mode="solve-tapi")
 
     p = sub.add_parser("compare", help="exactly evaluate two configs' policies and report gaps")
@@ -84,7 +87,7 @@ def _build_parser():
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="recompute benchmark table rows")
-    p.add_argument("--table", type=int, choices=(1, 5), required=True)
+    p.add_argument("--table", choices=("1", "5"), required=True)
     p.add_argument("--tier", choices=("fast", "full"), default="fast")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_reproduce)
@@ -92,31 +95,22 @@ def _build_parser():
 
 
 def _config_from_args(args, mode) -> ExperimentConfig:
+    """Write each given flag over the config key of its name, then parse and check once."""
+    flags = {key: text for key, text in vars(args).items() if text is not None}
     if args.config:
         # the model flags would otherwise be silently ignored
-        given = [f"--{flag}" for flag in ("model", "alpha", "M", "cost")
-                 if getattr(args, flag, None) is not None]
+        given = [f"--{flag}" for flag in _MODEL_FLAGS if flag in flags]
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be combined with --config; "
                               f"set the model in the config file")
-        cfg = load_config(args.config)
+        experiment, model = read_sections(args.config)
     else:
-        cfg = ExperimentConfig(mode=mode)
-        if args.model:
-            cfg.model_name = args.model
-        if args.alpha is not None:
-            cfg.alpha = args.alpha
-        if args.M is not None:
-            cfg.model_params["M"] = args.M
-        if getattr(args, "cost", None):
-            cfg.model_params["cost"] = args.cost
-    set_tapi(cfg, {name: text for name in ("h", "improvement", "disaggregation", "one_step")
-                   if (text := getattr(args, name, None)) is not None})
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    cfg.mode = mode
-    _validate(cfg)
-    return cfg
+        experiment, model = {}, {"name": flags.pop("model", ExperimentConfig.model_name)}
+    model.update((key, flags[key]) for key in ("M", "cost") if key in flags)
+    experiment.update((key, flags[key]) for key in ("alpha", "out_dir", *_TAPI_KEYS)
+                      if key in flags)
+    experiment["mode"] = mode
+    return parse_config(experiment, model)
 
 
 def _policy_for(cfg: ExperimentConfig, model):
@@ -246,7 +240,7 @@ def cmd_reproduce(args) -> int:
     Table 1 rows (3-pool: max_rel and mean_rel of exact improvement)."""
     fast = args.tier == "fast"
     alphas = (0.99,) if fast else (0.99, 0.999)
-    if args.table == 5:
+    if args.table == "5":
         J, factors, hs = 2, (0.8,) if fast else (0.8, 1.0), (1, 2, 4)
         print("table 5: lam_factor, alpha, h, tapi, exact_improv, one_step")
     else:
@@ -258,7 +252,7 @@ def cmd_reproduce(args) -> int:
             model = build_routing(table_params(J=J, alpha=alpha, lam_factor=factor))
             v_star = exact.policy_iteration(model.mdp).values
             for h in hs:
-                if args.table == 5:
+                if args.table == "5":
                     opts = (TapiOptions(h=h), TapiOptions(h=h, improvement="exact"),
                             TapiOptions(h=h, one_step=True))
                     reps = [gap_report(tapi_solve(model.problem, o).fine_values, v_star)

@@ -4,14 +4,15 @@ Flat INI files with two sections: [experiment] holds the run mode, alpha,
 out_dir and the fields of TapiOptions, which alone declares and checks the
 TAPI settings; [model] names a registered model and its parameters.  One
 file per experiment; the shipped files under configs/ reproduce the
-benchmark table cells.  Values are validated before any computation;
-errors carry the field name.
+benchmark table cells.  CLI flags are written into the same {key: text}
+sections, replacing the file's text, so parse_config parses and checks
+file values and flags alike, once, before any computation; errors carry
+the field name.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,24 +68,13 @@ def _coerce(name: str, text: str, typ):
 
 
 _TAPI_TYPES = _field_types(TapiOptions)
-# the [experiment] keys besides TapiOptions' fields (the model comes from [model])
-_RUN_TYPES = {name: typ for name, typ in _field_types(ExperimentConfig).items()
-              if name not in ("model_name", "model_params", "tapi")}
+# the [experiment] keys: the run fields (the model comes from [model]) and TapiOptions' fields
+_EXPERIMENT_TYPES = {**{name: typ for name, typ in _field_types(ExperimentConfig).items()
+                        if name not in ("model_name", "model_params", "tapi")}, **_TAPI_TYPES}
 
 
-def set_tapi(cfg: ExperimentConfig, texts: dict) -> None:
-    """Parse {TapiOptions field: text} and replace those fields of cfg.tapi.
-
-    TapiOptions validates the result; its error becomes a ConfigError.
-    """
-    changes = {name: _coerce(name, text, _TAPI_TYPES[name]) for name, text in texts.items()}
-    try:
-        cfg.tapi = dataclasses.replace(cfg.tapi, **changes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_config(path) -> ExperimentConfig:
+def read_sections(path) -> tuple:
+    """The ([experiment], [model]) sections of an INI file as {key: text} dicts."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
@@ -94,24 +84,36 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:  # no section header, a duplicate key or section, ...
         raise ConfigError(str(exc).replace("\n", " ")) from None
-    if "model" not in parser or "name" not in parser["model"]:
-        raise ConfigError("config needs a [model] section with a name")
-    cfg = ExperimentConfig()
-    tapi = {}
-    for key, text in (parser["experiment"] if "experiment" in parser else {}).items():
-        if key in _TAPI_TYPES:
-            tapi[key] = text
-        elif key in _RUN_TYPES:
-            setattr(cfg, key, _coerce(key, text, _RUN_TYPES[key]))
-        else:
-            raise ConfigError(f"unknown experiment key {key!r}")
-    set_tapi(cfg, tapi)
+    return tuple(dict(parser[name]) if name in parser else {} for name in ("experiment", "model"))
 
-    model = dict(parser["model"])
-    cfg.model_name = model.pop("name").strip()
-    _validate(cfg)
+
+def parse_config(experiment: dict, model: dict) -> ExperimentConfig:
+    """Parse the {key: text} sections by field type and check the run.
+
+    TapiOptions and the model's dataclass check their own values; their
+    errors, like every parse error, become a ConfigError.
+    """
+    if "name" not in model:
+        raise ConfigError("config needs a [model] section with a name")
+    run, tapi = {}, {}
+    for key, text in experiment.items():
+        if key not in _EXPERIMENT_TYPES:
+            raise ConfigError(f"unknown experiment key {key!r}")
+        (tapi if key in _TAPI_TYPES else run)[key] = _coerce(key, text, _EXPERIMENT_TYPES[key])
+    try:
+        cfg = ExperimentConfig(**run, tapi=TapiOptions(**tapi))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    params = dict(model)
+    cfg.model_name = params.pop("name").strip()
+    if cfg.model_name not in REGISTRY:
+        raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
+    if cfg.mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if not (0.0 < cfg.alpha < 1.0):
+        raise ConfigError("alpha must lie in (0, 1)")
     types = _field_types(REGISTRY[cfg.model_name][0])
-    for key, text in model.items():
+    for key, text in params.items():
         if key == "alpha":
             raise ConfigError("set alpha under [experiment], not [model]")
         if key not in types:
@@ -120,11 +122,5 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    """Check the run fields; the model's dataclass checks model_params, TapiOptions itself."""
-    if cfg.model_name not in REGISTRY:
-        raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
-    if cfg.mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if not (0.0 < cfg.alpha < 1.0):
-        raise ConfigError("alpha must lie in (0, 1)")
+def load_config(path) -> ExperimentConfig:
+    return parse_config(*read_sections(path))

@@ -84,10 +84,14 @@ class InventoryModel:
             backlog = params.b * float(self.demand_pmf @ np.maximum(-y, 0))
             return params.c * u + holding + backlog
 
+        # holding and backlog at each post-order level x + u in [-M, M + u_max]
+        levels = np.arange(-M, M + params.u_max + 1)
+        hold = params.H * np.array([self.demand_pmf @ np.maximum(s - demands, 0) for s in levels])
+        back = params.b * np.array([self.demand_pmf @ np.maximum(demands - s, 0) for s in levels])
+
         def reward(states, U):
-            # one cost call per pair: a batched dot would round differently
-            return np.array([-cost(s, u) for s, u in zip(map(tuple, states.tolist()),
-                                                           U.tolist())])
+            s = np.asarray(states, dtype=np.int64)[:, 0] + U + M
+            return -((params.c * U + hold[s]) + back[s])
 
         self.cost = cost
         actions = tuple(range(params.u_max + 1))

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,7 +124,6 @@ class TapiResult:
     disaggregated_policy: Optional[np.ndarray]  # fine-lattice extension; None with one_step
     fine_values: np.ndarray              # exact evaluation of fine_policy
     iterations: int
-    wall_time: float
     oscillated: bool = False
 
 
@@ -342,7 +340,6 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     on the same chain instead of policy iteration on it; the three
     approximate variants differ only in how the fine policy is formed.
     """
-    t0 = time.perf_counter()
     mdp = problem.mdp
     chain = build_multidim_chain(problem, options.h, scheme=options.scheme)
     oscillated = False
@@ -366,7 +363,7 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
                                                           options.scheme)
     fine_values = policy_evaluation(mdp, fine_policy)
     return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
-                      iterations, time.perf_counter() - t0, oscillated)
+                      iterations, oscillated)
 
 
 def _tapi_exact_loop(problem, chain, options):

@@ -311,7 +311,9 @@ def test_holder_estimate_quartic_bound():
 
 
 def test_holder_estimate_radius_too_small():
-    with pytest.raises(InsufficientNeighborhood):
+    # the first state without a neighbour in range is named with its nearest distance
+    with pytest.raises(InsufficientNeighborhood,
+                       match=r"state 0 has no neighbor within radius 0.5; the nearest is 1.0 away"):
         holder_seminorm_estimate(np.zeros(5), np.arange(5.0), radius=0.5)
 
 

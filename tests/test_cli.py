@@ -78,19 +78,37 @@ def test_tapi_flags_override_the_config(tmp_path):
     assert cfg.out_dir == str(tmp_path)
 
 
+def test_tapi_flag_replaces_the_file_value_before_the_check(tmp_path):
+    # one_step = on is ignored by improvement = exact, but --one-step off replaces it
+    from taylordp.cli import _build_parser, _config_from_args
+    cfg = tmp_path / "exact_one_step.ini"
+    cfg.write_text("[experiment]\nmode = solve-tapi\nalpha = 0.9\nh = 2\n"
+                   "improvement = exact\none_step = on\n\n[model]\nname = service_rate\nM = 20\n")
+    argv = ["solve-tapi", "--config", str(cfg), "--one-step", "off", "--out-dir", str(tmp_path)]
+    assert _config_from_args(_build_parser().parse_args(argv), "solve-tapi").tapi == \
+        TapiOptions(h=2, improvement="exact")
+    assert main(argv) == 0
+    assert (tmp_path / "service_rate_tapi_h2.csv").exists()
+
+
 def test_unknown_model_exits_2(tmp_path):
     rc = main(["solve-exact", "--model", "nope", "--out-dir", str(tmp_path)])
     assert rc == 2
 
 
-@pytest.mark.parametrize("inline", [
-    ["--model", "service_rate", "--alpha", "1.5", "--M", "10"],
-    ["--model", "inventory", "--cost", "quartic"],   # inventory has no cost variant
-], ids=["alpha", "parameter"])
-def test_inline_config_error_exits_2(inline, tmp_path, capsys):
+@pytest.mark.parametrize("inline, named", [
+    (["--model", "service_rate", "--alpha", "1.5", "--M", "10"], "alpha must lie in (0, 1)"),
+    (["--model", "inventory", "--cost", "quartic"],   # inventory has no cost variant
+     "model 'inventory' has no parameter 'cost'"),
+    # a model flag is parsed by its field type, as the same key in a file is
+    (["--model", "service_rate", "--M", "ten"], "cannot parse M = 'ten'"),
+    (["--alpha", "abc"], "cannot parse alpha = 'abc'"),
+], ids=["alpha", "parameter", "M-text", "alpha-text"])
+def test_inline_config_error_exits_2(inline, named, tmp_path, capsys):
     rc = main(["solve-exact", *inline, "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: config:")
+    assert capsys.readouterr().err.startswith(f"error: config: {named}")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["solve-exact", "solve-tapi", "bounds"])
