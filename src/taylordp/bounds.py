@@ -202,36 +202,36 @@ def holder_seminorm_estimate(hessians: np.ndarray, coords: np.ndarray,
     return out
 
 
-def corner_states(lattice, rho: float) -> np.ndarray:
-    """States within rho of at least two lower boundary faces (the 'corners').
+def corner_states(lattice) -> np.ndarray:
+    """States within 1 of at least two lower boundary faces (the 'corners').
 
     The faces are the axes B_i = {x_i = lower_i}; the truncation faces do
     not count, so the result is empty in one dimension.
     """
-    close = (lattice.states() - np.asarray(lattice.lower)) <= rho
+    close = (lattice.states() - np.asarray(lattice.lower)) <= 1
     return close.sum(axis=1) >= 2
 
 
 @dataclass
 class GapReport:
     abs_gap: np.ndarray
-    rel_gap: np.ndarray            # NaN where |V_star| < eps
+    rel_gap: np.ndarray            # NaN where |V_star| < 1e-9
     max_rel: float
     mean_rel: float
     excluded: int
 
 
-def gap_report(v_candidate: np.ndarray, v_star: np.ndarray, eps: float = 1e-9) -> GapReport:
+def gap_report(v_candidate: np.ndarray, v_star: np.ndarray) -> GapReport:
     """Per-state |V_U - V_*| and relative errors |V_U - V_*| / |V_*|.
 
-    States with |V_*| < eps are excluded from the ratios and counted.
+    States with |V_*| < 1e-9 are excluded from the ratios and counted.
     """
     v_candidate = np.asarray(v_candidate, dtype=np.float64)
     v_star = np.asarray(v_star, dtype=np.float64)
     if v_candidate.shape != v_star.shape:
         raise ValueError("value vectors must share a lattice")
     abs_gap = np.abs(v_candidate - v_star)
-    ok = np.abs(v_star) >= eps
+    ok = np.abs(v_star) >= 1e-9
     rel = np.full(v_star.shape, np.nan)
     rel[ok] = abs_gap[ok] / np.abs(v_star[ok])
     max_rel = float(np.nanmax(rel)) if ok.any() else float("nan")

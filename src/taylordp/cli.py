@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration/validation error, 1 solver error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
 # the flags that set the model; --config refuses them
 _MODEL_FLAGS = ("model", "alpha", "M", "cost")
 # the TAPI flags of solve-tapi, each the TapiOptions field of its name
-_TAPI_KEYS = ("h", "improvement", "disaggregation", "one_step")
+_TAPI_KEYS = tuple(f.name for f in dataclasses.fields(TapiOptions))
 
 
 def _build_parser():
@@ -133,8 +134,7 @@ def _policy_for(cfg: ExperimentConfig, model):
         # overflow as many customers as possible; the first maximizer wins
         U, offsets = model.mdp.action_table()
         totals = U.reshape(len(U), -1).sum(axis=1)
-        return exact.segmented_argmax(totals, offsets, 0)[1], None, 0, None
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+        return exact.segmented_argmax(totals, offsets)[1], None, 0, None
 
 
 def cmd_solve(args) -> int:
@@ -189,7 +189,7 @@ def cmd_compare(args) -> int:
     v_a = exact.policy_evaluation(model_b.mdp, pol_a)
     v_b = exact.policy_evaluation(model_b.mdp, pol_b)
     rep = gap_report(v_a, v_b)
-    corners = corner_states(model_b.mdp.lattice, 1.0)
+    corners = corner_states(model_b.mdp.lattice)
     out = Path(args.out_dir)
     write_gap_csv(out / "compare_gaps.csv", v_b, v_a, rep, corner_mask=corners)
     # both policies are evaluated in model B, so the discount reported is B's
@@ -225,7 +225,7 @@ def cmd_bounds(args) -> int:
     accumulation = discounted_accumulation(mdp, policy, np.abs(remainder))
     proxy = third_derivative_proxy(v_u) if mdp.lattice.dim == 1 else None
     rep = gap_report(v_hat, v_u)
-    corners = corner_states(mdp.lattice, 1.0)
+    corners = corner_states(mdp.lattice)
     out = Path(cfg.out_dir)
     write_gap_csv(out / f"{cfg.model_name}_bounds.csv", v_u, v_hat, rep, remainder=remainder,
                   accumulation=accumulation, proxy=proxy, corner_mask=corners)

@@ -110,6 +110,8 @@ def parse_config(experiment: dict, model: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
     if cfg.mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if cfg.mode == "heuristic-max-overflow" and cfg.model_name != "routing":
+        raise ConfigError(f"mode = {cfg.mode} is for model 'routing' only, not {cfg.model_name!r}")
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError("alpha must lie in (0, 1)")
     types = _field_types(REGISTRY[cfg.model_name][0])

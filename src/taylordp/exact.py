@@ -186,12 +186,12 @@ def _tabulate(mdp: LatticeMdp) -> TabularAssembly:
     return TabularAssembly(offsets, rewards, row_ptr, col_idx, probs, discounts)
 
 
-def segmented_argmax(values: np.ndarray, offsets: np.ndarray, tol: float = ARGMAX_TOL):
-    """Per-segment (max, first index within tol of max)."""
+def segmented_argmax(values: np.ndarray, offsets: np.ndarray):
+    """Per-segment (max, first index within ARGMAX_TOL of max)."""
     starts = offsets[:-1]
     seg_max = np.maximum.reduceat(values, starts)
     counts = np.diff(offsets)
-    thresh = np.repeat(seg_max - tol, counts)
+    thresh = np.repeat(seg_max - ARGMAX_TOL, counts)
     idx = np.arange(len(values), dtype=np.int64)
     masked = np.where(values >= thresh, idx, np.iinfo(np.int64).max)
     first = np.minimum.reduceat(masked, starts) - starts

@@ -252,15 +252,20 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl, hr, scheme: str):
 class KdChain:
     """TCP-equivalent coarse chain; the exact.py solvers take it through assembly().
 
-    actions is the chain's action table, one action per (grid point, action)
-    pair and aligned with assembly().offsets: grid point i's actions are
-    actions[offsets[i]:offsets[i+1]], the fine actions of its lattice state
-    in action-table order (a reflecting boundary point keeps only the first).
+    It records what it was built from: problem, h, scheme and fine_state, the
+    lattice index of every grid point.  Grid point i's actions are
+    actions[offsets[i]:offsets[i+1]] (assembly().offsets), the fine actions of
+    lattice state fine_state[i] in table order (a reflecting boundary point
+    keeps only the first).
     """
 
-    def __init__(self, grid, actions, assembly, Q, interior_mask, second_moment_slack,
-                 cross_scale):
+    def __init__(self, problem, h, scheme, grid, fine_state, actions, assembly, Q,
+                 interior_mask, second_moment_slack, cross_scale):
+        self.problem = problem
+        self.h = h
+        self.scheme = scheme
         self.grid = grid
+        self.fine_state = fine_state
         self.actions = actions
         self._asm = assembly
         self.Q = Q                                # per-state normalizer (0 on boundary rows)
@@ -410,7 +415,8 @@ def build_multidim_chain(problem: TaylorProblem, h: int, scheme: str = "inflate"
     cross_scale = np.ones(n_pairs)
     cross_scale[ip] = cscale
     asm = TabularAssembly(offsets, rewards, row_ptr, cols[mask], probs[mask], discounts)
-    return KdChain(grid, actions, asm, Q_per_state, interior, slack, cross_scale)
+    return KdChain(problem, int(h), scheme, grid, fine_state, actions, asm, Q_per_state,
+                   interior, slack, cross_scale)
 
 
 def _stay_mass(p: np.ndarray, keep: np.ndarray) -> np.ndarray:

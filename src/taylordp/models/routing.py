@@ -239,18 +239,14 @@ def build_routing(params: RoutingParams) -> RoutingModel:
     return RoutingModel(params)
 
 
-def table_params(J: int, alpha: float, lam_factor: float, M: int = None) -> RoutingParams:
+def table_params(J: int, alpha: float, lam_factor: float) -> RoutingParams:
     """The benchmark parameter sets: the 2-pool instance and 3-pool instance #1."""
     if J == 2:
-        N = (10, 10)
-        p = (0.56, 0.56)
-        return RoutingParams(J=2, N=N, M=10 if M is None else M, p=p,
-                             lam=tuple(lam_factor * n * q for n, q in zip(N, p)),
-                             B=(5.0, 1.0), H=(1.0, 4.0), alpha=alpha)
-    if J == 3:
-        N = (10, 10, 10)
-        p = (0.8, 0.8, 0.8)
-        return RoutingParams(J=3, N=N, M=14 if M is None else M, p=p,
-                             lam=tuple(lam_factor * n * q for n, q in zip(N, p)),
-                             B=(1.0, 1.0, 4.0, 1.0, 2.0, 1.0), H=(1.0, 2.0, 3.0), alpha=alpha)
-    raise ValueError("benchmark parameters are defined for J = 2 and J = 3")
+        N, M, p, B, H = (10, 10), 10, (0.56, 0.56), (5.0, 1.0), (1.0, 4.0)
+    elif J == 3:
+        N, M, p, H = (10, 10, 10), 14, (0.8, 0.8, 0.8), (1.0, 2.0, 3.0)
+        B = (1.0, 1.0, 4.0, 1.0, 2.0, 1.0)
+    else:
+        raise ValueError("benchmark parameters are defined for J = 2 and J = 3")
+    return RoutingParams(J=J, N=N, M=M, p=p, lam=tuple(lam_factor * n * q for n, q in zip(N, p)),
+                         B=B, H=H, alpha=alpha)

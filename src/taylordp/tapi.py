@@ -39,7 +39,8 @@ chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
 grid is a gather.  The boundary completion reads the true kernel rows of
 every boundary grid point's actions in memory-bounded blocks
-(lattice.row_blocks), one mdp.rows() call a block.
+(lattice.row_blocks), one mdp.rows() call a block.  The fine-lattice steps
+take the chain alone, which records its problem, h, scheme and fine_state.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from . import exact
 from .exact import (_ranges, get_assembly, policy_evaluation, policy_improvement,
                     policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
-from .lattice import LatticeMdp, StateLattice, row_blocks
+from .lattice import StateLattice, row_blocks
 from .taylor import TaylorProblem
 
 # the settings each way of forming the returned policy reads, besides h and scheme
@@ -177,9 +178,9 @@ def _nearest_actions(U: np.ndarray, offsets: np.ndarray, targets: np.ndarray) ->
     return segmented_argmax(-dist, offsets)[1]
 
 
-def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeMdp,
+def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
                         fine_value: np.ndarray) -> np.ndarray:
-    """Piecewise-constant policy extension with boundary completion.
+    """Piecewise-constant policy extension to the chain's lattice, with boundary completion.
 
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
@@ -192,21 +193,18 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
     nearest feasible action (_nearest_actions).
     """
     grid = chain.grid
-    lattice = mdp.lattice
-    if not chain.interior_mask.any():
-        raise ValueError("chain has no interior states")
+    mdp = chain.problem.mdp
     U, offsets = mdp.action_table()
 
     # the (state, action) pair each grid point chose: chain action indices
     # are action-table indices at the grid point's lattice state
-    grid_state = lattice.indices_of(grid.points())
-    chosen = offsets[grid_state] + np.asarray(coarse_policy, dtype=np.int64)
+    chosen = offsets[chain.fine_state] + np.asarray(coarse_policy, dtype=np.int64)
 
     # completion at boundary grid states: one fine greedy step over all of
     # their pairs, the rows read in blocks and the rewards in one call
-    states = lattice.states()
+    states = mdp.lattice.states()
     boundary = np.flatnonzero(~chain.interior_mask)
-    points = grid_state[boundary]
+    points = chain.fine_state[boundary]
     first, counts = offsets[points], np.diff(offsets)[points]
     pairs = _ranges(first, counts)
     pair_states, pair_actions = np.repeat(states[points], counts, axis=0), U[pairs]
@@ -225,19 +223,19 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray, mdp: LatticeM
                                   grid.shape)
 
     # grid states keep their own action, every other state its nearest interior one
-    source[grid_state] = np.arange(chain.n_states)
+    source[chain.fine_state] = np.arange(chain.n_states)
     return _nearest_actions(U, offsets, U[chosen[source]])
 
 
-def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
-                           coarse_values: np.ndarray, scheme: str = "inflate") -> np.ndarray:
-    """Approximate (Taylored) policy improvement at every fine-lattice state.
+def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndarray:
+    """Approximate (Taylored) policy improvement at every state of the chain's lattice.
 
     Each state gets the same stencil greedy the chain's improvement uses,
-    built from the state's own drift/diffusion at spacing h and fed with the
-    extended coarse values at the stencil targets; near the boundary the
-    extension extrapolates.  This is the discretized form of maximizing
-    r(x,u) + alpha L_u V(x) - (1-alpha) V(x) over the feasible actions.
+    built from the state's own drift/diffusion at the chain's spacing h and
+    small-drift scheme, and fed with the extended coarse values at the
+    stencil targets; near the boundary the extension extrapolates.  This is
+    the discretized form of maximizing r(x,u) + alpha L_u V(x) - (1-alpha) V(x)
+    over the feasible actions.
     All (state, action) pairs are scored in one pass over the action table;
     ties go to the first action within ARGMAX_TOL.
 
@@ -248,12 +246,11 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
     on that padded box and both the targets and the centers are gathered
     from it by flat index.
     """
+    problem, h = chain.problem, chain.h
     mdp = problem.mdp
     lattice = mdp.lattice
     alpha = mdp.discount
-    d = lattice.dim
-    h = int(max(ax[1] - ax[0] for ax in chain.grid.axes))
-    hvec = np.full(d, float(h))
+    hvec = np.full(lattice.dim, float(h))
 
     # one stencil per moment class (per pair without the hook)
     U, offsets = mdp.action_table()
@@ -264,7 +261,7 @@ def taylored_greedy_policy(problem: TaylorProblem, chain: KdChain,
         _, first, classes = _unique_classes(problem.moment_classes(pair_states, U))
         pair_states, pair_U = pair_states[first], U[first]
     mu_b, s2_b = problem.moments_batch(pair_states, pair_U)
-    dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
+    dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, chain.scheme)
     tot = rates.sum(axis=1)
     if classes is not None:
         rates, tot = rates[classes], tot[classes]
@@ -345,8 +342,8 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     oscillated = False
     if options.improvement == "exact":
         (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
-         oscillated) = _tapi_exact_loop(problem, chain, options)
-        disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_v)
+         oscillated) = _tapi_exact_loop(chain, options.disaggregation)
+        disagg = disaggregate_policy(chain, coarse_policy, fine_v)
     else:
         pi = policy_iteration(chain)
         coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
@@ -357,16 +354,15 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
         elif options.policy_extension == "pc":
             fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
                                         options.disaggregation)
-            fine_policy = disagg = disaggregate_policy(chain, coarse_policy, mdp, fine_v)
+            fine_policy = disagg = disaggregate_policy(chain, coarse_policy, fine_v)
         else:
-            fine_policy = disagg = taylored_greedy_policy(problem, chain, coarse_values,
-                                                          options.scheme)
+            fine_policy = disagg = taylored_greedy_policy(chain, coarse_values)
     fine_values = policy_evaluation(mdp, fine_policy)
     return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
                       iterations, oscillated)
 
 
-def _tapi_exact_loop(problem, chain, options):
+def _tapi_exact_loop(chain: KdChain, disaggregation: str):
     """Evaluate on the chain, improve on the fine lattice, restrict back to the grid.
 
     Returns (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
@@ -374,24 +370,24 @@ def _tapi_exact_loop(problem, chain, options):
     fine_policy its exact greedy policy.  The loop stops when that policy
     repeats: unchanged (converged) or an earlier one (a cycle, oscillated).
     """
-    mdp = problem.mdp
+    mdp = chain.problem.mdp
     coarse_policy = np.zeros(chain.n_states, dtype=np.int64)
     seen: set[bytes] = set()
     fine_policy = None
     for iterations in range(1, exact.MAX_ITERATIONS + 1):
         coarse_values = policy_evaluation(chain, coarse_policy)
-        fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice, options.disaggregation)
+        fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice, disaggregation)
         new_fine = policy_improvement(mdp, fine_v)
         if new_fine.tobytes() in seen:
             return (coarse_values, coarse_policy, fine_v, new_fine, iterations,
                     not np.array_equal(new_fine, fine_policy))
         seen.add(new_fine.tobytes())
         fine_policy = new_fine
-        coarse_policy = _restrict_policy(chain, mdp.lattice, fine_policy)
+        coarse_policy = _restrict_policy(chain, fine_policy)
     return coarse_values, coarse_policy, fine_v, fine_policy, iterations, True
 
 
-def _restrict_policy(chain: KdChain, lattice, fine_policy: np.ndarray) -> np.ndarray:
+def _restrict_policy(chain: KdChain, fine_policy: np.ndarray) -> np.ndarray:
     """The fine policy at the grid points, as chain action indices.
 
     A grid point's chain actions are the fine actions of its lattice state,
@@ -399,4 +395,4 @@ def _restrict_policy(chain: KdChain, lattice, fine_policy: np.ndarray) -> np.nda
     boundary point keeps only the first) takes it.
     """
     single = np.diff(chain.assembly().offsets) == 1
-    return np.where(single, 0, fine_policy[lattice.indices_of(chain.grid.points())])
+    return np.where(single, 0, fine_policy[chain.fine_state])

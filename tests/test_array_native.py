@@ -236,13 +236,14 @@ def per_point_chain(problem, h, scheme="inflate"):
     discounts = np.empty(n)
     Q_per_state = np.zeros(n)
     interior_mask = np.zeros(n, dtype=bool)
-    chain_actions, slack_rows, cross_rows = [], [], []
+    chain_actions, slack_rows, cross_rows, fine_state = [], [], [], []
     shape = grid.shape
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
 
     for idx in range(n):
         pos = np.array(grid.position(idx), dtype=np.int64)
         point = grid.point(idx)
+        fine_state.append(mdp.lattice.index(point))
         U_point = mdp.actions.at([point])[0]         # this point's own enumeration
         acts = action_tuple(U_point)
         if any(p == 0 or p == len(ax) - 1 for p, ax in zip(pos, grid.axes)):
@@ -317,7 +318,8 @@ def per_point_chain(problem, h, scheme="inflate"):
 
     asm = TabularAssembly(offsets, rewards, row_ptr, np.concatenate(cols),
                           np.concatenate(probs), discounts)
-    return KdChain(grid, np.concatenate(chain_actions), asm, Q_per_state, interior_mask,
+    return KdChain(problem, h, scheme, grid, np.asarray(fine_state, dtype=np.int64),
+                   np.concatenate(chain_actions), asm, Q_per_state, interior_mask,
                    np.concatenate(slack_rows, axis=0), np.concatenate(cross_rows))
 
 
@@ -969,7 +971,7 @@ def test_blocked_completion_matches_per_point_loop(name, h, row_block, request, 
     assert (np.diff(mdp.action_table()[1])[points] > 1).any()
     if row_block is not None:
         monkeypatch.setattr("taylordp.lattice.ROW_BLOCK", row_block)
-    policy = tdp.disaggregate_policy(chain, pi.policy, mdp, fine_v)
+    policy = tdp.disaggregate_policy(chain, pi.policy, fine_v)
     assert np.array_equal(policy[points], per_point_completion(chain, mdp, fine_v))
 
 
@@ -984,7 +986,7 @@ def test_completion_memory_stays_bounded(routing3_bench):
     mdp.action_table()
     tracemalloc.start()
     try:
-        tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
+        tdp.disaggregate_policy(chain, coarse, fine_v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1006,7 +1008,7 @@ def test_replaced_kernel_sees_every_rows_call(name, request, monkeypatch):
     tdp.kernel_moment_provider(mdp)(states[-5:], U[-5:])
     model = request.getfixturevalue(name)
     chain = tdp.build_multidim_chain(model.problem, 4)
-    tdp.disaggregate_policy(chain, np.zeros(chain.n_states, dtype=np.int64), mdp,
+    tdp.disaggregate_policy(chain, np.zeros(chain.n_states, dtype=np.int64),
                             np.zeros(mdp.n_states))
     assert len(rows_calls) > 3 and seen == rows_calls
 
@@ -1144,7 +1146,7 @@ def test_value_extension_rejects_degenerate_axes(axes):
 def _greedy_pair(problem, h, scheme="inflate"):
     chain = tdp.build_multidim_chain(problem, h, scheme=scheme)
     pi = tdp.policy_iteration(chain)
-    fast = tdp.tapi.taylored_greedy_policy(problem, chain, pi.values, scheme)
+    fast = tdp.tapi.taylored_greedy_policy(chain, pi.values)
     return fast, per_state_taylored_greedy(problem, chain, pi.values, scheme)
 
 
@@ -1181,7 +1183,7 @@ def test_taylored_greedy_one_moments_call_per_class(routing3_smoke, monkeypatch)
         return inner(states, actions)
 
     monkeypatch.setattr(problem, "moments_batch", counted)
-    tdp.tapi.taylored_greedy_policy(problem, chain, values)
+    tdp.tapi.taylored_greedy_policy(chain, values)
     mdp = problem.mdp
     codes = problem.moment_classes(mdp.pair_states(), mdp.action_table()[0])
     assert rows == [len(np.unique(codes))]
@@ -1226,9 +1228,10 @@ def _assert_same_chain(fast, ref):
     for name in ("offsets", "row_ptr", "col_idx", "probs", "rewards", "discounts"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    for name in ("Q", "interior_mask", "second_moment_slack", "cross_scale"):
+    for name in ("fine_state", "Q", "interior_mask", "second_moment_slack", "cross_scale"):
         x, y = getattr(fast, name), getattr(ref, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (fast.problem, fast.h, fast.scheme) == (ref.problem, ref.h, ref.scheme)
     assert fast.actions.dtype == ref.actions.dtype and np.array_equal(fast.actions, ref.actions)
     assert [fast.actions_at(i) for i in range(fast.n_states)] == \
         [ref.actions_at(i) for i in range(ref.n_states)]
@@ -1488,14 +1491,14 @@ def test_policy_moves_match_per_state_projection(name, variant, h, request):
     for label, coarse in policies.items():
         values = tdp.policy_evaluation(chain, coarse)
         fine_v = tdp.disaggregate_value(values, chain.grid, mdp.lattice)
-        fast = tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
+        fast = tdp.disaggregate_policy(chain, coarse, fine_v)
         assert fast.dtype == np.int64
         ref = per_state_disaggregate_policy(chain, coarse, mdp, fine_v)
         assert np.array_equal(fast, ref), label
         # restriction of the fine greedy (what the exact-improvement loop feeds
         # back) and of the extension itself
         for fine in (tdp.policy_improvement(mdp, fine_v), fast):
-            assert np.array_equal(_restrict_policy(chain, mdp.lattice, fine),
+            assert np.array_equal(_restrict_policy(chain, fine),
                                   per_point_restriction(chain, mdp, fine)), label
 
 

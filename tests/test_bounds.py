@@ -213,7 +213,7 @@ def test_accumulation_constant_and_validation(quartic_fixed):
 def test_corner_occupancy_is_discounted_functional(routing_small):
     mdp = routing_small.mdp
     pol = np.zeros(mdp.n_states, dtype=np.int64)
-    mask = corner_states(mdp.lattice, 2.0)
+    mask = corner_states(mdp.lattice)
     occ = discounted_accumulation(mdp, pol, mask.astype(float))
     direct = tdp.discounted_functional(mdp, pol, mask.astype(float))
     assert np.array_equal(occ, direct)
@@ -380,13 +380,15 @@ def test_gap_report_zero_and_hand_example():
     assert rep.mean_rel == pytest.approx((0.1 + 0.1 + 0.2) / 3)
     rep = gap_report(np.array([1.0, 5.0]), np.array([0.0, 5.0]))
     assert rep.excluded == 1
+    with pytest.raises(ValueError, match="value vectors must share a lattice"):
+        gap_report(np.ones(3), np.ones(4))
 
 
 def test_corner_states_shapes():
     lat1 = tdp.StateLattice((0,), (10,))
-    assert not corner_states(lat1, 3.0).any()           # no corners in 1-d
+    assert not corner_states(lat1).any()                # no corners in 1-d
     lat2 = tdp.StateLattice((0, 0), (5, 5))
-    mask = corner_states(lat2, 1.0).reshape(6, 6)
+    mask = corner_states(lat2).reshape(6, 6)
     assert mask[0, 0] and mask[1, 1] and not mask[0, 3]
     assert not mask[5, 5] and not mask[0, 5]             # the truncation faces do not count
 

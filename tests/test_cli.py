@@ -58,7 +58,8 @@ def test_invalid_h_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--improvement", "bogus"), ("--disaggregation", "nn"),
-                                         ("--one-step", "maybe"), ("--h", "two")])
+                                         ("--one-step", "maybe"), ("--h", "two"),
+                                         ("--scheme", "foo"), ("--policy-extension", "nn")])
 def test_bad_tapi_flag_exits_2_as_a_config_value(flag, value, tmp_path, capsys):
     # the flags go through the config file's parser and TapiOptions' own checks
     rc = main(["solve-tapi", "--model", "service_rate", "--M", "20", flag, value,
@@ -76,6 +77,15 @@ def test_tapi_flags_override_the_config(tmp_path):
     cfg = _config_from_args(args, "solve-tapi")
     assert cfg.tapi == TapiOptions(h=2, improvement="exact")
     assert cfg.out_dir == str(tmp_path)
+
+
+def test_every_tapi_options_field_is_a_flag(tmp_path):
+    from taylordp.cli import _build_parser, _config_from_args
+    args = _build_parser().parse_args([
+        "solve-tapi", "--model", "service_rate", "--M", "20", "--scheme", "upwind",
+        "--policy-extension", "pc", "--out-dir", str(tmp_path)])
+    assert _config_from_args(args, "solve-tapi").tapi == \
+        TapiOptions(scheme="upwind", policy_extension="pc")
 
 
 def test_tapi_flag_replaces_the_file_value_before_the_check(tmp_path):
@@ -226,7 +236,7 @@ def test_compare_flags_radius_one_corners_without_reading_rows(tmp_path, monkeyp
     with open(tmp_path / "compare_gaps.csv", newline="") as fh:
         flags = np.array([int(r["corner_flag"]) for r in csv.DictReader(fh)])
     lattice = load_config(CONFIG_DIR / "routing2_exact_a099_f08.ini").build_model().mdp.lattice
-    corners = corner_states(lattice, 1.0)
+    corners = corner_states(lattice)
     assert np.array_equal(flags, corners.astype(int))
     assert np.array_equal(lattice.states()[corners], [[0, 0], [0, 1], [1, 0], [1, 1]])
 
@@ -262,6 +272,45 @@ def test_bounds_csv(tmp_path):
         assert float(parts[6]) >= float(parts[3]) - 1e-9
 
 
+def test_bounds_without_oracle_exits_2(tmp_path, capsys):
+    rc = main(["bounds", "--model", "inventory", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: bounds needs a model with a "
+                                              "closed-form oracle")
+    assert not any(tmp_path.iterdir())
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    rc = main(["solve-exact", "--config", str(tmp_path / "absent.ini")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: config file ")
+
+
+@pytest.mark.parametrize("mode, named", [
+    ("bogus", "unknown mode 'bogus'"),
+    # the largest action sum is the largest service control here, not an overflow
+    ("heuristic-max-overflow",
+     "mode = heuristic-max-overflow is for model 'routing' only, not 'service_rate'"),
+])
+def test_compare_refuses_a_bad_mode(mode, named, tmp_path, capsys):
+    a = _service_config(tmp_path / "a.ini", mode, 0.99, 30)
+    b = _service_config(tmp_path / "b.ini", "solve-exact", 0.99, 30)
+    rc = main(["compare", "--config-a", a, "--config-b", b, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: config:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_routing_heuristic_against_exact(tmp_path, capsys):
+    rc = main(["compare", "--config-a", str(CONFIG_DIR / "routing2_heuristic_max_overflow.ini"),
+               "--config-b", str(CONFIG_DIR / "routing2_exact_a099_f08.ini"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("routing, 0.99, , heuristic-max-overflow-vs-solve-exact, ")
+    assert float(out.split(", ")[4]) > 0.0       # overflowing everything is not optimal
+
+
 def test_reproduce_table5_fast(tmp_path):
     rc = main(["reproduce", "--table", "5", "--tier", "fast",
                "--out-dir", str(tmp_path)])
@@ -269,6 +318,15 @@ def test_reproduce_table5_fast(tmp_path):
     rows = (tmp_path / "table5_fast.csv").read_text().splitlines()
     assert len(rows) == 3                      # h in {1, 2, 4}
     assert [p.name for p in tmp_path.iterdir()] == ["table5_fast.csv"]
+
+
+@pytest.mark.slow
+def test_reproduce_table1_fast(tmp_path, capsys):
+    rc = main(["reproduce", "--table", "1", "--tier", "fast", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "table1_fast.csv").read_text() == "0.7,0.99,4,0.013,0.00039\n"
+    assert capsys.readouterr().out.splitlines() == [
+        "table 1: lam_factor, alpha, h, max_rel, mean_rel", "0.7, 0.99, 4, 0.013, 0.00039"]
 
 
 @pytest.mark.parametrize("config", [

@@ -320,7 +320,7 @@ def _completion_calls(model, h, monkeypatch):
     monkeypatch.setattr(mdp, "rows", counted("rows", mdp.rows))
     monkeypatch.setattr(mdp, "kernel", counted("kernel", mdp.kernel))
     monkeypatch.setattr(mdp, "reward", counted("reward", mdp.reward))
-    tdp.disaggregate_policy(chain, coarse, mdp, fine_v)
+    tdp.disaggregate_policy(chain, coarse, fine_v)
     return calls, len(points), len(pairs), blocks
 
 

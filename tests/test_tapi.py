@@ -57,6 +57,11 @@ def test_options_reject_unknown_scheme():
     assert TapiOptions(scheme="upwind").scheme == "upwind"
 
 
+def test_options_reject_unknown_policy_extension():
+    with pytest.raises(ValueError, match="policy_extension must be 'tcp_greedy' or 'pc'"):
+        TapiOptions(policy_extension="bogus")
+
+
 @pytest.mark.parametrize("h", [2.0, np.int64(2)], ids=["float", "int64"])
 def test_integral_h_solves_as_int(h):
     model = build("service_rate", M=30, alpha=0.9, cost="quadratic")
@@ -66,6 +71,15 @@ def test_integral_h_solves_as_int(h):
     assert np.array_equal(res.coarse_values, ref.coarse_values)
     assert np.array_equal(res.fine_policy, ref.fine_policy)
     assert np.array_equal(res.fine_values, ref.fine_values)
+
+
+def test_chain_records_what_it_was_built_from(routing2):
+    # the fine-lattice steps read the problem, h, scheme and grid points' states from here
+    chain = tdp.build_multidim_chain(routing2.problem, 2.0, scheme="upwind")
+    assert chain.problem is routing2.problem
+    assert type(chain.h) is int and chain.h == 2 and chain.scheme == "upwind"
+    assert np.array_equal(chain.fine_state,
+                          routing2.mdp.lattice.indices_of(chain.grid.points()))
 
 
 def test_chain_rejects_non_integral_h(service_quadratic):
@@ -159,7 +173,7 @@ def test_taylored_greedy_same_as_chain_improvement_on_grid(service_quadratic):
     # value instead of the reflected duplicate, by design
     chain = tdp.build_multidim_chain(service_quadratic.problem, 2)
     pi = tdp.policy_iteration(chain)
-    fine = taylored_greedy_policy(service_quadratic.problem, chain, pi.values)
+    fine = taylored_greedy_policy(chain, pi.values)
     final = tdp.policy_improvement(chain, pi.values)
     lat = service_quadratic.mdp.lattice
     n_axis = len(chain.grid.axes[0])
@@ -251,10 +265,14 @@ def test_every_accepted_spacing_gives_valid_policies(name):
             assert np.isfinite(res.fine_values).all(), (h, variant)
 
 
+def _routing3_m4():
+    return build_routing(dataclasses.replace(table_params(J=3, alpha=0.99, lam_factor=0.7), M=4))
+
+
 @pytest.mark.parametrize("make, h", [
     (lambda: build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8)), 10),
-    (lambda: build_routing(table_params(J=3, alpha=0.99, lam_factor=0.7, M=4)), 7),
-    (lambda: build_routing(table_params(J=3, alpha=0.99, lam_factor=0.7, M=4)), 8),
+    (_routing3_m4, 7),
+    (_routing3_m4, 8),
     (lambda: build("service_rate", M=4, alpha=0.99), 2),
 ], ids=["routing2_h10", "routing3_M4_h7", "routing3_M4_h8", "service_rate_M4_h2"])
 def test_three_point_axes_extend_the_pc_policy(make, h):
