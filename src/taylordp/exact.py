@@ -60,6 +60,11 @@ class _PairAssembly:
         self._disc_per_pair = np.repeat(self.discounts, self._counts)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
+        """r(x,u) + alpha(x) E_x^u[V] for every pair; values must have shape (n_states,)."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.n_states,):
+            raise ValueError(f"values must have shape ({self.n_states},), "
+                             f"got {values.shape}")
         return self.rewards + self._disc_per_pair * self.expectations(values)
 
     def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
@@ -310,8 +315,7 @@ def _bracketed_iteration(r_u, op, disc, warm_start=None):
 def policy_improvement(mdp, values):
     """Greedy policy: argmax_u r(x,u) + alpha(x) E_x^u[V], first maximizer wins."""
     asm = get_assembly(mdp)
-    q = asm.q_values(np.asarray(values, dtype=np.float64))
-    return segmented_argmax(q, asm.offsets)[1]
+    return segmented_argmax(asm.q_values(values), asm.offsets)[1]
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .errors import EmptyActionSet, InfeasibleAction, ZeroInteriorMass
 State = tuple[int, ...]
 
 PROB_TOL = 1e-12
-ROW_BLOCK = 1 << 16    # entries per rows() call in row_blocks (boundary completion)
 ROW_SUM_BLOCK = 64     # entries per partial sum in row_sums
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -379,23 +378,3 @@ def pack_rows(targets: np.ndarray, probs: np.ndarray, lengths: np.ndarray):
     np.cumsum(lengths, out=row_ptr[1:])
     return row_ptr, targets[keep], probs[keep]
 
-
-def row_blocks(mdp: LatticeMdp, states: np.ndarray, U: np.ndarray):
-    """Kernel rows of k (state, action) pairs, one mdp.rows() call a block.
-
-    states is (k, d) and U holds the k matching actions.  Yields
-    (row_ptr, targets, probs), rows() of consecutive runs of pairs, in
-    order.  A block holds about ROW_BLOCK entries, sized by the widest row
-    seen so far: short 1-D rows take one call after a first block of 64
-    pairs (at most ROW_BLOCK, as every row has an entry), and product-form
-    rows (dense (k, n_states) blocks in the routing kernel, up to 12,167
-    entries a row on the paper 3-pool lattice) never sit in memory all at
-    once.
-    """
-    start, block, widest = 0, min(64, ROW_BLOCK), 1
-    while start < len(U):
-        row_ptr, targets, probs = mdp.rows(states[start:start + block], U[start:start + block])
-        yield row_ptr, targets, probs
-        start += block
-        widest = max(widest, int(np.diff(row_ptr).max()))
-        block = max(1, ROW_BLOCK // widest)

@@ -37,10 +37,11 @@ A grid point's chain actions are the fine actions of its lattice state (a
 reflecting boundary point keeps only the first), so policies move between the
 chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
-grid is a gather.  The boundary completion reads the true kernel rows of
-every boundary grid point's actions in memory-bounded blocks
-(lattice.row_blocks), one mdp.rows() call a block.  The fine-lattice steps
-take the chain alone, which records its problem, h, scheme and fine_state.
+grid is a gather.  The boundary completion is one fine greedy step from
+the fine assembly's q-values (get_assembly(mdp).q_values), gathered at the
+boundary grid points' pairs, and reads no kernel rows.  The fine-lattice
+steps take the chain alone, which records its problem, h, scheme and
+fine_state.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from . import exact
 from .exact import (_ranges, get_assembly, policy_evaluation, policy_improvement,
                     policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
-from .lattice import StateLattice, row_blocks
+from .lattice import StateLattice
 from .taylor import TaylorProblem
 
 # the settings each way of forming the returned policy reads, besides h and scheme
@@ -185,10 +186,9 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
     Boundary grid states are completed by a fine one-step greedy against
-    fine_value over all of their (state, action) pairs at once: the true
-    kernel rows read in blocks of about lattice.ROW_BLOCK entries
-    (row_blocks), the rewards from one mdp.rewards() call (each checks what
-    it reads), and one segmented_argmax over the points' actions.
+    fine_value: the fine assembly's q-values (policy_improvement's, so no
+    kernel row is read) gathered at the points' pairs, and one
+    segmented_argmax over the points' actions.
     Inherited actions infeasible at the destination are projected to the
     nearest feasible action (_nearest_actions).
     """
@@ -200,24 +200,18 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
     # are action-table indices at the grid point's lattice state
     chosen = offsets[chain.fine_state] + np.asarray(coarse_policy, dtype=np.int64)
 
-    # completion at boundary grid states: one fine greedy step over all of
-    # their pairs, the rows read in blocks and the rewards in one call
-    states = mdp.lattice.states()
+    # completion at boundary grid states: one fine greedy step over their pairs
     boundary = np.flatnonzero(~chain.interior_mask)
     points = chain.fine_state[boundary]
     first, counts = offsets[points], np.diff(offsets)[points]
-    pairs = _ranges(first, counts)
-    pair_states, pair_actions = np.repeat(states[points], counts, axis=0), U[pairs]
-    rewards = mdp.rewards(pair_states, pair_actions)
-    expect = np.concatenate([np.add.reduceat(probs * fine_value[targets], row_ptr[:-1])
-                             for row_ptr, targets, probs
-                             in row_blocks(mdp, pair_states, pair_actions)])
+    q = get_assembly(mdp).q_values(fine_value)[_ranges(first, counts)]
     segments = np.zeros(len(boundary) + 1, dtype=np.int64)
     np.cumsum(counts, out=segments[1:])
-    chosen[boundary] = first + segmented_argmax(rewards + mdp.discount * expect, segments)[1]
+    chosen[boundary] = first + segmented_argmax(q, segments)[1]
 
     # nearest interior grid point for every fine state: the nearest grid
     # position clamped into the interior on every axis
+    states = mdp.lattice.states()
     pos = np.unravel_index(grid.nearest_index(states), grid.shape)
     source = np.ravel_multi_index(tuple(np.clip(p, 1, n - 2) for p, n in zip(pos, grid.shape)),
                                   grid.shape)

@@ -955,13 +955,13 @@ def service_rate_m30():
     return build("service_rate", M=30, alpha=0.99)
 
 
-@pytest.mark.parametrize("row_block", [None, 2])
 @pytest.mark.parametrize("name,h", [("routing2", 1), ("routing2", 2), ("routing2", 4),
                                     ("service_rate_m30", 1), ("service_rate_m30", 2),
-                                    ("routing3_smoke", 2)])
-def test_blocked_completion_matches_per_point_loop(name, h, row_block, request, monkeypatch):
-    # at ROW_BLOCK = 2 every block after the first is one pair, so a point
-    # with two or more actions is split across blocks
+                                    ("routing3_smoke", 2), ("inventory_model", 2)])
+def test_completion_matches_per_point_loop(name, h, request):
+    # the completion reads the assembly's q-values, the reference loop the
+    # kernel rows: on the factored routing models the two add in different
+    # orders, and the argmax tie rule makes them agree
     model = request.getfixturevalue(name)
     mdp = model.mdp
     chain = tdp.build_multidim_chain(model.problem, h)
@@ -969,16 +969,14 @@ def test_blocked_completion_matches_per_point_loop(name, h, row_block, request, 
     fine_v = tdp.disaggregate_value(pi.values, chain.grid, mdp.lattice)
     points = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
     assert (np.diff(mdp.action_table()[1])[points] > 1).any()
-    if row_block is not None:
-        monkeypatch.setattr("taylordp.lattice.ROW_BLOCK", row_block)
     policy = tdp.disaggregate_policy(chain, pi.policy, fine_v)
     assert np.array_equal(policy[points], per_point_completion(chain, mdp, fine_v))
 
 
 def test_completion_memory_stays_bounded(routing3_bench):
     # the tracemalloc peak of one call on the 2,197-state 3-pool cell at
-    # h=4: 4.0 MB with ROW_BLOCK = 2^16 entries a block, 27.5 MB with all
-    # boundary rows in one rows() call
+    # h=4: 2.6 MB when the call builds the fine assembly, 2.2 MB when an
+    # earlier solve has built it
     mdp = routing3_bench.mdp
     chain = tdp.build_multidim_chain(routing3_bench.problem, 4)
     coarse = np.zeros(chain.n_states, dtype=np.int64)
@@ -996,7 +994,8 @@ def test_completion_memory_stays_bounded(routing3_bench):
 @pytest.mark.parametrize("name", ["routing2", "service_quadratic"])
 def test_replaced_kernel_sees_every_rows_call(name, request, monkeypatch):
     # a kernel replaced on the instance after the model is built, as the
-    # benchmark's tracer replaces it, sees every rows() call
+    # benchmark's tracer replaces it, sees every rows() call: one each from
+    # a direct call, kernel_moment_provider and tabular assembly
     mdp = request.getfixturevalue(name).mdp
     seen, rows_calls = [], []
     kernel, rows = mdp.kernel, mdp.rows
@@ -1006,11 +1005,8 @@ def test_replaced_kernel_sees_every_rows_call(name, request, monkeypatch):
     states = mdp.pair_states()
     mdp.rows(states[:7], U[:7])
     tdp.kernel_moment_provider(mdp)(states[-5:], U[-5:])
-    model = request.getfixturevalue(name)
-    chain = tdp.build_multidim_chain(model.problem, 4)
-    tdp.disaggregate_policy(chain, np.zeros(chain.n_states, dtype=np.int64),
-                            np.zeros(mdp.n_states))
-    assert len(rows_calls) > 3 and seen == rows_calls
+    _tabulate(mdp)
+    assert rows_calls == [7, 5, len(U)] and seen == rows_calls
 
 
 # ---------------------------------------------------------------------------

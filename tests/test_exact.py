@@ -1,6 +1,7 @@
 import functools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -293,58 +294,6 @@ def test_direct_evaluation_one_splu_no_eye_or_diags(monkeypatch):
     assert len(calls) == 1
 
 
-def _completion_calls(model, h, monkeypatch):
-    """Calls of one disaggregate_policy: rows(), kernel and reward calls, boundary pairs, blocks.
-
-    The blocks are those lattice.row_blocks makes for the boundary pairs'
-    rows: a first block of 64 pairs, then ROW_BLOCK // (widest row so far).
-    """
-    mdp = model.mdp
-    chain = tdp.build_multidim_chain(model.problem, h)
-    coarse = np.zeros(chain.n_states, dtype=np.int64)
-    fine_v = tdp.disaggregate_value(tdp.policy_evaluation(chain, coarse), chain.grid, mdp.lattice)
-    U, offsets = mdp.action_table()
-    points = mdp.lattice.indices_of(chain.grid.points())[~chain.interior_mask]
-    pairs = np.concatenate([np.arange(offsets[s], offsets[s + 1]) for s in points])
-    widths = np.diff(mdp.rows(np.repeat(mdp.lattice.states()[points],
-                                        np.diff(offsets)[points], axis=0), U[pairs])[0])
-    blocks, start, block = 0, 0, 64
-    while start < len(pairs):
-        blocks, start = blocks + 1, start + block
-        block = max(1, tdp.lattice.ROW_BLOCK // int(widths[:start].max()))
-    calls = {"rows": [], "kernel": [], "reward": []}
-
-    def counted(name, fn):
-        return lambda states, U: calls[name].append(len(U)) or fn(states, U)
-
-    monkeypatch.setattr(mdp, "rows", counted("rows", mdp.rows))
-    monkeypatch.setattr(mdp, "kernel", counted("kernel", mdp.kernel))
-    monkeypatch.setattr(mdp, "reward", counted("reward", mdp.reward))
-    tdp.disaggregate_policy(chain, coarse, fine_v)
-    return calls, len(points), len(pairs), blocks
-
-
-def test_boundary_completion_reads_rows_in_blocks(monkeypatch):
-    # one rows() and kernel call a block of about ROW_BLOCK entries and one
-    # rewards() call over every boundary pair: on the 2-pool lattice at h=1
-    # (80 boundary points) fewer rows() calls than points
-    from taylordp.models.routing import build_routing, table_params
-    model = build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8))
-    calls, points, pairs, blocks = _completion_calls(model, 1, monkeypatch)
-    assert points == 80
-    assert calls["rows"] == calls["kernel"] and len(calls["rows"]) == blocks < points
-    assert calls["reward"] == [pairs]
-
-
-def test_boundary_completion_no_per_pair_kernel_calls(monkeypatch):
-    # service rate's 200 boundary pairs (2 points) take one kernel call a
-    # block, not one a pair
-    model = build("service_rate", M=30, alpha=0.99)
-    calls, points, pairs, blocks = _completion_calls(model, 2, monkeypatch)
-    assert calls["kernel"] == calls["rows"] and len(calls["kernel"]) == blocks < pairs
-    assert sum(calls["kernel"]) == pairs and calls["reward"] == [pairs]
-
-
 def test_import_and_factored_solves_leave_scipy_sparse_unloaded():
     # only a tabular assembly's sparse system needs scipy.sparse: the
     # factored routing solve never loads it, the service-rate solve does
@@ -399,3 +348,20 @@ def test_policy_evaluation_rejects_out_of_range_action_index(routing2):
         tdp.policy_evaluation(chain, policy)
     with pytest.raises(ValueError, match="one action index per state"):
         tdp.policy_evaluation(chain, policy[:-1])
+
+
+@pytest.mark.parametrize("kind", ["tabular", "factored"])
+def test_q_values_reject_wrong_length_values(kind, routing2):
+    # a tabular assembly would read only the first n_states entries and a
+    # factored one fail inside a reshape: both name the expected shape
+    mdp = (build("service_rate", M=30, alpha=0.99) if kind == "tabular" else routing2).mdp
+    asm = exact.get_assembly(mdp)
+    assert isinstance(asm, exact.TabularAssembly if kind == "tabular" else exact.FactoredAssembly)
+    n = mdp.n_states
+    for values in (np.zeros(n + 5), np.zeros(n - 1), np.zeros((n, 1))):
+        expected = rf"\({n},\), got {re.escape(str(values.shape))}"
+        with pytest.raises(ValueError, match=expected):
+            asm.q_values(values)
+        with pytest.raises(ValueError, match=expected):
+            tdp.policy_improvement(mdp, values)
+    assert asm.q_values(np.zeros(n)).shape == (asm.n_pairs,)

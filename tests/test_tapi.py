@@ -227,6 +227,26 @@ def test_tapi_enumerates_actions_once_per_model(name, variant, monkeypatch):
         assert chain.actions_at(i) == expected
 
 
+def _no_kernel(states, U):
+    raise AssertionError("a kernel row was read")
+
+
+@pytest.mark.parametrize("h", [1, 2, 4])
+def test_no_variant_reads_kernel_rows_on_a_factored_model(h, monkeypatch):
+    # routing's assembly is factored, and the chain takes its moments and
+    # rewards from hooks, so no way of forming the returned policy needs a row
+    problem = FRESH_MODELS["routing2"]().problem
+    mdp = problem.mdp
+    monkeypatch.setattr(mdp, "kernel", _no_kernel)
+    for options in (TapiOptions(h=h), TapiOptions(h=h, policy_extension="pc"),
+                    TapiOptions(h=h, one_step=True),
+                    TapiOptions(h=h, improvement="exact"),
+                    TapiOptions(h=h, improvement="exact", disaggregation="pc")):
+        res = tdp.tapi_solve(problem, options)
+        mdp.validate_policy(res.fine_policy)
+        assert np.isfinite(res.fine_values).all(), options
+
+
 SWEEP_MODELS = {
     "service_rate_M20": lambda: build("service_rate", M=20, alpha=0.99),
     # h = 3, 4 and 5 give 3-point axes on the 7-point boxes, h = 3 and 4 on the 6-point ones
