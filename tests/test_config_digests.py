@@ -28,10 +28,12 @@ config's own `mode` for the first three files and `bounds` for the fourth:
 The digests belong to numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64,
 OpenBLAS).  Another numpy/scipy version may round the linear solves
 differently in the last bit, which changes the CSV bytes without any change
-to this package.  The routing digests also depend on scipy's boost binomial
-ufunc (`scipy.special._ufuncs._binom_pmf`, what `scipy.stats.binom.pmf`
-calls): the closed form comb(n, k) p^k (1-p)^(n-k) differs from it in the
-last bit for most (n, p), and every pool step matrix is built from it.  Re-record from the current checkout with
+to this package.  The routing value digests also depend on the binomial
+pmf that every pool step matrix is built from: they were re-recorded when
+it became the closed form comb(n, k) p^k (1-p)^(n-k) on `math` in place of
+scipy's boost binomial, which differs from it in the last bits for most
+(n, p); the values moved by at most 8e-14 relative and no policy moved.
+Re-record from the current checkout with
 
     python tests/test_config_digests.py --record            # value/chain CSVs
     python tests/test_config_digests.py --record --policy   # policy digests

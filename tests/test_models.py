@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ from scipy import stats
 
 import taylordp as tdp
 from taylordp.config import load_config
-from taylordp.models import build, distributions
+from taylordp.models import build
 from taylordp.models.distributions import binom_pmf, poisson_cutoff, poisson_pmf
 from taylordp.models.heavy_traffic import (heavy_traffic_oracle, heavy_traffic_oracle_fn,
                                            ode_coefficients)
@@ -152,9 +154,11 @@ def test_routing_censoring_keeps_cap_mass(routing2):
 
 
 # ------------------------------------------------------------- distributions
-# The models draw Poisson and binomial probabilities from scipy.special; the
-# helpers must give the very bits scipy.stats gave, or every routing and
-# inventory digest moves.
+# The models draw Poisson and binomial probabilities from numpy and math
+# alone.  The Poisson helpers must give the very bits and integers
+# scipy.stats gave, or every routing and inventory digest moves; the binomial
+# pmf is the closed form, checked against the exact rational value and
+# against scipy.stats (boost), which is not correctly rounded either.
 
 def _poisson_rates():
     """Every arrival or demand rate of the shipped configs, Tables 1 and 5 and the test models."""
@@ -167,6 +171,7 @@ def _poisson_rates():
         for factor in factors:
             lams.update(table_params(J=J, alpha=0.99, lam_factor=factor).lam)
     lams.update(0.7 * n * 0.8 for n in (3, 4, 6))    # the scaled 3-pool instances
+    lams.update(np.linspace(0.05, 30.0, 200).tolist())
     return sorted(lams)
 
 
@@ -178,7 +183,7 @@ def _stats_cutoff(lam, tail):
     return k
 
 
-@pytest.mark.parametrize("tail", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("tail", [1e-12, 1e-9, 1e-6, 1e-4])
 def test_poisson_helpers_match_scipy_stats(tail):
     for lam in _poisson_rates():
         k = poisson_cutoff(lam, tail)
@@ -187,14 +192,37 @@ def test_poisson_helpers_match_scipy_stats(tail):
         assert np.array_equal(poisson_pmf(ks, lam), stats.poisson.pmf(ks, lam)), lam
 
 
-@pytest.mark.parametrize("ufunc", [True, False], ids=["boost_ufunc", "stats_fallback"])
-def test_binom_pmf_matches_scipy_stats(ufunc, monkeypatch):
-    if not ufunc:
-        monkeypatch.setattr(distributions, "_binom_pmf", None)
+def test_binom_pmf_is_the_closed_form_to_a_few_ulp():
     for n in range(21):
         k = np.arange(n + 1)
         for p in [i / 100 for i in range(1, 100)]:
-            assert np.array_equal(binom_pmf(k, n, p), stats.binom.pmf(k, n, p)), (n, p)
+            got = binom_pmf(k, n, p)
+            fp = Fraction(p)
+            exact = np.array([float(math.comb(n, j) * fp ** j * (1 - fp) ** (n - j))
+                              for j in range(n + 1)])
+            assert np.all(np.abs(got - exact) <= 32 * np.spacing(exact)), (n, p)
+            np.testing.assert_allclose(got, stats.binom.pmf(k, n, p), rtol=1e-13, atol=0)
+            assert abs(math.fsum(got.tolist()) - 1.0) <= 1e-14, (n, p)
+
+
+@pytest.mark.parametrize("lam, tail, name", [
+    (2.0, 0.0, "tail"), (2.0, -1e-3, "tail"), (2.0, 1.0, "tail"), (2.0, math.nan, "tail"),
+    (-1.0, 1e-12, "lam"), (0.0, 1e-12, "lam"), (math.inf, 1e-12, "lam"),
+    (math.nan, 1e-12, "lam")])
+def test_poisson_cutoff_names_a_bad_parameter(lam, tail, name):
+    with pytest.raises(ValueError) as err:
+        poisson_cutoff(lam, tail)
+    assert f"{name} must" in str(err.value)
+    assert repr({"lam": lam, "tail": tail}[name]) in str(err.value)
+
+
+@pytest.mark.parametrize("n, p, name", [
+    (3, -0.1, "p"), (3, 1.1, "p"), (3, math.nan, "p"), (-1, 0.5, "n")])
+def test_binom_pmf_names_a_bad_parameter(n, p, name):
+    with pytest.raises(ValueError) as err:
+        binom_pmf(np.arange(2), n, p)
+    assert f"{name} must" in str(err.value)
+    assert repr({"n": n, "p": p}[name]) in str(err.value)
 
 
 # ------------------------------------------------------------- heavy traffic
