@@ -18,12 +18,16 @@ refuses a setting the chosen way does not read):
     states, whose reflecting rows identify no action, are completed by a
     one-step fine greedy against the extended value,
   * one_step: one exact improvement step on the fine lattice against the
-    extended value; no policy extension is computed,
+    extended value,
   * improvement="exact": the chain's greedy step is replaced by the fine
     greedy against the extended value (the true kernel, not the Taylored
     operator), and the last such policy is returned; the loop has no
     convergence guarantee, so cycles are detected and capped at
     exact.MAX_ITERATIONS.
+
+Each variant forms only the policy it returns: one taylored_greedy_policy,
+disaggregate_policy or policy_improvement call (one an iteration in the
+exact loop).
 
 The extended value carries the coarse values to every lattice state,
 piecewise-constant through the nearest-grid-point map or multilinearly (the
@@ -49,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -112,18 +115,16 @@ class TapiOptions:
 class TapiResult:
     """What tapi_solve returns.
 
-    fine_policy is the returned policy and fine_values its exact evaluation.
-    disaggregated_policy is the policy extension of the chain's solution to
-    the lattice: the returned policy itself with tcp_greedy or pc, and the
-    pc extension of the final chain policy with improvement="exact".  A
-    one_step run computes no extension, so it is None there.
+    fine_policy is the returned policy and fine_values its exact evaluation;
+    coarse_values are the chain values of coarse_policy.  oscillated is set
+    by the exact-improvement loop when it stops on a cycle of fine policies
+    or at exact.MAX_ITERATIONS.
     """
 
     chain: KdChain
     coarse_values: np.ndarray
     coarse_policy: np.ndarray
-    fine_policy: np.ndarray              # policy actually returned (after one-step if enabled)
-    disaggregated_policy: Optional[np.ndarray]  # fine-lattice extension; None with one_step
+    fine_policy: np.ndarray              # the returned policy
     fine_values: np.ndarray              # exact evaluation of fine_policy
     iterations: int
     oscillated: bool = False
@@ -335,34 +336,32 @@ def tapi_solve(problem: TaylorProblem, options: TapiOptions = TapiOptions()) -> 
     chain = build_multidim_chain(problem, options.h, scheme=options.scheme)
     oscillated = False
     if options.improvement == "exact":
-        (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
+        (coarse_values, coarse_policy, fine_policy, iterations,
          oscillated) = _tapi_exact_loop(chain, options.disaggregation)
-        disagg = disaggregate_policy(chain, coarse_policy, fine_v)
     else:
         pi = policy_iteration(chain)
         coarse_values, coarse_policy, iterations = pi.values, pi.policy, pi.iterations
-        if options.one_step:
+        if options.one_step or options.policy_extension == "pc":
             fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
                                         options.disaggregation)
-            fine_policy, disagg = policy_improvement(mdp, fine_v), None
-        elif options.policy_extension == "pc":
-            fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice,
-                                        options.disaggregation)
-            fine_policy = disagg = disaggregate_policy(chain, coarse_policy, fine_v)
+            fine_policy = (policy_improvement(mdp, fine_v) if options.one_step
+                           else disaggregate_policy(chain, coarse_policy, fine_v))
         else:
-            fine_policy = disagg = taylored_greedy_policy(chain, coarse_values)
+            fine_policy = taylored_greedy_policy(chain, coarse_values)
     fine_values = policy_evaluation(mdp, fine_policy)
-    return TapiResult(chain, coarse_values, coarse_policy, fine_policy, disagg, fine_values,
+    return TapiResult(chain, coarse_values, coarse_policy, fine_policy, fine_values,
                       iterations, oscillated)
 
 
 def _tapi_exact_loop(chain: KdChain, disaggregation: str):
     """Evaluate on the chain, improve on the fine lattice, restrict back to the grid.
 
-    Returns (coarse_values, coarse_policy, fine_v, fine_policy, iterations,
-    oscillated), fine_v being the extension of the last coarse_values and
-    fine_policy its exact greedy policy.  The loop stops when that policy
-    repeats: unchanged (converged) or an earlier one (a cycle, oscillated).
+    Returns (coarse_values, coarse_policy, fine_policy, iterations,
+    oscillated): coarse_values are the chain values of coarse_policy, and
+    fine_policy the exact greedy policy of their extension.  The loop stops
+    when that policy repeats, unchanged (converged) or an earlier one (a
+    cycle, oscillated), or at exact.MAX_ITERATIONS (oscillated unless it
+    converged there).
     """
     mdp = chain.problem.mdp
     coarse_policy = np.zeros(chain.n_states, dtype=np.int64)
@@ -372,13 +371,12 @@ def _tapi_exact_loop(chain: KdChain, disaggregation: str):
         coarse_values = policy_evaluation(chain, coarse_policy)
         fine_v = disaggregate_value(coarse_values, chain.grid, mdp.lattice, disaggregation)
         new_fine = policy_improvement(mdp, fine_v)
-        if new_fine.tobytes() in seen:
-            return (coarse_values, coarse_policy, fine_v, new_fine, iterations,
+        if new_fine.tobytes() in seen or iterations == exact.MAX_ITERATIONS:
+            return (coarse_values, coarse_policy, new_fine, iterations,
                     not np.array_equal(new_fine, fine_policy))
         seen.add(new_fine.tobytes())
         fine_policy = new_fine
         coarse_policy = _restrict_policy(chain, fine_policy)
-    return coarse_values, coarse_policy, fine_v, fine_policy, iterations, True
 
 
 def _restrict_policy(chain: KdChain, fine_policy: np.ndarray) -> np.ndarray:

@@ -134,12 +134,11 @@ def test_tapi_chain_iterates_monotone(service_quadratic, routing2, inventory_mod
             assert (cur >= prev - 1e-7 * (1.0 + np.abs(prev))).all()
 
 
-def test_disaggregated_policy_feasible_everywhere(routing2):
+def test_tcp_greedy_and_pc_policies_feasible_everywhere(routing2):
     res = tdp.tapi_solve(routing2.problem, TapiOptions(h=2))
     routing2.mdp.validate_policy(res.fine_policy)
     res_pc = tdp.tapi_solve(routing2.problem, TapiOptions(h=2, policy_extension="pc"))
     routing2.mdp.validate_policy(res_pc.fine_policy)
-    routing2.mdp.validate_policy(res_pc.disaggregated_policy)
 
 
 def test_one_step_from_exact_value_recovers_optimum(service_quadratic, service_quadratic_star):
@@ -161,9 +160,12 @@ def test_exact_improvement_cap_sets_flag(routing2, monkeypatch):
     # the exact-improvement loop stops at the solvers' policy-iteration cap
     monkeypatch.setattr(exact, "MAX_ITERATIONS", 1)
     res = tdp.tapi_solve(routing2.problem, TapiOptions(h=4, improvement="exact"))
-    assert res.oscillated
+    assert res.oscillated and res.iterations == 1
     assert res.fine_policy is not None
     routing2.mdp.validate_policy(res.fine_policy)
+    # the returned coarse values are those of the returned coarse policy
+    np.testing.assert_allclose(tdp.policy_evaluation(res.chain, res.coarse_policy),
+                               res.coarse_values, rtol=1e-12, atol=0)
 
 
 def test_taylored_greedy_same_as_chain_improvement_on_grid(service_quadratic):
@@ -280,8 +282,6 @@ def test_every_accepted_spacing_gives_valid_policies(name):
         for variant, options in SOLVE_VARIANTS.items():
             res = tdp.tapi_solve(model.problem, dataclasses.replace(options, h=h))
             model.mdp.validate_policy(res.fine_policy)
-            if res.disaggregated_policy is not None:
-                model.mdp.validate_policy(res.disaggregated_policy)
             assert np.isfinite(res.fine_values).all(), (h, variant)
 
 
@@ -304,12 +304,13 @@ def test_three_point_axes_extend_the_pc_policy(make, h):
         res = tdp.tapi_solve(model.problem, options)
         assert set(res.chain.grid.shape) == {3}
         model.mdp.validate_policy(res.fine_policy)
-        model.mdp.validate_policy(res.disaggregated_policy)
 
 
 @pytest.mark.parametrize("improvement", ["approx", "exact"])
 @pytest.mark.parametrize("extension", ["tcp_greedy", "pc"])
 def test_one_step_computes_no_policy_extension(routing2, improvement, extension, monkeypatch):
+    # every variant (tcp_greedy, pc, exact improvement, one_step) forms only
+    # the policy it returns: one call, or one an iteration of the exact loop
     calls = {"greedy": 0, "pc": 0, "improve": 0}
     for key, name in (("greedy", "taylored_greedy_policy"), ("pc", "disaggregate_policy"),
                       ("improve", "policy_improvement")):
@@ -320,6 +321,12 @@ def test_one_step_computes_no_policy_extension(routing2, improvement, extension,
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(tapi, name, counted)
+    fine_lattice = routing2.mdp.lattice
+
+    def check_greedy_of_last_extension(res):
+        fine_v = disaggregate_value(res.coarse_values, res.chain.grid, fine_lattice, "multilinear")
+        assert np.array_equal(res.fine_policy, tdp.policy_improvement(routing2.mdp, fine_v))
+
     options = dict(h=2, improvement=improvement, policy_extension=extension)
     if improvement == "exact" and extension == "pc":
         # the exact loop forms its own policy, so a policy extension is refused
@@ -327,16 +334,16 @@ def test_one_step_computes_no_policy_extension(routing2, improvement, extension,
             TapiOptions(**options)
     else:
         res = tdp.tapi_solve(routing2.problem, TapiOptions(**options))
-        greedy = improvement == "approx" and extension == "tcp_greedy"
-        # the exact loop improves once an iteration on the fine lattice
-        loop = res.iterations if improvement == "exact" else 0
-        assert calls == {"greedy": int(greedy), "pc": int(not greedy), "improve": loop}
-        assert res.disaggregated_policy is not None
         if improvement == "exact":
-            # the loop returns the greedy policy of its last extended value
-            fine_v = disaggregate_value(res.coarse_values, res.chain.grid,
-                                        routing2.mdp.lattice, "multilinear")
-            assert np.array_equal(res.fine_policy, tdp.policy_improvement(routing2.mdp, fine_v))
+            # the loop improves once an iteration on the fine lattice, extends
+            # no policy, and returns the greedy policy of its last extended value
+            assert calls == {"greedy": 0, "pc": 0, "improve": res.iterations}
+            check_greedy_of_last_extension(res)
+        else:
+            greedy = extension == "tcp_greedy"
+            assert calls == {"greedy": int(greedy), "pc": int(not greedy), "improve": 0}
+        assert np.array_equal(res.fine_values,
+                              tdp.policy_evaluation(routing2.mdp, res.fine_policy))
 
     # the one-step improvement replaces the policy extension, and the exact
     # loop's policy already is one, so one_step is refused beside either
@@ -349,8 +356,5 @@ def test_one_step_computes_no_policy_extension(routing2, improvement, extension,
     calls.update(greedy=0, pc=0, improve=0)
     one = tdp.tapi_solve(routing2.problem, TapiOptions(**options, one_step=True))
     assert calls == {"greedy": 0, "pc": 0, "improve": 1}
-    assert one.disaggregated_policy is None
-    fine_v = disaggregate_value(one.coarse_values, one.chain.grid, routing2.mdp.lattice,
-                                "multilinear")
-    assert np.array_equal(one.fine_policy, tdp.policy_improvement(routing2.mdp, fine_v))
+    check_greedy_of_last_extension(one)
     assert np.array_equal(one.fine_values, tdp.policy_evaluation(routing2.mdp, one.fine_policy))
