@@ -6,11 +6,12 @@ All solvers work against an "assembly" of the MDP: either a tabular view
 or a factored view for kernels of product form, where the one-step
 expectation operator is applied to the whole value vector at once and rows
 are never materialized.  Both give per-pair expectations E_x^u[V] and, for a
-policy U, an operator P^U with P^U @ V = E^U[V]: a sparse matrix (solved
-directly) or a matrix-free product (solved by fixed-point iteration with
-MacQueen-Porteus bounds, which bracket the solution and stop on a value-error
-bound).  Maximization is the internal convention throughout; cost models
-negate rewards at the model boundary.  scipy.sparse is imported only where a
+policy U, an operator P^U with P^U @ V = E^U[V]: a sparse matrix, whose
+evaluation system is built from the same rows and solved directly, or a
+matrix-free product (solved by fixed-point iteration with MacQueen-Porteus
+bounds, which bracket the solution and stop on a value-error bound).
+Maximization is the internal convention throughout; cost models negate
+rewards at the model boundary.  scipy.sparse is imported only where a
 tabular assembly builds or solves its sparse system, so importing the
 package or solving a factored model never loads it.
 
@@ -207,12 +208,15 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     """Solve V = r_U + diag(alpha) P^U V for the given stationary policy.
 
     reward_override replaces r_U with a per-state vector (used for
-    discounted functionals V_U[f]).  A sparse P^U is solved directly.  A
-    matrix-free one comes only from a FactoredAssembly, whose discount is one
-    scalar, and is solved by bracketed fixed-point iteration
-    (_bracketed_iteration) from warm_start, to a sup-norm value error of at
-    most ITERATIVE_TOL * (1 + |V|) within VI_MAX_ITERATIONS steps.  Either
-    way the result must meet the RESIDUAL_REL residual contract.
+    discounted functionals V_U[f]).  A TabularAssembly's system
+    I - diag(alpha) P^U is built from the policy pairs' rows
+    (_evaluation_system) and solved directly, with one step of iterative
+    refinement when its residual breaks the contract.  A FactoredAssembly's
+    matrix-free P^U, whose discount is one scalar, is solved by bracketed
+    fixed-point iteration (_bracketed_iteration) from warm_start, to a
+    sup-norm value error of at most ITERATIVE_TOL * (1 + |V|) within
+    VI_MAX_ITERATIONS steps.  Either way the result must meet the
+    RESIDUAL_REL residual contract.
     """
     asm = get_assembly(mdp)
     policy = np.asarray(policy, dtype=np.int64)
@@ -226,14 +230,11 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"reward override at state {i} is not finite ({r_u[i]!r})")
-    op = asm.policy_operator(policy)
     disc = asm.discounts
 
-    if isinstance(op, _PostStateOperator):
-        values = _bracketed_iteration(r_u, op, disc, warm_start=warm_start)
-    else:
+    if isinstance(asm, TabularAssembly):
         import scipy.sparse.linalg as spla
-        system = _evaluation_system(op, disc)
+        system = _evaluation_system(asm, policy)
         try:
             lu = spla.splu(system)
             values = lu.solve(r_u)
@@ -242,32 +243,42 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
             resid = r_u - system @ values
             if np.abs(resid).max() > RESIDUAL_REL * (1.0 + np.abs(values).max()):
                 values = values + lu.solve(resid)
+                resid = r_u - system @ values
         except RuntimeError as exc:  # singular factorization
             raise SingularSystem(str(exc)) from None
+        residual = np.abs(resid).max()
+    else:
+        op = asm.policy_operator(policy)
+        values = _bracketed_iteration(r_u, op, disc, warm_start=warm_start)
+        residual = np.abs(values - (r_u + disc * (op @ values))).max()
 
-    residual = np.abs(values - (r_u + disc * (op @ values))).max()
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
         raise SingularSystem(f"policy evaluation residual {residual} exceeds "
                              f"the {RESIDUAL_REL} contract")
     return values
 
 
-def _evaluation_system(op: sp.csr_matrix, disc: np.ndarray) -> sp.csc_matrix:
-    """I - diag(disc) P as one CSC matrix, built from P's stored rows in one numpy pass.
+def _evaluation_system(asm: TabularAssembly, policy: np.ndarray) -> sp.csc_matrix:
+    """I - diag(alpha) P^U as one CSC matrix, built from the policy pairs' rows in one numpy pass.
 
-    It stores what (sp.eye - sp.diags(disc) @ P).tocsc() stores, entry for
-    entry: the product scales each entry of row i by disc[i] and adds a
-    row's entries of one column in stored order from 0.0, dropping zero sums;
-    the difference keeps 1 - s on the diagonal and -s off it, dropping zeros
-    again; each column lists its rows ascending.  One 0.0 entry per diagonal
-    position stands for the identity and leaves every sum unchanged.
+    It stores what (sp.eye - sp.diags(alpha) @ P^U).tocsc() stores, P^U
+    being policy_operator(policy), entry for entry: the product scales each
+    entry of row i by alpha[i] and adds a row's entries of one column in
+    stored order from 0.0, dropping zero sums; the difference keeps 1 - s on
+    the diagonal and -s off it, dropping zeros again; each column lists its
+    rows ascending.  One 0.0 entry per diagonal position stands for the
+    identity and leaves every sum unchanged.
     """
     import scipy.sparse as sp
-    n = op.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
-    key = np.concatenate([op.indices.astype(np.int64) * n + rows,
+    pairs = asm.policy_pairs(policy)
+    starts = asm.row_ptr[pairs]
+    lens = asm.row_ptr[pairs + 1] - starts
+    take = _ranges(starts, lens)
+    n = asm.n_states
+    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+    key = np.concatenate([asm.col_idx[take] * n + rows,
                           np.arange(n, dtype=np.int64) * (n + 1)])    # column-major position
-    weights = np.concatenate([disc[rows] * op.data, np.zeros(n)])
+    weights = np.concatenate([asm.discounts[rows] * asm.probs[take], np.zeros(n)])
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.empty(len(key), dtype=bool)

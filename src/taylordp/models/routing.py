@@ -127,8 +127,10 @@ class RoutingModel:
 
         actions = PolyhedralActionSet(A, b, box)
 
-        self.K = [pool_step_matrix(upper[i], params.N[i], params.p[i], params.lam[i], params.tail)
-                  for i in range(J)]
+        # one step matrix per distinct pool, shared by the pools that have it
+        pools = list(zip(upper, params.N, params.p, params.lam))
+        steps = {pool: pool_step_matrix(*pool, params.tail) for pool in dict.fromkeys(pools)}
+        self.K = [steps[pool] for pool in pools]
 
         Bcost = np.asarray(params.B, dtype=np.float64)
         Hcost = np.asarray(params.H, dtype=np.float64)

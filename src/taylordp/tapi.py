@@ -33,9 +33,10 @@ The extended value carries the coarse values to every lattice state,
 piecewise-constant through the nearest-grid-point map or multilinearly (the
 disaggregation setting).  Multilinear interpolation uses the interior grid
 planes only (reflecting-boundary values are duplicates by construction) and
-extrapolates linearly into the boundary cells, in a numpy pass
-(_extension_interpolator) that rounds exactly as scipy's
-RegularGridInterpolator does.
+extrapolates linearly into the boundary cells.  It is evaluated on an
+integer box as a tensor (_extension_box), each axis's cells and weights
+computed once, and rounds exactly as scipy's RegularGridInterpolator does
+at the box's points.
 
 A grid point's chain actions are the fine actions of its lattice state (a
 reflecting boundary point keeps only the first), so policies move between the
@@ -50,7 +51,6 @@ fine_state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +60,9 @@ from . import exact
 from .exact import (_ranges, get_assembly, policy_evaluation, policy_improvement,
                     policy_iteration, segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
-from .lattice import StateLattice
 from .taylor import TaylorProblem
+
+GREEDY_BLOCK = 24_576    # (pair, direction) entries a block of the Taylored greedy scores
 
 # the settings each way of forming the returned policy reads, besides h and scheme
 _READS = {
@@ -143,13 +144,12 @@ def disaggregate_value(coarse_values: np.ndarray, grid: CoarseGrid, lattice,
     reflecting-boundary values are duplicates of their inward neighbors by
     construction; "pc" copies the nearest grid point's value.
     """
-    fine = lattice.states().astype(np.float64)
     v = np.asarray(coarse_values, dtype=np.float64)
     if mode == "pc":
-        return v[grid.nearest_index(fine)]
+        return v[grid.nearest_index(lattice.states().astype(np.float64))]
     if mode != "multilinear":
         raise ValueError(f"unknown disaggregation mode {mode!r}")
-    return _extension_interpolator(v, grid)(fine)
+    return _extension_box(v, grid, lattice.lower, lattice.upper).ravel()
 
 
 def _unique_classes(codes: np.ndarray):
@@ -230,16 +230,17 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     small-drift scheme, and fed with the extended coarse values at the
     stencil targets; near the boundary the extension extrapolates.  This is
     the discretized form of maximizing r(x,u) + alpha L_u V(x) - (1-alpha) V(x)
-    over the feasible actions.
-    All (state, action) pairs are scored in one pass over the action table;
-    ties go to the first action within ARGMAX_TOL.
+    over the feasible actions; ties go to the first action within ARGMAX_TOL.
 
     With a problem.moment_classes hook, moments and stencil rates are
-    computed once per moment class and gathered back to the pairs; without
-    it, once per pair.  Every stencil target x + h e is a point of the
-    lattice grown by h on each side, so the extension is interpolated once
-    on that padded box and both the targets and the centers are gathered
-    from it by flat index.
+    computed once per moment class; without it, once per pair.  Every
+    stencil target x + h e is a point of the lattice grown by h on each
+    side, so the extension is evaluated once on that box: the centers are
+    its interior and direction e's targets the interior shifted by h e.
+    The pairs are scored in blocks of consecutive states of about
+    GREEDY_BLOCK (pair, direction) entries, each block gathering its rates
+    from the per-class table, so no (pairs x directions) array is formed
+    for the whole action table.
     """
     problem, h = chain.problem, chain.h
     mdp = problem.mdp
@@ -247,78 +248,102 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     alpha = mdp.discount
     hvec = np.full(lattice.dim, float(h))
 
-    # one stencil per moment class (per pair without the hook)
-    U, offsets = mdp.action_table()
+    offsets = mdp.action_table()[1]
     counts = np.diff(offsets)
+    dirs, rates, classes = _pair_stencils(problem, hvec, chain.scheme)
+    tot = rates.sum(axis=1)
+    if classes is not None:
+        tot = tot[classes]
+
+    # the extension on the padded box: its interior at the centers, shifted by h e at the targets
+    padded = _extension_box(coarse_values, chain.grid, [lo - h for lo in lattice.lower],
+                            [up + h for up in lattice.upper])
+    shape = lattice.shape
+    center_vals = padded[tuple(slice(h, h + n) for n in shape)].ravel()
+    neighbor_vals = np.empty(shape + (len(dirs),))
+    for k, e in enumerate(dirs):
+        neighbor_vals[..., k] = padded[tuple(slice(h + h * s, h + h * s + n)
+                                             for s, n in zip(e, shape))]
+    neighbor_vals = neighbor_vals.reshape(-1, len(dirs))
+
+    q_max = np.maximum(np.maximum.reduceat(tot, offsets[:-1]), 1e-300)
+    a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
+    rew = get_assembly(mdp).rewards
+    q = np.empty(len(rew))
+    for s0, s1 in _state_blocks(offsets, len(dirs)):
+        p0, p1, n = offsets[s0], offsets[s1], counts[s0:s1]
+        q_b, a_b = np.repeat(q_max[s0:s1], n), np.repeat(a_h[s0:s1], n)
+        rates_b = rates[p0:p1] if classes is None else rates.take(classes[p0:p1], axis=0)
+        rates_b /= q_b[:, None]          # a copy, or rows of rates no other block reads
+        expect = (np.einsum("pc,pc->p", rates_b, np.repeat(neighbor_vals[s0:s1], n, axis=0))
+                  + (1.0 - tot[p0:p1] / q_b) * np.repeat(center_vals[s0:s1], n))
+        q[p0:p1] = a_b * rew[p0:p1] / (alpha * q_b) + a_b * expect
+    return segmented_argmax(q, offsets)[1]
+
+
+def _pair_stencils(problem: TaylorProblem, hvec: np.ndarray, scheme: str):
+    """(dirs, rates, classes): the stencil rates of the lattice's pairs, one row per moment class.
+
+    Pair p's rates are rates[classes[p]]; without a problem.moment_classes
+    hook there is one row per pair and classes is None.
+    """
+    mdp = problem.mdp
+    U = mdp.action_table()[0]
     pair_states, pair_U = mdp.pair_states(), U
     classes = None
     if problem.moment_classes is not None:
         _, first, classes = _unique_classes(problem.moment_classes(pair_states, U))
         pair_states, pair_U = pair_states[first], U[first]
     mu_b, s2_b = problem.moments_batch(pair_states, pair_U)
-    dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, chain.scheme)
-    tot = rates.sum(axis=1)
-    if classes is not None:
-        rates, tot = rates[classes], tot[classes]
-
-    # the extension on the padded box, gathered at every center and stencil target
-    padded = StateLattice(tuple(lo - h for lo in lattice.lower),
-                          tuple(up + h for up in lattice.upper))
-    padded_vals = _extension_interpolator(coarse_values, chain.grid)(
-        padded.states().astype(np.float64))
-    center = padded.indices_of(lattice.states())
-    step = h * (dirs @ np.cumprod((padded.shape[1:] + (1,))[::-1])[::-1])  # flat offset per direction
-    neighbor_vals = padded_vals[center[:, None] + step]
-    center_vals = padded_vals[center]
-
-    q_max = np.maximum(np.maximum.reduceat(tot, offsets[:-1]), 1e-300)
-    a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
-    q_max, a_h = np.repeat(q_max, counts), np.repeat(a_h, counts)
-    rew = get_assembly(mdp).rewards
-    rates /= q_max[:, None]
-    expect = (np.einsum("pc,pc->p", rates, np.repeat(neighbor_vals, counts, axis=0))
-              + (1.0 - tot / q_max) * np.repeat(center_vals, counts))
-    q = a_h * rew / (alpha * q_max) + a_h * expect
-    return segmented_argmax(q, offsets)[1]
+    dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
+    return dirs, rates, classes
 
 
-def _extension_interpolator(coarse_values: np.ndarray, grid: CoarseGrid):
-    """Multilinear interpolant over the interior grid planes, extrapolating past them.
+def _state_blocks(offsets: np.ndarray, width: int):
+    """(first, stop) state ranges of about GREEDY_BLOCK // width pairs each.
 
-    Axes with fewer than 4 grid points keep all of them (CoarseGrid
-    guarantees 2 or more ascending points an axis).  The returned
-    function maps (n, d) points to (n,) values; each point is placed in the
-    cell [ax[j], ax[j+1]] of every axis (the first or last cell past the
-    ends, which extrapolates linearly) and the 2^d corner terms are summed.
+    Blocks are cut at state boundaries, so a state with more pairs than that
+    is a block of its own, and a table that fits is one block.
     """
-    axes, slices = [], []
-    for ax in grid.axes:
-        if len(ax) >= 4:
-            axes.append(ax[1:-1].astype(np.float64))
-            slices.append(slice(1, -1))
-        else:
-            axes.append(ax.astype(np.float64))
-            slices.append(slice(None))
-    tensor = np.asarray(coarse_values, dtype=np.float64).reshape(grid.shape)[tuple(slices)]
+    size = max(GREEDY_BLOCK // width, 1)
+    cuts = np.searchsorted(offsets, np.arange(size, offsets[-1], size))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(offsets) - 1]]))
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
-    def interpolate(points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64).reshape(-1, len(axes))
-        cells, weights = [], []
-        for ax, x in zip(axes, points.T):
-            j = np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
-            y = (x - ax[j]) / (ax[j + 1] - ax[j])
-            cells.append(j)
-            weights.append((1.0 - y, y))
-        value = 0.0
-        # corners and rounding as scipy's RegularGridInterpolator(method="linear"):
-        # v * ((w0 * w1) * ...), but (v * w0) * w1 in 2-D, where it takes a compiled path
-        for corner in itertools.product((0, 1), repeat=len(axes)):
-            v = tensor[tuple(j + c for j, c in zip(cells, corner))]
-            w = [wt[c] for wt, c in zip(weights, corner)]
-            value = value + ((v * w[0]) * w[1] if len(w) == 2 else v * math.prod(w))
-        return value
 
-    return interpolate
+def _extension_box(coarse_values: np.ndarray, grid: CoarseGrid, lower, upper) -> np.ndarray:
+    """The multilinear extension on the integer box lower..upper, as a tensor.
+
+    It interpolates over the interior grid planes and extrapolates past
+    them; axes with fewer than 4 grid points keep all of them (CoarseGrid
+    guarantees 2 or more ascending points an axis).  Each axis places its
+    box coordinates in the cells [ax[j], ax[j+1]] (the first or last cell
+    past the ends, which extrapolates linearly) and weighs them once; the
+    2^d corner terms are summed, each corner's values taken axis by axis.
+    """
+    cells, weights, planes = [], [], []
+    for k, (ax, lo, up) in enumerate(zip(grid.axes, lower, upper)):
+        keep = slice(1, -1) if len(ax) >= 4 else slice(None)
+        ax = ax[keep].astype(np.float64)
+        x = np.arange(lo, up + 1, dtype=np.float64)
+        j = np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
+        y = (x - ax[j]) / (ax[j + 1] - ax[j])
+        axis = (-1,) + (1,) * (len(grid.axes) - 1 - k)     # broadcast along axis k
+        planes.append(keep)
+        cells.append(j)
+        weights.append(((1.0 - y).reshape(axis), y.reshape(axis)))
+    tensor = np.asarray(coarse_values, dtype=np.float64).reshape(grid.shape)[tuple(planes)]
+    # each corner's values taken one axis at a time, the corners in itertools.product order
+    corners = {(): tensor}
+    for k, j in enumerate(cells):
+        corners = {c + (b,): t.take(j + b, axis=k) for c, t in corners.items() for b in (0, 1)}
+    value = 0.0
+    # rounding as scipy's RegularGridInterpolator(method="linear"): v * ((w0 * w1) * ...),
+    # but (v * w0) * w1 in 2-D, where it takes a compiled path
+    for corner, v in corners.items():
+        w = [wt[c] for wt, c in zip(weights, corner)]
+        value = value + ((v * w[0]) * w[1] if len(w) == 2 else v * math.prod(w))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLatt
                               _table_offsets, action_tuple, pack_rows, row_sums)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
-from taylordp.tapi import _extension_interpolator, _restrict_policy, _unique_classes
+from taylordp.tapi import _extension_box, _restrict_policy, _unique_classes
 from taylordp.taylor import TaylorProblem, ellipticity_check
 
 from conftest import one_reward, one_row, pair_hooks
@@ -174,7 +174,12 @@ def per_state_taylored_greedy(problem, chain, coarse_values, scheme="inflate"):
     h = float(max(int(ax[1] - ax[0]) for ax in grid.axes))
     hvec = np.full(d, h)
     states = lattice.states().astype(np.float64)
-    probe = _extension_interpolator(coarse_values, grid)
+    lower = np.asarray(lattice.lower) - int(h)
+    box = _extension_box(coarse_values, grid, lower, np.asarray(lattice.upper) + int(h))
+
+    def probe(points):
+        return box[tuple((points - lower).astype(np.int64).T)]
+
     offs = _stencil_offsets(d, h)
     neighbor_vals = probe((states[:, None, :] + offs[None, :, :]).reshape(-1, d))
     neighbor_vals = neighbor_vals.reshape(len(states), len(offs))
@@ -1100,27 +1105,30 @@ def _single_order_extension(coarse_values, grid, points):
 
 
 def _extension_cases(d):
-    """(grid, points) per h = 1..5: 3-point axes that keep their ends, uneven last
-    cells, longer axes cut to their interior planes, points h past both ends."""
+    """(grid, box) per h = 1..5: 3-point axes that keep their ends, uneven last
+    cells, longer axes cut to their interior planes, a box h past both ends."""
     for h in range(1, 6):
         for upper in [(h + 1,) * d, (2 * h,) * d, tuple(h + 1 + i * (2 * h + 1) for i in range(d))]:
             lattice = tdp.StateLattice((0,) * d, upper)
             grid = CoarseGrid.from_lattice(lattice, h)
             padded = tdp.StateLattice((-h,) * d, tuple(u + h for u in upper))
-            yield h, grid, padded.states().astype(np.float64)
+            yield h, grid, padded
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_value_extension_matches_regular_grid_interpolator(d):
     rng = np.random.default_rng(d)
     single_order_agrees = True
-    for h, grid, points in _extension_cases(d):
+    for h, grid, padded in _extension_cases(d):
         values = rng.standard_normal(grid.n_points) * 1e3
         axes, keep = _extension_planes(grid)
         rgi = RegularGridInterpolator(axes, values.reshape(grid.shape)[keep], method="linear",
                                       bounds_error=False, fill_value=None)
+        points = padded.states().astype(np.float64)
         expected = rgi(points)
-        assert np.array_equal(_extension_interpolator(values, grid)(points), expected), h
+        box = _extension_box(values, grid, padded.lower, padded.upper)
+        assert box.shape == padded.shape
+        assert np.array_equal(box.ravel(), expected), h
         single_order_agrees &= np.array_equal(
             _single_order_extension(values, grid, points), expected)
     # scipy rounds 2-D corner terms as (v * w0) * w1, every other dimension alike
@@ -1183,6 +1191,50 @@ def test_taylored_greedy_one_moments_call_per_class(routing3_smoke, monkeypatch)
     mdp = problem.mdp
     codes = problem.moment_classes(mdp.pair_states(), mdp.action_table()[0])
     assert rows == [len(np.unique(codes))]
+
+
+@pytest.mark.parametrize("name,h", [("routing3_bench", 4), ("routing2", 2),
+                                    ("service_quadratic", 1)])
+def test_taylored_greedy_scores_do_not_depend_on_block_size(name, h, request, monkeypatch):
+    problem = request.getfixturevalue(name).problem
+    chain = tdp.build_multidim_chain(problem, h)
+    values = tdp.policy_iteration(chain).values
+    offsets = problem.mdp.action_table()[1]
+    width = 2 * problem.mdp.lattice.dim ** 2           # stencil directions: faces and corners
+    scores = []
+
+    def recorded(q, segments):
+        scores.append(q.copy())
+        return exact.segmented_argmax(q, segments)
+
+    monkeypatch.setattr(tdp.tapi, "segmented_argmax", recorded)
+    # one state a block, a few states a block, the whole table in one block
+    n_blocks = []
+    for pairs in (1, 3 * np.diff(offsets).max(), offsets[-1]):
+        monkeypatch.setattr(tdp.tapi, "GREEDY_BLOCK", int(pairs) * width)
+        n_blocks.append(len(list(tdp.tapi._state_blocks(offsets, width))))
+        tdp.tapi.taylored_greedy_policy(chain, values)
+    assert n_blocks[0] == problem.mdp.n_states and n_blocks[1] > 1 and n_blocks[2] == 1
+    assert all(np.array_equal(q, scores[0]) for q in scores[1:])
+
+
+def test_taylored_greedy_memory_stays_below_one_pair_array(routing3_bench):
+    # the pairs are scored in blocks of states, so the tracemalloc peak stays
+    # below one (pairs x directions) float64 array, 2.0 MiB on the 2,197-state
+    # 3-pool cell (14,461 pairs, 18 directions): 1.7 MiB in blocks, 5.4 MiB
+    # when every pair was scored at once
+    problem = routing3_bench.problem
+    mdp = problem.mdp
+    chain = tdp.build_multidim_chain(problem, 4)
+    values = tdp.policy_iteration(chain).values
+    get_assembly(mdp)
+    tracemalloc.start()
+    try:
+        tdp.tapi.taylored_greedy_policy(chain, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(mdp.action_table()[0]) * 2 * mdp.lattice.dim ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -1527,8 +1579,9 @@ def eye_minus_system(op, disc):
     return (sp.eye(op.shape[0], format="csr") - sp.diags(disc) @ op).tocsc()
 
 
-def assert_same_system(op, disc):
-    fast, ref = _evaluation_system(op, disc), eye_minus_system(op, disc)
+def assert_same_system(asm, policy):
+    fast = _evaluation_system(asm, policy)
+    ref = eye_minus_system(asm.policy_operator(policy), asm.discounts)
     for field in ("data", "indices", "indptr"):
         x, y = getattr(fast, field), getattr(ref, field)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
@@ -1539,7 +1592,7 @@ def test_evaluation_system_matches_scipy_on_chains(name, variant, h, request):
     chain = tdp.build_multidim_chain(request.getfixturevalue(name).problem, h)
     asm = chain.assembly()
     for policy in _coarse_policies(chain).values():
-        assert_same_system(asm.policy_operator(policy), asm.discounts)
+        assert_same_system(asm, policy)
 
 
 @pytest.mark.parametrize("name", ["service_quadratic", "inventory_model", "heavy_queue"])
@@ -1551,25 +1604,30 @@ def test_evaluation_system_matches_scipy_on_tabular_models(name, request):
                 np.random.default_rng(3).integers(0, counts),
                 tdp.policy_iteration(mdp).policy]
     for policy in policies:
-        assert_same_system(asm.policy_operator(policy), asm.discounts)
+        assert_same_system(asm, policy)
 
 
 def test_evaluation_system_sums_duplicates_and_drops_zeros():
     # no model stores a column twice in a row: duplicates summed in stored
-    # order, sums and differences that cancel to zero, zero entries
+    # order, sums and differences that cancel to zero, zero entries; each
+    # state has one action, whose row is the given row
+    def one_action_rows(indptr, indices, data, disc):
+        n = len(disc)
+        return TabularAssembly(np.arange(n + 1), np.zeros(n), indptr, indices, data, disc)
+
     indptr = [0, 4, 7, 8, 11]
     indices = [1, 0, 1, 1, 1, 0, 0, 2, 0, 3, 0]
     data = [0.1, 0.3, 0.2, 0.4, 1.0, 0.25, -0.25, 0.0, 1e-17, 0.5, 0.3]
-    op = sp.csr_matrix((data, indices, indptr), shape=(4, 4))
-    assert_same_system(op, np.array([0.9, 1.0, 0.5, 0.7]))
+    asm = one_action_rows(indptr, indices, data, np.array([0.9, 1.0, 0.5, 0.7]))
+    assert_same_system(asm, np.zeros(4, dtype=np.int64))
     rng = np.random.default_rng(4)
     for n in (1, 5, 40):
         lens = rng.integers(0, 9, n)
         indptr = np.concatenate([[0], np.cumsum(lens)])
         indices = rng.integers(0, min(n, 4), indptr[-1])          # many duplicates
         data = rng.choice([0.0, 0.1, 0.3, -0.3, 1.0, 1 / 3], indptr[-1])
-        op = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        assert_same_system(op, rng.choice([0.0, 0.5, 0.99, 1.0], n))
+        asm = one_action_rows(indptr, indices, data, rng.choice([0.0, 0.5, 0.99, 1.0], n))
+        assert_same_system(asm, np.zeros(n, dtype=np.int64))
 
 
 def bracketed_loop(r_u, op, disc, warm_start=None):
