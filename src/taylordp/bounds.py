@@ -102,10 +102,10 @@ class GridFunction1d(SmoothFunction):
 def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.ndarray:
     """A_U[Phi](x) for every lattice state, in one array pass.
 
-    P^U Phi is one product with the evaluation solves' policy operator
-    (get_assembly(mdp).policy_operator), the moments come from one
-    moments_batch call, and Phi's derivatives from one grad and one hess
-    call over all states.
+    P^U Phi is read from the assembly's per-pair expectations of Phi
+    (get_assembly(mdp).expectations) at the policy's pairs, the moments come
+    from one moments_batch call, and Phi's derivatives from one grad and one
+    hess call over all states.
     """
     mdp = problem.mdp
     alpha = mdp.discount
@@ -115,8 +115,9 @@ def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.
     coords = states.astype(np.float64)
     phi_states = phi.value(coords)
     U, offsets = mdp.action_table()
-    mu, sigma2 = problem.moments_batch(states, U[offsets[:-1] + policy])
-    p_phi = get_assembly(mdp).policy_operator(policy) @ phi_states
+    pairs = offsets[:-1] + policy
+    mu, sigma2 = problem.moments_batch(states, U[pairs])
+    p_phi = get_assembly(mdp).expectations(phi_states)[pairs]
     lu = (np.einsum("nd,nd->n", mu, phi.grad(coords))
           + 0.5 * np.einsum("nij,nji->n", sigma2, phi.hess(coords)))     # mu.DPhi + tr(s2 D2Phi)/2
     return alpha * (p_phi - phi_states) - alpha * lu

@@ -59,9 +59,14 @@ class LatticeMismatch(TaylorDpError):
 
 
 class InfeasibleAction(TaylorDpError):
-    """An action outside the feasible set was passed to a kernel."""
+    """An action outside the feasible set was passed to a kernel.
+
+    state is a lattice state (a tuple) or, where only the flat state axis is
+    known, a state index (an int), and the message says which.
+    """
 
     def __init__(self, state, action):
         self.state = state
         self.action = action
-        super().__init__(f"action {action!r} infeasible at state {state}")
+        where = f"state index {state}" if isinstance(state, int) else f"state {state}"
+        super().__init__(f"action {action!r} infeasible at {where}")

@@ -5,11 +5,12 @@ All solvers work against an "assembly" of the MDP: either a tabular view
 (concatenated sparse rows over (state, action) pairs, per-state discounts)
 or a factored view for kernels of product form, where the one-step
 expectation operator is applied to the whole value vector at once and rows
-are never materialized.  Both give per-pair expectations E_x^u[V] and, for a
-policy U, an operator P^U with P^U @ V = E^U[V]: a sparse matrix, whose
-evaluation system is built from the same rows and solved directly, or a
-matrix-free product (solved by fixed-point iteration with MacQueen-Porteus
-bounds, which bracket the solution and stop on a value-error bound).
+are never materialized.  Both give per-pair expectations E_x^u[V]; a
+policy U's expectations P^U V = E^U[V] are those at its pairs.  A tabular
+policy's evaluation system is built from its pairs' rows and solved
+directly; a factored policy is evaluated by fixed-point iteration on
+V -> E^U[V] with MacQueen-Porteus bounds, which bracket the solution and
+stop on a value-error bound.
 Maximization is the internal convention throughout; cost models negate
 rewards at the model boundary.  scipy.sparse is imported only where a
 tabular assembly builds or solves its sparse system, so importing the
@@ -48,7 +49,7 @@ class _PairAssembly:
 
     offsets[s]:offsets[s+1] index state s's pairs; rewards are per pair and
     discounts per state.  Subclasses supply expectations(values), E_x^u[V]
-    for every pair, and policy_operator(policy), a P^U with P @ V = E^U[V].
+    for every pair; a policy's expectations are those of its policy_pairs.
     """
 
     def __init__(self, offsets, rewards, discounts):
@@ -72,7 +73,7 @@ class _PairAssembly:
         """The pair each state's action index selects.
 
         An index outside its state's action range raises InfeasibleAction
-        with the flat state index.
+        naming the flat state index as an index, not a lattice state.
         """
         policy = np.asarray(policy, dtype=np.int64)
         if policy.shape != (self.n_states,):
@@ -89,7 +90,7 @@ class _PairAssembly:
 class TabularAssembly(_PairAssembly):
     """Concatenated sparse rows for all (state, action) pairs.
 
-    row_ptr delimits each pair's (col_idx, probs) slice; P^U is a CSR matrix.
+    row_ptr delimits each pair's (col_idx, probs) slice.
     """
 
     def __init__(self, offsets, rewards, row_ptr, col_idx, probs, discounts):
@@ -102,24 +103,12 @@ class TabularAssembly(_PairAssembly):
         prod = self.probs * values[self.col_idx]
         return np.add.reduceat(prod, self.row_ptr[:-1])
 
-    def policy_operator(self, policy: np.ndarray) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        pairs = self.policy_pairs(policy)
-        starts = self.row_ptr[pairs]
-        stops = self.row_ptr[pairs + 1]
-        lens = stops - starts
-        take = _ranges(starts, lens)
-        indptr = np.concatenate([[0], np.cumsum(lens)])
-        return sp.csr_matrix((self.probs[take], self.col_idx[take], indptr),
-                             shape=(self.n_states, self.n_states))
-
 
 class FactoredAssembly(_PairAssembly):
     """Product-form kernels: one-step expectations for all states at once.
 
     apply_expectation(V) returns E[V(X_1) | post-action state z] for every z;
     post_idx maps each (state, action) pair to its post-action state index.
-    P^U is matrix-free (_PostStateOperator).
     """
 
     def __init__(self, offsets, rewards, post_idx, apply_expectation, discount):
@@ -130,37 +119,11 @@ class FactoredAssembly(_PairAssembly):
     def expectations(self, values: np.ndarray) -> np.ndarray:
         return self.apply_expectation(values)[self.post_idx]
 
-    def policy_operator(self, policy: np.ndarray) -> "_PostStateOperator":
-        return _PostStateOperator(self, self.post_idx[self.policy_pairs(policy)])
-
-
-class _PostStateOperator:
-    """P^U of a factored assembly: P @ V = apply_expectation(V)[post].
-
-    apply_expectation is looked up on every product, so a hook installed on
-    the assembly after it was built still sees each matvec.
-    """
-
-    __slots__ = ("_asm", "_post")
-
-    def __init__(self, asm: FactoredAssembly, post: np.ndarray):
-        self._asm = asm
-        self._post = post
-
-    def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        return self._asm.apply_expectation(values)[self._post]
-
 
 def _ranges(starts, lens):
-    """Concatenate arange(s, s+l) for each (s, l); vectorized."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(lens)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-    return np.cumsum(out)
+    """Concatenate arange(s, s+l) for each (s, l), every l >= 0; vectorized."""
+    firsts = np.cumsum(lens) - lens                    # each segment's place in the output
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(starts - firsts, lens)
 
 
 def get_assembly(mdp):
@@ -211,9 +174,10 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     discounted functionals V_U[f]).  A TabularAssembly's system
     I - diag(alpha) P^U is built from the policy pairs' rows
     (_evaluation_system) and solved directly, with one step of iterative
-    refinement when its residual breaks the contract.  A FactoredAssembly's
-    matrix-free P^U, whose discount is one scalar, is solved by bracketed
-    fixed-point iteration (_bracketed_iteration) from warm_start, to a
+    refinement when its residual breaks the contract.  A FactoredAssembly,
+    whose discount is one scalar, is solved by bracketed fixed-point
+    iteration on P^U V = apply_expectation(V)[post-action states of the
+    policy pairs] (_bracketed_iteration) from warm_start, to a
     sup-norm value error of at most ITERATIVE_TOL * (1 + |V|) within
     VI_MAX_ITERATIONS steps.  Either way the result must meet the
     RESIDUAL_REL residual contract.
@@ -248,9 +212,15 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
             raise SingularSystem(str(exc)) from None
         residual = np.abs(resid).max()
     else:
-        op = asm.policy_operator(policy)
-        values = _bracketed_iteration(r_u, op, disc, warm_start=warm_start)
-        residual = np.abs(values - (r_u + disc * (op @ values))).max()
+        post = asm.post_idx[asm.policy_pairs(policy)]
+
+        # apply_expectation is looked up on every product, so a hook set on
+        # the assembly after it was built still sees each matvec
+        def matvec(v):
+            return asm.apply_expectation(v)[post]
+
+        values = _bracketed_iteration(r_u, matvec, disc, warm_start=warm_start)
+        residual = np.abs(values - (r_u + disc * matvec(values))).max()
 
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
         raise SingularSystem(f"policy evaluation residual {residual} exceeds "
@@ -262,7 +232,8 @@ def _evaluation_system(asm: TabularAssembly, policy: np.ndarray) -> sp.csc_matri
     """I - diag(alpha) P^U as one CSC matrix, built from the policy pairs' rows in one numpy pass.
 
     It stores what (sp.eye - sp.diags(alpha) @ P^U).tocsc() stores, P^U
-    being policy_operator(policy), entry for entry: the product scales each
+    being the policy pairs' rows of the (n_pairs, n_states) CSR matrix
+    (probs, col_idx, row_ptr), entry for entry: the product scales each
     entry of row i by alpha[i] and adds a row's entries of one column in
     stored order from 0.0, dropping zero sums; the difference keeps 1 - s on
     the diagonal and -s off it, dropping zeros again; each column lists its
@@ -293,7 +264,7 @@ def _evaluation_system(asm: TabularAssembly, policy: np.ndarray) -> sp.csc_matri
     return sp.csc_matrix((data[keep], row[keep], indptr), shape=(n, n))
 
 
-def _bracketed_iteration(r_u, op, disc, warm_start=None):
+def _bracketed_iteration(r_u, matvec, disc, warm_start=None):
     """Fixed-point iteration V <- r_U + alpha P^U V with MacQueen-Porteus bounds.
 
     For a stochastic P^U and one scalar discount alpha, the increment
@@ -303,6 +274,7 @@ def _bracketed_iteration(r_u, op, disc, warm_start=None):
     most ITERATIVE_TOL * (1 + |V_{n+1}|) and returns its midpoint.  The
     bracket removes the constant mode of P^U (eigenvalue 1) exactly, so the
     step count follows the rest of the spectrum, not 1 / (1 - alpha).
+    matvec(V) returns P^U V as a new array.
     """
     alpha = float(disc[0])
     if np.any(disc != alpha):
@@ -312,7 +284,7 @@ def _bracketed_iteration(r_u, op, disc, warm_start=None):
     scale = alpha / (1.0 - alpha)
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
     for _ in range(VI_MAX_ITERATIONS):
-        v_next = op @ v                                # r_u + alpha (P v), in place
+        v_next = matvec(v)                             # r_u + alpha (P v), in place
         v_next *= alpha
         v_next += r_u
         d = v_next - v

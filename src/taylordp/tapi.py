@@ -251,9 +251,7 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     offsets = mdp.action_table()[1]
     counts = np.diff(offsets)
     dirs, rates, classes = _pair_stencils(problem, hvec, chain.scheme)
-    tot = rates.sum(axis=1)
-    if classes is not None:
-        tot = tot[classes]
+    tot = rates.sum(axis=1)[classes]
 
     # the extension on the padded box: its interior at the centers, shifted by h e at the targets
     padded = _extension_box(coarse_values, chain.grid, [lo - h for lo in lattice.lower],
@@ -273,8 +271,8 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     for s0, s1 in _state_blocks(offsets, len(dirs)):
         p0, p1, n = offsets[s0], offsets[s1], counts[s0:s1]
         q_b, a_b = np.repeat(q_max[s0:s1], n), np.repeat(a_h[s0:s1], n)
-        rates_b = rates[p0:p1] if classes is None else rates.take(classes[p0:p1], axis=0)
-        rates_b /= q_b[:, None]          # a copy, or rows of rates no other block reads
+        rates_b = rates.take(classes[p0:p1], axis=0)
+        rates_b /= q_b[:, None]
         expect = (np.einsum("pc,pc->p", rates_b, np.repeat(neighbor_vals[s0:s1], n, axis=0))
                   + (1.0 - tot[p0:p1] / q_b) * np.repeat(center_vals[s0:s1], n))
         q[p0:p1] = a_b * rew[p0:p1] / (alpha * q_b) + a_b * expect
@@ -285,13 +283,14 @@ def _pair_stencils(problem: TaylorProblem, hvec: np.ndarray, scheme: str):
     """(dirs, rates, classes): the stencil rates of the lattice's pairs, one row per moment class.
 
     Pair p's rates are rates[classes[p]]; without a problem.moment_classes
-    hook there is one row per pair and classes is None.
+    hook each pair is its own class.
     """
     mdp = problem.mdp
     U = mdp.action_table()[0]
     pair_states, pair_U = mdp.pair_states(), U
-    classes = None
-    if problem.moment_classes is not None:
+    if problem.moment_classes is None:
+        classes = np.arange(len(U))
+    else:
         _, first, classes = _unique_classes(problem.moment_classes(pair_states, U))
         pair_states, pair_U = pair_states[first], U[first]
     mu_b, s2_b = problem.moments_batch(pair_states, pair_U)

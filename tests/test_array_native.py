@@ -1579,9 +1579,16 @@ def eye_minus_system(op, disc):
     return (sp.eye(op.shape[0], format="csr") - sp.diags(disc) @ op).tocsc()
 
 
+def policy_rows(asm, policy):
+    """P^U: the policy pairs' rows of the assembly's (n_pairs, n_states) CSR matrix."""
+    pairs_p = sp.csr_matrix((asm.probs, asm.col_idx, asm.row_ptr),
+                            shape=(asm.n_pairs, asm.n_states))
+    return pairs_p[asm.policy_pairs(policy)]
+
+
 def assert_same_system(asm, policy):
     fast = _evaluation_system(asm, policy)
-    ref = eye_minus_system(asm.policy_operator(policy), asm.discounts)
+    ref = eye_minus_system(policy_rows(asm, policy), asm.discounts)
     for field in ("data", "indices", "indptr"):
         x, y = getattr(fast, field), getattr(ref, field)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
@@ -1630,13 +1637,13 @@ def test_evaluation_system_sums_duplicates_and_drops_zeros():
         assert_same_system(asm, np.zeros(n, dtype=np.int64))
 
 
-def bracketed_loop(r_u, op, disc, warm_start=None):
-    """The bracketed evaluation forming each iterate as r_u + alpha * (op @ v)."""
+def bracketed_loop(r_u, matvec, disc, warm_start=None):
+    """The bracketed evaluation forming each iterate as r_u + alpha * matvec(v)."""
     alpha = float(disc[0])
     scale = alpha / (1.0 - alpha)
     v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
     for _ in range(exact.VI_MAX_ITERATIONS):
-        v_next = r_u + alpha * (op @ v)
+        v_next = r_u + alpha * matvec(v)
         d = v_next - v
         lo, hi = d.min(), d.max()
         if 0.5 * scale * (hi - lo) <= exact.ITERATIVE_TOL * (1.0 + np.abs(v_next).max()):
@@ -1651,10 +1658,14 @@ def test_bracketed_iteration_matches_loop(name, request):
     asm = get_assembly(mdp)
     optimal = tdp.policy_iteration(mdp)
     for policy in (np.zeros(mdp.n_states, dtype=np.int64), optimal.policy):
-        r_u, op = asm.policy_rewards(policy), asm.policy_operator(policy)
+        r_u, post = asm.policy_rewards(policy), asm.post_idx[asm.policy_pairs(policy)]
+
+        def matvec(v):
+            return asm.apply_expectation(v)[post]
+
         for warm in (None, optimal.values):
-            got = _bracketed_iteration(r_u, op, asm.discounts, warm_start=warm)
-            want = bracketed_loop(r_u, op, asm.discounts, warm_start=warm)
+            got = _bracketed_iteration(r_u, matvec, asm.discounts, warm_start=warm)
+            want = bracketed_loop(r_u, matvec, asm.discounts, warm_start=warm)
             assert _bits(got).tolist() == _bits(want).tolist()
 
 

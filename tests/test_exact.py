@@ -214,7 +214,8 @@ def test_evaluation_residual_contract():
     v = tdp.policy_evaluation(model.mdp, pol)
     asm = get_assembly(model.mdp)
     r_u = asm.policy_rewards(pol)
-    resid = np.abs(v - (r_u + asm.discounts * (asm.policy_operator(pol) @ v))).max()
+    p_v = asm.expectations(v)[asm.policy_pairs(pol)]
+    resid = np.abs(v - (r_u + asm.discounts * p_v)).max()
     assert resid <= 1e-9 * (1.0 + np.abs(v).max())
 
 
@@ -241,9 +242,13 @@ def test_factored_evaluation_value_error_bound(alpha):
     from taylordp.exact import get_assembly
     mdp, pi = _routing2_pi(alpha)
     asm = get_assembly(mdp)
-    op = asm.policy_operator(pi.policy)
+    post = asm.post_idx[asm.policy_pairs(pi.policy)]
+
+    def matvec(v):
+        return asm.apply_expectation(v)[post]
+
     eye = np.eye(mdp.n_states)
-    P = np.column_stack([op @ eye[:, j] for j in range(mdp.n_states)])
+    P = np.column_stack([matvec(eye[:, j]) for j in range(mdp.n_states)])
     v_direct = np.linalg.solve(np.eye(mdp.n_states) - alpha * P,
                                asm.policy_rewards(pi.policy))
     rng = np.random.default_rng(7)
@@ -325,7 +330,7 @@ def test_factored_evaluation_needs_scalar_discount():
     # the bracket holds for one scalar discount only; chains take the direct solve
     from taylordp.exact import _bracketed_iteration
     with pytest.raises(ValueError):
-        _bracketed_iteration(np.ones(2), np.eye(2), np.array([0.5, 0.9]))
+        _bracketed_iteration(np.ones(2), lambda v: v, np.array([0.5, 0.9]))
 
 
 def test_policy_evaluation_rejects_out_of_range_action_index(routing2):
@@ -348,6 +353,33 @@ def test_policy_evaluation_rejects_out_of_range_action_index(routing2):
         tdp.policy_evaluation(chain, policy)
     with pytest.raises(ValueError, match="one action index per state"):
         tdp.policy_evaluation(chain, policy[:-1])
+
+
+def test_infeasible_action_names_a_flat_index_as_an_index(inventory_model):
+    # state index 3 of the lattice -40..40 is the state (-37,), not the state (3,)
+    mdp = inventory_model.mdp
+    policy = np.zeros(mdp.n_states, dtype=np.int64)
+    policy[3] = 99
+    with pytest.raises(InfeasibleAction) as by_index:
+        tdp.policy_evaluation(mdp, policy)
+    with pytest.raises(InfeasibleAction) as by_state:
+        mdp.validate_policy(policy)
+    assert str(by_index.value) == "action 99 infeasible at state index 3"
+    assert str(by_state.value) == "action 99 infeasible at state (-37,)"
+    assert mdp.lattice.state(by_index.value.state) == by_state.value.state
+    assert by_index.value.action == by_state.value.action == 99
+
+
+@pytest.mark.parametrize("lens,want", [
+    ([2, 0, 3], [0, 1, 10, 11, 12]),
+    ([2, 3, 0], [0, 1, 5, 6, 7]),
+    ([0, 2, 3], [5, 6, 10, 11, 12]),
+    ([0, 0, 0], []),
+    ([2, 3, 4], [0, 1, 5, 6, 7, 10, 11, 12, 13]),
+], ids=["middle", "end", "first", "all", "none"])
+def test_ranges_handles_zero_length_segments(lens, want):
+    got = exact._ranges(np.array([0, 5, 10]), np.array(lens))
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @pytest.mark.parametrize("kind", ["tabular", "factored"])
