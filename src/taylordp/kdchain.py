@@ -221,13 +221,13 @@ def _stencil_rates(mu_b: np.ndarray, s2_b: np.ndarray, hl, hr, scheme: str):
     for i in range(d):
         hli, hri = hl[:, i], hr[:, i]
         need = np.maximum(np.maximum(m[:, i], 0.0) * hri, np.maximum(-m[:, i], 0.0) * hli)
-        central_ok = b[:, i] >= need - RATE_TOL
         if scheme == "inflate":
             b_eff = np.maximum(b[:, i], need)
             rp = (b_eff + m[:, i] * hli) / (hri * (hri + hli))
             rm = (b_eff - m[:, i] * hri) / (hli * (hri + hli))
             slack[:, i] = b_eff - b[:, i]
         elif scheme == "upwind":
+            central_ok = b[:, i] >= need - RATE_TOL
             rp_c = (b[:, i] + m[:, i] * hli) / (hri * (hri + hli))
             rm_c = (b[:, i] - m[:, i] * hri) / (hli * (hri + hli))
             rp_u = np.maximum(m[:, i], 0.0) / hri + b[:, i] / (hri * (hri + hli))

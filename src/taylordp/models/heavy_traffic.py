@@ -40,6 +40,8 @@ class HeavyTrafficParams:
             raise ValueError("need lam < 1/2 < mu = 1 - lam")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.M < 1:
+            raise ValueError("need M >= 1")
 
     @property
     def mu(self) -> float:

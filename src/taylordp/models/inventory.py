@@ -46,8 +46,12 @@ class InventoryParams:
     def __post_init__(self):
         if self.u_max > 2 * self.M:
             raise ValueError("orders larger than the state range are not representable")
-        if self.lam <= 0:
-            raise ValueError("demand mean must be positive")
+        if self.u_max < 0:
+            raise ValueError("u_max must be >= 0")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("demand mean lam must be positive and finite")
+        if not 0.0 < self.tail < 1.0:
+            raise ValueError("tail must lie in (0, 1)")
 
 
 def truncated_poisson_pmf(lam: float, tail: float):

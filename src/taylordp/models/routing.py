@@ -60,6 +60,14 @@ class RoutingParams:
             raise ValueError("N, p, lam, H must have length J")
         if len(self.B) != J * (J - 1):
             raise ValueError("B must list costs for every ordered pool pair")
+        if any(n < 0 for n in self.N):
+            raise ValueError(f"N must be >= 0, got {self.N}")
+        if not all(0.0 <= p <= 1.0 for p in self.p):
+            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        if not all(0.0 < lam < math.inf for lam in self.lam):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0.0 < self.tail < 1.0:
+            raise ValueError("tail must lie in (0, 1)")
 
 
 def pool_pairs(J: int):

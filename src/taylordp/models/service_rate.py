@@ -51,6 +51,10 @@ class ServiceRateParams:
             raise ValueError("cost must be 'quadratic' or 'quartic'")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
+        if self.n_controls < 1:
+            raise ValueError("n_controls must be >= 1")
+        if self.fixed_u is not None and not 0.0 <= self.fixed_u < 1.0:
+            raise ValueError("fixed_u must lie in [0, 1)")
 
 
 class ServiceRateModel:

@@ -42,9 +42,8 @@ A grid point's chain actions are the fine actions of its lattice state (a
 reflecting boundary point keeps only the first), so policies move between the
 chain and the lattice by action-table index: the pc projection is one pass
 over every fine (state, action) pair, and restricting a fine policy to the
-grid is a gather.  The boundary completion is one fine greedy step from
-the fine assembly's q-values (get_assembly(mdp).q_values), gathered at the
-boundary grid points' pairs, and reads no kernel rows.  The fine-lattice
+grid is a gather.  The boundary completion is policy_improvement's action
+at the boundary grid points, so it reads no kernel rows.  The fine-lattice
 steps take the chain alone, which records its problem, h, scheme and
 fine_state.
 """
@@ -57,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .exact import (_ranges, get_assembly, policy_evaluation, policy_improvement,
-                    policy_iteration, segmented_argmax)
+from .exact import (get_assembly, policy_evaluation, policy_improvement, policy_iteration,
+                    segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
 from .taylor import TaylorProblem
 
@@ -171,11 +170,12 @@ def _unique_classes(codes: np.ndarray):
 def _nearest_actions(U: np.ndarray, offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per state, the index of its action nearest the state's target action.
 
-    U and offsets are an action table, targets one action per state.  The
-    distance is L1 and the first action within ARGMAX_TOL of the nearest wins.
+    U and offsets are an action table, targets one action per state in U's
+    dtype, in which the L1 distance is taken (exact on integer actions); the
+    first action within ARGMAX_TOL of the nearest wins.
     """
-    U = U.reshape(len(U), -1).astype(np.float64)
-    targets = np.asarray(targets, dtype=np.float64).reshape(len(offsets) - 1, -1)
+    U = U.reshape(len(U), -1)
+    targets = targets.reshape(len(offsets) - 1, -1)
     dist = np.abs(U - np.repeat(targets, np.diff(offsets), axis=0)).sum(axis=1)
     return segmented_argmax(-dist, offsets)[1]
 
@@ -186,29 +186,27 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
 
     Non-grid states copy the action of the nearest interior grid point (the
     reflecting rows carry no action information); grid states keep their own.
-    Boundary grid states are completed by a fine one-step greedy against
-    fine_value: the fine assembly's q-values (policy_improvement's, so no
-    kernel row is read) gathered at the points' pairs, and one
-    segmented_argmax over the points' actions.
+    Boundary grid states take policy_improvement's action against
+    fine_value, a fine one-step greedy that reads no kernel rows.
     Inherited actions infeasible at the destination are projected to the
-    nearest feasible action (_nearest_actions).
+    nearest feasible action (_nearest_actions).  A coarse action index
+    outside its grid point's range raises InfeasibleAction, as
+    policy_evaluation on the chain does.
     """
     grid = chain.grid
     mdp = chain.problem.mdp
     U, offsets = mdp.action_table()
 
     # the (state, action) pair each grid point chose: chain action indices
-    # are action-table indices at the grid point's lattice state
+    # are action-table indices at the grid point's lattice state, and
+    # policy_pairs refuses one outside its point's range
+    chain.assembly().policy_pairs(coarse_policy)
     chosen = offsets[chain.fine_state] + np.asarray(coarse_policy, dtype=np.int64)
 
-    # completion at boundary grid states: one fine greedy step over their pairs
-    boundary = np.flatnonzero(~chain.interior_mask)
+    # completion at boundary grid states: the fine greedy step's action there
+    boundary = ~chain.interior_mask
     points = chain.fine_state[boundary]
-    first, counts = offsets[points], np.diff(offsets)[points]
-    q = get_assembly(mdp).q_values(fine_value)[_ranges(first, counts)]
-    segments = np.zeros(len(boundary) + 1, dtype=np.int64)
-    np.cumsum(counts, out=segments[1:])
-    chosen[boundary] = first + segmented_argmax(q, segments)[1]
+    chosen[boundary] = offsets[points] + policy_improvement(mdp, fine_value)[points]
 
     # nearest interior grid point for every fine state: the nearest grid
     # position clamped into the interior on every axis

@@ -980,7 +980,7 @@ def test_completion_matches_per_point_loop(name, h, request):
 
 def test_completion_memory_stays_bounded(routing3_bench):
     # the tracemalloc peak of one call on the 2,197-state 3-pool cell at
-    # h=4: 2.6 MB when the call builds the fine assembly, 2.2 MB when an
+    # h=4: 2.05 MiB when the call builds the fine assembly, 1.54 MiB when an
     # earlier solve has built it
     mdp = routing3_bench.mdp
     chain = tdp.build_multidim_chain(routing3_bench.problem, 4)

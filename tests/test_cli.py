@@ -157,6 +157,52 @@ M = {M}
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+# small instances of each model, as [model] lines
+_SMALL_MODELS = {
+    "routing": ["J = 2", "N = 3,3", "M = 3", "p = 0.5,0.5", "lam = 1.0,1.0", "B = 5,1", "H = 1,4"],
+    "service_rate": ["M = 10", "n_controls = 4"],
+    "heavy_traffic": ["M = 10"],
+    "inventory": ["M = 10", "u_max = 3"],
+}
+
+
+def _model_config(path, model, line):
+    """A solve-exact config of model's small instance, line replacing the line of its key."""
+    key = line.split("=")[0]
+    kept = [kv for kv in _SMALL_MODELS[model] if kv.split("=")[0] != key]
+    path.write_text("[experiment]\nmode = solve-exact\nalpha = 0.9\n\n[model]\n"
+                    f"name = {model}\n" + "\n".join(kept + [line]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("model, line", [
+    ("routing", "lam = 0.0,1.0"), ("routing", "p = 1.5,0.5"), ("routing", "N = -1,3"),
+    ("service_rate", "fixed_u = 1.0"), ("heavy_traffic", "M = 0"),
+    ("service_rate", "n_controls = 0"), ("inventory", "u_max = -1"),
+    ("inventory", "lam = nan"), ("inventory", "tail = 2.0"), ("routing", "tail = 0.0"),
+])
+def test_model_parameter_the_model_cannot_run_with_exits_2(model, line, tmp_path, capsys):
+    # the params dataclass refuses the value before any model is built
+    out = tmp_path / "out"
+    rc = main(["solve-exact", "--config", _model_config(tmp_path / "bad.ini", model, line),
+               "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    prefix = f"error: config: model {model!r}: "
+    assert rc == 2 and err.startswith(prefix)
+    assert line.split(" =")[0] in err[len(prefix):]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, line", [
+    ("routing", "N = 0,3"), ("routing", "p = 0.0,0.5"), ("heavy_traffic", "M = 1"),
+    ("service_rate", "fixed_u = 0"), ("inventory", "u_max = 0"),
+])
+def test_model_parameter_at_its_edge_still_solves(model, line, tmp_path):
+    rc = main(["solve-exact", "--config", _model_config(tmp_path / "edge.ini", model, line),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+
+
 def test_csv_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -196,6 +196,30 @@ def test_pi_monotone_and_bounded_iterations(service_quadratic, routing2, invento
             assert (cur >= prev - 1e-7 * (1.0 + np.abs(prev))).all()
 
 
+@pytest.mark.parametrize("name", ["service_quadratic", "routing2"])
+def test_policy_iteration_seeded_with_its_optimum(name, request):
+    # one evaluation and one improvement confirm the seed; the tabular solve
+    # is direct, so its values repeat bit for bit, and the factored one
+    # starts cold where the unseeded run's last evaluation was warm-started
+    mdp = request.getfixturevalue(name).mdp
+    star = tdp.policy_iteration(mdp)
+    seed = star.policy.copy()
+    res = tdp.policy_iteration(mdp, initial_policy=seed)
+    assert res.iterations == 1
+    assert np.array_equal(res.policy, star.policy)
+    assert np.array_equal(seed, star.policy)
+    res.policy[0] += 1                       # the result does not share the seed's memory
+    assert np.array_equal(seed, star.policy)
+    if name == "service_quadratic":
+        assert np.array_equal(res.values, star.values)
+    else:
+        scale = 1.0 + np.abs(star.values).max()
+        assert np.abs(res.values - star.values).max() <= 2 * exact.ITERATIVE_TOL * scale
+    seed[0] = np.diff(exact.get_assembly(mdp).offsets)[0]
+    with pytest.raises(InfeasibleAction):
+        tdp.policy_iteration(mdp, initial_policy=seed)
+
+
 def test_bellman_residual_of_fixed_point(service_quadratic, service_quadratic_star):
     from taylordp.exact import get_assembly, segmented_argmax
     asm = get_assembly(service_quadratic.mdp)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import taylordp as tdp
 import taylordp.tapi as tapi
 from taylordp import exact
+from taylordp.errors import InfeasibleAction
 from taylordp.kdchain import CoarseGrid
 from taylordp.lattice import StateLattice, action_tuple
 from taylordp.models import build
@@ -97,6 +98,24 @@ def test_project_action_feasibility():
                         (3, 0),     # L1-nearest
                         (1, 1)])    # tie (0,1) vs (2,0): first wins
     assert _nearest_actions(U, offsets, targets).tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize("past_end", [3, None], ids=["count-plus-3", "minus-1"])
+def test_disaggregate_policy_refuses_out_of_range_coarse_action(routing2, past_end):
+    # an interior grid point's index past its action range, or -1, raises the
+    # InfeasibleAction that evaluating the same coarse policy on the chain raises
+    chain = tdp.build_multidim_chain(routing2.problem, 4)
+    counts = np.diff(chain.assembly().offsets)
+    point = np.flatnonzero(chain.interior_mask & (counts > 1))[0]
+    bad = tdp.policy_iteration(chain).policy.copy()
+    bad[point] = -1 if past_end is None else counts[point] + past_end
+    fine_v = np.zeros(routing2.mdp.n_states)
+    with pytest.raises(InfeasibleAction) as from_extension:
+        tdp.disaggregate_policy(chain, bad, fine_v)
+    with pytest.raises(InfeasibleAction) as from_evaluation:
+        tdp.policy_evaluation(chain, bad)
+    assert str(from_extension.value) == str(from_evaluation.value)
+    assert from_extension.value.state == point
 
 
 def _single_action_model():
@@ -310,7 +329,8 @@ def test_three_point_axes_extend_the_pc_policy(make, h):
 @pytest.mark.parametrize("extension", ["tcp_greedy", "pc"])
 def test_one_step_computes_no_policy_extension(routing2, improvement, extension, monkeypatch):
     # every variant (tcp_greedy, pc, exact improvement, one_step) forms only
-    # the policy it returns: one call, or one an iteration of the exact loop
+    # the policy it returns: one call, or one an iteration of the exact loop;
+    # pc's boundary completion is one policy_improvement call
     calls = {"greedy": 0, "pc": 0, "improve": 0}
     for key, name in (("greedy", "taylored_greedy_policy"), ("pc", "disaggregate_policy"),
                       ("improve", "policy_improvement")):
@@ -341,7 +361,8 @@ def test_one_step_computes_no_policy_extension(routing2, improvement, extension,
             check_greedy_of_last_extension(res)
         else:
             greedy = extension == "tcp_greedy"
-            assert calls == {"greedy": int(greedy), "pc": int(not greedy), "improve": 0}
+            assert calls == {"greedy": int(greedy), "pc": int(not greedy),
+                             "improve": int(not greedy)}
         assert np.array_equal(res.fine_values,
                               tdp.policy_evaluation(routing2.mdp, res.fine_policy))
 
