@@ -103,20 +103,17 @@ def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.
     """A_U[Phi](x) for every lattice state, in one array pass.
 
     P^U Phi is read from the assembly's per-pair expectations of Phi
-    (get_assembly(mdp).expectations) at the policy's pairs, the moments come
-    from one moments_batch call, and Phi's derivatives from one grad and one
-    hess call over all states.
+    (get_assembly(mdp).expectations) at the pairs mdp.validate_policy
+    checks and returns, the moments come from one moments_batch call, and
+    Phi's derivatives from one grad and one hess call over all states.
     """
     mdp = problem.mdp
     alpha = mdp.discount
-    mdp.validate_policy(policy)
-    policy = np.asarray(policy, dtype=np.int64)
+    pairs = mdp.validate_policy(policy)
     states = mdp.lattice.states()
     coords = states.astype(np.float64)
     phi_states = phi.value(coords)
-    U, offsets = mdp.action_table()
-    pairs = offsets[:-1] + policy
-    mu, sigma2 = problem.moments_batch(states, U[pairs])
+    mu, sigma2 = problem.moments_batch(states, mdp.action_table()[0][pairs])
     p_phi = get_assembly(mdp).expectations(phi_states)[pairs]
     lu = (np.einsum("nd,nd->n", mu, phi.grad(coords))
           + 0.5 * np.einsum("nij,nji->n", sigma2, phi.hess(coords)))     # mu.DPhi + tr(s2 D2Phi)/2

@@ -6,7 +6,8 @@ All solvers work against an "assembly" of the MDP: either a tabular view
 or a factored view for kernels of product form, where the one-step
 expectation operator is applied to the whole value vector at once and rows
 are never materialized.  Both give per-pair expectations E_x^u[V]; a
-policy U's expectations P^U V = E^U[V] are those at its pairs.  A tabular
+policy U's expectations P^U V = E^U[V] are those at its pairs, which
+lattice.policy_pairs forms and checks once per solve.  A tabular
 policy's evaluation system is built from its pairs' rows and solved
 directly; a factored policy is evaluated by fixed-point iteration on
 V -> E^U[V] with MacQueen-Porteus bounds, which bracket the solution and
@@ -27,8 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InfeasibleAction, MaxIterationsExceeded, SingularSystem
-from .lattice import LatticeMdp
+from .errors import MaxIterationsExceeded, SingularSystem
+from .lattice import LatticeMdp, policy_pairs
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -58,8 +59,7 @@ class _PairAssembly:
         self.discounts = np.asarray(discounts, dtype=np.float64)
         self.n_states = len(self.offsets) - 1
         self.n_pairs = len(self.rewards)
-        self._counts = np.diff(self.offsets)
-        self._disc_per_pair = np.repeat(self.discounts, self._counts)
+        self._disc_per_pair = np.repeat(self.discounts, np.diff(self.offsets))
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """r(x,u) + alpha(x) E_x^u[V] for every pair; values must have shape (n_states,)."""
@@ -70,21 +70,8 @@ class _PairAssembly:
         return self.rewards + self._disc_per_pair * self.expectations(values)
 
     def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
-        """The pair each state's action index selects.
-
-        An index outside its state's action range raises InfeasibleAction
-        naming the flat state index as an index, not a lattice state.
-        """
-        policy = np.asarray(policy, dtype=np.int64)
-        if policy.shape != (self.n_states,):
-            raise ValueError("policy must assign one action index per state")
-        bad = np.flatnonzero((policy < 0) | (policy >= self._counts))
-        if bad.size:
-            raise InfeasibleAction(int(bad[0]), int(policy[bad[0]]))
-        return self.offsets[:-1] + policy
-
-    def policy_rewards(self, policy: np.ndarray) -> np.ndarray:
-        return self.rewards[self.policy_pairs(policy)]
+        """lattice.policy_pairs on these offsets: the pair each state's action index selects."""
+        return policy_pairs(self.offsets, policy)
 
 
 class TabularAssembly(_PairAssembly):
@@ -170,9 +157,12 @@ def segmented_argmax(values: np.ndarray, offsets: np.ndarray):
 def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.ndarray:
     """Solve V = r_U + diag(alpha) P^U V for the given stationary policy.
 
-    reward_override replaces r_U with a per-state vector (used for
-    discounted functionals V_U[f]).  A TabularAssembly's system
-    I - diag(alpha) P^U is built from the policy pairs' rows
+    The policy's pairs come from one policy_pairs check, which refuses a
+    wrong shape or a non-integral index (ValueError) and an index out of
+    range (InfeasibleAction); r_U, the rows and the post-action states are
+    read at those pairs.  reward_override replaces r_U with a per-state
+    vector (used for discounted functionals V_U[f]).  A TabularAssembly's
+    system I - diag(alpha) P^U is built from the policy pairs' rows
     (_evaluation_system) and solved directly, with one step of iterative
     refinement when its residual breaks the contract.  A FactoredAssembly,
     whose discount is one scalar, is solved by bracketed fixed-point
@@ -183,9 +173,9 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     RESIDUAL_REL residual contract.
     """
     asm = get_assembly(mdp)
-    policy = np.asarray(policy, dtype=np.int64)
+    pairs = asm.policy_pairs(policy)
     if reward_override is None:
-        r_u = asm.policy_rewards(policy)
+        r_u = asm.rewards[pairs]
     else:
         r_u = np.asarray(reward_override, dtype=np.float64)
         if r_u.shape != (asm.n_states,):
@@ -198,7 +188,7 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
 
     if isinstance(asm, TabularAssembly):
         import scipy.sparse.linalg as spla
-        system = _evaluation_system(asm, policy)
+        system = _evaluation_system(asm, pairs)
         try:
             lu = spla.splu(system)
             values = lu.solve(r_u)
@@ -212,7 +202,7 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
             raise SingularSystem(str(exc)) from None
         residual = np.abs(resid).max()
     else:
-        post = asm.post_idx[asm.policy_pairs(policy)]
+        post = asm.post_idx[pairs]
 
         # apply_expectation is looked up on every product, so a hook set on
         # the assembly after it was built still sees each matvec
@@ -228,7 +218,7 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     return values
 
 
-def _evaluation_system(asm: TabularAssembly, policy: np.ndarray) -> sp.csc_matrix:
+def _evaluation_system(asm: TabularAssembly, pairs: np.ndarray) -> sp.csc_matrix:
     """I - diag(alpha) P^U as one CSC matrix, built from the policy pairs' rows in one numpy pass.
 
     It stores what (sp.eye - sp.diags(alpha) @ P^U).tocsc() stores, P^U
@@ -241,7 +231,6 @@ def _evaluation_system(asm: TabularAssembly, policy: np.ndarray) -> sp.csc_matri
     identity and leaves every sum unchanged.
     """
     import scipy.sparse as sp
-    pairs = asm.policy_pairs(policy)
     starts = asm.row_ptr[pairs]
     lens = asm.row_ptr[pairs + 1] - starts
     take = _ranges(starts, lens)
@@ -315,7 +304,7 @@ def policy_iteration(mdp, initial_policy=None, record_history: bool = False) -> 
     if initial_policy is None:
         policy = np.zeros(asm.n_states, dtype=np.int64)
     else:
-        policy = np.asarray(initial_policy, dtype=np.int64).copy()
+        policy = asm.policy_pairs(initial_policy) - asm.offsets[:-1]
     history = []
     values = None
     for it in range(1, MAX_ITERATIONS + 1):

@@ -182,6 +182,30 @@ def action_tuple(U) -> tuple:
     return tuple(map(tuple, rows)) if np.ndim(U) == 2 else tuple(rows)
 
 
+def policy_pairs(offsets: np.ndarray, policy) -> np.ndarray:
+    """The int64 pair offsets[s] + policy[s] that each state's action index selects.
+
+    The only check of a policy: one entry per state, each an integer (an
+    integer or bool dtype, or finite floats equal to their rounding), else
+    ValueError; each in its state's range, else InfeasibleAction naming the
+    flat state index as an index.
+    """
+    policy = np.asarray(policy)
+    if policy.shape != (len(offsets) - 1,):
+        raise ValueError("policy must assign one action index per state")
+    if policy.dtype.kind not in "biu":
+        whole = (np.isfinite(policy) & (policy == np.round(policy)) if policy.dtype.kind == "f"
+                 else np.zeros(policy.shape, dtype=bool))
+        bad = np.flatnonzero(~whole)
+        if bad.size:
+            raise ValueError(f"action index {policy[bad[0]].item()!r} at state index "
+                             f"{bad[0]} is not an integer")
+    bad = np.flatnonzero((policy < 0) | (policy >= np.diff(offsets)))
+    if bad.size:
+        raise InfeasibleAction(int(bad[0]), int(policy[bad[0]]))
+    return (offsets[:-1] + policy).astype(np.int64, copy=False)
+
+
 def _table_offsets(counts: np.ndarray, states: np.ndarray) -> np.ndarray:
     if not counts.all():
         raise EmptyActionSet(tuple(np.asarray(states[np.argmin(counts)]).tolist()))
@@ -358,13 +382,16 @@ class LatticeMdp:
         U, offsets = self.action_table()
         return action_tuple(U[offsets[state_index]:offsets[state_index + 1]])
 
-    def validate_policy(self, policy: np.ndarray) -> None:
-        policy = np.asarray(policy)
-        if policy.shape != (self.n_states,):
-            raise ValueError("policy must assign one action index per state")
-        bad = np.flatnonzero((policy < 0) | (policy >= np.diff(self.action_table()[1])))
-        if bad.size:
-            raise InfeasibleAction(self.lattice.state(bad[0]), int(policy[bad[0]]))
+    def validate_policy(self, policy: np.ndarray) -> np.ndarray:
+        """policy_pairs on the action table: the pairs the policy selects.
+
+        An index outside its state's range raises InfeasibleAction naming
+        the lattice state.
+        """
+        try:
+            return policy_pairs(self.action_table()[1], policy)
+        except InfeasibleAction as exc:
+            raise InfeasibleAction(self.lattice.state(exc.state), exc.action) from None
 
 
 def pack_rows(targets: np.ndarray, probs: np.ndarray, lengths: np.ndarray):

@@ -47,10 +47,6 @@ class HeavyTrafficParams:
     def mu(self) -> float:
         return 1.0 - self.lam
 
-    @property
-    def rho(self) -> float:
-        return self.lam / self.mu
-
 
 class HeavyTrafficQueue:
     def __init__(self, params: HeavyTrafficParams):

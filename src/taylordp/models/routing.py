@@ -62,6 +62,8 @@ class RoutingParams:
             raise ValueError("B must list costs for every ordered pool pair")
         if any(n < 0 for n in self.N):
             raise ValueError(f"N must be >= 0, got {self.N}")
+        if self.M < 0:
+            raise ValueError(f"M must be >= 0, got {self.M}")
         if not all(0.0 <= p <= 1.0 for p in self.p):
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if not all(0.0 < lam < math.inf for lam in self.lam):
@@ -105,32 +107,25 @@ class RoutingModel:
         self.pairs = pool_pairs(J)
         m = len(self.pairs)
 
-        # net_i = sum_j u_ji - sum_j u_ij as a (J, m) matrix
-        net = np.zeros((J, m))
-        for k, (i, j) in enumerate(self.pairs):
-            net[i, k] -= 1.0
-            net[j, k] += 1.0
-        self.net = net
-
-        # constraints A u <= b(x): into-pool rows then out-of-buffer rows
+        # constraints A u <= b(x): into-pool rows then out-of-buffer rows, and
+        # net_i = sum_j u_ji - sum_j u_ij as a (J, m) matrix from the two blocks
         A = np.zeros((2 * J, m))
         for k, (i, j) in enumerate(self.pairs):
-            A[j, k] = 1.0        # into pool j
-            A[J + i, k] = 1.0    # out of buffer i
+            A[j, k] = A[J + i, k] = 1.0
+        out_of = A[J:]
+        net = self.net = A[:J] - out_of
 
         N = np.asarray(params.N)
-        src = np.array([i for i, _ in self.pairs], dtype=np.int64)
-        dst = np.array([j for _, j in self.pairs], dtype=np.int64)
+        src, dst = np.array(self.pairs, dtype=np.int64).T
 
         def b(states):
             x = np.asarray(states)
             return np.concatenate([np.maximum(N - x, 0), np.maximum(x - N, 0)], axis=-1)
 
         def box(states):
-            x = np.asarray(states)
-            bounds = np.zeros(x.shape[:-1] + (m, 2), dtype=np.int64)
-            bounds[..., 1] = np.minimum(np.maximum(x - N, 0)[..., src],
-                                        np.maximum(N - x, 0)[..., dst])
+            bv = b(states)
+            bounds = np.zeros(bv.shape[:-1] + (m, 2), dtype=np.int64)
+            bounds[..., 1] = np.minimum(bv[..., dst], bv[..., J + src])
             return bounds
 
         actions = PolyhedralActionSet(A, b, box)
@@ -142,9 +137,6 @@ class RoutingModel:
 
         Bcost = np.asarray(params.B, dtype=np.float64)
         Hcost = np.asarray(params.H, dtype=np.float64)
-        out_of = np.zeros((J, m))
-        for k, (i, j) in enumerate(self.pairs):
-            out_of[i, k] = 1.0
 
         # batch hooks over k pairs: states (k, J), actions (k, m)
         def cost_batch(states, U) -> np.ndarray:

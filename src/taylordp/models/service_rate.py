@@ -129,9 +129,7 @@ def quartic_oracle(alpha: float, c_s: float = 1.0) -> SmoothFunction:
     def hess(x):
         return (-12 * x ** 2 / one - 12 * a / one ** 2)[:, :, None]
 
-    fn = SmoothFunction(value, grad, hess)
-    fn.third = lambda x: -24.0 * np.asarray(x, dtype=np.float64) / one
-    return fn
+    return SmoothFunction(value, grad, hess)
 
 
 def continuous_one_step_control(model: ServiceRateModel, fine_value: np.ndarray) -> np.ndarray:

@@ -52,12 +52,10 @@ def _write_columns(path, header, columns) -> None:
 def write_value_policy_csv(path, mdp, values, policy) -> None:
     """Columns: state_index, coord_1..coord_d, value, action_1..action_m.
 
-    The policy is checked by mdp.validate_policy, and values must hold one
-    entry per state.
+    The actions are read at the pairs mdp.validate_policy checks and
+    returns, and values must hold one entry per state.
     """
-    mdp.validate_policy(policy)
-    U, offsets = mdp.action_table()
-    actions = np.asarray(U[offsets[:-1] + np.asarray(policy, dtype=np.int64)], dtype=np.float64)
+    actions = np.asarray(mdp.action_table()[0][mdp.validate_policy(policy)], dtype=np.float64)
     actions = actions.reshape(mdp.n_states, -1)
     coords = mdp.lattice.states()
     header = (["state_index"] + [f"coord_{i + 1}" for i in range(coords.shape[1])]

@@ -189,9 +189,9 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
     Boundary grid states take policy_improvement's action against
     fine_value, a fine one-step greedy that reads no kernel rows.
     Inherited actions infeasible at the destination are projected to the
-    nearest feasible action (_nearest_actions).  A coarse action index
-    outside its grid point's range raises InfeasibleAction, as
-    policy_evaluation on the chain does.
+    nearest feasible action (_nearest_actions).  A non-integral coarse
+    action index raises ValueError and one outside its grid point's range
+    InfeasibleAction, as policy_evaluation on the chain does.
     """
     grid = chain.grid
     mdp = chain.problem.mdp
@@ -199,9 +199,9 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
 
     # the (state, action) pair each grid point chose: chain action indices
     # are action-table indices at the grid point's lattice state, and
-    # policy_pairs refuses one outside its point's range
-    chain.assembly().policy_pairs(coarse_policy)
-    chosen = offsets[chain.fine_state] + np.asarray(coarse_policy, dtype=np.int64)
+    # policy_pairs refuses a non-integral one or one outside its point's range
+    coarse = chain.assembly()
+    chosen = offsets[chain.fine_state] + coarse.policy_pairs(coarse_policy) - coarse.offsets[:-1]
 
     # completion at boundary grid states: the fine greedy step's action there
     boundary = ~chain.interior_mask

@@ -1587,7 +1587,7 @@ def policy_rows(asm, policy):
 
 
 def assert_same_system(asm, policy):
-    fast = _evaluation_system(asm, policy)
+    fast = _evaluation_system(asm, asm.policy_pairs(policy))
     ref = eye_minus_system(policy_rows(asm, policy), asm.discounts)
     for field in ("data", "indices", "indptr"):
         x, y = getattr(fast, field), getattr(ref, field)
@@ -1658,7 +1658,8 @@ def test_bracketed_iteration_matches_loop(name, request):
     asm = get_assembly(mdp)
     optimal = tdp.policy_iteration(mdp)
     for policy in (np.zeros(mdp.n_states, dtype=np.int64), optimal.policy):
-        r_u, post = asm.policy_rewards(policy), asm.post_idx[asm.policy_pairs(policy)]
+        pairs = asm.policy_pairs(policy)
+        r_u, post = asm.rewards[pairs], asm.post_idx[pairs]
 
         def matvec(v):
             return asm.apply_expectation(v)[post]

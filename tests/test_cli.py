@@ -180,6 +180,7 @@ def _model_config(path, model, line):
     ("service_rate", "fixed_u = 1.0"), ("heavy_traffic", "M = 0"),
     ("service_rate", "n_controls = 0"), ("inventory", "u_max = -1"),
     ("inventory", "lam = nan"), ("inventory", "tail = 2.0"), ("routing", "tail = 0.0"),
+    ("routing", "M = -1"),
 ])
 def test_model_parameter_the_model_cannot_run_with_exits_2(model, line, tmp_path, capsys):
     # the params dataclass refuses the value before any model is built
@@ -195,12 +196,25 @@ def test_model_parameter_the_model_cannot_run_with_exits_2(model, line, tmp_path
 
 @pytest.mark.parametrize("model, line", [
     ("routing", "N = 0,3"), ("routing", "p = 0.0,0.5"), ("heavy_traffic", "M = 1"),
-    ("service_rate", "fixed_u = 0"), ("inventory", "u_max = 0"),
+    ("service_rate", "fixed_u = 0"), ("inventory", "u_max = 0"), ("routing", "M = 0"),
 ])
 def test_model_parameter_at_its_edge_still_solves(model, line, tmp_path):
     rc = main(["solve-exact", "--config", _model_config(tmp_path / "edge.ini", model, line),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 0
+
+
+def test_solver_error_exits_1_and_writes_no_csv(tmp_path, monkeypatch, capsys):
+    # a TaylorDpError from the solve itself, not from the config
+    from taylordp import exact
+    monkeypatch.setattr(exact, "MAX_ITERATIONS", 1)
+    out = tmp_path / "out"
+    rc = main(["solve-exact", "--config", str(CONFIG_DIR / "routing2_exact_a099_f08.ini"),
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: MaxIterationsExceeded: policy iteration "
+                                       "did not converge within 1 iterations\n")
+    assert list(out.glob("*.csv")) == []
 
 
 def test_csv_determinism(tmp_path):
@@ -404,7 +418,8 @@ def test_shipped_configs_run(config, tmp_path, monkeypatch):
 
 
 # the TapiOptions each shipped config gave when ExperimentConfig still held
-# its own copies of the TAPI fields
+# its own copies of the TAPI fields; the last three configs, added later,
+# each set the one design knob they pin
 SHIPPED_TAPI = {
     "inventory_tapi_h1": TapiOptions(h=1, one_step=True),
     "inventory_tapi_h3": TapiOptions(h=3, one_step=True),
@@ -412,6 +427,9 @@ SHIPPED_TAPI = {
     "routing2_tapi_a099_f08_h4": TapiOptions(h=4),
     "routing3_tapi_a099_f07_h4": TapiOptions(h=4, improvement="exact"),
     "service_rate_tapi_a099_h1": TapiOptions(h=1),
+    "service_rate_tapi_a099_h2_pc": TapiOptions(policy_extension="pc"),
+    "routing2_tapi_a099_f08_h2_upwind": TapiOptions(scheme="upwind"),
+    "routing2_tapi_a099_f08_h2_exact_pc": TapiOptions(improvement="exact", disaggregation="pc"),
 }
 
 

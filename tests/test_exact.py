@@ -237,7 +237,7 @@ def test_evaluation_residual_contract():
     pol = np.zeros(model.mdp.n_states, dtype=np.int64)
     v = tdp.policy_evaluation(model.mdp, pol)
     asm = get_assembly(model.mdp)
-    r_u = asm.policy_rewards(pol)
+    r_u = asm.rewards[asm.policy_pairs(pol)]
     p_v = asm.expectations(v)[asm.policy_pairs(pol)]
     resid = np.abs(v - (r_u + asm.discounts * p_v)).max()
     assert resid <= 1e-9 * (1.0 + np.abs(v).max())
@@ -274,7 +274,7 @@ def test_factored_evaluation_value_error_bound(alpha):
     eye = np.eye(mdp.n_states)
     P = np.column_stack([matvec(eye[:, j]) for j in range(mdp.n_states)])
     v_direct = np.linalg.solve(np.eye(mdp.n_states) - alpha * P,
-                               asm.policy_rewards(pi.policy))
+                               asm.rewards[asm.policy_pairs(pi.policy)])
     rng = np.random.default_rng(7)
     warm = v_direct * (1.0 + 0.01 * rng.standard_normal(mdp.n_states))
     tol = exact.ITERATIVE_TOL
@@ -421,3 +421,102 @@ def test_q_values_reject_wrong_length_values(kind, routing2):
         with pytest.raises(ValueError, match=expected):
             tdp.policy_improvement(mdp, values)
     assert asm.q_values(np.zeros(n)).shape == (asm.n_pairs,)
+
+
+def _entry_points(tmp_path):
+    """The five callers that read a policy's indices, each as (n, call(policy)).
+
+    On service-rate M = 20 (tabular); disaggregate_policy takes a policy of
+    the model's h = 2 chain.
+    """
+    from taylordp.bounds import taylor_remainder
+    from taylordp.models.service_rate import quartic_oracle
+    from taylordp.report import write_value_policy_csv
+    model = build("service_rate", M=20, alpha=0.99)
+    mdp, n = model.mdp, model.mdp.n_states
+    chain = tdp.build_multidim_chain(model.problem, 2)
+    return {
+        "policy_evaluation": (n, lambda p: tdp.policy_evaluation(mdp, p)),
+        "policy_iteration": (n, lambda p: tdp.policy_iteration(mdp, initial_policy=p)),
+        "write_value_policy_csv": (n, lambda p: write_value_policy_csv(
+            tmp_path / "v.csv", mdp, np.zeros(n), p) or (tmp_path / "v.csv").read_bytes()),
+        "taylor_remainder": (n, lambda p: taylor_remainder(model.problem, p,
+                                                           quartic_oracle(0.99))),
+        "disaggregate_policy": (chain.n_states,
+                                lambda p: tdp.disaggregate_policy(chain, p, np.zeros(n))),
+    }
+
+
+ENTRY_POINTS = ["policy_evaluation", "policy_iteration", "write_value_policy_csv",
+                "taylor_remainder", "disaggregate_policy"]
+
+
+@pytest.mark.parametrize("bad", ["fraction", "nan"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_integral_action_index_is_refused_not_floored(entry, bad, tmp_path):
+    # 0.9 used to be cast to action 0 and NaN to a huge negative index
+    n, call = _entry_points(tmp_path)[entry]
+    policy = np.full(n, 0.9) if bad == "fraction" else np.where(np.arange(n) == 3, np.nan, 0.0)
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(policy)
+    assert not (tmp_path / "v.csv").exists()
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_integral_float_policy_is_policy_zero(entry, tmp_path):
+    n, call = _entry_points(tmp_path)[entry]
+
+    def parts(result):
+        pi = isinstance(result, exact.PiResult)
+        return tuple(map(np.asarray, (result.policy, result.values) if pi else (result,)))
+
+    by_float, by_int = parts(call(np.zeros(n))), parts(call(np.zeros(n, dtype=np.int64)))
+    assert all(np.array_equal(a, b) for a, b in zip(by_float, by_int))
+    assert by_float[0].dtype == by_int[0].dtype
+
+
+@pytest.mark.parametrize("kind", ["tabular", "factored"])
+def test_policy_evaluation_checks_its_policy_once(kind, routing2, monkeypatch):
+    mdp = (build("service_rate", M=20, alpha=0.99) if kind == "tabular" else routing2).mdp
+    asm = exact.get_assembly(mdp)
+    assert isinstance(asm, exact.TabularAssembly if kind == "tabular" else exact.FactoredAssembly)
+    calls = []
+    check = exact.policy_pairs
+    monkeypatch.setattr(exact, "policy_pairs",
+                        lambda offsets, policy: calls.append(1) or check(offsets, policy))
+    tdp.policy_evaluation(mdp, np.zeros(mdp.n_states, dtype=np.int64))
+    assert len(calls) == 1
+
+
+def test_singular_tabular_system_raises_singular_system():
+    # two undiscounted states that swap: I - P = [[1, -1], [-1, 1]]
+    from types import SimpleNamespace
+    from taylordp.errors import SingularSystem
+    asm = exact.TabularAssembly(offsets=[0, 1, 2], rewards=[0.0, 0.0], row_ptr=[0, 1, 2],
+                                col_idx=[1, 0], probs=[1.0, 1.0], discounts=[1.0, 1.0])
+    with pytest.raises(SingularSystem, match="^Factor is exactly singular$"):
+        tdp.policy_evaluation(SimpleNamespace(assembly=lambda: asm), np.zeros(2, dtype=np.int64))
+
+
+def test_tabular_residual_contract_refines_once_then_raises(monkeypatch):
+    # no residual meets a 0.0 contract: one refinement step, then SingularSystem
+    import scipy.sparse.linalg as spla
+    from taylordp.errors import SingularSystem
+    solves = []
+    splu = spla.splu
+
+    class CountingLu:
+        def __init__(self, system):
+            self.lu = splu(system)
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spla, "splu", CountingLu)
+    monkeypatch.setattr(exact, "RESIDUAL_REL", 0.0)
+    mdp = build("inventory").mdp
+    assert isinstance(exact.get_assembly(mdp), exact.TabularAssembly)
+    with pytest.raises(SingularSystem, match=r"residual \S+ exceeds the 0.0 contract"):
+        tdp.policy_evaluation(mdp, np.zeros(mdp.n_states, dtype=np.int64))
+    assert len(solves) == 2

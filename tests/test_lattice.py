@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from taylordp.errors import EmptyActionSet, ZeroInteriorMass
+from taylordp.errors import EmptyActionSet, InfeasibleAction, ZeroInteriorMass
 from taylordp.lattice import (ExplicitActionSet, LatticeMdp, PolyhedralActionSet,
-                              StateLattice, action_tuple, truncate_renormalize)
+                              StateLattice, action_tuple, policy_pairs, truncate_renormalize)
 
 from conftest import one_row, pair_hooks
 
@@ -187,3 +187,23 @@ def test_rows_stochastic_across_models(routing2, inventory_model, heavy_queue):
                 _, probs = one_row(mdp, mdp.lattice.state(int(i)), u)
                 assert probs.min() >= 0.0
                 assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
+
+
+def test_policy_pairs_checks_shape_then_integrality_then_range():
+    offsets = np.array([0, 2, 3, 6])                   # 2, 1 and 3 actions
+    for policy in ([0, 0, 2], np.array([1, 0, 0], dtype=np.int32), [True, False, True],
+                   np.array([1.0, 0.0, 2.0])):
+        pairs = policy_pairs(offsets, policy)
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == (offsets[:-1] + np.asarray(policy, dtype=np.int64)).tolist()
+    with pytest.raises(ValueError, match="one action index per state"):
+        policy_pairs(offsets, [0.5, 9])                # shape before integrality
+    for bad, entry in (([0, 0, 2.5], "2.5"), ([np.nan, 9, 0], "nan"),
+                       ([0, np.inf, 0], "inf"), ([0, 9, -0.5], "-0.5"), (["0", "1", "0"], "'0'")):
+        with pytest.raises(ValueError, match=rf"^action index {entry} at state index \d is "
+                                             rf"not an integer$"):
+            policy_pairs(offsets, np.array(bad))       # integrality before range
+    with pytest.raises(InfeasibleAction, match="^action 1 infeasible at state index 1$"):
+        policy_pairs(offsets, [0, 1, 9])
+    with pytest.raises(InfeasibleAction, match="^action -1 infeasible at state index 0$"):
+        policy_pairs(offsets, np.array([-1.0, 0.0, 0.0]))
