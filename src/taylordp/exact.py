@@ -8,14 +8,16 @@ expectation operator is applied to the whole value vector at once and rows
 are never materialized.  Both give per-pair expectations E_x^u[V]; a
 policy U's expectations P^U V = E^U[V] are those at its pairs, which
 lattice.policy_pairs forms and checks once per solve.  A tabular
-policy's evaluation system is built from its pairs' rows and solved
-directly; a factored policy is evaluated by fixed-point iteration on
+policy's evaluation system I - diag(alpha) P^U is built from its pairs'
+rows in LAPACK band storage and solved by one banded LU (dgbsv); its
+bandwidth is what the rows reach, the first-axis stride of a K-D chain's
+row-major grid.  A factored policy is evaluated by fixed-point iteration on
 V -> E^U[V] with MacQueen-Porteus bounds, which bracket the solution and
 stop on a value-error bound.
 Maximization is the internal convention throughout; cost models negate
-rewards at the model boundary.  scipy.sparse is imported only where a
-tabular assembly builds or solves its sparse system, so importing the
-package or solving a factored model never loads it.
+rewards at the model boundary.  scipy.linalg is imported at the first
+tabular solve, so importing the package or solving a factored model never
+loads it, and no solve loads scipy.sparse.
 
 Argmax ties are broken to the first action in lexicographic order, with a
 1e-12 absolute tolerance on value comparisons, so runs are reproducible.
@@ -24,15 +26,11 @@ Argmax ties are broken to the first action in lexicographic order, with a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MaxIterationsExceeded, SingularSystem
 from .lattice import LatticeMdp, policy_pairs
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 ARGMAX_TOL = 1e-12
 RESIDUAL_REL = 1e-9
@@ -50,7 +48,8 @@ class _PairAssembly:
 
     offsets[s]:offsets[s+1] index state s's pairs; rewards are per pair and
     discounts per state.  Subclasses supply expectations(values), E_x^u[V]
-    for every pair; a policy's expectations are those of its policy_pairs.
+    for every pair, and policy_expectations(values, pairs), the same at the
+    given pairs only.
     """
 
     def __init__(self, offsets, rewards, discounts):
@@ -90,6 +89,18 @@ class TabularAssembly(_PairAssembly):
         prod = self.probs * values[self.col_idx]
         return np.add.reduceat(prod, self.row_ptr[:-1])
 
+    def policy_rows(self, pairs: np.ndarray):
+        """The pairs' rows, gathered: (each entry's place in col_idx/probs, each row's length)."""
+        starts = self.row_ptr[pairs]
+        lens = self.row_ptr[pairs + 1] - starts
+        return _ranges(starts, lens), lens
+
+    def policy_expectations(self, values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """expectations(values)[pairs], bit for bit, reading the pairs' rows only."""
+        take, lens = self.policy_rows(pairs)
+        prod = self.probs[take] * values[self.col_idx[take]]
+        return np.add.reduceat(prod, np.cumsum(lens) - lens)
+
 
 class FactoredAssembly(_PairAssembly):
     """Product-form kernels: one-step expectations for all states at once.
@@ -105,6 +116,9 @@ class FactoredAssembly(_PairAssembly):
 
     def expectations(self, values: np.ndarray) -> np.ndarray:
         return self.apply_expectation(values)[self.post_idx]
+
+    def policy_expectations(self, values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        return self.apply_expectation(values)[self.post_idx[pairs]]
 
 
 def _ranges(starts, lens):
@@ -162,15 +176,14 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     range (InfeasibleAction); r_U, the rows and the post-action states are
     read at those pairs.  reward_override replaces r_U with a per-state
     vector (used for discounted functionals V_U[f]).  A TabularAssembly's
-    system I - diag(alpha) P^U is built from the policy pairs' rows
-    (_evaluation_system) and solved directly, with one step of iterative
-    refinement when its residual breaks the contract.  A FactoredAssembly,
-    whose discount is one scalar, is solved by bracketed fixed-point
-    iteration on P^U V = apply_expectation(V)[post-action states of the
-    policy pairs] (_bracketed_iteration) from warm_start, to a
-    sup-norm value error of at most ITERATIVE_TOL * (1 + |V|) within
-    VI_MAX_ITERATIONS steps.  Either way the result must meet the
-    RESIDUAL_REL residual contract.
+    system I - diag(alpha) P^U is built in band storage from the policy
+    pairs' rows (_evaluation_band) and solved by banded LU (_banded_solve).
+    A FactoredAssembly, whose discount is one scalar, is solved by
+    bracketed fixed-point iteration on P^U V = apply_expectation(V)[post-
+    action states of the policy pairs] (_bracketed_iteration) from
+    warm_start, to a sup-norm value error of at most
+    ITERATIVE_TOL * (1 + |V|) within VI_MAX_ITERATIONS steps.  Either way
+    the result must meet the RESIDUAL_REL residual contract.
     """
     asm = get_assembly(mdp)
     pairs = asm.policy_pairs(policy)
@@ -187,20 +200,7 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     disc = asm.discounts
 
     if isinstance(asm, TabularAssembly):
-        import scipy.sparse.linalg as spla
-        system = _evaluation_system(asm, pairs)
-        try:
-            lu = spla.splu(system)
-            values = lu.solve(r_u)
-            # one step of iterative refinement keeps the residual contract
-            # even for discounts very close to one
-            resid = r_u - system @ values
-            if np.abs(resid).max() > RESIDUAL_REL * (1.0 + np.abs(values).max()):
-                values = values + lu.solve(resid)
-                resid = r_u - system @ values
-        except RuntimeError as exc:  # singular factorization
-            raise SingularSystem(str(exc)) from None
-        residual = np.abs(resid).max()
+        values, residual = _banded_solve(asm, pairs, r_u)
     else:
         post = asm.post_idx[pairs]
 
@@ -218,39 +218,60 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     return values
 
 
-def _evaluation_system(asm: TabularAssembly, pairs: np.ndarray) -> sp.csc_matrix:
-    """I - diag(alpha) P^U as one CSC matrix, built from the policy pairs' rows in one numpy pass.
+def _evaluation_rows(asm: TabularAssembly, pairs: np.ndarray):
+    """diag(alpha) P^U as (row, column, weight) entries, the policy pairs' rows in stored order."""
+    take, lens = asm.policy_rows(pairs)
+    rows = np.repeat(np.arange(len(pairs), dtype=np.int64), lens)
+    return rows, asm.col_idx[take], asm.discounts[rows] * asm.probs[take]
 
-    It stores what (sp.eye - sp.diags(alpha) @ P^U).tocsc() stores, P^U
-    being the policy pairs' rows of the (n_pairs, n_states) CSR matrix
-    (probs, col_idx, row_ptr), entry for entry: the product scales each
-    entry of row i by alpha[i] and adds a row's entries of one column in
-    stored order from 0.0, dropping zero sums; the difference keeps 1 - s on
-    the diagonal and -s off it, dropping zeros again; each column lists its
-    rows ascending.  One 0.0 entry per diagonal position stands for the
-    identity and leaves every sum unchanged.
+
+def _evaluation_band(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+    """I - diag(alpha) P^U in LAPACK band storage, from _evaluation_rows' entries: (band, kl, ku).
+
+    kl and ku are the most any entry lies below and above the diagonal.
+    A[i, j] is band[kl + ku + i - j, j]; the first kl rows are the room
+    dgbsv's row interchanges fill.  The band is Fortran-ordered, so dgbsv
+    factors it in place, and takes n (2 kl + ku + 1) * 8 bytes.  Each
+    position's entries are added in stored order from 0.0, and the band
+    holds 1 - s on the diagonal and -s off it, the entry arithmetic of
+    (sp.eye - sp.diags(alpha) @ P^U) in scipy's sparse algebra.
     """
-    import scipy.sparse as sp
-    starts = asm.row_ptr[pairs]
-    lens = asm.row_ptr[pairs + 1] - starts
-    take = _ranges(starts, lens)
+    kl = int(np.max(rows - cols, initial=0))
+    ku = int(np.max(cols - rows, initial=0))
+    ldab = 2 * kl + ku + 1
+    # bincount adds each position's entries one by one, in stored order;
+    # summing -w gives -s exactly, as rounding is symmetric in sign
+    flat = np.bincount(cols * ldab + (kl + ku) + rows - cols, weights=-weights,
+                       minlength=n * ldab)
+    band = flat.reshape(n, ldab).T
+    band[kl + ku] += 1.0
+    return band, kl, ku
+
+
+def _banded_solve(asm: TabularAssembly, pairs: np.ndarray, r_u: np.ndarray):
+    """Solve (I - diag(alpha) P^U) V = r_u by one banded LU; returns V and its residual's sup norm.
+
+    LAPACK dgbsv factors the band and solves; a zero pivot raises
+    SingularSystem naming its state.  When the residual breaks the
+    RESIDUAL_REL contract, one dgbtrs solve on the stored factors refines V,
+    which keeps the contract even for discounts very close to one.
+    """
+    from scipy.linalg import lapack
+    rows, cols, weights = _evaluation_rows(asm, pairs)
     n = asm.n_states
-    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-    key = np.concatenate([asm.col_idx[take] * n + rows,
-                          np.arange(n, dtype=np.int64) * (n + 1)])    # column-major position
-    weights = np.concatenate([asm.discounts[rows] * asm.probs[take], np.zeros(n)])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.empty(len(key), dtype=bool)
-    first[0], first[1:] = True, key[1:] != key[:-1]
-    # bincount adds each position's weights one by one, in stored order
-    sums = np.bincount(np.cumsum(first) - 1, weights=weights[order])
-    col, row = np.divmod(key[first], n)
-    data = np.where(row == col, 1.0 - sums, -sums)
-    keep = data != 0.0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col[keep], minlength=n), out=indptr[1:])
-    return sp.csc_matrix((data[keep], row[keep], indptr), shape=(n, n))
+    band, kl, ku = _evaluation_band(n, rows, cols, weights)
+    lu, piv, values, info = lapack.dgbsv(kl, ku, band, r_u, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystem(f"evaluation system is singular: zero pivot at state {info - 1}")
+
+    def residual(v):
+        return r_u - (v - np.bincount(rows, weights=weights * v[cols], minlength=n))
+
+    resid = residual(values)
+    if np.abs(resid).max() > RESIDUAL_REL * (1.0 + np.abs(values).max()):
+        values = values + lapack.dgbtrs(lu, kl, ku, resid, piv)[0]
+        resid = residual(values)
+    return values, np.abs(resid).max()
 
 
 def _bracketed_iteration(r_u, matvec, disc, warm_start=None):

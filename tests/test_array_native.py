@@ -14,8 +14,9 @@ routing product kernel multiplied out per pair with np.multiply.outer, and
 the inventory rows truncated and renormalized one pair at a time.
 The multilinear value extension is checked bit for bit against the scipy
 RegularGridInterpolator it replaced, the routing matvec against the
-np.tensordot loop, the direct evaluation system against scipy's sparse
-algebra, the row-sum test against math.fsum, the chain's stay mass
+np.tensordot loop, the direct evaluation system's band, expanded, against
+scipy's sparse algebra and its banded LU values against a dense solve,
+the row-sum test against math.fsum, the chain's stay mass
 against the packed per-count sums, and the in-place bracketed evaluation
 against its loop forming r_u + alpha (P v) anew.  The columnar CSV writers
 are checked byte for byte against the per-row writers they replaced.  The
@@ -43,7 +44,8 @@ from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
 from taylordp.errors import EmptyActionSet, InfeasibleAction, MaxIterationsExceeded
 from taylordp import exact
-from taylordp.exact import _bracketed_iteration, _evaluation_system, _tabulate, get_assembly
+from taylordp.exact import (_bracketed_iteration, _evaluation_band, _evaluation_rows,
+                            _tabulate, get_assembly)
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stay_mass,
@@ -1586,12 +1588,24 @@ def policy_rows(asm, policy):
     return pairs_p[asm.policy_pairs(policy)]
 
 
+def expanded_band(asm, policy):
+    """The dense matrix _evaluation_band's band stores, and the band with its kl and ku."""
+    n = asm.n_states
+    band, kl, ku = _evaluation_band(n, *_evaluation_rows(asm, asm.policy_pairs(policy)))
+    i, j = np.indices((n, n))
+    inside = (i - j <= kl) & (j - i <= ku)
+    dense = np.zeros((n, n))
+    dense[inside] = band[(kl + ku + i - j)[inside], j[inside]]
+    return dense, band, kl, ku
+
+
 def assert_same_system(asm, policy):
-    fast = _evaluation_system(asm, asm.policy_pairs(policy))
-    ref = eye_minus_system(policy_rows(asm, policy), asm.discounts)
-    for field in ("data", "indices", "indptr"):
-        x, y = getattr(fast, field), getattr(ref, field)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    # entry for entry: a zero scipy drops is a zero of the band
+    dense, band, kl, ku = expanded_band(asm, policy)
+    ref = eye_minus_system(policy_rows(asm, policy), asm.discounts).toarray()
+    assert np.array_equal(dense, ref)
+    assert band.shape == (2 * kl + ku + 1, asm.n_states) and band.flags.f_contiguous
+    assert not band[:kl].any()                      # the room the factorization fills
 
 
 @pytest.mark.parametrize("name,variant,h", POLICY_MOVE_CASES)
@@ -1635,6 +1649,33 @@ def test_evaluation_system_sums_duplicates_and_drops_zeros():
         data = rng.choice([0.0, 0.1, 0.3, -0.3, 1.0, 1 / 3], indptr[-1])
         asm = one_action_rows(indptr, indices, data, rng.choice([0.0, 0.5, 0.99, 1.0], n))
         assert_same_system(asm, np.zeros(n, dtype=np.int64))
+
+
+def assert_banded_values_match_dense_solve(mdp, policy):
+    asm = get_assembly(mdp)
+    system = np.eye(asm.n_states) - asm.discounts[:, None] * policy_rows(asm, policy).toarray()
+    r_u = asm.rewards[asm.policy_pairs(policy)]
+    dense = np.linalg.solve(system, r_u)
+    values = tdp.policy_evaluation(mdp, policy)
+    assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("name,variant,h", POLICY_MOVE_CASES)
+def test_banded_values_match_dense_solve_on_chains(name, variant, h, request):
+    # 1-D (service rate), 2-D (2-pool) and 3-D (3-pool) chains and the inventory chain
+    chain = tdp.build_multidim_chain(request.getfixturevalue(name).problem, h)
+    for policy in _coarse_policies(chain).values():
+        assert_banded_values_match_dense_solve(chain, policy)
+
+
+@pytest.mark.parametrize("name", ["service_quadratic", "inventory_model", "heavy_queue"])
+def test_banded_values_match_dense_solve_on_tabular_models(name, request):
+    mdp = request.getfixturevalue(name).mdp
+    counts = np.diff(get_assembly(mdp).offsets)
+    for policy in (np.zeros(mdp.n_states, dtype=np.int64),
+                   np.random.default_rng(3).integers(0, counts),
+                   tdp.policy_iteration(mdp).policy):
+        assert_banded_values_match_dense_solve(mdp, policy)
 
 
 def bracketed_loop(r_u, matvec, disc, warm_start=None):

@@ -26,10 +26,10 @@ def test_import_loads_no_slow_scipy_subpackages():
 
     scipy.special alone takes about 0.3 s to load, more than the rest of the
     package and a routing solve together; the models' Poisson and binomial
-    probabilities are on numpy and math, and scipy.sparse loads only at the
-    first sparse solve.  The check names modules rather than timing them, so
-    a stray top-level import fails here instead of slowly growing the set-up
-    time.
+    probabilities are on numpy and math, and scipy.linalg loads only at the
+    first banded solve (a tabular model or a K-D chain).  The check names
+    modules rather than timing them, so a stray top-level import fails here
+    instead of slowly growing the set-up time.
     """
     code = ("import sys, taylordp, taylordp.models, taylordp.cli\n"
             "from taylordp.models import build\n"

@@ -33,6 +33,11 @@ pmf that every pool step matrix is built from: they were re-recorded when
 it became the closed form comb(n, k) p^k (1-p)^(n-k) on `math` in place of
 scipy's boost binomial, which differs from it in the last bits for most
 (n, p); the values moved by at most 8e-14 relative and no policy moved.
+The value digests of the tabular fine models (service rate, inventory,
+heavy traffic) and both bounds CSVs were re-recorded when a tabular policy
+evaluation became one banded LU (LAPACK dgbsv) in place of SuperLU: each
+value moved by at most 4e-15 of its file's largest value, no policy and no
+chain CSV moved.
 Re-record from the current checkout with
 
     python tests/test_config_digests.py --record            # value/chain CSVs

@@ -308,39 +308,72 @@ def test_factored_evaluation_makes_no_tensordot_call(monkeypatch):
     tdp.policy_evaluation(mdp, pi.policy)
 
 
-def test_direct_evaluation_one_splu_no_eye_or_diags(monkeypatch):
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _counted(calls, name, routine, *args, **kwargs):
+    calls.append(name)
+    return routine(*args, **kwargs)
+
+
+def _count_banded_lapack_calls(monkeypatch):
+    """Record, in order, each call of the banded LAPACK routines in scipy.linalg.lapack."""
+    from scipy.linalg import lapack
+    calls = []
+    for name in ("dgbsv", "dgbtrf", "dgbtrs"):
+        monkeypatch.setattr(lapack, name,
+                            functools.partial(_counted, calls, name, getattr(lapack, name)))
+    return calls
+
+
+def test_direct_evaluation_one_banded_factorisation(monkeypatch):
+    # one dgbsv factors and solves; the residual contract holds, so no refinement
     mdp = build("service_rate", M=30, alpha=0.99).mdp
     policy = np.zeros(mdp.n_states, dtype=np.int64)
     tdp.policy_evaluation(mdp, policy)                 # assemble first
-    calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda A: calls.append(1) or splu(A))
-    monkeypatch.setattr(sp, "eye", _raise)
-    monkeypatch.setattr(sp, "diags", _raise)
+    calls = _count_banded_lapack_calls(monkeypatch)
     tdp.policy_evaluation(mdp, policy)
-    assert len(calls) == 1
+    assert calls == ["dgbsv"]
+
+
+def test_banded_solve_factors_the_band_in_place(monkeypatch):
+    # a Fortran-ordered band is overwritten by dgbsv's factors: the f2py
+    # wrapper copies nothing, so the band's n (2 kl + ku + 1) * 8 bytes are the peak
+    from scipy.linalg import lapack
+    seen = []
+    dgbsv = lapack.dgbsv
+
+    def checked(kl, ku, ab, b, **kwargs):
+        out = dgbsv(kl, ku, ab, b, **kwargs)
+        seen.append((ab.flags.f_contiguous, out[0] is ab))
+        return out
+
+    monkeypatch.setattr(lapack, "dgbsv", checked)
+    mdp = build("inventory").mdp
+    tdp.policy_evaluation(mdp, np.zeros(mdp.n_states, dtype=np.int64))
+    assert seen == [(True, True)]
 
 
 def test_import_and_factored_solves_leave_scipy_sparse_unloaded():
-    # only a tabular assembly's sparse system needs scipy.sparse: the
-    # factored routing solve never loads it, the service-rate solve does
+    # no solve loads scipy.sparse; scipy.linalg loads at the first tabular
+    # solve: the factored routing solve never loads it, the service-rate solve does
     script = textwrap.dedent("""
         import sys
         import taylordp, taylordp.models, taylordp.cli
         from taylordp.models.routing import build_routing, table_params
-        loaded = [("import", "scipy.sparse" in sys.modules)]
+
+        def loaded(step):
+            return (step, "scipy.sparse" in sys.modules, "scipy.linalg" in sys.modules)
+
+        seen = [loaded("import")]
         taylordp.policy_iteration(build_routing(table_params(J=2, alpha=0.99, lam_factor=0.8)).mdp)
-        loaded.append(("routing", "scipy.sparse" in sys.modules))
+        seen.append(loaded("routing"))
         taylordp.policy_iteration(taylordp.models.build("service_rate", M=30, alpha=0.99).mdp)
-        loaded.append(("service_rate", "scipy.sparse" in sys.modules))
-        print(loaded)
+        seen.append(loaded("service_rate"))
+        print(seen)
     """)
     src = str(pathlib.Path(tdp.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == str([("import", False), ("routing", False), ("service_rate", True)])
+    assert out.strip() == str([("import", False, False), ("routing", False, False),
+                               ("service_rate", False, True)])
 
 
 def test_factored_evaluation_max_iterations(routing2, monkeypatch):
@@ -489,34 +522,39 @@ def test_policy_evaluation_checks_its_policy_once(kind, routing2, monkeypatch):
 
 
 def test_singular_tabular_system_raises_singular_system():
-    # two undiscounted states that swap: I - P = [[1, -1], [-1, 1]]
+    # two undiscounted states that swap: I - P = [[1, -1], [-1, 1]], whose
+    # second pivot is exactly zero
     from types import SimpleNamespace
     from taylordp.errors import SingularSystem
     asm = exact.TabularAssembly(offsets=[0, 1, 2], rewards=[0.0, 0.0], row_ptr=[0, 1, 2],
                                 col_idx=[1, 0], probs=[1.0, 1.0], discounts=[1.0, 1.0])
-    with pytest.raises(SingularSystem, match="^Factor is exactly singular$"):
+    with pytest.raises(SingularSystem,
+                       match="^evaluation system is singular: zero pivot at state 1$"):
         tdp.policy_evaluation(SimpleNamespace(assembly=lambda: asm), np.zeros(2, dtype=np.int64))
 
 
 def test_tabular_residual_contract_refines_once_then_raises(monkeypatch):
-    # no residual meets a 0.0 contract: one refinement step, then SingularSystem
-    import scipy.sparse.linalg as spla
+    # no residual meets a 0.0 contract: one factorisation, one refinement
+    # solve on its factors, then SingularSystem
     from taylordp.errors import SingularSystem
-    solves = []
-    splu = spla.splu
-
-    class CountingLu:
-        def __init__(self, system):
-            self.lu = splu(system)
-
-        def solve(self, rhs):
-            solves.append(1)
-            return self.lu.solve(rhs)
-
-    monkeypatch.setattr(spla, "splu", CountingLu)
-    monkeypatch.setattr(exact, "RESIDUAL_REL", 0.0)
     mdp = build("inventory").mdp
     assert isinstance(exact.get_assembly(mdp), exact.TabularAssembly)
+    calls = _count_banded_lapack_calls(monkeypatch)
+    monkeypatch.setattr(exact, "RESIDUAL_REL", 0.0)
     with pytest.raises(SingularSystem, match=r"residual \S+ exceeds the 0.0 contract"):
         tdp.policy_evaluation(mdp, np.zeros(mdp.n_states, dtype=np.int64))
-    assert len(solves) == 2
+    assert calls == ["dgbsv", "dgbtrs"]
+
+
+@pytest.mark.parametrize("kind", ["tabular", "factored"])
+def test_policy_expectations_match_all_pair_expectations(kind, routing2):
+    # P^U V read at the policy pairs only equals every pair's E[V] gathered, bit for bit
+    mdp = (build("inventory") if kind == "tabular" else routing2).mdp
+    asm = exact.get_assembly(mdp)
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=mdp.n_states) * 10.0 ** rng.uniform(-3, 4, mdp.n_states)
+    for policy in (np.zeros(mdp.n_states, dtype=np.int64),
+                   rng.integers(0, np.diff(asm.offsets))):
+        pairs = asm.policy_pairs(policy)
+        fast = asm.policy_expectations(values, pairs)
+        assert fast.tobytes() == asm.expectations(values)[pairs].tobytes()
