@@ -33,11 +33,6 @@ print(f"\nh=2 errors > half the max concentrate on {len(hot)} of 441 states, "
       f"x_1 range {hot[:, 0].min()}..{hot[:, 0].max()}")
 
 # the always-overflow heuristic for contrast
-mdp = model.mdp
-heuristic = np.empty(mdp.n_states, dtype=np.int64)
-for i in range(mdp.n_states):
-    totals = [sum(u) for u in mdp.actions_at(i)]
-    heuristic[i] = int(np.argmax(totals))
-v_h = tdp.policy_evaluation(mdp, heuristic)
+v_h = tdp.policy_evaluation(model.mdp, model.max_overflow_policy())
 print(f"overflow-as-much-as-possible heuristic: max rel gap "
       f"{tdp.gap_report(v_h, v).max_rel:.3f}")

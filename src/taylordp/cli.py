@@ -3,7 +3,8 @@
 Subcommands: solve-exact, solve-tapi, compare, bounds, reproduce.  Runs are
 driven by INI config files (see docs/formats.md) or a small set of inline
 flags; artifacts are CSV files whose bytes are deterministic across runs of
-the same configuration.  The one-line run summary
+the same configuration.  solve-exact and solve-tapi each write one, the
+value/policy file of the solved policy.  The one-line run summary
 
     model, alpha, h, mode, max_rel_err, mean_rel_err, iters, wall_time
 
@@ -30,8 +31,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config, re
 from .errors import LatticeMismatch, TaylorDpError
 from .kdchain import CoarseGrid
 from .models.routing import table_params, build_routing
-from .report import (summary_line, write_chain_csv, write_gap_csv,
-                     write_moments_csv, write_value_policy_csv)
+from .report import summary_line, write_gap_csv, write_moments_csv, write_value_policy_csv
 from .tapi import TapiOptions, tapi_solve
 
 
@@ -115,44 +115,34 @@ def _config_from_args(args, mode) -> ExperimentConfig:
 
 
 def _policy_for(cfg: ExperimentConfig, model):
-    """Solve per the config's mode.
-
-    Returns (policy, values-or-None, iterations, chain-or-None); the chain is
-    the K-D chain of a solve-tapi run.
-    """
+    """Solve per the config's mode: (policy, values-or-None, iterations)."""
     if cfg.mode == "solve-exact":
         pi = exact.policy_iteration(model.mdp)
-        return pi.policy, pi.values, pi.iterations, None
+        return pi.policy, pi.values, pi.iterations
     if cfg.mode == "solve-tapi":
         try:
             CoarseGrid.from_lattice(model.mdp.lattice, cfg.tapi.h)
         except ValueError as exc:
             raise ConfigError(f"h = {cfg.tapi.h} is too coarse for the lattice: {exc}") from None
         res = tapi_solve(model.problem, cfg.tapi)
-        return res.fine_policy, res.fine_values, res.iterations, res.chain
+        return res.fine_policy, res.fine_values, res.iterations
     if cfg.mode == "heuristic-max-overflow":
-        # overflow as many customers as possible; the first maximizer wins
-        U, offsets = model.mdp.action_table()
-        totals = U.reshape(len(U), -1).sum(axis=1)
-        return exact.segmented_argmax(totals, offsets)[1], None, 0, None
+        return model.max_overflow_policy(), None, 0
 
 
 def cmd_solve(args) -> int:
-    """solve-exact / solve-tapi: write the value/policy CSV (and a TAPI run's chain CSV)."""
+    """solve-exact / solve-tapi: write the one value/policy CSV,
+    <model>_exact_values.csv or <model>_tapi_h<h>.csv."""
     cfg = _config_from_args(args, args.mode)
     model = cfg.build_model()
     t0 = time.perf_counter()
-    policy, values, iterations, chain = _policy_for(cfg, model)
-    out = Path(cfg.out_dir)
-    if chain is None:
-        write_value_policy_csv(out / f"{cfg.model_name}_exact_values.csv",
-                               model.mdp, values, policy)
-        h, label = "", "exact"
+    policy, values, iterations = _policy_for(cfg, model)
+    if cfg.mode == "solve-tapi":
+        h, stem, label = cfg.tapi.h, f"tapi_h{cfg.tapi.h}", f"tapi-{cfg.tapi.improvement}"
     else:
-        h = cfg.tapi.h
-        write_value_policy_csv(out / f"{cfg.model_name}_tapi_h{h}.csv", model.mdp, values, policy)
-        write_chain_csv(out / f"{cfg.model_name}_chain_h{h}.csv", chain)
-        label = f"tapi-{cfg.tapi.improvement}"
+        h, stem, label = "", "exact_values", "exact"
+    write_value_policy_csv(Path(cfg.out_dir) / f"{cfg.model_name}_{stem}.csv",
+                           model.mdp, values, policy)
     print(summary_line(cfg.model_name, cfg.alpha, h, label, None, None,
                        iterations, time.perf_counter() - t0))
     return 0
@@ -184,8 +174,8 @@ def cmd_compare(args) -> int:
             f"the two models offer different actions at state {model_a.mdp.lattice.state(first)}"
             f" ({len(model_a.mdp.actions_at(first))} vs {len(model_b.mdp.actions_at(first))} actions)")
     t0 = time.perf_counter()
-    pol_a, _, iters, _ = _policy_for(cfg_a, model_a)
-    pol_b, _, _, _ = _policy_for(cfg_b, model_b)
+    pol_a, _, iters = _policy_for(cfg_a, model_a)
+    pol_b, _, _ = _policy_for(cfg_b, model_b)
     v_a = exact.policy_evaluation(model_b.mdp, pol_a)
     v_b = exact.policy_evaluation(model_b.mdp, pol_b)
     rep = gap_report(v_a, v_b)

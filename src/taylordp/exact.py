@@ -25,7 +25,7 @@ Argmax ties are broken to the first action in lexicographic order, with a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,18 +128,13 @@ def _ranges(starts, lens):
 
 
 def get_assembly(mdp):
-    """Return (and cache) the solver view of an MDP or chain."""
-    asm = getattr(mdp, "_assembly", None)
-    if asm is not None:
-        return asm
+    """The solver view of an MDP or chain: a chain's own assembly, or a
+    LatticeMdp's factored or tabulated one, built on first use and kept on it."""
     if hasattr(mdp, "assembly"):
-        asm = mdp.assembly()
-    elif getattr(mdp, "factored", None) is not None:
-        asm = mdp.factored()
-    else:
-        asm = _tabulate(mdp)
-    mdp._assembly = asm
-    return asm
+        return mdp.assembly()
+    if mdp._assembly is None:
+        mdp._assembly = mdp.factored() if mdp.factored is not None else _tabulate(mdp)
+    return mdp._assembly
 
 
 def _tabulate(mdp: LatticeMdp) -> TabularAssembly:
@@ -316,25 +311,21 @@ class PiResult:
     policy: np.ndarray
     values: np.ndarray
     iterations: int
-    value_history: list = field(default_factory=list)
 
 
-def policy_iteration(mdp, initial_policy=None, record_history: bool = False) -> PiResult:
+def policy_iteration(mdp, initial_policy=None) -> PiResult:
     """Standard policy iteration; terminates on policy stability."""
     asm = get_assembly(mdp)
     if initial_policy is None:
         policy = np.zeros(asm.n_states, dtype=np.int64)
     else:
         policy = asm.policy_pairs(initial_policy) - asm.offsets[:-1]
-    history = []
     values = None
     for it in range(1, MAX_ITERATIONS + 1):
         values = policy_evaluation(mdp, policy, warm_start=values)
-        if record_history:
-            history.append(values.copy())
         new_policy = policy_improvement(mdp, values)
         if np.array_equal(new_policy, policy):
-            return PiResult(policy, values, it, history)
+            return PiResult(policy, values, it)
         policy = new_policy
     raise MaxIterationsExceeded(MAX_ITERATIONS, "policy iteration")
 

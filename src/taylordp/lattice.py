@@ -326,6 +326,7 @@ class LatticeMdp:
         # FactoredAssembly the solvers use in place of tabulated rows (exact.py)
         self.factored = factored
         self._table = None
+        self._assembly = None                  # exact.get_assembly's, built on first use
 
     @property
     def n_states(self) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exact import FactoredAssembly
+from ..exact import FactoredAssembly, segmented_argmax
 from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice
 from ..taylor import TaylorProblem
 from .distributions import binom_pmf, poisson_cutoff, poisson_pmf
@@ -224,6 +224,12 @@ class RoutingModel:
             return t.ravel()
 
         return FactoredAssembly(offsets, rewards, post_idx, apply_expectation, mdp.discount)
+
+    def max_overflow_policy(self) -> np.ndarray:
+        """The overflow-as-much-as-possible heuristic: at every state the
+        action that moves the most customers, the first such one in the table."""
+        U, offsets = self.mdp.action_table()
+        return segmented_argmax(U.reshape(len(U), -1).sum(axis=1), offsets)[1]
 
     def mass_conserving_states(self) -> np.ndarray:
         """States where no action can push arrival mass past the buffer cap."""

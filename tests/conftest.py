@@ -3,12 +3,30 @@ import pytest
 from hypothesis import settings
 
 import taylordp as tdp
+from taylordp import exact
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 from taylordp.lattice import action_tuple
 from taylordp.models import build
 from taylordp.models.routing import build_routing, table_params
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A copy of every exact.policy_evaluation result while the test runs, in
+    call order.  policy_iteration looks the function up in its module, so
+    each of its iterates lands here."""
+    seen = []
+    evaluate = exact.policy_evaluation
+
+    def spy(*args, **kwargs):
+        values = evaluate(*args, **kwargs)
+        seen.append(values.copy())
+        return values
+
+    monkeypatch.setattr(exact, "policy_evaluation", spy)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,7 @@ def _poly_quad(c0, c1, c2):
 
 
 def test_criterion_8_property_suites(service_quadratic, inventory_model, routing2,
-                                     heavy_queue):
+                                     heavy_queue, evaluations):
     t0 = time.perf_counter()
     failures = []
 
@@ -201,11 +201,14 @@ def test_criterion_8_property_suites(service_quadratic, inventory_model, routing
     for name, model in [("service_quadratic", service_quadratic),
                         ("inventory", inventory_model), ("routing2", routing2),
                         ("heavy_traffic", heavy_queue)]:
-        res = tdp.policy_iteration(model.mdp, record_history=True)
+        evaluations.clear()
+        res = tdp.policy_iteration(model.mdp)
         if res.iterations > 100:
             failures.append(f"pi-termination {name}")
-        for k in range(1, len(res.value_history)):
-            prev, cur = res.value_history[k - 1], res.value_history[k]
+        if len(evaluations) != res.iterations:
+            failures.append(f"pi-iterates {name}: {len(evaluations)} evaluations")
+        for k in range(1, len(evaluations)):
+            prev, cur = evaluations[k - 1], evaluations[k]
             if not (cur >= prev - 1e-7 * (1.0 + np.abs(prev))).all():
                 failures.append(f"pi-monotonicity {name} iter {k}")
                 break

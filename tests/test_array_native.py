@@ -1438,7 +1438,7 @@ def test_max_overflow_heuristic_matches_per_state_argmax(routing2, routing3_smok
         mdp = model.mdp
         ref = [int(np.argmax([np.sum(u) for u in mdp.actions_at(i)]))
                for i in range(mdp.n_states)]
-        policy, _, _, _ = _policy_for(ExperimentConfig(mode="heuristic-max-overflow"), model)
+        policy, _, _ = _policy_for(ExperimentConfig(mode="heuristic-max-overflow"), model)
         assert policy.tolist() == ref
 
 

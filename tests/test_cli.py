@@ -226,8 +226,12 @@ def test_csv_determinism(tmp_path):
     fa = (a / "service_rate_tapi_h2.csv").read_bytes()
     fb = (b / "service_rate_tapi_h2.csv").read_bytes()
     assert fa == fb
-    assert (a / "service_rate_chain_h2.csv").read_bytes() == \
-        (b / "service_rate_chain_h2.csv").read_bytes()
+
+
+def test_solve_tapi_writes_only_its_value_policy_csv(tmp_path):
+    rc = main(["solve-tapi", "--model", "service_rate", "--h", "2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["service_rate_tapi_h2.csv"]
 
 
 def test_compare_policy_with_itself(tmp_path, capsys):
@@ -410,7 +414,7 @@ def test_shipped_configs_run(config, tmp_path, monkeypatch):
         assert np.isfinite(res.values).all()
     elif cfg.mode == "heuristic-max-overflow":
         from taylordp.cli import _policy_for
-        policy, _, _, _ = _policy_for(cfg, model)
+        policy, _, _ = _policy_for(cfg, model)
         assert np.isfinite(exact.policy_evaluation(model.mdp, policy)).all()
     else:
         res = tapi.tapi_solve(model.problem, cfg.tapi)

@@ -4,8 +4,11 @@ Four files under tests/data list, in `sha256sum` format, digests of the CSVs
 that `taylordp <mode> --config configs/<stem>.ini` writes.  <mode> is the
 config's own `mode` for the first three files and `bounds` for the fourth:
 
-  * config_csv.sha256: the solve-tapi configs (the fine value/policy file
-    and the chain dump), first recorded before the fine-lattice stages
+  * config_csv.sha256: the solve-tapi configs (the fine value/policy file),
+    each with its K-D chain as `report.write_chain_csv` writes it to
+    <model>_chain_h<h>.csv (built here with build_multidim_chain at the
+    config's h and scheme, as tapi_solve builds it; the CLI writes no chain
+    dump).  First recorded before the fine-lattice stages
     (action enumeration, factored assembly, Taylored greedy) became
     whole-lattice array passes, so this test pins those rewrites to the
     per-state code's exact output;
@@ -60,6 +63,8 @@ import pytest
 
 from taylordp.cli import main
 from taylordp.config import load_config
+from taylordp.kdchain import build_multidim_chain
+from taylordp.report import write_chain_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -103,13 +108,18 @@ def _policy_digest(path):
 
 
 def _run(stem, out_dir):
-    """Run the config through the subcommand its mode names.
+    """Run the config through the subcommand its mode names, and write a
+    solve-tapi config's chain next to its CSV.
 
     Returns ({csv name: sha256}, {value/policy csv name: policy digest}).
     """
     config = ROOT / "configs" / f"{stem}.ini"
-    rc = main([load_config(config).mode, "--config", str(config), "--out-dir", str(out_dir)])
+    cfg = load_config(config)
+    rc = main([cfg.mode, "--config", str(config), "--out-dir", str(out_dir)])
     assert rc == 0
+    if cfg.mode == "solve-tapi":
+        chain = build_multidim_chain(cfg.build_model().problem, cfg.tapi.h, scheme=cfg.tapi.scheme)
+        write_chain_csv(Path(out_dir) / f"{cfg.model_name}_chain_h{cfg.tapi.h}.csv", chain)
     paths = sorted(Path(out_dir).glob("*.csv"))
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     policies = {p.name: _policy_digest(p) for p in paths}

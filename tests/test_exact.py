@@ -187,12 +187,14 @@ def test_discounted_functional_monte_carlo_cross_check(quartic_fixed):
     assert abs(v[mdp.lattice.index((x0,))] - total.mean()) <= 3 * se + tail
 
 
-def test_pi_monotone_and_bounded_iterations(service_quadratic, routing2, inventory_model):
+def test_pi_monotone_and_bounded_iterations(service_quadratic, routing2, inventory_model,
+                                            evaluations):
     for model in (service_quadratic, routing2, inventory_model):
-        res = tdp.policy_iteration(model.mdp, record_history=True)
+        evaluations.clear()
+        res = tdp.policy_iteration(model.mdp)
         assert res.iterations <= 100
-        for k in range(1, len(res.value_history)):
-            prev, cur = res.value_history[k - 1], res.value_history[k]
+        assert len(evaluations) == res.iterations
+        for prev, cur in zip(evaluations, evaluations[1:]):
             assert (cur >= prev - 1e-7 * (1.0 + np.abs(prev))).all()
 
 

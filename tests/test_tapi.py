@@ -143,13 +143,15 @@ def test_tapi_equals_pi_on_chain(service_quadratic):
     assert np.allclose(res.coarse_values, pi.values, rtol=0, atol=0)
 
 
-def test_tapi_chain_iterates_monotone(service_quadratic, routing2, inventory_model):
+def test_tapi_chain_iterates_monotone(service_quadratic, routing2, inventory_model,
+                                     evaluations):
     for model in (service_quadratic, routing2, inventory_model):
         chain = tdp.build_multidim_chain(model.problem, 2)
-        res = tdp.policy_iteration(chain, record_history=True)
+        evaluations.clear()
+        res = tdp.policy_iteration(chain)
         assert res.iterations <= 100
-        for k in range(1, len(res.value_history)):
-            prev, cur = res.value_history[k - 1], res.value_history[k]
+        assert len(evaluations) == res.iterations
+        for prev, cur in zip(evaluations, evaluations[1:]):
             assert (cur >= prev - 1e-7 * (1.0 + np.abs(prev))).all()
 
 
