@@ -10,7 +10,10 @@ are repaired by :func:`truncate_renormalize`, which rescales each row by the
 mass it keeps inside.  Action sets enumerate the actions of many states in
 one ``at(states) -> (U, offsets)`` call, a ragged table in lexicographic
 order per state; each LatticeMdp makes that call once, over all of its
-states (``action_table``).
+states (``action_table``).  The fine steps that would otherwise form a
+temporary over every candidate or pair (the polyhedral enumeration, the
+routing assembly, the Taylored greedy) walk the states in blocks of about
+BLOCK entries (``state_blocks``) and write into preallocated outputs.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ State = tuple[int, ...]
 
 PROB_TOL = 1e-12
 ROW_SUM_BLOCK = 64     # entries per partial sum in row_sums
+BLOCK = 24_576         # entries a block of consecutive states holds in a blocked fine step
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -206,6 +210,24 @@ def policy_pairs(offsets: np.ndarray, policy) -> np.ndarray:
     return (offsets[:-1] + policy).astype(np.int64, copy=False)
 
 
+def state_blocks(offsets: np.ndarray, width: int):
+    """(first, stop) ranges of consecutive states, each of about BLOCK // width entries.
+
+    offsets[i]:offsets[i+1] are state i's entries (candidates, pairs) and
+    each entry stands for width values (action coordinates, stencil
+    directions).  Blocks are cut at state boundaries, so a state with more
+    entries than that is a block of its own, and a table that fits is one
+    block.
+    """
+    size = max(BLOCK // max(width, 1), 1)
+    n = len(offsets) - 1
+    if offsets[-1] <= size:  # one block, without the cut search that small tables would pay for
+        return [(0, n)] if n else []
+    cuts = np.searchsorted(offsets, np.arange(size, offsets[-1], size))
+    bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
 def _table_offsets(counts: np.ndarray, states: np.ndarray) -> np.ndarray:
     if not counts.all():
         raise EmptyActionSet(tuple(np.asarray(states[np.argmin(counts)]).tolist()))
@@ -248,14 +270,12 @@ class PolyhedralActionSet:
 
         Returns (U, offsets): U[offsets[i]:offsets[i+1]] are the actions of
         states[i] as a C-contiguous (k_i, m) int64 array in lexicographic
-        order.  The candidates of a state are its box points, ranked in
-        mixed radix with the last coordinate varying fastest.  Only the
-        state's active coordinates, those whose box holds more than one
-        point, take a digit of the rank: they fill the state's slots in
-        coordinate order, so k slots (k the most active coordinates of any
-        state) cost k - 1 divmod passes.  The candidates are built
-        coordinate-major, (m, N), from their low corners, filtered by one
-        (c, m) @ (m, N) product and transposed once at the end.
+        order.  The box and b hooks are called once, over every state.  The
+        states are then cut into blocks of about BLOCK // m candidates
+        (state_blocks) and each block's actions are enumerated by one pass
+        of _feasible; a table that fits in one block is that single pass,
+        and a larger one is written block by block into one table sized from
+        the blocks' kept counts, so no temporary spans every candidate.
         """
         states = np.atleast_2d(states)
         n = len(states)
@@ -264,6 +284,39 @@ class PolyhedralActionSet:
         lo = box[:, :, 0]
         width = np.maximum(box[:, :, 1] - lo + 1, 0)
         n_cand = width.prod(axis=1)
+        bvec = np.asarray(self.b(states), dtype=np.float64).reshape(n, c)
+        ends = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(n_cand, out=ends[1:])
+        blocks = state_blocks(ends, m)
+        if len(blocks) <= 1:
+            kept, counts = self._feasible(lo, width, n_cand, bvec)
+            return kept.T.copy(), _table_offsets(counts, states)
+        parts = [self._feasible(lo[s0:s1], width[s0:s1], n_cand[s0:s1], bvec[s0:s1])
+                 for s0, s1 in blocks]
+        counts = np.concatenate([part_counts for _, part_counts in parts])
+        del box, lo, width, bvec  # freed before the table is: a lower memory peak
+        offsets = _table_offsets(counts, states)
+        U = np.empty((offsets[-1], m), dtype=np.int64)
+        for (s0, s1), (kept, _) in zip(blocks, parts):
+            U[offsets[s0]:offsets[s1]] = kept.T
+        return U, offsets
+
+    def _feasible(self, lo, width, n_cand, bvec):
+        """(kept, counts): the feasible box points of n states, coordinate-major.
+
+        kept is the (m, k) int64 array of the states' feasible actions, in
+        state order and lexicographic within a state, and counts the (n,)
+        number each state keeps.  The candidates of a state are its box
+        points (low corner lo, per-coordinate widths width, n_cand of them),
+        ranked in mixed radix with the last coordinate varying fastest.
+        Only the state's active coordinates, those whose box holds more than
+        one point, take a digit of the rank: they fill the state's slots in
+        coordinate order, so k slots (k the most active coordinates of any
+        state) cost k - 1 divmod passes.  The candidates are built
+        coordinate-major, (m, N), from their low corners and filtered by one
+        (c, m) @ (m, N) product against the right-hand sides bvec.
+        """
+        n = len(lo)
         total = int(n_cand.sum())
         # slot s of a state holds its s-th active coordinate: the offset of
         # that coordinate's row in the flat candidates, and the box width
@@ -287,12 +340,10 @@ class PolyhedralActionSet:
         if k:  # what is left of the rank is the leading slot's digit
             flat[np.repeat(slot_row[0], n_cand) + col] += rank
         del rank, col  # freed before the (c, N) test: a lower memory peak
-        bvec = np.asarray(self.b(states), dtype=np.float64).reshape(n, c)
         keep = np.logical_and.reduce(self.A @ cand <= np.repeat(bvec.T, n_cand, axis=1), axis=0)
         kept = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
-        offsets = _table_offsets(np.diff(kept[np.append(start, total)]), states)
-        return np.compress(keep, cand, axis=1).T.copy(), offsets
+        return np.compress(keep, cand, axis=1), np.diff(kept[np.append(start, total)])
 
 
 class LatticeMdp:

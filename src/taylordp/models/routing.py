@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exact import FactoredAssembly, segmented_argmax
-from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice
+from ..lattice import LatticeMdp, PolyhedralActionSet, StateLattice, state_blocks
 from ..taylor import TaylorProblem
 from .distributions import binom_pmf, poisson_cutoff, poisson_pmf
 
@@ -203,9 +203,17 @@ class RoutingModel:
         lattice = mdp.lattice
         shape = lattice.shape
         U, offsets = mdp.action_table()
-        states = mdp.pair_states()
-        rewards = mdp.rewards(states, U)
-        post_idx = lattice.indices_of(self.post_states(states, U))
+        # rewards and post-state indices of each block of consecutive states'
+        # pairs (about BLOCK action coordinates), written into the all-pair
+        # outputs: no pair-state, float action or post-state array spans every pair
+        states, counts = lattice.states(), np.diff(offsets)
+        rewards = np.empty(len(U))
+        post_idx = np.empty(len(U), dtype=np.int64)
+        for s0, s1 in state_blocks(offsets, len(self.pairs)):
+            p0, p1 = offsets[s0], offsets[s1]
+            pair_states = np.repeat(states[s0:s1], counts[s0:s1], axis=0)
+            rewards[p0:p1] = mdp.rewards(pair_states, U[p0:p1])
+            post_idx[p0:p1] = lattice.indices_of(self.post_states(pair_states, U[p0:p1]))
 
         # per axis: K, the transpose bringing that axis first, its inverse and
         # the shape in between.  np.dot(K, t.transpose(perm).reshape(n, -1)) is

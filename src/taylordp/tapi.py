@@ -59,9 +59,8 @@ from . import exact
 from .exact import (get_assembly, policy_evaluation, policy_improvement, policy_iteration,
                     segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
+from .lattice import state_blocks
 from .taylor import TaylorProblem
-
-GREEDY_BLOCK = 24_576    # (pair, direction) entries a block of the Taylored greedy scores
 
 # the settings each way of forming the returned policy reads, besides h and scheme
 _READS = {
@@ -236,9 +235,9 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     side, so the extension is evaluated once on that box: the centers are
     its interior and direction e's targets the interior shifted by h e.
     The pairs are scored in blocks of consecutive states of about
-    GREEDY_BLOCK (pair, direction) entries, each block gathering its rates
-    from the per-class table, so no (pairs x directions) array is formed
-    for the whole action table.
+    lattice.BLOCK (pair, direction) entries (state_blocks), each block
+    gathering its rates from the per-class table, so no (pairs x
+    directions) array is formed for the whole action table.
     """
     problem, h = chain.problem, chain.h
     mdp = problem.mdp
@@ -266,7 +265,7 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
     rew = get_assembly(mdp).rewards
     q = np.empty(len(rew))
-    for s0, s1 in _state_blocks(offsets, len(dirs)):
+    for s0, s1 in state_blocks(offsets, len(dirs)):
         p0, p1, n = offsets[s0], offsets[s1], counts[s0:s1]
         q_b, a_b = np.repeat(q_max[s0:s1], n), np.repeat(a_h[s0:s1], n)
         rates_b = rates.take(classes[p0:p1], axis=0)
@@ -294,18 +293,6 @@ def _pair_stencils(problem: TaylorProblem, hvec: np.ndarray, scheme: str):
     mu_b, s2_b = problem.moments_batch(pair_states, pair_U)
     dirs, rates, _, _ = _stencil_rates(np.atleast_2d(mu_b), s2_b, hvec, hvec, scheme)
     return dirs, rates, classes
-
-
-def _state_blocks(offsets: np.ndarray, width: int):
-    """(first, stop) state ranges of about GREEDY_BLOCK // width pairs each.
-
-    Blocks are cut at state boundaries, so a state with more pairs than that
-    is a block of its own, and a table that fits is one block.
-    """
-    size = max(GREEDY_BLOCK // width, 1)
-    cuts = np.searchsorted(offsets, np.arange(size, offsets[-1], size))
-    bounds = np.unique(np.concatenate([[0], cuts, [len(offsets) - 1]]))
-    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
 def _extension_box(coarse_values: np.ndarray, grid: CoarseGrid, lower, upper) -> np.ndarray:

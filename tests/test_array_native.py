@@ -26,7 +26,11 @@ The polyhedral action table, decoded over each state's active
 coordinates only, is checked against the all-coordinate enumeration it
 replaced (kept verbatim as _reference_at) and a per-state
 itertools.product, and its memory peak is bounded; the moment classes from
-an unstable sort are checked against np.unique's three arrays.
+an unstable sort are checked against np.unique's three arrays.  The table
+and the routing factored arrays are built in blocks of consecutive states,
+and both are checked with blocks cut after one or a few entries as well as
+at the default block size, and their memory peaks bounded by the outputs
+and one block.
 """
 
 import csv
@@ -522,14 +526,22 @@ def assert_same_table(got, expect):
     assert offsets.dtype == np.int64 and np.array_equal(offsets, offsets_ref)
 
 
-def test_table_matches_reference_on_random_sets():
+# BLOCK values that cut the states into blocks of one or a few entries
+TINY_BLOCKS = (1, 7, 50)
+
+
+def test_table_matches_reference_on_random_sets(monkeypatch):
     rng = np.random.default_rng(23)
     seen = dict.fromkeys(["empty state", "no states", "one state", "states", "filtered"], 0)
     for _ in range(600):
         action_set, states = _random_action_set(rng)
-        got = _table_or_empty(tdp.PolyhedralActionSet.at, action_set, states)
-        assert_same_table(got, _table_or_empty(_reference_at, action_set, states))
-        assert_same_table(got, _product_table(action_set, states))
+        expect = _table_or_empty(_reference_at, action_set, states)
+        assert_same_table(expect, _product_table(action_set, states))
+        for block in (tdp.lattice.BLOCK,) + TINY_BLOCKS:
+            with monkeypatch.context() as patch:
+                patch.setattr(tdp.lattice, "BLOCK", block)
+                got = _table_or_empty(tdp.PolyhedralActionSet.at, action_set, states)
+            assert_same_table(got, expect)
         if not _is_table(got):
             seen["empty state"] += 1
             continue
@@ -539,41 +551,120 @@ def test_table_matches_reference_on_random_sets():
     assert min(seen.values()) >= 20, seen
 
 
+def _counted_blocks(monkeypatch):
+    """The number of _feasible calls, one a block of the action table, as at() runs."""
+    calls = []
+    feasible = tdp.PolyhedralActionSet._feasible
+
+    def counted(self, lo, *args):
+        calls.append(len(lo))
+        return feasible(self, lo, *args)
+
+    monkeypatch.setattr(tdp.PolyhedralActionSet, "_feasible", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_bench",
                                   pytest.param("routing3_paper", marks=pytest.mark.slow)])
-def test_table_matches_reference_on_routing_lattices(name, request):
+def test_table_matches_reference_on_routing_lattices(name, request, monkeypatch):
     mdp = request.getfixturevalue(name).mdp
     states = mdp.lattice.states()
-    assert_same_table(mdp.actions.at(states), _reference_at(mdp.actions, states))
+    expect = _reference_at(mdp.actions, states)
+    calls = _counted_blocks(monkeypatch)
+    for block in (tdp.lattice.BLOCK,) + TINY_BLOCKS:
+        monkeypatch.setattr(tdp.lattice, "BLOCK", block)
+        calls.clear()
+        assert_same_table(mdp.actions.at(states), expect)
+        assert sum(calls) == mdp.n_states
+        if block == 1:
+            assert len(calls) == mdp.n_states           # every state a block of its own
+        if name == "routing2":
+            assert (len(calls) == 1) == (block not in TINY_BLOCKS)   # the 2-pool table fits one
+    assert 1 < len(calls) < mdp.n_states                # the largest tiny block holds a few states
+
+
+def _traced_peak(build):
+    """(result, tracemalloc peak in bytes) of build()."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_table_memory_stays_bounded(routing3_bench):
-    # the tracemalloc peak of one at() over the 2,197-state 3-pool lattice:
-    # 3.5 MiB with (m, N) candidates and k - 1 divmod passes, 4.3 MiB when every
-    # candidate was an (N, m) row tested by an (N, c) product
+    # the tracemalloc peak of one at() over the 2,197-state 3-pool lattice
+    # (14,461 actions, a 0.66 MiB table) is 1.57 MiB, reached while the blocks
+    # are enumerated: the kept blocks (up to the table), the box, widths and
+    # right-hand sides of every state (0.45 MiB) and one block's candidates
+    # and (c, N) test (0.46 MiB).  Copying the kept blocks into the table
+    # then holds two tables, 1.42 MiB.  It was 3.54 MiB when every candidate
+    # was enumerated in one pass, and 4.3 MiB as an (N, m) array
     actions, states = routing3_bench.mdp.actions, routing3_bench.mdp.lattice.states()
     actions.at(states)
-    tracemalloc.start()
-    try:
-        actions.at(states)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.3 * 2**20
+    _, peak = _traced_peak(lambda: actions.at(states))
+    assert peak < 1.6 * 2**20
+
+
+def _assembly_bytes(asm) -> int:
+    """Bytes of the arrays a FactoredAssembly holds besides the action table's offsets."""
+    return sum(a.nbytes for a in (asm.rewards, asm.post_idx, asm.discounts, asm._disc_per_pair))
+
+
+@pytest.mark.slow
+def test_paper_cell_table_and_assembly_stay_within_one_block(routing3_paper):
+    # one block's temporaries (its candidates or pairs' actions, the (c, N)
+    # test, index arrays) are at most eight arrays of BLOCK 8-byte entries.
+    # The table peaks while the kept blocks are copied into it, the assembly
+    # while its last block is formed; both formed all-pair temporaries of
+    # 54.0 and 33.2 MiB before they were built in blocks
+    one_block = 8 * tdp.lattice.BLOCK * 8
+    mdp = routing3_paper.mdp
+    states = mdp.lattice.states()
+    (U, offsets), peak = _traced_peak(lambda: mdp.actions.at(states))
+    assert peak <= 2 * (U.nbytes + offsets.nbytes) + one_block
+    mdp.action_table()
+    asm, peak = _traced_peak(routing3_paper._build_factored)
+    assert peak <= _assembly_bytes(asm) + one_block
 
 
 # ---------------------------------------------------------------------------
 # factored assembly
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_mid"])
-def test_routing_factored_arrays_match_per_pair_build(name, request):
+@pytest.mark.parametrize("name", ["routing2", "routing3_smoke", "routing3_mid", "routing3_bench"])
+def test_routing_factored_arrays_match_per_pair_build(name, request, monkeypatch):
     model = request.getfixturevalue(name)
     offsets, rewards, post_idx = per_pair_factored(model)
-    asm = model._build_factored()
-    assert np.array_equal(asm.offsets, offsets)
-    assert np.array_equal(asm.rewards, rewards)
-    assert np.array_equal(asm.post_idx, post_idx)
+    mdp = model.mdp
+    blocks = []
+    rewards_of = mdp.rewards
+    monkeypatch.setattr(mdp, "rewards", lambda states, U: blocks.append(len(U)) or
+                        rewards_of(states, U))
+    for block in (tdp.lattice.BLOCK,) + TINY_BLOCKS:
+        monkeypatch.setattr(tdp.lattice, "BLOCK", block)
+        blocks.clear()
+        asm = model._build_factored()
+        assert np.array_equal(asm.offsets, offsets)
+        assert np.array_equal(asm.rewards, rewards)
+        assert np.array_equal(asm.post_idx, post_idx)
+        assert sum(blocks) == len(rewards)
+        if block == 1:
+            assert len(blocks) == mdp.n_states          # every state a block of its own
+        if name == "routing2":
+            assert (len(blocks) == 1) == (block not in TINY_BLOCKS)
+
+
+def test_routing_factored_memory_stays_bounded(routing3_bench):
+    # the tracemalloc peak of one _build_factored() on the 2,197-state 3-pool
+    # cell is 0.92 MiB: its outputs (rewards, post-state indices and per-pair
+    # discounts, 24 bytes a pair, 0.35 MiB), the lattice's states and one
+    # block's pair states, float actions and post states.  It was 2.05 MiB
+    # when every pair's state, float action and post state was formed at once
+    routing3_bench.mdp.action_table()
+    _, peak = _traced_peak(routing3_bench._build_factored)
+    assert peak < 1.0 * 2**20
 
 
 def test_routing_cost_and_post_state_per_pair(routing3_smoke):
@@ -1213,8 +1304,8 @@ def test_taylored_greedy_scores_do_not_depend_on_block_size(name, h, request, mo
     # one state a block, a few states a block, the whole table in one block
     n_blocks = []
     for pairs in (1, 3 * np.diff(offsets).max(), offsets[-1]):
-        monkeypatch.setattr(tdp.tapi, "GREEDY_BLOCK", int(pairs) * width)
-        n_blocks.append(len(list(tdp.tapi._state_blocks(offsets, width))))
+        monkeypatch.setattr(tdp.lattice, "BLOCK", int(pairs) * width)
+        n_blocks.append(len(tdp.lattice.state_blocks(offsets, width)))
         tdp.tapi.taylored_greedy_policy(chain, values)
     assert n_blocks[0] == problem.mdp.n_states and n_blocks[1] > 1 and n_blocks[2] == 1
     assert all(np.array_equal(q, scores[0]) for q in scores[1:])
