@@ -216,13 +216,13 @@ def state_blocks(offsets: np.ndarray, width: int):
     offsets[i]:offsets[i+1] are state i's entries (candidates, pairs) and
     each entry stands for width values (action coordinates, stencil
     directions).  Blocks are cut at state boundaries, so a state with more
-    entries than that is a block of its own, and a table that fits is one
-    block.
+    entries than that is a block of its own, and a table that fits, no
+    states included, is the one block (0, n).
     """
     size = max(BLOCK // max(width, 1), 1)
     n = len(offsets) - 1
     if offsets[-1] <= size:  # one block, without the cut search that small tables would pay for
-        return [(0, n)] if n else []
+        return [(0, n)]
     cuts = np.searchsorted(offsets, np.arange(size, offsets[-1], size))
     bounds = np.unique(np.concatenate([[0], cuts, [n]]))
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
@@ -272,10 +272,9 @@ class PolyhedralActionSet:
         states[i] as a C-contiguous (k_i, m) int64 array in lexicographic
         order.  The box and b hooks are called once, over every state.  The
         states are then cut into blocks of about BLOCK // m candidates
-        (state_blocks) and each block's actions are enumerated by one pass
-        of _feasible; a table that fits in one block is that single pass,
-        and a larger one is written block by block into one table sized from
-        the blocks' kept counts, so no temporary spans every candidate.
+        (state_blocks), each block's actions are enumerated by one pass of
+        _feasible and written into one table sized from the blocks' kept
+        counts, so no temporary spans every candidate.
         """
         states = np.atleast_2d(states)
         n = len(states)
@@ -288,9 +287,6 @@ class PolyhedralActionSet:
         ends = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(n_cand, out=ends[1:])
         blocks = state_blocks(ends, m)
-        if len(blocks) <= 1:
-            kept, counts = self._feasible(lo, width, n_cand, bvec)
-            return kept.T.copy(), _table_offsets(counts, states)
         parts = [self._feasible(lo[s0:s1], width[s0:s1], n_cand[s0:s1], bvec[s0:s1])
                  for s0, s1 in blocks]
         counts = np.concatenate([part_counts for _, part_counts in parts])
