@@ -11,9 +11,10 @@ lattice.policy_pairs forms and checks once per solve.  A tabular
 policy's evaluation system I - diag(alpha) P^U is built from its pairs'
 rows in LAPACK band storage and solved by one banded LU (dgbsv); its
 bandwidth is what the rows reach, the first-axis stride of a K-D chain's
-row-major grid.  A factored policy is evaluated by fixed-point iteration on
-V -> E^U[V] with MacQueen-Porteus bounds, which bracket the solution and
-stop on a value-error bound.
+row-major grid.  One loop finds every fixed point that is iterated to: a
+factored policy's values and value iteration's optimal values.  Its
+MacQueen-Porteus bounds bracket the solution, and it stops once the value
+error is at most ITERATIVE_TOL * (1 + |V|).  Both need one scalar discount.
 Maximization is the internal convention throughout; cost models negate
 rewards at the model boundary.  scipy.linalg is imported at the first
 tabular solve, so importing the package or solving a factored model never
@@ -37,10 +38,9 @@ RESIDUAL_REL = 1e-9
 
 
 # solver tolerances and caps, read at call time
-ITERATIVE_TOL = 1e-10        # matrix-free evaluation: value error / (1 + |V|)
-VI_TOL = 1e-9                # value iteration: value error / (1 + |V|)
+ITERATIVE_TOL = 1e-10        # bracketed iteration: value error / (1 + |V|)
 MAX_ITERATIONS = 100         # policy-iteration cap
-VI_MAX_ITERATIONS = 200_000  # value-iteration and matrix-free evaluation steps
+VI_MAX_ITERATIONS = 200_000  # bracketed-iteration steps
 
 
 class _PairAssembly:
@@ -58,7 +58,6 @@ class _PairAssembly:
         self.discounts = np.asarray(discounts, dtype=np.float64)
         self.n_states = len(self.offsets) - 1
         self.n_pairs = len(self.rewards)
-        self._disc_per_pair = np.repeat(self.discounts, np.diff(self.offsets))
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """r(x,u) + alpha(x) E_x^u[V] for every pair; values must have shape (n_states,)."""
@@ -66,11 +65,10 @@ class _PairAssembly:
         if values.shape != (self.n_states,):
             raise ValueError(f"values must have shape ({self.n_states},), "
                              f"got {values.shape}")
-        return self.rewards + self._disc_per_pair * self.expectations(values)
-
-    def policy_pairs(self, policy: np.ndarray) -> np.ndarray:
-        """lattice.policy_pairs on these offsets: the pair each state's action index selects."""
-        return policy_pairs(self.offsets, policy)
+        q = self.expectations(values)
+        q *= np.repeat(self.discounts, np.diff(self.offsets))
+        q += self.rewards
+        return q
 
 
 class TabularAssembly(_PairAssembly):
@@ -155,12 +153,8 @@ def segmented_argmax(values: np.ndarray, offsets: np.ndarray):
     """Per-segment (max, first index within ARGMAX_TOL of max)."""
     starts = offsets[:-1]
     seg_max = np.maximum.reduceat(values, starts)
-    counts = np.diff(offsets)
-    thresh = np.repeat(seg_max - ARGMAX_TOL, counts)
-    idx = np.arange(len(values), dtype=np.int64)
-    masked = np.where(values >= thresh, idx, np.iinfo(np.int64).max)
-    first = np.minimum.reduceat(masked, starts) - starts
-    return seg_max, first.astype(np.int64)
+    hits = np.flatnonzero(values >= np.repeat(seg_max - ARGMAX_TOL, np.diff(offsets)))
+    return seg_max, hits[np.searchsorted(hits, starts)] - starts
 
 
 def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.ndarray:
@@ -174,14 +168,13 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
     system I - diag(alpha) P^U is built in band storage from the policy
     pairs' rows (_evaluation_band) and solved by banded LU (_banded_solve).
     A FactoredAssembly, whose discount is one scalar, is solved by
-    bracketed fixed-point iteration on P^U V = apply_expectation(V)[post-
-    action states of the policy pairs] (_bracketed_iteration) from
-    warm_start, to a sup-norm value error of at most
-    ITERATIVE_TOL * (1 + |V|) within VI_MAX_ITERATIONS steps.  Either way
-    the result must meet the RESIDUAL_REL residual contract.
+    _bracketed_iteration on V -> r_U + alpha P^U V, P^U V =
+    apply_expectation(V)[post-action states of the policy pairs], from
+    warm_start.  Either way the result must meet the RESIDUAL_REL residual
+    contract.
     """
     asm = get_assembly(mdp)
-    pairs = asm.policy_pairs(policy)
+    pairs = policy_pairs(asm.offsets, policy)
     if reward_override is None:
         r_u = asm.rewards[pairs]
     else:
@@ -201,11 +194,14 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
 
         # apply_expectation is looked up on every product, so a hook set on
         # the assembly after it was built still sees each matvec
-        def matvec(v):
-            return asm.apply_expectation(v)[post]
+        def step(v):
+            v_next = asm.apply_expectation(v)[post]
+            v_next *= disc
+            v_next += r_u
+            return v_next
 
-        values = _bracketed_iteration(r_u, matvec, disc, warm_start=warm_start)
-        residual = np.abs(values - (r_u + disc * matvec(values))).max()
+        values = _bracketed_iteration(step, disc, warm_start=warm_start)
+        residual = np.abs(values - step(values)).max()
 
     if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
         raise SingularSystem(f"policy evaluation residual {residual} exceeds "
@@ -269,35 +265,35 @@ def _banded_solve(asm: TabularAssembly, pairs: np.ndarray, r_u: np.ndarray):
     return values, np.abs(resid).max()
 
 
-def _bracketed_iteration(r_u, matvec, disc, warm_start=None):
-    """Fixed-point iteration V <- r_U + alpha P^U V with MacQueen-Porteus bounds.
+def _bracketed_iteration(step, disc, warm_start=None):
+    """Fixed-point iteration V <- step(V) with MacQueen-Porteus bounds, from warm_start or 0.
 
-    For a stochastic P^U and one scalar discount alpha, the increment
-    d = V_{n+1} - V_n of each step brackets the solution:
-    V_U in V_{n+1} + alpha/(1-alpha) [min d, max d] (MacQueen 1966; Porteus
+    step is r_U + alpha P^U V for a stochastic P^U, or the Bellman
+    optimality operator, its max over actions; disc holds the per-state
+    discounts, which must be one scalar alpha.  The increment
+    d = V_{n+1} - V_n of each step brackets the fixed point:
+    V in V_{n+1} + alpha/(1-alpha) [min d, max d] (MacQueen 1966; Porteus
     1971; Puterman 1994, 6.6.3).  The loop stops once half that bracket is at
     most ITERATIVE_TOL * (1 + |V_{n+1}|) and returns its midpoint.  The
     bracket removes the constant mode of P^U (eigenvalue 1) exactly, so the
     step count follows the rest of the spectrum, not 1 / (1 - alpha).
-    matvec(V) returns P^U V as a new array.
+    step(V) returns a new array.
     """
     alpha = float(disc[0])
     if np.any(disc != alpha):
-        raise ValueError("matrix-free evaluation needs one scalar discount")
+        raise ValueError("bracketed iteration needs one scalar discount")
     if alpha >= 1.0:
-        raise SingularSystem("iterative evaluation requires discounts < 1")
+        raise SingularSystem("bracketed iteration requires discounts < 1")
     scale = alpha / (1.0 - alpha)
-    v = np.zeros_like(r_u) if warm_start is None else np.array(warm_start, dtype=np.float64)
+    v = np.zeros(len(disc)) if warm_start is None else np.array(warm_start, dtype=np.float64)
     for _ in range(VI_MAX_ITERATIONS):
-        v_next = matvec(v)                             # r_u + alpha (P v), in place
-        v_next *= alpha
-        v_next += r_u
+        v_next = step(v)
         d = v_next - v
         lo, hi = d.min(), d.max()
         if 0.5 * scale * (hi - lo) <= ITERATIVE_TOL * (1.0 + np.abs(v_next).max()):
             return v_next + 0.5 * scale * (hi + lo)
         v = v_next
-    raise MaxIterationsExceeded(VI_MAX_ITERATIONS, "policy evaluation (iterative)")
+    raise MaxIterationsExceeded(VI_MAX_ITERATIONS, "bracketed iteration")
 
 
 def policy_improvement(mdp, values):
@@ -319,7 +315,7 @@ def policy_iteration(mdp, initial_policy=None) -> PiResult:
     if initial_policy is None:
         policy = np.zeros(asm.n_states, dtype=np.int64)
     else:
-        policy = asm.policy_pairs(initial_policy) - asm.offsets[:-1]
+        policy = policy_pairs(asm.offsets, initial_policy) - asm.offsets[:-1]
     values = None
     for it in range(1, MAX_ITERATIONS + 1):
         values = policy_evaluation(mdp, policy, warm_start=values)
@@ -331,26 +327,16 @@ def policy_iteration(mdp, initial_policy=None) -> PiResult:
 
 
 def value_iteration(mdp):
-    """Contraction iteration on the Bellman operator.
+    """_bracketed_iteration on the Bellman optimality operator from V = 0.
 
-    Stops when the sup-norm update is at most
-    VI_TOL * (1 + |V|) * (1 - alpha) / (2 alpha), which bounds the distance
-    to the fixed point by VI_TOL * (1 + |V|), V the returned values: an
-    absolute bound is below the floating-point spacing of large values.
+    Returns the greedy policy at the values found and those values, which
+    are within ITERATIVE_TOL * (1 + |V|) of the optimal values in sup norm:
+    an absolute bound is below the floating-point spacing of large values.
     """
     asm = get_assembly(mdp)
-    alpha_bar = float(np.max(asm.discounts))
-    if alpha_bar >= 1.0:
-        raise ValueError("value iteration requires all discounts < 1")
-    stop = VI_TOL * (1.0 - alpha_bar) / (2.0 * alpha_bar)
-    v = np.zeros(asm.n_states)
-    for _ in range(VI_MAX_ITERATIONS):
-        q = asm.q_values(v)
-        v_new, policy = segmented_argmax(q, asm.offsets)
-        if np.abs(v_new - v).max() <= stop * (1.0 + np.abs(v_new).max()):
-            return policy, v_new
-        v = v_new
-    raise MaxIterationsExceeded(VI_MAX_ITERATIONS, "value iteration")
+    values = _bracketed_iteration(
+        lambda v: segmented_argmax(asm.q_values(v), asm.offsets)[0], asm.discounts)
+    return policy_improvement(mdp, values), values
 
 
 def discounted_functional(mdp, policy, f) -> np.ndarray:

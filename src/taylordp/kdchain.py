@@ -128,13 +128,6 @@ class CoarseGrid:
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 
-    def point(self, index: int) -> tuple:
-        pos = np.unravel_index(int(index), self.shape)
-        return tuple(int(self.axes[i][p]) for i, p in enumerate(pos))
-
-    def position(self, index: int) -> tuple:
-        return tuple(int(p) for p in np.unravel_index(int(index), self.shape))
-
     def points(self) -> np.ndarray:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)

@@ -59,7 +59,7 @@ from . import exact
 from .exact import (get_assembly, policy_evaluation, policy_improvement, policy_iteration,
                     segmented_argmax)
 from .kdchain import CoarseGrid, KdChain, _stencil_rates, build_multidim_chain
-from .lattice import state_blocks
+from .lattice import policy_pairs, state_blocks
 from .taylor import TaylorProblem
 
 # the settings each way of forming the returned policy reads, besides h and scheme
@@ -199,8 +199,8 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
     # the (state, action) pair each grid point chose: chain action indices
     # are action-table indices at the grid point's lattice state, and
     # policy_pairs refuses a non-integral one or one outside its point's range
-    coarse = chain.assembly()
-    chosen = offsets[chain.fine_state] + coarse.policy_pairs(coarse_policy) - coarse.offsets[:-1]
+    coarse = chain.assembly().offsets
+    chosen = offsets[chain.fine_state] + policy_pairs(coarse, coarse_policy) - coarse[:-1]
 
     # completion at boundary grid states: the fine greedy step's action there
     boundary = ~chain.interior_mask

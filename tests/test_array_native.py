@@ -48,14 +48,14 @@ from taylordp.cli import _policy_for
 from taylordp.config import ExperimentConfig
 from taylordp.errors import EmptyActionSet, InfeasibleAction, MaxIterationsExceeded
 from taylordp import exact
-from taylordp.exact import (_bracketed_iteration, _evaluation_band, _evaluation_rows,
-                            _tabulate, get_assembly)
+from taylordp.exact import _evaluation_band, _evaluation_rows, _tabulate, get_assembly
 from taylordp.errors import NonInwardEta
 from taylordp.exact import TabularAssembly
 from taylordp.kdchain import (RATE_TOL, CoarseGrid, KdChain, _stay_mass,
                               _stencil_rates, verify_tcp_equivalence)
 from taylordp.lattice import (PROB_TOL, ExplicitActionSet, LatticeMdp, StateLattice,
-                              _table_offsets, action_tuple, pack_rows, row_sums)
+                              _table_offsets, action_tuple, pack_rows, policy_pairs,
+                              row_sums)
 from taylordp.models import build
 from taylordp.models.routing import RoutingParams, build_routing, table_params
 from taylordp.tapi import _extension_box, _restrict_policy, _unique_classes
@@ -250,10 +250,11 @@ def per_point_chain(problem, h, scheme="inflate"):
     chain_actions, slack_rows, cross_rows, fine_state = [], [], [], []
     shape = grid.shape
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
+    points = grid.points().tolist()
 
     for idx in range(n):
-        pos = np.array(grid.position(idx), dtype=np.int64)
-        point = grid.point(idx)
+        pos = np.array(np.unravel_index(idx, shape), dtype=np.int64)
+        point = tuple(points[idx])
         fine_state.append(mdp.lattice.index(point))
         U_point = mdp.actions.at([point])[0]         # this point's own enumeration
         acts = action_tuple(U_point)
@@ -339,7 +340,8 @@ def per_point_verify(chain, problem):
     mdp = problem.mdp
     alpha = mdp.discount
     grid = chain.grid
-    pts = grid.points().astype(np.float64)
+    points = grid.points().tolist()
+    pts = np.asarray(points, dtype=np.float64)
     asm = chain.assembly()
     worst = []
     e1 = e_cross = e_diag = e_r = 0.0
@@ -347,7 +349,7 @@ def per_point_verify(chain, problem):
     d = grid.dim
     for idx in np.flatnonzero(chain.interior_mask):
         acts = chain.actions_at(idx)
-        point = grid.point(idx)
+        point = tuple(points[idx])
         mu_b, s2_b = problem.moments_batch(np.tile(point, (len(acts), 1)), acts)
         alpha_h = chain.discounts[idx]
         kappa = alpha * (1.0 - alpha_h) / (alpha_h * (1.0 - alpha))
@@ -609,7 +611,7 @@ def test_table_memory_stays_bounded(routing3_bench):
 
 def _assembly_bytes(asm) -> int:
     """Bytes of the arrays a FactoredAssembly holds besides the action table's offsets."""
-    return sum(a.nbytes for a in (asm.rewards, asm.post_idx, asm.discounts, asm._disc_per_pair))
+    return sum(a.nbytes for a in (asm.rewards, asm.post_idx, asm.discounts))
 
 
 @pytest.mark.slow
@@ -1676,13 +1678,13 @@ def policy_rows(asm, policy):
     """P^U: the policy pairs' rows of the assembly's (n_pairs, n_states) CSR matrix."""
     pairs_p = sp.csr_matrix((asm.probs, asm.col_idx, asm.row_ptr),
                             shape=(asm.n_pairs, asm.n_states))
-    return pairs_p[asm.policy_pairs(policy)]
+    return pairs_p[policy_pairs(asm.offsets, policy)]
 
 
 def expanded_band(asm, policy):
     """The dense matrix _evaluation_band's band stores, and the band with its kl and ku."""
     n = asm.n_states
-    band, kl, ku = _evaluation_band(n, *_evaluation_rows(asm, asm.policy_pairs(policy)))
+    band, kl, ku = _evaluation_band(n, *_evaluation_rows(asm, policy_pairs(asm.offsets, policy)))
     i, j = np.indices((n, n))
     inside = (i - j <= kl) & (j - i <= ku)
     dense = np.zeros((n, n))
@@ -1745,7 +1747,7 @@ def test_evaluation_system_sums_duplicates_and_drops_zeros():
 def assert_banded_values_match_dense_solve(mdp, policy):
     asm = get_assembly(mdp)
     system = np.eye(asm.n_states) - asm.discounts[:, None] * policy_rows(asm, policy).toarray()
-    r_u = asm.rewards[asm.policy_pairs(policy)]
+    r_u = asm.rewards[policy_pairs(asm.offsets, policy)]
     dense = np.linalg.solve(system, r_u)
     values = tdp.policy_evaluation(mdp, policy)
     assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -1790,14 +1792,14 @@ def test_bracketed_iteration_matches_loop(name, request):
     asm = get_assembly(mdp)
     optimal = tdp.policy_iteration(mdp)
     for policy in (np.zeros(mdp.n_states, dtype=np.int64), optimal.policy):
-        pairs = asm.policy_pairs(policy)
+        pairs = policy_pairs(asm.offsets, policy)
         r_u, post = asm.rewards[pairs], asm.post_idx[pairs]
 
         def matvec(v):
             return asm.apply_expectation(v)[post]
 
         for warm in (None, optimal.values):
-            got = _bracketed_iteration(r_u, matvec, asm.discounts, warm_start=warm)
+            got = tdp.policy_evaluation(mdp, policy, warm_start=warm)
             want = bracketed_loop(r_u, matvec, asm.discounts, warm_start=warm)
             assert _bits(got).tolist() == _bits(want).tolist()
 

@@ -13,7 +13,7 @@ import taylordp as tdp
 from taylordp import exact
 from taylordp.errors import InfeasibleAction, MaxIterationsExceeded
 from taylordp.models import build
-from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice
+from taylordp.lattice import ExplicitActionSet, LatticeMdp, StateLattice, policy_pairs
 
 from conftest import one_reward, pair_hooks
 
@@ -106,15 +106,26 @@ def test_pi_agrees_with_vi(service_quadratic, service_quadratic_star):
     assert rel.max() <= 1e-6
 
 
-def test_value_iteration_error_bound_is_relative():
-    # quartic cost: |V| reaches 1.8e9, where the floating-point spacing is
-    # 2.4e-7, so only a bound relative to |V| can be met
-    model = build("service_rate", M=100, alpha=0.99, cost="quartic")
-    pol, v = tdp.value_iteration(model.mdp)
-    star = tdp.policy_iteration(model.mdp)
-    assert np.abs(v).max() > 1e9
-    assert np.abs(v - star.values).max() <= exact.VI_TOL * (1.0 + np.abs(v).max())
+@pytest.mark.parametrize("name", ["service_quartic", "inventory_model", "heavy_queue",
+                                  "routing2"])
+def test_value_iteration_error_bound_is_relative(name, request):
+    # oracle: dense direct solve for policy iteration's policy, P^U
+    # materialized column by column (routing2's policy iteration is itself
+    # bracketed, so its values are only within ITERATIVE_TOL).  Quartic
+    # cost: |V| reaches 1.8e9, where the floating-point spacing is 2.4e-7,
+    # so only a bound relative to |V| can be met
+    mdp = request.getfixturevalue(name).mdp
+    pol, v = tdp.value_iteration(mdp)
+    star = tdp.policy_iteration(mdp)
     assert np.array_equal(pol, star.policy)
+    asm = exact.get_assembly(mdp)
+    pairs = policy_pairs(asm.offsets, star.policy)
+    eye = np.eye(mdp.n_states)
+    P = np.column_stack([asm.expectations(eye[:, j])[pairs] for j in range(mdp.n_states)])
+    v_star = np.linalg.solve(eye - mdp.discount * P, asm.rewards[pairs])
+    if name == "service_quartic":
+        assert np.abs(v).max() > 1e9
+    assert np.abs(v - v_star).max() <= exact.ITERATIVE_TOL * (1.0 + np.abs(v).max())
 
 
 def test_value_iteration_constant_reward():
@@ -130,7 +141,9 @@ def test_value_iteration_single_state():
 
 
 def test_value_iteration_max_iterations(monkeypatch):
-    mdp = _chain_mdp(np.array([[1.0]]), [1.0], 0.99)
+    # the bracket is exact after one step on one state; two states that mix
+    # slowly need more than 3 steps
+    mdp = _chain_mdp(np.array([[0.9, 0.1], [0.1, 0.9]]), [1.0, 0.0], 0.99)
     monkeypatch.setattr(exact, "VI_MAX_ITERATIONS", 3)
     with pytest.raises(MaxIterationsExceeded):
         tdp.value_iteration(mdp)
@@ -239,8 +252,8 @@ def test_evaluation_residual_contract():
     pol = np.zeros(model.mdp.n_states, dtype=np.int64)
     v = tdp.policy_evaluation(model.mdp, pol)
     asm = get_assembly(model.mdp)
-    r_u = asm.rewards[asm.policy_pairs(pol)]
-    p_v = asm.expectations(v)[asm.policy_pairs(pol)]
+    r_u = asm.rewards[policy_pairs(asm.offsets, pol)]
+    p_v = asm.expectations(v)[policy_pairs(asm.offsets, pol)]
     resid = np.abs(v - (r_u + asm.discounts * p_v)).max()
     assert resid <= 1e-9 * (1.0 + np.abs(v).max())
 
@@ -252,6 +265,26 @@ def test_argmax_tie_break_first_lexicographic():
                      *pair_hooks(lambda s, u: ([0], [1.0]), lambda s, u: 1.0), 0.5)
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [0]
     assert tdp.policy_improvement(mdp, np.zeros(1)).tolist() == [0]
+
+
+def test_segmented_argmax_matches_per_segment_scan():
+    # ragged segments of near-ties: exact ties, 0 and +-ARGMAX_TOL apart,
+    # one spacing apart at 1e5 (where the tolerance is below the spacing)
+    rng = np.random.default_rng(12)
+    tol = exact.ARGMAX_TOL
+    for _ in range(2000):
+        lens = rng.integers(1, 7, rng.integers(1, 12))
+        offsets = np.concatenate([[0], np.cumsum(lens)])
+        base = rng.choice([0.0, 1.0, -1e5, 1e5])
+        steps = [0.0, tol, -tol, 0.5 * tol, 2 * tol, np.spacing(base), -np.spacing(base)]
+        values = base + rng.choice(steps, offsets[-1])
+        noisy = rng.random(offsets[-1]) < 0.2
+        values[noisy] += rng.standard_normal(noisy.sum())
+        best, first = exact.segmented_argmax(values, offsets)
+        for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            seg = values[lo:hi].tolist()
+            assert best[s] == max(seg)
+            assert first[s] == next(k for k, x in enumerate(seg) if x >= max(seg) - tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,7 +301,7 @@ def test_factored_evaluation_value_error_bound(alpha):
     from taylordp.exact import get_assembly
     mdp, pi = _routing2_pi(alpha)
     asm = get_assembly(mdp)
-    post = asm.post_idx[asm.policy_pairs(pi.policy)]
+    post = asm.post_idx[policy_pairs(asm.offsets, pi.policy)]
 
     def matvec(v):
         return asm.apply_expectation(v)[post]
@@ -276,7 +309,7 @@ def test_factored_evaluation_value_error_bound(alpha):
     eye = np.eye(mdp.n_states)
     P = np.column_stack([matvec(eye[:, j]) for j in range(mdp.n_states)])
     v_direct = np.linalg.solve(np.eye(mdp.n_states) - alpha * P,
-                               asm.rewards[asm.policy_pairs(pi.policy)])
+                               asm.rewards[policy_pairs(asm.offsets, pi.policy)])
     rng = np.random.default_rng(7)
     warm = v_direct * (1.0 + 0.01 * rng.standard_normal(mdp.n_states))
     tol = exact.ITERATIVE_TOL
@@ -389,7 +422,14 @@ def test_factored_evaluation_needs_scalar_discount():
     # the bracket holds for one scalar discount only; chains take the direct solve
     from taylordp.exact import _bracketed_iteration
     with pytest.raises(ValueError):
-        _bracketed_iteration(np.ones(2), lambda v: v, np.array([0.5, 0.9]))
+        _bracketed_iteration(lambda v: 1.0 + 0.5 * v, np.array([0.5, 0.9]))
+
+
+def test_value_iteration_needs_scalar_discount(service_quadratic):
+    # a chain's boundary rows carry their own discounts
+    chain = tdp.build_multidim_chain(service_quadratic.problem, 2)
+    with pytest.raises(ValueError, match="one scalar discount"):
+        tdp.value_iteration(chain)
 
 
 def test_policy_evaluation_rejects_out_of_range_action_index(routing2):
@@ -557,6 +597,6 @@ def test_policy_expectations_match_all_pair_expectations(kind, routing2):
     values = rng.normal(size=mdp.n_states) * 10.0 ** rng.uniform(-3, 4, mdp.n_states)
     for policy in (np.zeros(mdp.n_states, dtype=np.int64),
                    rng.integers(0, np.diff(asm.offsets))):
-        pairs = asm.policy_pairs(policy)
+        pairs = policy_pairs(asm.offsets, policy)
         fast = asm.policy_expectations(values, pairs)
         assert fast.tobytes() == asm.expectations(values)[pairs].tobytes()

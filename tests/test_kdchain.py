@@ -153,15 +153,15 @@ def pair_row(chain, state_index: int, action_index: int):
 
 def test_boundary_rows_1d(quartic_fixed):
     chain = tdp.build_multidim_chain(quartic_fixed.problem, 2)
-    g = chain.grid
+    points = chain.grid.points().tolist()
     # x = 0 reflects to h with no reward and no discount
     targets, probs, r = pair_row(chain, 0, 0)
-    assert g.point(int(targets[0])) == (2,) and probs[0] == 1.0 and r == 0.0
+    assert points[targets[0]] == [2] and probs[0] == 1.0 and r == 0.0
     assert chain.discounts[0] == 1.0
     # x = M reflects to M - h
     last = chain.n_states - 1
     targets, probs, r = pair_row(chain, last, 0)
-    assert g.point(int(targets[0])) == (quartic_fixed.params.M - 2,)
+    assert points[targets[0]] == [quartic_fixed.params.M - 2]
     assert probs[0] == 1.0 and r == 0.0 and chain.discounts[last] == 1.0
 
 
@@ -169,9 +169,10 @@ def test_boundary_corner_steps_inward_in_all_binding_coordinates(routing2):
     chain = build_multidim_chain(routing2.problem, 2)
     # the (0, 0) corner reflects to (h, h)
     corner = 0
-    assert chain.grid.point(corner) == (0, 0)
+    points = chain.grid.points().tolist()
+    assert points[corner] == [0, 0]
     targets, probs, r = pair_row(chain, corner, 0)
-    assert chain.grid.point(int(targets[0])) == (2, 2)
+    assert points[targets[0]] == [2, 2]
     assert probs[0] == 1.0 and r == 0.0 and chain.discounts[corner] == 1.0
 
 
@@ -194,11 +195,12 @@ def test_diagonal_sigma_gives_product_of_1d_stencils():
     prob = _toy_2d_problem(0.0, mu=(0.2, -0.3), diag=(1.0, 2.0))
     chain = build_multidim_chain(prob, 1)
     # interior state: four face targets with the 1-d central probabilities
-    idx = next(i for i in range(chain.n_states) if chain.grid.point(i) == (5, 5))
+    points = chain.grid.points().tolist()
+    idx = points.index([5, 5])
     targets, probs, _ = pair_row(chain, idx, 0)
     q = chain.Q[idx]
     assert q == pytest.approx(3.0)  # sum sigma_ii / h^2
-    got = {chain.grid.point(int(t)): p for t, p in zip(targets, probs)}
+    got = {tuple(points[t]): p for t, p in zip(targets, probs)}
     assert got[(6, 5)] == pytest.approx((1.0 + 0.2) / (2 * q))
     assert got[(4, 5)] == pytest.approx((1.0 - 0.2) / (2 * q))
     assert got[(5, 6)] == pytest.approx((2.0 - 0.3) / (2 * q))
@@ -232,7 +234,7 @@ def test_grid_keeps_upper_bound_and_narrow_cell():
 def test_nearest_map_ties_toward_smaller():
     grid = CoarseGrid.from_lattice(tdp.StateLattice((0,), (8,)), 2)
     idx = grid.nearest_index(np.array([[1], [3], [4]]))
-    assert [grid.point(int(i))[0] for i in idx] == [0, 2, 4]
+    assert grid.points()[idx, 0].tolist() == [0, 2, 4]
 
 
 # ------------------------------------------------- equivalence + invariants
@@ -310,7 +312,8 @@ def test_general_builder_matches_1d_row_ops(service_quadratic):
     # central formulas with Sigma(x) = Q(x) h^2
     h = 2
     chain = tdp.build_multidim_chain(service_quadratic.problem, h)
-    idx = next(i for i in range(chain.n_states) if chain.grid.point(i) == (50,))
+    points = chain.grid.points()[:, 0].tolist()
+    idx = points.index(50)
     Sigma = chain.Q[idx] * h * h
     acts = chain.actions_at(idx)
     for a, u in enumerate(acts):
@@ -319,7 +322,7 @@ def test_general_builder_matches_1d_row_ops(service_quadratic):
             continue
         p_plus, p_minus, p_stay = build_interior_row_1d(mu, sig2, Sigma, h)
         targets, probs, r = pair_row(chain, idx, a)
-        got = {chain.grid.point(int(t))[0]: p for t, p in zip(targets, probs)}
+        got = {points[t]: p for t, p in zip(targets, probs)}
         assert got.get(52, 0.0) == pytest.approx(p_plus, abs=1e-14)
         assert got.get(48, 0.0) == pytest.approx(p_minus, abs=1e-14)
         assert got.get(50, 0.0) == pytest.approx(p_stay, abs=1e-14)

@@ -201,11 +201,11 @@ def test_taylored_greedy_same_as_chain_improvement_on_grid(service_quadratic):
     lat = service_quadratic.mdp.lattice
     n_axis = len(chain.grid.axes[0])
     checked = 0
-    for g in range(chain.n_states):
-        pos = chain.grid.position(g)[0]
-        if not 2 <= pos <= n_axis - 3:
+    points = chain.grid.points().tolist()
+    for g in range(chain.n_states):             # one axis: g is the grid position
+        if not 2 <= g <= n_axis - 3:
             continue
-        si = lat.index(chain.grid.point(g))
+        si = lat.index(points[g])
         chain_action = chain.actions_at(g)[int(final[g])]
         fine_action = service_quadratic.mdp.actions_at(si)[int(fine[si])]
         assert chain_action == fine_action
