@@ -102,12 +102,10 @@ class GridFunction1d(SmoothFunction):
 def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.ndarray:
     """A_U[Phi](x) for every lattice state, in one array pass.
 
-    P^U Phi is the assembly's expectations of Phi at the pairs
-    mdp.validate_policy checks and returns, read at those pairs only
-    (get_assembly(mdp).policy_expectations: the policy rows of a tabular
-    assembly, one matvec gathered at the policy's post-action states of a
-    factored one); the moments come from one moments_batch call, and Phi's
-    derivatives from one grad and one hess call over all states.
+    P^U Phi is the assembly's expectations of Phi at every pair, read at
+    the pairs mdp.validate_policy checks and returns; the moments come from
+    one moments_batch call, and Phi's derivatives from one grad and one
+    hess call over all states.
     """
     mdp = problem.mdp
     alpha = mdp.discount
@@ -116,7 +114,7 @@ def taylor_remainder(problem: TaylorProblem, policy, phi: SmoothFunction) -> np.
     coords = states.astype(np.float64)
     phi_states = phi.value(coords)
     mu, sigma2 = problem.moments_batch(states, mdp.action_table()[0][pairs])
-    p_phi = get_assembly(mdp).policy_expectations(phi_states, pairs)
+    p_phi = get_assembly(mdp).expectations(phi_states)[pairs]
     lu = (np.einsum("nd,nd->n", mu, phi.grad(coords))
           + 0.5 * np.einsum("nij,nji->n", sigma2, phi.hess(coords)))     # mu.DPhi + tr(s2 D2Phi)/2
     return alpha * (p_phi - phi_states) - alpha * lu

@@ -90,8 +90,10 @@ def read_sections(path) -> tuple:
 def parse_config(experiment: dict, model: dict) -> ExperimentConfig:
     """Parse the {key: text} sections by field type and check the run.
 
-    TapiOptions and the model's dataclass check their own values; their
-    errors, like every parse error, become a ConfigError.
+    A TAPI key, from the file or a flag, is refused unless the mode is
+    solve-tapi, the one mode that reads it.  TapiOptions and the model's
+    dataclass check their own values; their errors, like every parse
+    error, become a ConfigError.
     """
     if "name" not in model:
         raise ConfigError("config needs a [model] section with a name")
@@ -100,6 +102,11 @@ def parse_config(experiment: dict, model: dict) -> ExperimentConfig:
         if key not in _EXPERIMENT_TYPES:
             raise ConfigError(f"unknown experiment key {key!r}")
         (tapi if key in _TAPI_TYPES else run)[key] = _coerce(key, text, _EXPERIMENT_TYPES[key])
+    mode = run.get("mode", ExperimentConfig.mode)
+    if mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    if tapi and mode != "solve-tapi":
+        raise ConfigError(f"{', '.join(tapi)} would be ignored with mode = {mode}")
     try:
         cfg = ExperimentConfig(**run, tapi=TapiOptions(**tapi))
     except ValueError as exc:
@@ -108,8 +115,6 @@ def parse_config(experiment: dict, model: dict) -> ExperimentConfig:
     cfg.model_name = params.pop("name").strip()
     if cfg.model_name not in REGISTRY:
         raise ConfigError(f"unknown model {cfg.model_name!r}; available: {sorted(REGISTRY)}")
-    if cfg.mode not in ("solve-exact", "solve-tapi", "heuristic-max-overflow"):
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.mode == "heuristic-max-overflow" and cfg.model_name != "routing":
         raise ConfigError(f"mode = {cfg.mode} is for model 'routing' only, not {cfg.model_name!r}")
     if not (0.0 < cfg.alpha < 1.0):

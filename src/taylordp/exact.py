@@ -48,8 +48,7 @@ class _PairAssembly:
 
     offsets[s]:offsets[s+1] index state s's pairs; rewards are per pair and
     discounts per state.  Subclasses supply expectations(values), E_x^u[V]
-    for every pair, and policy_expectations(values, pairs), the same at the
-    given pairs only.
+    for every pair; a reader of P^U V gathers it at the policy's pairs.
     """
 
     def __init__(self, offsets, rewards, discounts):
@@ -87,18 +86,6 @@ class TabularAssembly(_PairAssembly):
         prod = self.probs * values[self.col_idx]
         return np.add.reduceat(prod, self.row_ptr[:-1])
 
-    def policy_rows(self, pairs: np.ndarray):
-        """The pairs' rows, gathered: (each entry's place in col_idx/probs, each row's length)."""
-        starts = self.row_ptr[pairs]
-        lens = self.row_ptr[pairs + 1] - starts
-        return _ranges(starts, lens), lens
-
-    def policy_expectations(self, values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """expectations(values)[pairs], bit for bit, reading the pairs' rows only."""
-        take, lens = self.policy_rows(pairs)
-        prod = self.probs[take] * values[self.col_idx[take]]
-        return np.add.reduceat(prod, np.cumsum(lens) - lens)
-
 
 class FactoredAssembly(_PairAssembly):
     """Product-form kernels: one-step expectations for all states at once.
@@ -114,9 +101,6 @@ class FactoredAssembly(_PairAssembly):
 
     def expectations(self, values: np.ndarray) -> np.ndarray:
         return self.apply_expectation(values)[self.post_idx]
-
-    def policy_expectations(self, values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        return self.apply_expectation(values)[self.post_idx[pairs]]
 
 
 def _ranges(starts, lens):
@@ -211,7 +195,9 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
 
 def _evaluation_rows(asm: TabularAssembly, pairs: np.ndarray):
     """diag(alpha) P^U as (row, column, weight) entries, the policy pairs' rows in stored order."""
-    take, lens = asm.policy_rows(pairs)
+    starts = asm.row_ptr[pairs]
+    lens = asm.row_ptr[pairs + 1] - starts
+    take = _ranges(starts, lens)
     rows = np.repeat(np.arange(len(pairs), dtype=np.int64), lens)
     return rows, asm.col_idx[take], asm.discounts[rows] * asm.probs[take]
 

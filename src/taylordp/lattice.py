@@ -29,7 +29,6 @@ from .errors import EmptyActionSet, InfeasibleAction, ZeroInteriorMass
 State = tuple[int, ...]
 
 PROB_TOL = 1e-12
-ROW_SUM_BLOCK = 64     # entries per partial sum in row_sums
 BLOCK = 24_576         # entries a block of consecutive states holds in a blocked fine step
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -85,33 +84,23 @@ def row_sums(probs: np.ndarray, row_ptr: np.ndarray):
 
     near_one[i] holds when the row's math.fsum lies within PROB_TOL of one
     (never for a NaN sum), and sums[i] is that fsum for every row failing
-    the test.  Each row is summed in blocks of ROW_SUM_BLOCK entries and
-    the block sums are added; in whatever order numpy adds, the result is
-    off from the exact sum by less than (ROW_SUM_BLOCK + blocks) * eps *
-    sum|p|.  A row that clears PROB_TOL by that bound passes without fsum
-    (near one the bound is over 64 eps, which also covers fsum's rounding
-    to float64).  The bound is 7e-14 on a 15,625-entry row, so only rows
-    near or past PROB_TOL are summed again with fsum.
+    the test.  Each row is added in stored order (np.bincount), which is off
+    from the exact sum by less than len * eps * sum|p| (Higham 1993); a row
+    that clears PROB_TOL by that bound passes without fsum (near one the
+    bound is at least eps, which also covers fsum's rounding to float64).
+    Rows longer than about 4,500 entries never clear it, so fsum decides
+    them.
     """
     probs = np.asarray(probs, dtype=np.float64)
     lens = row_ptr[1:] - row_ptr[:-1]
-    blocks = (lens + (ROW_SUM_BLOCK - 1)) // ROW_SUM_BLOCK       # none for an empty row
-    owner = np.repeat(np.arange(len(lens)), blocks)
-    first = row_ptr[:-1] - ROW_SUM_BLOCK * (np.cumsum(blocks) - blocks)
-    starts = first[owner] + ROW_SUM_BLOCK * np.arange(len(owner))
-    sums = np.bincount(owner, np.add.reduceat(probs, starts), len(lens))
-    abs_sums = np.bincount(owner, np.add.reduceat(np.abs(probs), starts), len(lens))
-    near_one = _clears_tol(sums, lens, abs_sums)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    sums = np.bincount(owner, probs, len(lens))
+    margin = lens * _EPS * np.bincount(owner, np.abs(probs), len(lens))
+    near_one = abs(sums - 1.0) + margin <= PROB_TOL           # False for an empty row
     for i in np.flatnonzero(~near_one):
         sums[i] = math.fsum(probs[row_ptr[i]:row_ptr[i + 1]].tolist())
         near_one[i] = abs(sums[i] - 1.0) <= PROB_TOL
     return sums, near_one
-
-
-def _clears_tol(sums, lens, abs_sums):
-    """Whether blocked row sums lie within PROB_TOL of one by more than their rounding bound."""
-    margin = (ROW_SUM_BLOCK + 1 + lens // ROW_SUM_BLOCK) * _EPS * abs_sums
-    return abs(sums - 1.0) + margin <= PROB_TOL
 
 
 def _check_rows(n_states: int, states, U, row_ptr, targets, probs) -> None:

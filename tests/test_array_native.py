@@ -1815,11 +1815,32 @@ def _edge_rows(base):
             yield np.append(base, last)
 
 
-def test_row_sums_match_fsum():
+def _straddle_rows():
+    """Rows of 4,000..5,000 entries summing to 1 and 1 +- 1e-13: the stored-order
+    rounding bound len * eps * sum|p| crosses PROB_TOL - |s - 1| in this range."""
+    rng = np.random.default_rng(7)
+    for n in (4_000, 4_250, 4_500, 4_750, 5_000):
+        base = rng.random(n - 1)
+        base *= 0.5 / base.sum()
+        rest = 1.0 - math.fsum(base.tolist())
+        for off in (0.0, 1e-13, -1e-13):
+            yield np.append(base, rest + off)
+
+
+def _count_fsum(monkeypatch, fn, *args):
+    """fn(*args) and the number of math.fsum calls it made."""
+    calls, fsum = [], math.fsum
+    with monkeypatch.context() as m:
+        m.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        return fn(*args), len(calls)
+
+
+def test_row_sums_match_fsum(monkeypatch):
     long = np.random.default_rng(6).random(15_624)
+    straddle = list(_straddle_rows())
     rows = [*_edge_rows(np.array([0.25, 0.25])), *_edge_rows(0.5 * long / long.sum()),
             np.array([math.nan, 1.0]), np.array([math.nan, math.nan]), np.array([]),
-            np.full(15_625, 1 / 15_625)]
+            np.full(15_625, 1 / 15_625), *straddle]
     fsums = np.array([math.fsum(r.tolist()) for r in rows])
     expected = np.abs(fsums - 1.0) <= PROB_TOL
     for edge in expected[:36].reshape(4, 9):     # each sweep crosses the edge
@@ -1831,6 +1852,25 @@ def test_row_sums_match_fsum():
     for row, fsum, ok in zip(rows, fsums, expected):     # one row at a time
         one_sum, one_ok = row_sums(row, np.array([0, len(row)]))
         assert one_ok.tolist() == [ok] and (ok or _bits(one_sum).tolist() == _bits(fsum).tolist())
+    # every straddling row is near one; the shorter ones pass without fsum, the longer not
+    (_, near_one), calls = _count_fsum(monkeypatch, row_sums, np.concatenate(straddle),
+                                       np.cumsum([0] + [len(r) for r in straddle]))
+    assert near_one.all() and 0 < calls < len(straddle)
+
+
+@pytest.mark.parametrize("name", ["service_quadratic", "quartic_fixed", "inventory_model",
+                                  "heavy_queue", "routing2", "routing3_bench"])
+def test_shipped_rows_pass_without_fsum(name, request, monkeypatch):
+    # every tabular row, and 60 sampled routing rows (up to 441 and 2,197 entries),
+    # clears the stored-order bound: row_sums itself calls math.fsum on none
+    mdp = request.getfixturevalue(name).mdp
+    U, states = mdp.action_table()[0], mdp.pair_states()
+    if name.startswith("routing"):
+        pick = np.sort(np.random.default_rng(8).choice(len(U), 60, replace=False))
+        U, states = U[pick], states[pick]
+    row_ptr, _, probs = mdp.kernel(states, U)
+    (_, near_one), calls = _count_fsum(monkeypatch, row_sums, probs, row_ptr)
+    assert near_one.all() and calls == 0
 
 
 def _fmt(x) -> str:

@@ -525,6 +525,37 @@ def test_config_parse_error_exits_2(text, named, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-exact", "compare", "bounds"])
+def test_tapi_keys_outside_solve_tapi_exit_2(command, tmp_path, capsys):
+    # only solve-tapi reads the TAPI keys, so any other mode refuses them
+    cfg = _service_config(tmp_path / "exact.ini", "solve-exact", 0.9, 20,
+                          extra="h = 4\nimprovement = exact\nscheme = upwind\n")
+    args = ["--config-a", cfg, "--config-b", cfg] if command == "compare" else ["--config", cfg]
+    rc = main([command, *args, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: config: h, improvement, scheme would be "
+                                       "ignored with mode = solve-exact\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tapi_keys_outside_solve_tapi_name_the_mode(tmp_path, capsys):
+    # solve-exact on a shipped solve-tapi config would drop its h = 2
+    rc = main(["solve-exact", "--config", str(CONFIG_DIR / "routing2_tapi_a099_f08_h2.ini"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: config: h would be ignored with mode = solve-exact\n"
+    heuristic = tmp_path / "heuristic.ini"
+    heuristic.write_text((CONFIG_DIR / "routing2_heuristic_max_overflow.ini").read_text()
+                         .replace("alpha = 0.99", "alpha = 0.99\nscheme = upwind"))
+    rc = main(["compare", "--config-a", str(heuristic),
+               "--config-b", str(CONFIG_DIR / "routing2_exact_a099_f08.ini"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: config: scheme would be ignored "
+                                       "with mode = heuristic-max-overflow\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_tapi_options_refuse_every_ignored_setting(capsys):
     # of the 32 settings of improvement x policy_extension x one_step x
     # disaggregation x scheme, exactly the 14 whose variant reads every field

@@ -586,17 +586,3 @@ def test_tabular_residual_contract_refines_once_then_raises(monkeypatch):
     with pytest.raises(SingularSystem, match=r"residual \S+ exceeds the 0.0 contract"):
         tdp.policy_evaluation(mdp, np.zeros(mdp.n_states, dtype=np.int64))
     assert calls == ["dgbsv", "dgbtrs"]
-
-
-@pytest.mark.parametrize("kind", ["tabular", "factored"])
-def test_policy_expectations_match_all_pair_expectations(kind, routing2):
-    # P^U V read at the policy pairs only equals every pair's E[V] gathered, bit for bit
-    mdp = (build("inventory") if kind == "tabular" else routing2).mdp
-    asm = exact.get_assembly(mdp)
-    rng = np.random.default_rng(9)
-    values = rng.normal(size=mdp.n_states) * 10.0 ** rng.uniform(-3, 4, mdp.n_states)
-    for policy in (np.zeros(mdp.n_states, dtype=np.int64),
-                   rng.integers(0, np.diff(asm.offsets))):
-        pairs = policy_pairs(asm.offsets, policy)
-        fast = asm.policy_expectations(values, pairs)
-        assert fast.tobytes() == asm.expectations(values)[pairs].tobytes()
