@@ -134,9 +134,11 @@ def _tabulate(mdp: LatticeMdp) -> TabularAssembly:
 
 
 def segmented_argmax(values: np.ndarray, offsets: np.ndarray):
-    """Per-segment (max, first index within ARGMAX_TOL of max)."""
+    """Per-segment (max, first index within ARGMAX_TOL of max); a NaN segment raises ValueError."""
     starts = offsets[:-1]
     seg_max = np.maximum.reduceat(values, starts)
+    if np.isnan(seg_max).any():     # np.maximum carries a segment's NaN to its max
+        raise ValueError(f"score is NaN at state {np.flatnonzero(np.isnan(seg_max))[0]}")
     hits = np.flatnonzero(values >= np.repeat(seg_max - ARGMAX_TOL, np.diff(offsets)))
     return seg_max, hits[np.searchsorted(hits, starts)] - starts
 
@@ -187,7 +189,7 @@ def policy_evaluation(mdp, policy, reward_override=None, warm_start=None) -> np.
         values = _bracketed_iteration(step, disc, warm_start=warm_start)
         residual = np.abs(values - step(values)).max()
 
-    if residual > RESIDUAL_REL * (1.0 + np.abs(values).max()):
+    if not residual <= RESIDUAL_REL * (1.0 + np.abs(values).max()):     # NaN fails too
         raise SingularSystem(f"policy evaluation residual {residual} exceeds "
                              f"the {RESIDUAL_REL} contract")
     return values

@@ -9,9 +9,9 @@ the loop terminates in finitely many iterations.
 The returned fine-lattice policy is formed in one of four ways (TapiOptions
 refuses a setting the chosen way does not read):
 
-  * tcp_greedy (the default): the chain's stencil greedy re-run at every
-    fine state with its own drift/diffusion, fed with the coarse values
-    interpolated multilinearly at the stencil points,
+  * tcp_greedy (the default): at every fine state, the action maximizing
+    r + alpha sum_e rho_e dV_e, its own drift/diffusion's stencil rates times
+    the steps of the coarse values interpolated multilinearly,
   * policy_extension="pc": the chain's policy copied from the nearest
     interior grid point, infeasible actions projected to the nearest
     feasible one (L1 distance, first action on a tie); boundary grid
@@ -222,18 +222,20 @@ def disaggregate_policy(chain: KdChain, coarse_policy: np.ndarray,
 def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndarray:
     """Approximate (Taylored) policy improvement at every state of the chain's lattice.
 
-    Each state gets the same stencil greedy the chain's improvement uses,
-    built from the state's own drift/diffusion at the chain's spacing h and
-    small-drift scheme, and fed with the extended coarse values at the
-    stencil targets; near the boundary the extension extrapolates.  This is
-    the discretized form of maximizing r(x,u) + alpha L_u V(x) - (1-alpha) V(x)
-    over the feasible actions; ties go to the first action within ARGMAX_TOL.
+    Each state maximizes r(x,u) + alpha sum_e rho_e dV_e, the discretized
+    r + alpha L_u V: rho_e are the stencil rates of its own drift/diffusion
+    at the chain's spacing h and small-drift scheme, and dV_e = V(x + h e) -
+    V(x) the steps of the extended coarse values, which extrapolate near the
+    boundary.  The chain's normalizer, discount and stay mass are left out:
+    they only scale a state's scores by a positive factor and shift them by
+    a constant.  Ties go to the first action within ARGMAX_TOL.
 
     With a problem.moment_classes hook, moments and stencil rates are
     computed once per moment class; without it, once per pair.  Every
     stencil target x + h e is a point of the lattice grown by h on each
     side, so the extension is evaluated once on that box: the centers are
-    its interior and direction e's targets the interior shifted by h e.
+    its interior, and direction e's steps the interior shifted by h e minus
+    the centers.
     The pairs are scored in blocks of consecutive states of about
     lattice.BLOCK (pair, direction) entries (state_blocks), each block
     gathering its rates from the per-class table, so no (pairs x
@@ -248,31 +250,25 @@ def taylored_greedy_policy(chain: KdChain, coarse_values: np.ndarray) -> np.ndar
     offsets = mdp.action_table()[1]
     counts = np.diff(offsets)
     dirs, rates, classes = _pair_stencils(problem, hvec, chain.scheme)
-    tot = rates.sum(axis=1)[classes]
 
     # the extension on the padded box: its interior at the centers, shifted by h e at the targets
     padded = _extension_box(coarse_values, chain.grid, [lo - h for lo in lattice.lower],
                             [up + h for up in lattice.upper])
     shape = lattice.shape
-    center_vals = padded[tuple(slice(h, h + n) for n in shape)].ravel()
-    neighbor_vals = np.empty(shape + (len(dirs),))
+    center_vals = padded[tuple(slice(h, h + n) for n in shape)]
+    steps = np.empty(shape + (len(dirs),))
     for k, e in enumerate(dirs):
-        neighbor_vals[..., k] = padded[tuple(slice(h + h * s, h + h * s + n)
-                                             for s, n in zip(e, shape))]
-    neighbor_vals = neighbor_vals.reshape(-1, len(dirs))
+        np.subtract(padded[tuple(slice(h + h * s, h + h * s + n) for s, n in zip(e, shape))],
+                    center_vals, out=steps[..., k])
+    steps = steps.reshape(-1, len(dirs))
 
-    q_max = np.maximum(np.maximum.reduceat(tot, offsets[:-1]), 1e-300)
-    a_h = 1.0 / (1.0 + (1.0 / alpha - 1.0) / q_max)
     rew = get_assembly(mdp).rewards
     q = np.empty(len(rew))
     for s0, s1 in state_blocks(offsets, len(dirs)):
-        p0, p1, n = offsets[s0], offsets[s1], counts[s0:s1]
-        q_b, a_b = np.repeat(q_max[s0:s1], n), np.repeat(a_h[s0:s1], n)
-        rates_b = rates.take(classes[p0:p1], axis=0)
-        rates_b /= q_b[:, None]
-        expect = (np.einsum("pc,pc->p", rates_b, np.repeat(neighbor_vals[s0:s1], n, axis=0))
-                  + (1.0 - tot[p0:p1] / q_b) * np.repeat(center_vals[s0:s1], n))
-        q[p0:p1] = a_b * rew[p0:p1] / (alpha * q_b) + a_b * expect
+        p0, p1 = offsets[s0], offsets[s1]
+        generator = np.einsum("pc,pc->p", rates.take(classes[p0:p1], axis=0),
+                              np.repeat(steps[s0:s1], counts[s0:s1], axis=0))
+        q[p0:p1] = rew[p0:p1] + alpha * generator
     return segmented_argmax(q, offsets)[1]
 
 

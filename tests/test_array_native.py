@@ -86,6 +86,11 @@ def routing3_bench():
 
 
 @pytest.fixture(scope="module")
+def routing2_a0999():
+    return build_routing(table_params(J=2, alpha=0.999, lam_factor=0.8))
+
+
+@pytest.fixture(scope="module")
 def routing3_paper():
     return build_routing(table_params(J=3, alpha=0.99, lam_factor=0.7))
 
@@ -1259,7 +1264,9 @@ def test_taylored_greedy_matches_per_state_loop_routing2(routing2, h):
 GREEDY_CASES = [("routing3_smoke", 2, "inflate"), ("routing3_bench", 4, "inflate"),
                 ("service_quadratic", 1, "inflate"), ("service_quadratic", 2, "inflate"),
                 ("inventory_model", 1, "inflate"), ("inventory_model", 3, "inflate"),
-                ("routing2", 2, "upwind"), ("routing3_smoke", 2, "upwind")]
+                ("routing2", 2, "upwind"), ("routing3_smoke", 2, "upwind"),
+                ("routing2_a0999", 2, "inflate"), ("service_quartic", 1, "inflate"),
+                ("service_quartic", 2, "upwind")]
 
 
 @pytest.mark.parametrize("name,h,scheme", GREEDY_CASES,
@@ -1268,6 +1275,36 @@ GREEDY_CASES = [("routing3_smoke", 2, "inflate"), ("routing3_bench", 4, "inflate
 def test_taylored_greedy_matches_per_state_loop(name, h, scheme, request):
     fast, ref = _greedy_pair(request.getfixturevalue(name).problem, h, scheme)
     assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("scheme", ["inflate", "upwind"])
+@pytest.mark.parametrize("name,c", [("routing2", (3.0, -2.0)), ("service_quadratic", (-3.0,))])
+def test_taylored_greedy_on_linear_values_maximizes_reward_plus_drift(name, c, scheme, request):
+    # the extension is exact on V = c.x and the stencil keeps the first
+    # moment, so every value step is c.(h e) and the score is r + alpha c.mu_u(x);
+    # these slopes make the greedy pick 11 distinct routing actions and 2 service rates
+    problem = request.getfixturevalue(name).problem
+    mdp = problem.mdp
+    chain = tdp.build_multidim_chain(problem, 2, scheme=scheme)
+    c = np.asarray(c)
+    policy = tdp.tapi.taylored_greedy_policy(chain, chain.grid.points() @ c)
+    U, offsets = mdp.action_table()
+    states = mdp.pair_states()
+    mu = problem.moments_batch(states, U)[0]
+    score = mdp.rewards(states, U) + mdp.discount * (mu @ c)
+    best = np.maximum.reduceat(score, offsets[:-1])
+    chosen = score[offsets[:-1] + policy]
+    assert np.all(chosen >= best - 1e-9 * (1.0 + np.abs(best)))
+
+
+def test_taylored_greedy_refuses_a_nan_coarse_value(service_quadratic):
+    # grid point 5 (x = 10) spreads NaN over the extension at x = 8..11,
+    # which state 6 first reaches, at its stencil target 8
+    chain = tdp.build_multidim_chain(service_quadratic.problem, 2)
+    values = tdp.policy_iteration(chain).values
+    values[5] = np.nan
+    with pytest.raises(ValueError, match="^score is NaN at state 6$"):
+        tdp.tapi.taylored_greedy_policy(chain, values)
 
 
 def test_taylored_greedy_one_moments_call_per_class(routing3_smoke, monkeypatch):

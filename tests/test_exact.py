@@ -287,6 +287,27 @@ def test_segmented_argmax_matches_per_segment_scan():
             assert first[s] == next(k for k, x in enumerate(seg) if x >= max(seg) - tol)
 
 
+@pytest.mark.parametrize("segment", [0, 2, 4], ids=["first", "middle", "last"])
+def test_segmented_argmax_refuses_a_nan_segment(segment):
+    # a NaN segment's max is NaN, and no score is within tolerance of it;
+    # the error names the first such segment, not the later one
+    offsets = np.array([0, 2, 5, 6, 9, 11])
+    values = np.arange(11, dtype=np.float64)
+    values[offsets[segment + 1] - 1] = np.nan
+    values[-2] = np.nan
+    with pytest.raises(ValueError, match=f"^score is NaN at state {segment}$"):
+        exact.segmented_argmax(values, offsets)
+
+
+def test_policy_improvement_refuses_a_nan_value():
+    # service rate steps by one, so V[3] = NaN reaches the scores of states 2, 3 and 4
+    mdp = build("service_rate", M=10, alpha=0.99).mdp
+    values = np.zeros(mdp.n_states)
+    values[3] = np.nan
+    with pytest.raises(ValueError, match="^score is NaN at state 2$"):
+        tdp.policy_improvement(mdp, values)
+
+
 @functools.lru_cache(maxsize=None)
 def _routing2_pi(alpha):
     """The 441-state 2-pool instance (factored) and its optimal policy."""
@@ -586,3 +607,20 @@ def test_tabular_residual_contract_refines_once_then_raises(monkeypatch):
     with pytest.raises(SingularSystem, match=r"residual \S+ exceeds the 0.0 contract"):
         tdp.policy_evaluation(mdp, np.zeros(mdp.n_states, dtype=np.int64))
     assert calls == ["dgbsv", "dgbtrs"]
+
+
+def test_nan_drift_chain_breaks_the_residual_contract():
+    # one NaN drift at the pairs of lattice state 10 makes every chain value
+    # NaN; the NaN residual fails the contract instead of passing it
+    from taylordp.errors import SingularSystem
+    from taylordp.taylor import TaylorProblem
+    model = build("service_rate", M=20, alpha=0.99)
+
+    def moments_batch(states, actions):
+        mu, sigma2 = model.problem.moments_batch(states, actions)
+        mu[np.asarray(states)[:, 0] == 10] = np.nan
+        return mu, sigma2
+
+    chain = tdp.build_multidim_chain(TaylorProblem(model.mdp, moments_batch), 2)
+    with pytest.raises(SingularSystem, match=r"^policy evaluation residual nan exceeds"):
+        tdp.policy_evaluation(chain, np.zeros(chain.n_states, dtype=np.int64))
